@@ -1,10 +1,10 @@
 #ifndef ITSPQ_ITGRAPH_DOOR_SEARCH_H_
 #define ITSPQ_ITGRAPH_DOOR_SEARCH_H_
 
-// Internal: plain (time-oblivious) Dijkstra over the door graph, shared
-// by the D2D index, the NTV/SNAP routers, and the query generator.
-// The temporal-variation-aware search lives in query/strategies.h
-// (ItgRouter); this one only supports a static open-door mask.
+// Internal: plain (time-oblivious) Dijkstra over the door graph, used
+// by the D2D index and the query generator. Every Router strategy runs
+// the temporal search behind query/strategies.h (TemporalRouter); this
+// one only supports a static open-door mask.
 //
 // Not part of the stable public API — symbols live in itspq::internal.
 
@@ -39,7 +39,7 @@ struct DoorSearchResult {
   /// settled_stamp[i] == generation  <=>  door i was settled this run.
   std::vector<uint32_t> settled_stamp;
   uint32_t generation = 0;
-  /// The frontier, owned here so SNAP/NTV contexts reuse its storage.
+  /// The frontier, owned here so repeated runs reuse its storage.
   FrontierQueue frontier;
 
   double Dist(size_t i) const {
@@ -117,9 +117,10 @@ bool SharesPartition(const PointAttachment& a, const PointAttachment& b);
 /// cost of reaching that door. Returns {total metres, entry door used}
 /// with door == kInvalidDoor for the direct walk, and
 /// {kInfDistance, kInvalidDoor} when nothing completes. Every consumer
-/// of a door-graph search (engine agreement checks, baselines, D2D
-/// index, workload generator) must share this definition — the bench
-/// comparisons assume identical completion semantics.
+/// of a door-graph search (engine agreement checks, D2D index, workload
+/// generator) must share this definition, and TemporalRouter's
+/// point-to-point goal computes the same minimum as it settles doors —
+/// the bench comparisons assume identical completion semantics.
 template <typename CostToDoorFn>
 std::pair<double, DoorId> BestCompletion(const PointAttachment& src,
                                          const PointAttachment& dst,

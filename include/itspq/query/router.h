@@ -68,7 +68,9 @@ inline constexpr uint8_t kNumQueryKinds = 4;
 const char* QueryKindName(QueryKind kind);
 
 /// Per-request knobs. Strategies ignore options that don't apply to
-/// them (SNAP/NTV have no pruning or snapshot-cache choice).
+/// them: SNAP and NTV ignore both (SNAP always reads the shared store,
+/// NTV has none), and the reachability / nearest-facility sweeps ignore
+/// pruning under every strategy.
 struct QueryOptions {
   /// Alg. 1 lines 18-19: expand each partition through exactly one
   /// entry door. Off = conventional door-graph Dijkstra.
@@ -84,8 +86,8 @@ struct QueryOptions {
 /// Construction-time config for a query strategy — how the shared
 /// snapshot cache behaves (byte budget, eviction policy name, delta
 /// builds). Threaded through RouterRegistry::Create / MakeRouter and
-/// the concrete strategy constructors; strategies without a snapshot
-/// store ("ntv") ignore it.
+/// the TemporalRouter constructor; NTV, which owns no snapshot store,
+/// ignores the cache settings.
 struct RouterBuildOptions {
   SnapshotStoreOptions snapshot_cache;
   /// Non-null only on the update plane's epoch-transition path

@@ -2,40 +2,20 @@
 #define ITSPQ_QUERY_STRATEGIES_H_
 
 // The five Router strategies the paper's experiments compare
-// (§II-D, §III). All share the Router concurrency contract: the
-// shared side is immutable (the SnapshotStore members synchronise
-// internally), every mutable search structure lives in the caller's
-// QueryContext.
+// (§II-D, §III). They run one search — paper Alg. 1, a door-graph
+// Dijkstra with arrival-time projection and partition-visited pruning —
+// and differ only in TV_Check, the rule that decides whether a door
+// may be passed. All share the Router concurrency contract: the shared
+// side is immutable (the SnapshotStore synchronises internally), every
+// mutable search structure lives in the caller's QueryContext.
 //
-//   ItgRouter ("itg-s" | "itg-a" | "itg-a+") — the ITSPQ engine
-//   (paper Alg. 1): door-graph Dijkstra with arrival-time projection
-//   and partition-visited pruning, with a selectable TV_Check:
-//     kSynchronous        ITG/S — every relaxation checks the target
-//                         door's ATI at its projected arrival time.
-//     kAsynchronous       ITG/A — door applicability is read from the
-//                         reduced graph of the checkpoint interval the
-//                         search frontier is in; Graph_Update
-//                         re-derives it when the frontier crosses a
-//                         checkpoint.
-//     kAsynchronousStrict ITG/A+ — as ITG/A, but the reduced graph is
-//                         chosen per relaxation from the *arriving*
-//                         door's interval, closing ITG/A's
-//                         frontier-vs-arrival gap (agrees with ITG/S).
-//
-//   SnapshotRouter ("snap") — freezes the reduced graph at the query
-//   time and runs a plain Dijkstra on it. No arrival-time projection,
-//   so its answers can walk through doors that close mid-route (the
-//   rule-1 violations quantified in ablation_checkers).
-//
-//   StaticRouter ("ntv") — ignores temporal variation entirely; the
-//   conventional indoor distance query the D2D ablation compares with.
-//
-// Prefer resolving these through RouterRegistry (registry.h); the
-// concrete classes are public so strategies can be constructed
-// directly when the name indirection isn't wanted.
+// Prefer resolving these through RouterRegistry (registry.h);
+// TemporalRouter is public so strategies can be constructed directly
+// when the name indirection isn't wanted.
+
+#include <optional>
 
 #include "common/status.h"
-#include "itgraph/graph_update.h"
 #include "itgraph/itgraph.h"
 #include "itgraph/snapshot_store.h"
 #include "query/path.h"
@@ -43,60 +23,40 @@
 
 namespace itspq {
 
-/// TV_Check strategy selector for ItgRouter (paper §II-D).
-enum class TvMode {
+/// The TV_Check a TemporalRouter applies (paper §II-D).
+enum class TvCheck {
+  /// "itg-s", ITG/S: every relaxation checks the target door's ATI at
+  /// its projected arrival time.
   kSynchronous,
+  /// "itg-a", ITG/A: door applicability is read from the reduced graph
+  /// of the checkpoint interval the search frontier is in; Graph_Update
+  /// re-derives it when the frontier crosses a checkpoint.
   kAsynchronous,
+  /// "itg-a+", ITG/A+: as ITG/A, but the reduced graph is chosen per
+  /// relaxation from the *arriving* door's interval, closing ITG/A's
+  /// frontier-vs-arrival gap (agrees with ITG/S).
   kAsynchronousStrict,
+  /// "snap", SNAP: freezes the reduced graph at the query time and runs
+  /// a plain Dijkstra on it. No arrival-time projection, so its answers
+  /// can walk through doors that close mid-route (the rule-1 violations
+  /// quantified in ablation_checkers); the returned paths still carry
+  /// projected arrival times so VerifyPath can expose them.
+  kSnapshot,
+  /// "ntv", NTV: ignores temporal variation entirely, every door always
+  /// passable; the conventional indoor distance query the D2D ablation
+  /// compares with.
+  kNone,
 };
 
-/// The registry name a TvMode resolves to ("itg-s", "itg-a", "itg-a+").
-const char* TvModeName(TvMode mode);
+/// The registry name of a TV_Check ("itg-s", "itg-a", "itg-a+", "snap",
+/// "ntv").
+const char* TvCheckName(TvCheck check);
 
-/// The ITSPQ engine (paper Alg. 1) under one of the three TV_Check
-/// strategies.
-class ItgRouter : public Router {
+/// Paper Alg. 1 under one TV_Check, answering every QueryKind.
+class TemporalRouter : public Router {
  public:
-  ItgRouter(const ItGraph& graph, TvMode mode,
-            const RouterBuildOptions& options = RouterBuildOptions());
-
-  StatusOr<QueryResult> Route(const QueryRequest& request,
-                              QueryContext* context) const override;
-
-  TvMode mode() const { return mode_; }
-
-  CacheStatsSnapshot CacheStats() const override;
-  void SetSnapshotBudget(size_t budget_bytes) const override;
-  size_t MemoryUsage() const override;
-  const SnapshotStore* snapshot_store() const override {
-    return &snapshot_store_;
-  }
-
- private:
-  /// kReachability / kNearestFacility: one temporal Dijkstra sweep from
-  /// the source over the whole door graph, door usability per mode_.
-  /// The sweeps ignore QueryOptions::partition_visited_pruning — Alg.
-  /// 1's pruning expands each partition through one entry door, which
-  /// is sound for a single target but hides every other door of the
-  /// partition from an enumeration, and makes per-door distances
-  /// settle-order dependent.
-  StatusOr<QueryResult> RouteSweep(const QueryRequest& request,
-                                   QueryContext* context) const;
-
-  TvMode mode_;
-  /// Shared cross-query reduced-graph store, consulted when a request
-  /// sets QueryOptions::use_snapshot_cache. Thread-safe.
-  SnapshotStore snapshot_store_;
-};
-
-/// Snapshot-at-query-time Dijkstra (SNAP baseline). The returned paths
-/// carry projected arrival times so VerifyPath can expose rule-1
-/// violations.
-class SnapshotRouter : public Router {
- public:
-  explicit SnapshotRouter(
-      const ItGraph& graph,
-      const RouterBuildOptions& options = RouterBuildOptions());
+  TemporalRouter(const ItGraph& graph, TvCheck check,
+                 const RouterBuildOptions& options = RouterBuildOptions());
 
   StatusOr<QueryResult> Route(const QueryRequest& request,
                               QueryContext* context) const override;
@@ -105,33 +65,16 @@ class SnapshotRouter : public Router {
   void SetSnapshotBudget(size_t budget_bytes) const override;
   size_t MemoryUsage() const override;
   const SnapshotStore* snapshot_store() const override {
-    return &snapshot_store_;
+    return snapshot_store_ ? &*snapshot_store_ : nullptr;
   }
 
  private:
-  /// The sweep families over the departure-frozen snapshot (so, like
-  /// SNAP's point answers, they can miss doors that open mid-walk and
-  /// include doors that close — the baseline the ablation quantifies).
-  StatusOr<QueryResult> RouteSweep(const QueryRequest& request,
-                                   QueryContext* context) const;
-
-  SnapshotStore snapshot_store_;
-};
-
-/// Temporal-variation-oblivious Dijkstra (NTV baseline): all doors
-/// always passable.
-class StaticRouter : public Router {
- public:
-  explicit StaticRouter(
-      const ItGraph& graph,
-      const RouterBuildOptions& options = RouterBuildOptions());
-
-  StatusOr<QueryResult> Route(const QueryRequest& request,
-                              QueryContext* context) const override;
-
- private:
-  StatusOr<QueryResult> RouteSweep(const QueryRequest& request,
-                                   QueryContext* context) const;
+  TvCheck check_;
+  /// Shared cross-query reduced-graph store: SNAP's departure masks,
+  /// and ITG/A's / ITG/A+'s when a request sets
+  /// QueryOptions::use_snapshot_cache. Empty for NTV, which never reads
+  /// a reduced graph. Thread-safe.
+  std::optional<SnapshotStore> snapshot_store_;
 };
 
 }  // namespace itspq

@@ -11,25 +11,16 @@ RouterRegistry& RouterRegistry::Global() {
   // registrar objects) so static-library linking can never drop them.
   static RouterRegistry* registry = [] {
     auto* r = new RouterRegistry();
-    auto add_itg = [&](TvMode mode) {
-      (void)r->Register(TvModeName(mode),
-                        [mode](const ItGraph& graph,
-                               const RouterBuildOptions& options) {
-                          return std::make_unique<ItgRouter>(graph, mode,
-                                                             options);
+    for (TvCheck check :
+         {TvCheck::kSynchronous, TvCheck::kAsynchronous,
+          TvCheck::kAsynchronousStrict, TvCheck::kSnapshot, TvCheck::kNone}) {
+      (void)r->Register(TvCheckName(check),
+                        [check](const ItGraph& graph,
+                                const RouterBuildOptions& options) {
+                          return std::make_unique<TemporalRouter>(
+                              graph, check, options);
                         });
-    };
-    add_itg(TvMode::kSynchronous);
-    add_itg(TvMode::kAsynchronous);
-    add_itg(TvMode::kAsynchronousStrict);
-    (void)r->Register(
-        "snap", [](const ItGraph& graph, const RouterBuildOptions& options) {
-          return std::make_unique<SnapshotRouter>(graph, options);
-        });
-    (void)r->Register(
-        "ntv", [](const ItGraph& graph, const RouterBuildOptions& options) {
-          return std::make_unique<StaticRouter>(graph, options);
-        });
+    }
     return r;
   }();
   return *registry;

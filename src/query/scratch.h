@@ -26,7 +26,7 @@ namespace itspq {
 namespace internal {
 
 struct SearchScratch {
-  // ITG search state (paper Alg. 1), generation-stamped: an entry is
+  // Search state (paper Alg. 1), generation-stamped: an entry is
   // valid only when its stamp equals `generation`, so opening a query
   // costs one counter bump instead of the five O(doors)+O(partitions)
   // assigns the arrays used to take. dist/parent share one stamp (they
@@ -71,9 +71,6 @@ struct SearchScratch {
   uint64_t pinned_store_id = 0;
   bool retain_pins = false;
 
-  // SNAP/NTV full-Dijkstra state.
-  DoorSearchResult door_search;
-
   double Dist(size_t i) const {
     return label_stamp[i] == generation ? dist[i] : kInfDistance;
   }
@@ -82,9 +79,9 @@ struct SearchScratch {
   }
   bool Settled(size_t i) const { return settled_stamp[i] == generation; }
 
-  /// Opens a new ITG query: O(1) except on first use, a venue-size
+  /// Opens a new search: O(1) except on first use, a venue-size
   /// change, or the once-per-2^32-queries stamp wrap.
-  void PrepareItgSearch(size_t num_doors, size_t num_partitions) {
+  void PrepareSearch(size_t num_doors, size_t num_partitions) {
     if (dist.size() != num_doors) {
       dist.assign(num_doors, kInfDistance);
       parent.assign(num_doors, kInvalidDoor);
@@ -242,22 +239,16 @@ inline StatusOr<QueryResult> RouteMultiStop(const Router& router,
   return result;
 }
 
-/// Shared Route() prologue: attaches both request endpoints to the
-/// door graph, prefixing errors with the endpoint's role.
-inline Status AttachEndpoints(const Venue& venue, const QueryRequest& request,
-                              PointAttachment* src, PointAttachment* dst) {
-  auto attached_src = AttachPoint(venue, request.source);
-  if (!attached_src.ok()) {
-    return Status(attached_src.status().code(),
-                  "source " + attached_src.status().message());
+/// Shared Route() prologue: attaches one request endpoint to the door
+/// graph, prefixing errors with the endpoint's `role`.
+inline Status Attach(const Venue& venue, const IndoorPoint& point,
+                     const char* role, PointAttachment* out) {
+  auto attached = AttachPoint(venue, point);
+  if (!attached.ok()) {
+    return Status(attached.status().code(),
+                  std::string(role) + " " + attached.status().message());
   }
-  auto attached_dst = AttachPoint(venue, request.target);
-  if (!attached_dst.ok()) {
-    return Status(attached_dst.status().code(),
-                  "target " + attached_dst.status().message());
-  }
-  *src = *std::move(attached_src);
-  *dst = *std::move(attached_dst);
+  *out = *std::move(attached);
   return Status::Ok();
 }
 

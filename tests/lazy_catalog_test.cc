@@ -40,17 +40,29 @@ T ValueOrDie(StatusOr<T> value, const char* what) {
   return *std::move(value);
 }
 
-// One shared fixture directory: the fleet is deterministic (fixed
-// seed), so every test can reuse the same artifacts.
+// One fixture directory per process: the fleet is deterministic (fixed
+// seed), so every test in the process can reuse the same artifacts,
+// while ctest runs each test as its own process, in parallel — a shared
+// directory let one process's artifact write race another's.
 class LazyCatalogTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    (void)std::system("mkdir -p lazy_catalog_test");
+    (void)std::system(("mkdir -p " + Dir()).c_str());
     fleet_ = new std::vector<Venue>(MakeFleet());
     for (size_t i = 0; i < fleet_->size(); ++i) {
       ASSERT_TRUE(
           WriteVenueArtifact(ArtifactPath(i), (*fleet_)[i]).ok());
     }
+  }
+
+  static void TearDownTestSuite() {
+    (void)std::system(("rm -rf " + Dir()).c_str());
+    delete fleet_;
+    fleet_ = nullptr;
+  }
+
+  static std::string Dir() {
+    return "lazy_catalog_test_" + std::to_string(::getpid());
   }
 
   static std::vector<Venue> MakeFleet() {
@@ -65,7 +77,7 @@ class LazyCatalogTest : public ::testing::Test {
   }
 
   static std::string ArtifactPath(size_t i) {
-    return "lazy_catalog_test/venue_" + std::to_string(i) + ".itspq";
+    return Dir() + "/venue_" + std::to_string(i) + ".itspq";
   }
 
   static VenueCatalog MakeEagerCatalog() {
@@ -175,7 +187,7 @@ TEST_F(LazyCatalogTest, ShardsLoadOnFirstQueryOnly) {
 // without the other, which is exactly the drift the reconciliation
 // invariant exists to catch.
 TEST_F(LazyCatalogTest, FailedLoadStillReconcilesShardCounters) {
-  const std::string path = "lazy_catalog_test/truncated.itspq";
+  const std::string path = Dir() + "/truncated.itspq";
   (void)std::system(("cp " + ArtifactPath(0) + " " + path).c_str());
 
   VenueCatalog catalog;

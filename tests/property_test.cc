@@ -33,6 +33,9 @@
 #include "gen/ati_gen.h"
 #include "gen/query_gen.h"
 #include "gen/venue_gen.h"
+#include "itgraph/checkpoints.h"
+#include "itgraph/door_search.h"
+#include "itgraph/graph_update.h"
 #include "itgraph/itgraph.h"
 #include "query/registry.h"
 #include "query/router.h"
@@ -274,6 +277,72 @@ TEST(CrossStrategyPropertyTest, CheckpointBoundaryDepartures) {
         }
       }
     }
+  }
+}
+
+// SNAP and NTV are conventional door-graph Dijkstras over a static
+// mask, so their point-to-point answers are pinned bit for bit to
+// DoorDijkstra + BestCompletion: the departure interval's mask for SNAP,
+// none for NTV. Both ignore partition-visited pruning, so either setting
+// must give the same answer. Departures cover the day, every checkpoint
+// boundary, and walks that cross midnight.
+TEST(CrossStrategyPropertyTest, SnapAndNtvMatchDoorDijkstraExactly) {
+  for (uint64_t seed : {11u, 55u}) {
+    PropertyWorld world = MakeWorld(seed);
+    const ItGraph& graph = *world.graph;
+    const CheckpointSet cps = CheckpointSet::FromGraph(graph);
+    auto snap = ValueOrDie(MakeRouter("snap", graph), "snap");
+    auto ntv = ValueOrDie(MakeRouter("ntv", graph), "ntv");
+
+    std::vector<double> departures = world.checkpoints;
+    for (int hour : {3, 9, 12, 17, 21}) {
+      departures.push_back(hour * 3600.0);
+    }
+    departures.push_back(kSecondsPerDay - 300.0);
+    departures.push_back(kSecondsPerDay - 60.0);
+    departures.push_back(kSecondsPerDay + 10 * 3600.0);
+
+    QueryContext context;
+    int found = 0;
+    for (size_t pair = 0; pair < world.queries.size(); ++pair) {
+      const QueryInstance& q = world.queries[pair];
+      const auto src =
+          ValueOrDie(internal::AttachPoint(graph.venue(), q.ps), "source");
+      const auto dst =
+          ValueOrDie(internal::AttachPoint(graph.venue(), q.pt), "target");
+      for (double departure : departures) {
+        const GraphSnapshot mask = BuildSnapshot(
+            graph, cps, cps.IntervalIndexOf(WrapTimeOfDay(departure)));
+        for (const Router* router : {snap.get(), ntv.get()}) {
+          const internal::DoorSearchResult reference = internal::DoorDijkstra(
+              graph, src.door_offsets, router == snap.get() ? &mask.open
+                                                            : nullptr);
+          const double expected =
+              internal::BestCompletion(src, dst, q.ps.p, q.pt.p,
+                                       [&](DoorId door) {
+                                         return reference.Dist(
+                                             static_cast<size_t>(door));
+                                       })
+                  .first;
+          for (bool pruning : {true, false}) {
+            QueryRequest request{q.ps, q.pt, Instant(departure),
+                                 QueryOptions()};
+            request.options.partition_visited_pruning = pruning;
+            const std::string where =
+                router->name() + " seed " + std::to_string(seed) + " pair " +
+                std::to_string(pair) + " depart " + std::to_string(departure) +
+                (pruning ? " pruned" : " unpruned");
+            auto result = router->Route(request, &context);
+            ASSERT_TRUE(result.ok()) << where;
+            ASSERT_EQ(result->found, std::isfinite(expected)) << where;
+            if (!result->found) continue;
+            ++found;
+            EXPECT_EQ(result->path.length_m(), expected) << where;
+          }
+        }
+      }
+    }
+    EXPECT_GT(found, 0) << "seed " << seed << ": no answers, test is vacuous";
   }
 }
 

@@ -109,7 +109,7 @@ TEST(RouterRegistryTest, RegisterRejectsDuplicatesAndEmptyNames) {
   RouterRegistry registry;
   auto factory = [](const ItGraph& graph,
                     const RouterBuildOptions&) -> std::unique_ptr<Router> {
-    return std::make_unique<StaticRouter>(graph);
+    return std::make_unique<TemporalRouter>(graph, TvCheck::kNone);
   };
   EXPECT_TRUE(registry.Register("custom", factory).ok());
   EXPECT_EQ(registry.Register("custom", factory).code(),

@@ -86,6 +86,29 @@ TEST(RouterTest, FindsValidPathsAtNoon) {
   }
 }
 
+// All five strategies run the one search kernel, so each found answer
+// reports the doors it settled and the label/frontier bytes it held.
+TEST(RouterTest, EveryStrategyReportsSearchStats) {
+  TestWorld world = MakeWorld();
+  QueryContext context;
+  for (const char* name : {"itg-s", "itg-a", "itg-a+", "snap", "ntv"}) {
+    const auto router = world.Make(name);
+    ASSERT_NE(router, nullptr);
+    size_t found = 0;
+    for (const QueryInstance& q : world.queries) {
+      auto result = router->Route(
+          QueryRequest{q.ps, q.pt, Instant::FromHMS(12), QueryOptions()},
+          &context);
+      ASSERT_TRUE(result.ok()) << name;
+      if (!result->found) continue;
+      ++found;
+      EXPECT_GT(result->stats.doors_popped, 0u) << name;
+      EXPECT_GT(result->stats.peak_memory_bytes, 0u) << name;
+    }
+    EXPECT_GT(found, 0u) << name;
+  }
+}
+
 TEST(RouterTest, NoRouteBeforeOpening) {
   TestWorld world = MakeWorld();
   const auto router = world.Make("itg-s");

@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "common/time.h"
 #include "gen/ati_gen.h"
+#include "gen/query_gen.h"
 #include "gen/venue_gen.h"
 #include "gen/workload_gen.h"
 #include "itgraph/checkpoints.h"
@@ -82,6 +83,38 @@ void ExpectSameAnswer(const StatusOr<QueryResult>& a,
     EXPECT_EQ(a->path.steps()[s].arrival_seconds,
               b->path.steps()[s].arrival_seconds)
         << "request " << index << " step " << s;
+  }
+}
+
+// ExpectSameAnswer plus the family payloads: a sweep's reachable doors
+// and every routed multi-stop leg (also the prefix of an unfinished
+// itinerary).
+void ExpectSameFamilyAnswer(const StatusOr<QueryResult>& a,
+                            const StatusOr<QueryResult>& b, size_t index) {
+  ExpectSameAnswer(a, b, index);
+  if (!a.ok() || !b.ok()) return;
+  ASSERT_EQ(a->reachable.size(), b->reachable.size()) << "request " << index;
+  for (size_t r = 0; r < a->reachable.size(); ++r) {
+    EXPECT_EQ(a->reachable[r].door, b->reachable[r].door)
+        << "request " << index << " door " << r;
+    EXPECT_EQ(a->reachable[r].distance_m, b->reachable[r].distance_m)
+        << "request " << index << " door " << r;
+    EXPECT_EQ(a->reachable[r].arrival_seconds, b->reachable[r].arrival_seconds)
+        << "request " << index << " door " << r;
+  }
+  ASSERT_EQ(a->legs.size(), b->legs.size()) << "request " << index;
+  for (size_t l = 0; l < a->legs.size(); ++l) {
+    const std::vector<PathStep>& sa = a->legs[l].steps();
+    const std::vector<PathStep>& sb = b->legs[l].steps();
+    EXPECT_EQ(a->legs[l].length_m(), b->legs[l].length_m())
+        << "request " << index << " leg " << l;
+    ASSERT_EQ(sa.size(), sb.size()) << "request " << index << " leg " << l;
+    for (size_t s = 0; s < sa.size(); ++s) {
+      EXPECT_EQ(sa[s].door, sb[s].door)
+          << "request " << index << " leg " << l << " step " << s;
+      EXPECT_EQ(sa[s].arrival_seconds, sb[s].arrival_seconds)
+          << "request " << index << " leg " << l << " step " << s;
+    }
   }
 }
 
@@ -311,12 +344,16 @@ TEST(SnapshotStoreTest, InvalidateIntervalsDropsExactlyTheListed) {
 
 // The acceptance property: after N random online updates — including a
 // midnight-wrapping replacement and one landing exactly on an existing
-// checkpoint — a 200-query workload answers bit-identically to a
-// catalog rebuilt from scratch on the mutated venues.
+// checkpoint — a 200-query workload plus reachability, kNN and
+// multi-stop requests on every venue answer bit-identically to a
+// catalog rebuilt from scratch on the mutated venues. One venue per
+// strategy, so the shared snapshot plumbing is pinned across epochs
+// under every TV_Check.
 TEST(RebuildEquivalenceTest, OnlineUpdatesMatchFromScratchRebuild) {
-  const char* const strategies[] = {"itg-s", "itg-a+", "snap"};
+  const char* const strategies[] = {"itg-s", "itg-a", "itg-a+", "snap",
+                                    "ntv"};
   FleetConfig fleet_config;
-  fleet_config.num_venues = 3;
+  fleet_config.num_venues = 5;
   fleet_config.seed = 21;
   fleet_config.min_floors = 1;
   fleet_config.max_floors = 2;
@@ -374,8 +411,28 @@ TEST(RebuildEquivalenceTest, OnlineUpdatesMatchFromScratchRebuild) {
   // Route through the snapshot store so carried snapshots are on the
   // compared path.
   workload_config.options.use_snapshot_cache = true;
-  const std::vector<QueryRequest> workload = ValueOrDie(
+  std::vector<QueryRequest> workload = ValueOrDie(
       GenerateMultiVenueWorkload(live, workload_config), "workload");
+  for (size_t v = 0; v < live.NumVenues(); ++v) {
+    for (QueryKind kind : {QueryKind::kReachability,
+                           QueryKind::kNearestFacility,
+                           QueryKind::kMultiStop}) {
+      FamilyGenConfig family;
+      family.kind = kind;
+      family.num_queries = 4;
+      family.seed = 41 + v;
+      family.min_departure_seconds = 6 * 3600.0;
+      family.max_departure_seconds = 26 * 3600.0;
+      for (QueryRequest& request :
+           ValueOrDie(GenerateFamilyQueries(live.graph(static_cast<VenueId>(v)),
+                                            family),
+                      "family queries")) {
+        request.venue_id = static_cast<VenueId>(v);
+        request.options.use_snapshot_cache = true;
+        workload.push_back(std::move(request));
+      }
+    }
+  }
 
   ShardedRouter live_router(live);
   ShardedRouter rebuilt_router(rebuilt);
@@ -386,7 +443,7 @@ TEST(RebuildEquivalenceTest, OnlineUpdatesMatchFromScratchRebuild) {
                                                       &live_context);
     const StatusOr<QueryResult> b =
         rebuilt_router.Route(workload[i], &rebuilt_context);
-    ExpectSameAnswer(a, b, i);
+    ExpectSameFamilyAnswer(a, b, i);
     if (a.ok() && a->found) ++found;
   }
   EXPECT_GT(found, 0u) << "workload found no routes; test is vacuous";
