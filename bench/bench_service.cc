@@ -175,8 +175,6 @@ int Run(bool smoke, uint64_t seed) {
   RunShape shape;
   shape.service.num_workers = smoke ? 2 : 4;
   shape.service.queue_capacity = smoke ? 64 : 512;
-  shape.service.max_batch = 16;
-  shape.service.max_wait_micros = 200;
   shape.service.default_deadline_micros = 50'000;  // 50 ms SLO
   std::vector<double> loads = {500, 2000, 8000, 32000};
   if (smoke) {

@@ -328,8 +328,6 @@ int Run(bool smoke, uint64_t seed) {
   shape.service.num_workers = smoke ? 2 : 4;
   shape.service.queue_capacity = smoke ? 64 : 512;
   shape.service.update_queue_capacity = 256;
-  shape.service.max_batch = 16;
-  shape.service.max_wait_micros = 200;
   if (smoke) {
     shape.num_venues = 2;
     shape.max_floors = 1;

@@ -16,14 +16,15 @@
 // admission queue is the backpressure point — the socket never buffers
 // unbounded work); the writer drains the connection's reply queue in
 // submission order, waiting on each future, so pipelined replies come
-// back FIFO per connection.
+// back FIFO per connection. Both ends set TCP_NODELAY; a departed
+// peer's connection is reaped on the next accept.
 //
 // Hostile input never takes the server down: a malformed frame earns a
 // best-effort kError reply with the precise decode Status and the
 // connection is closed; an oversized length prefix is rejected before
-// any allocation; a peer that stalls mid-frame trips the SO_RCVTIMEO
-// slow-loris guard and is dropped, while a connection idle BETWEEN
-// frames is kept indefinitely.
+// any allocation; a peer that leaves a frame unfinished past the
+// SO_RCVTIMEO window trips the slow-loris guard and is dropped, while
+// a connection idle BETWEEN frames is kept indefinitely.
 //
 // A kShutdown frame acks, then unblocks WaitForShutdownRequest() — how
 // the loadgen's --shutdown flag stops the server tool from across the
@@ -51,8 +52,8 @@ struct NetServerOptions {
   uint16_t port = 0;
   /// Frame payload ceiling enforced on receive.
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Slow-loris guard: a peer that started a frame must finish it
-  /// within this window or the connection is dropped. Idle time between
+  /// Slow-loris guard: a peer must finish a frame within this window
+  /// of its first byte or the connection is dropped. Idle time between
   /// frames is not limited. 0 disables the guard (blocking reads).
   double recv_timeout_seconds = 5.0;
 };

@@ -6,9 +6,9 @@
 // its four outcomes apart — a complete frame, a clean close between
 // frames, an idle timeout between frames (the caller decides whether to
 // keep waiting), and an error (malformed prefix, mid-frame disconnect,
-// or a peer trickling bytes past the receive timeout — the slow-loris
-// guard). The distinction is the whole point: a server must keep a
-// quiet connection but drop a stalled one.
+// or a started frame not finished within the receive timeout — the
+// slow-loris guard). The distinction is the whole point: a server must
+// keep a quiet connection but drop a stalled one.
 
 #include <cstddef>
 #include <cstdint>
@@ -66,9 +66,9 @@ enum class FrameRead {
 /// Reads one length-prefixed frame (the payload AFTER the 4-byte
 /// prefix) from `fd`. A length prefix of 0 or beyond `max_frame_bytes`
 /// is rejected before any body allocation. If the fd carries a
-/// SO_RCVTIMEO, a timeout mid-frame is an error (a peer must send a
-/// started frame promptly) while a timeout before the first byte is
-/// kIdleTimeout.
+/// SO_RCVTIMEO, a timeout before the first byte is kIdleTimeout, and
+/// a frame not complete within that window of its first byte is a
+/// kDeadlineExceeded kError, however the peer spaces its bytes out.
 FrameRead ReadFrame(int fd, size_t max_frame_bytes, std::string* payload,
                     Status* error);
 

@@ -5,10 +5,11 @@
 //
 // A QueryService owns a fully built VenueCatalog, fronts it with a
 // ShardedRouter, and serves Submit()ed requests through a bounded
-// admission queue drained by worker threads. Each worker coalesces up
-// to `max_batch` queued requests (waiting at most `max_wait_micros`
-// after the first) into one RouteBatch call, re-checking per-request
-// deadlines before and after dispatch. Admission control is explicit:
+// admission queue drained by worker threads. A woken worker takes what
+// is already queued, up to kMaxBatch requests in QoS-class order, and
+// dispatches it as one RouteBatch call at once — it never waits for
+// more to arrive. Per-request deadlines are re-checked before and after
+// dispatch. Admission control is explicit:
 //
 //   queue full            -> kResourceExhausted  (backpressure)
 //   displaced while queued-> kResourceExhausted  (shed: a higher QoS
@@ -44,7 +45,6 @@
 //   VenueCatalog catalog = BuildFleet();
 //   ServiceOptions opts;
 //   opts.num_workers = 4;
-//   opts.max_batch = 16;
 //   opts.default_deadline_micros = 50'000;          // 50 ms SLO
 //   auto service = MakeQueryService(std::move(catalog), opts);
 //   std::future<StatusOr<QueryResult>> answer =
@@ -99,17 +99,9 @@ enum class QosClass : uint8_t {
 
 inline constexpr size_t kNumQosClasses = 3;
 
-inline const char* QosClassName(QosClass qos) {
-  switch (qos) {
-    case QosClass::kInteractive:
-      return "interactive";
-    case QosClass::kBatch:
-      return "batch";
-    case QosClass::kBackground:
-      return "background";
-  }
-  return "unknown";
-}
+/// The most already-queued requests a worker takes into one RouteBatch
+/// call; it never waits for more to arrive.
+inline constexpr size_t kMaxBatch = 16;
 
 /// Construction-time serving knobs, validated by MakeQueryService.
 struct ServiceOptions {
@@ -119,12 +111,6 @@ struct ServiceOptions {
   /// Worker threads draining the queue. Each worker owns one
   /// QueryContext for its whole lifetime.
   int num_workers = 2;
-  /// Micro-batching shape: a worker coalesces up to `max_batch` queued
-  /// requests into one RouteBatch call, waiting at most
-  /// `max_wait_micros` after the first request for stragglers.
-  /// max_batch = 1 disables coalescing.
-  size_t max_batch = 16;
-  double max_wait_micros = 200;
   /// Deadline applied by the one-argument Submit(); 0 = no deadline.
   double default_deadline_micros = 0;
   /// Adaptive queue limit: when > 0, the admission limit is
@@ -227,7 +213,7 @@ struct ServiceStats {
   double ewma_route_micros = 0;
 
   /// Dispatch shape: batch_size_counts[b] = dispatched batches of size
-  /// b (index 0 unused; sized max_batch + 1). Sum of b * count == the
+  /// b (index 0 unused; sized kMaxBatch + 1). Sum of b * count == the
   /// requests that reached RouteBatch.
   size_t batches = 0;
   std::vector<size_t> batch_size_counts;
@@ -235,14 +221,8 @@ struct ServiceStats {
   /// Submit-to-delivery latency of served requests.
   LatencyHistogram latency;
 
-  /// Lazy-fleet serving: artifact loads triggered by queries on cold
-  /// shards and their load latency, surfaced flat so dashboards don't
-  /// dig through the catalog report (same data as catalog.total_loads /
-  /// catalog.load_latency).
-  size_t cold_loads = 0;
-  LatencyHistogram cold_load_latency;
-
-  /// The owned catalog's per-shard traffic / snapshot-cache report.
+  /// The owned catalog's per-shard traffic / snapshot-cache report,
+  /// including lazy-fleet cold loads (total_loads, load_latency).
   CatalogStats catalog;
 };
 
@@ -406,8 +386,8 @@ class QueryService {
   LatencyHistogram latency_;                 // guarded by stats_mu_
 };
 
-/// Validates `options` (positive queue capacity, workers, and batch
-/// size; non-negative waits/deadlines — kInvalidArgument otherwise),
+/// Validates `options` (positive queue capacity and workers;
+/// non-negative deadlines and delays — kInvalidArgument otherwise),
 /// requires a non-empty catalog (kFailedPrecondition), and starts the
 /// worker threads. The service owns the catalog from here on.
 StatusOr<std::unique_ptr<QueryService>> MakeQueryService(

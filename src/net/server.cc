@@ -1,7 +1,10 @@
 #include "net/server.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <future>
@@ -37,6 +40,9 @@ struct NetServer::Connection {
   std::condition_variable cv;
   std::deque<Outgoing> outgoing;  // guarded by mu
   bool closing = false;           // guarded by mu
+  /// Reader and writer each add 1 as their last touch of the
+  /// connection; at 2 the accept thread may join and free it.
+  std::atomic<int> loops_done{0};
 
   void Push(Outgoing item) {
     {
@@ -85,15 +91,33 @@ void NetServer::AcceptLoop() {
     if (options_.recv_timeout_seconds > 0) {
       (void)SetRecvTimeout(raw, options_.recv_timeout_seconds);
     }
+    // Replies are small and latency-sensitive; don't let Nagle hold them.
+    int one = 1;
+    (void)::setsockopt(raw, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     Connection* raw_conn = conn.get();
+    // Reap peers gone since the last accept: join their exited threads
+    // and close their fds, so connections_ holds live peers only.
+    std::vector<std::unique_ptr<Connection>> gone;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (stopping_.load(std::memory_order_acquire)) return;
+      for (auto& c : connections_) {
+        if (c->loops_done.load(std::memory_order_acquire) == 2) {
+          gone.push_back(std::move(c));
+        }
+      }
+      connections_.erase(
+          std::remove(connections_.begin(), connections_.end(), nullptr),
+          connections_.end());
       connections_.push_back(std::move(conn));
     }
     raw_conn->reader = std::thread([this, raw_conn] { ReaderLoop(raw_conn); });
     raw_conn->writer = std::thread([this, raw_conn] { WriterLoop(raw_conn); });
+    for (auto& c : gone) {
+      c->reader.join();
+      c->writer.join();
+    }
   }
 }
 
@@ -136,6 +160,7 @@ void NetServer::ReaderLoop(Connection* conn) {
     if (!HandleFrame(conn, type, body)) break;
   }
   conn->Close(/*force=*/false);
+  conn->loops_done.fetch_add(1, std::memory_order_release);
 }
 
 bool NetServer::HandleFrame(Connection* conn, MsgType type,
@@ -235,6 +260,7 @@ void NetServer::WriterLoop(Connection* conn) {
   // The writer owns the goodbye: FIN after the last delivered frame,
   // which also pops a reader still parked in recv on this socket.
   if (conn->fd.valid()) ::shutdown(conn->fd.get(), SHUT_RDWR);
+  conn->loops_done.fetch_add(1, std::memory_order_release);
 }
 
 void NetServer::WaitForShutdownRequest() {

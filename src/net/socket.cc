@@ -2,9 +2,12 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
+#include <chrono>
+#include <cmath>
 #include <cstring>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -17,38 +20,62 @@ std::string ErrnoText(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
-/// Reads exactly `n` bytes. Outcomes mirror FrameRead: kFrame = got
-/// them all; kCleanClose = EOF before the FIRST byte (only meaningful
-/// when `n` starts a frame); kIdleTimeout = receive timeout before the
-/// first byte; kError = EOF or timeout after a partial read, or a recv
-/// failure — `error` is filled with `what` for context.
+using Clock = std::chrono::steady_clock;
+
+/// The fd's SO_RCVTIMEO in seconds; 0 when unset.
+double RecvTimeoutSeconds(int fd) {
+  timeval tv = {};
+  socklen_t len = sizeof tv;
+  (void)::getsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, &len);
+  return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) / 1e6;
+}
+
+/// Reads exactly `n` bytes of a frame whose first byte arrived at
+/// `*first_byte` (Clock::time_point() = not yet). Outcomes mirror
+/// FrameRead: kCleanClose / kIdleTimeout = EOF / receive timeout before
+/// the first byte; kError = EOF after it, the frame unfinished when the
+/// fd's SO_RCVTIMEO window from it ends, or a recv failure (`error`
+/// names `what`).
 FrameRead RecvExact(int fd, char* out, size_t n, const char* what,
-                    Status* error) {
+                    Clock::time_point* first_byte, Status* error) {
   size_t got = 0;
   while (got < n) {
-    const ssize_t r = ::recv(fd, out + got, n - got, 0);
+    const bool started = *first_byte != Clock::time_point();
+    // Mid-frame, poll below waits out what is left of the window.
+    const ssize_t r =
+        ::recv(fd, out + got, n - got, started ? MSG_DONTWAIT : 0);
     if (r > 0) {
+      if (!started) *first_byte = Clock::now();
       got += static_cast<size_t>(r);
       continue;
     }
     if (r == 0) {
-      if (got == 0) return FrameRead::kCleanClose;
+      if (!started) return FrameRead::kCleanClose;
       *error = InvalidArgumentError(std::string("connection closed mid-") +
                                     what + " after " + std::to_string(got) +
                                     " bytes");
       return FrameRead::kError;
     }
     if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (got == 0) return FrameRead::kIdleTimeout;
-      *error = DeadlineExceededError(
-          std::string("receive timeout mid-") + what +
-          " (slow-loris guard): peer stalled after " + std::to_string(got) +
-          " bytes");
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      *error = InternalError(ErrnoText("recv"));
       return FrameRead::kError;
     }
-    *error = InternalError(ErrnoText("recv"));
-    return FrameRead::kError;
+    if (!started) return FrameRead::kIdleTimeout;
+    const double window = RecvTimeoutSeconds(fd);
+    const double left =
+        window -
+        std::chrono::duration<double>(Clock::now() - *first_byte).count();
+    if (window > 0 && left <= 0) {
+      *error = DeadlineExceededError(
+          std::string("receive timeout mid-") + what +
+          " (slow-loris guard): frame unfinished after " +
+          std::to_string(got) + " bytes");
+      return FrameRead::kError;
+    }
+    pollfd ready = {fd, POLLIN, 0};
+    (void)::poll(&ready, 1,
+                 window > 0 ? static_cast<int>(std::ceil(left * 1e3)) : -1);
   }
   return FrameRead::kFrame;
 }
@@ -62,10 +89,11 @@ void ScopedFd::Reset(int fd) {
 
 FrameRead ReadFrame(int fd, size_t max_frame_bytes, std::string* payload,
                     Status* error) {
+  Clock::time_point first_byte;
   uint32_t len = 0;
   char prefix[sizeof len];
   const FrameRead head =
-      RecvExact(fd, prefix, sizeof prefix, "length prefix", error);
+      RecvExact(fd, prefix, sizeof prefix, "length prefix", &first_byte, error);
   if (head != FrameRead::kFrame) return head;
   std::memcpy(&len, prefix, sizeof len);
   if (len == 0) {
@@ -79,19 +107,9 @@ FrameRead ReadFrame(int fd, size_t max_frame_bytes, std::string* payload,
     return FrameRead::kError;
   }
   payload->resize(len);
-  // A frame whose prefix arrived must finish promptly: EOF, timeout,
-  // and recv failure here are all kError — never another clean close.
-  const FrameRead body = RecvExact(fd, payload->data(), len, "frame", error);
-  if (body == FrameRead::kCleanClose) {
-    *error = InvalidArgumentError("connection closed between prefix and body");
-    return FrameRead::kError;
-  }
-  if (body == FrameRead::kIdleTimeout) {
-    *error = DeadlineExceededError(
-        "receive timeout between prefix and body (slow-loris guard)");
-    return FrameRead::kError;
-  }
-  return body;
+  // The clock started with the prefix, so the body ends in kFrame or
+  // kError — never a clean close or an idle timeout.
+  return RecvExact(fd, payload->data(), len, "frame", &first_byte, error);
 }
 
 Status WriteFrame(int fd, std::string_view frame) {

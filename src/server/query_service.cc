@@ -11,17 +11,13 @@ namespace {
 
 constexpr std::memory_order kRelaxed = std::memory_order_relaxed;
 
-std::chrono::steady_clock::duration DurationFromMicros(double micros) {
-  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double, std::micro>(micros));
-}
-
 /// Absolute deadline `micros` from `now`; +infinity (or anything past
 /// the clock's range) means no deadline.
 std::chrono::steady_clock::time_point DeadlineFor(
     std::chrono::steady_clock::time_point now, double micros) {
   if (!(micros < 1e15)) return std::chrono::steady_clock::time_point::max();
-  return now + DurationFromMicros(micros);
+  return now + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                   std::chrono::duration<double, std::micro>(micros));
 }
 
 }  // namespace
@@ -31,7 +27,7 @@ QueryService::QueryService(VenueCatalog catalog, ServiceOptions options)
       router_(catalog_),
       options_(options),
       paused_(options.start_paused),
-      batch_size_counts_(options.max_batch + 1, 0) {
+      batch_size_counts_(kMaxBatch + 1, 0) {
   workers_.reserve(static_cast<size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -305,24 +301,10 @@ void QueryService::WorkerLoop() {
       });
       // The predicate only passes with empty queues when draining.
       if (TotalQueuedLocked() == 0) return;
-      batch.push_back(PopHighestLocked());
-      // Micro-batching: soak up whatever is queued — strictly in class
-      // order, so interactive work never waits behind background —
-      // waiting up to max_wait after the first request for stragglers.
-      // While draining there is no one left to wait for.
-      const Clock::time_point stragglers_until =
-          Clock::now() + DurationFromMicros(options_.max_wait_micros);
-      while (batch.size() < options_.max_batch) {
-        if (TotalQueuedLocked() > 0) {
-          batch.push_back(PopHighestLocked());
-          continue;
-        }
-        if (draining_) break;
-        if (!cv_.wait_until(lock, stragglers_until, [this] {
-              return TotalQueuedLocked() > 0 || draining_;
-            })) {
-          break;
-        }
+      // Take what is queued, in class order so interactive work never
+      // waits behind background, and dispatch it without waiting.
+      while (batch.size() < kMaxBatch && TotalQueuedLocked() > 0) {
+        batch.push_back(PopHighestLocked());
       }
     }
     Dispatch(&batch, &context);
@@ -443,8 +425,6 @@ ServiceStats QueryService::Stats() const {
     stats.latency = latency_;
   }
   stats.catalog = catalog_.Stats();
-  stats.cold_loads = stats.catalog.total_loads;
-  stats.cold_load_latency = stats.catalog.load_latency;
   return stats;
 }
 
@@ -461,15 +441,6 @@ StatusOr<std::unique_ptr<QueryService>> MakeQueryService(
   if (options.num_workers < 1) {
     return InvalidArgumentError(
         "service options: num_workers must be positive");
-  }
-  if (options.max_batch == 0) {
-    return InvalidArgumentError("service options: max_batch must be positive");
-  }
-  // The 1e15 µs (~31 year) ceiling keeps the wait arithmetic inside
-  // steady_clock's range — same bound DeadlineFor treats as "never".
-  if (!(options.max_wait_micros >= 0) || !(options.max_wait_micros < 1e15)) {
-    return InvalidArgumentError(
-        "service options: max_wait_micros must be in [0, 1e15)");
   }
   // !(x >= 0) also catches NaN: a NaN default would make every
   // defaulted Submit() bounce with kInvalidArgument at admission.

@@ -11,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -108,6 +110,17 @@ void ExpectEof(int fd) {
   EXPECT_EQ(ReadFrame(fd, kDefaultMaxFrameBytes, &payload, &error),
             FrameRead::kCleanClose)
       << error.ToString();
+}
+
+/// Open file descriptors of this process (client and server ends alike).
+size_t CountOpenFds() {
+  size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
 }
 
 // ---------------------------------------------------------------------
@@ -518,6 +531,72 @@ TEST(NetHostileTest, SlowLorisMidFrameIsDroppedButIdleIsKept) {
   EXPECT_NE(err.message.find("slow-loris"), std::string::npos);
   ExpectEof(loris.get());
   EXPECT_TRUE(WaitFor([&] { return server->Stats().connections_dropped == 1; }));
+}
+
+// The guard is a per-frame deadline, not a per-recv one: a peer that
+// trickles one byte every half window never lets a single recv time out,
+// yet its frame is still cut off once the window from its first byte
+// runs out.
+TEST(NetHostileTest, TricklingPeerIsDroppedAtTheFrameDeadline) {
+  NetServerOptions net_opts;
+  net_opts.recv_timeout_seconds = 0.2;
+  auto server = MakeTestServer(ServiceOptions(), net_opts);
+
+  ScopedFd loris = ValueOrDie(ConnectLoopback(server->port()), "connect");
+  // Bound this side's wait so a server that never drops the peer fails
+  // the test instead of hanging it.
+  ASSERT_TRUE(SetRecvTimeout(loris.get(), 2.0).ok());
+  const auto start = std::chrono::steady_clock::now();
+  const uint32_t len = 100;
+  ASSERT_TRUE(
+      WriteFrame(loris.get(),
+                 std::string(reinterpret_cast<const char*>(&len), sizeof len))
+          .ok());
+  std::atomic<bool> stop{false};
+  std::thread trickler([&] {
+    while (!stop.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      if (stop.load() || !WriteFrame(loris.get(), "x").ok()) return;
+    }
+  });
+  const WireReply err = ReadErrorFrame(loris.get());
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  stop.store(true);
+  trickler.join();
+
+  EXPECT_EQ(err.code, StatusCode::kDeadlineExceeded);
+  EXPECT_NE(err.message.find("slow-loris"), std::string::npos);
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+  ExpectEof(loris.get());
+  EXPECT_TRUE(WaitFor([&] { return server->Stats().connections_dropped == 1; }));
+}
+
+// Each client that hangs up is reaped on a later accept: 32 sequential
+// connect/close cycles leave the process holding only a small constant
+// number of extra fds, not one per departed client.
+TEST(NetChurnTest, ClosedConnectionsAreReaped) {
+  auto server = MakeTestServer();
+  const size_t before = CountOpenFds();
+  for (int i = 0; i < 32; ++i) {
+    auto client =
+        ValueOrDie(NetClient::Connect(server->port()), "NetClient::Connect");
+    ASSERT_TRUE(client->FetchStats().ok()) << "cycle " << i;
+  }
+  // A probe's answered round trip means its accept, and the reaping that
+  // runs on it, are done. Allowed above the start: the probe's two ends
+  // plus one departed peer not yet finished when that accept ran. A few
+  // probes give slow (sanitizer) builds time for the last peers to exit.
+  size_t after = 0;
+  for (int probes = 0; probes < 20; ++probes) {
+    auto probe =
+        ValueOrDie(NetClient::Connect(server->port()), "NetClient::Connect");
+    ASSERT_TRUE(probe->FetchStats().ok());
+    after = CountOpenFds();
+    if (after <= before + 3) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_LE(after, before + 3);
+  EXPECT_GE(server->Stats().connections_accepted, 33u);
 }
 
 }  // namespace

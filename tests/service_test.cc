@@ -120,13 +120,6 @@ TEST(MakeQueryServiceTest, ValidatesCatalogAndOptions) {
   bad.back().options.queue_capacity = 0;
   bad.push_back({"zero workers", {}});
   bad.back().options.num_workers = 0;
-  bad.push_back({"zero batch", {}});
-  bad.back().options.max_batch = 0;
-  bad.push_back({"negative wait", {}});
-  bad.back().options.max_wait_micros = -1;
-  bad.push_back({"infinite wait", {}});
-  bad.back().options.max_wait_micros =
-      std::numeric_limits<double>::infinity();
   bad.push_back({"negative deadline", {}});
   bad.back().options.default_deadline_micros = -1;
   for (BadCase& c : bad) {
@@ -150,7 +143,6 @@ TEST(QueryServiceReplayTest, ServedAnswersBitIdenticalToDirectRoute) {
   ServiceOptions options;
   options.queue_capacity = 600;  // admit the whole replay, no rejections
   options.num_workers = 3;
-  options.max_batch = 16;
   std::unique_ptr<QueryService> service = MakeService(options);
   const std::vector<QueryRequest> requests =
       MakeWorkload(service->catalog(), 500);
@@ -189,12 +181,12 @@ TEST(QueryServiceReplayTest, ServedAnswersBitIdenticalToDirectRoute) {
   EXPECT_GT(stats.queue_high_water, 0u);
   EXPECT_EQ(stats.queue_depth, 0u);
   // Every dispatched batch lands in the histogram, none above
-  // max_batch, and the sizes sum back to the served count. The direct
+  // kMaxBatch, and the sizes sum back to the served count. The direct
   // comparison calls above hit the shard routers, not the composite
   // ShardedRouter, so the catalog traffic counters saw each request
   // exactly once — through the service.
   size_t dispatched = 0;
-  ASSERT_EQ(stats.batch_size_counts.size(), options.max_batch + 1);
+  ASSERT_EQ(stats.batch_size_counts.size(), kMaxBatch + 1);
   for (size_t b = 1; b < stats.batch_size_counts.size(); ++b) {
     dispatched += b * stats.batch_size_counts[b];
   }
@@ -209,7 +201,6 @@ TEST(QueryServiceConcurrencyTest, EightThreadSubmitHammer) {
   ServiceOptions options;
   options.queue_capacity = 2048;  // 8 x 64 x 2 admitted even if workers lag
   options.num_workers = 3;
-  options.max_batch = 8;
   std::unique_ptr<QueryService> service = MakeService(options);
   const std::vector<QueryRequest> requests =
       MakeWorkload(service->catalog(), 64);
@@ -353,7 +344,6 @@ TEST(QueryServiceAdmissionTest, ShutdownDrainsThenRejectsLateSubmits) {
   ServiceOptions options;
   options.queue_capacity = 16;
   options.num_workers = 1;
-  options.max_batch = 8;
   options.start_paused = true;
   std::unique_ptr<QueryService> service = MakeService(options);
   std::vector<QueryRequest> requests = MakeWorkload(service->catalog(), 8);
@@ -386,16 +376,16 @@ TEST(QueryServiceAdmissionTest, ShutdownDrainsThenRejectsLateSubmits) {
   service->Shutdown();
 }
 
-// Micro-batching shape: with one worker, a paused queue of 8 and
-// max_batch = 3, the drain must dispatch coalesced batches of 3, 3, 2.
+// Micro-batching shape: with one worker and a paused queue of
+// 2 * kMaxBatch + 2, the drain must dispatch coalesced batches of
+// kMaxBatch, kMaxBatch and 2.
 TEST(QueryServiceBatchingTest, DrainCoalescesUpToMaxBatch) {
   ServiceOptions options;
   options.num_workers = 1;
-  options.max_batch = 3;
   options.start_paused = true;
   std::unique_ptr<QueryService> service = MakeService(options);
   const std::vector<QueryRequest> requests =
-      MakeWorkload(service->catalog(), 8);
+      MakeWorkload(service->catalog(), 2 * kMaxBatch + 2);
 
   std::vector<std::future<StatusOr<QueryResult>>> futures;
   for (const QueryRequest& request : requests) {
@@ -406,10 +396,13 @@ TEST(QueryServiceBatchingTest, DrainCoalescesUpToMaxBatch) {
 
   const ServiceStats stats = service->Stats();
   EXPECT_EQ(stats.batches, 3u);
-  ASSERT_EQ(stats.batch_size_counts.size(), 4u);
-  EXPECT_EQ(stats.batch_size_counts[3], 2u);
+  ASSERT_EQ(stats.batch_size_counts.size(), kMaxBatch + 1);
+  EXPECT_EQ(stats.batch_size_counts[kMaxBatch], 2u);
   EXPECT_EQ(stats.batch_size_counts[2], 1u);
-  EXPECT_EQ(stats.batch_size_counts[1], 0u);
+  for (size_t b = 1; b < kMaxBatch; ++b) {
+    if (b == 2) continue;
+    EXPECT_EQ(stats.batch_size_counts[b], 0u) << b;
+  }
 }
 
 // Resume() lifts start_paused without shutting down: the same service
