@@ -46,19 +46,21 @@ struct SearchStats {
   size_t graph_updates = 0;
 };
 
-/// Fixed-bucket latency histogram: bucket i counts samples in
-/// [2^i, 2^(i+1)) microseconds (bucket 0 absorbs sub-microsecond
-/// samples), so 40 buckets span sub-µs to 2^40 µs ≈ 12.7 days with
-/// zero allocation on the record path.
+/// Fixed-size, log-linear latency histogram: bucket 0 counts sub-µs
+/// samples, and each power of two [2^e, 2^(e+1)) µs, e in [0, 40), is
+/// split into kSubBuckets linear buckets, so a quantile's upper-edge
+/// estimate is within 12.5%, with zero allocation on the record path.
 ///
-/// The last bucket is an overflow bucket: samples at or above 2^39 µs
-/// (including crazy out-of-range ones) clamp into it, and a quantile
-/// that lands there reports the 2^40 µs bucket edge — a saturation
-/// marker, not a measurement. NaN samples (a network RTT computed from
-/// a poisoned clock, say) are dropped on the record path and tallied in
-/// `nan_dropped` instead of silently polluting bucket 0.
+/// The last bucket doubles as the overflow bucket: samples at or above
+/// kOverflowMicros (2^40 µs ≈ 12.7 days, including crazy out-of-range
+/// ones) clamp into it, and a quantile that lands there reports the
+/// kOverflowMicros edge — a saturation marker, not a measurement. NaN
+/// samples (a network RTT computed from a poisoned clock, say) are
+/// dropped and tallied in `nan_dropped` instead of polluting bucket 0.
 struct LatencyHistogram {
-  static constexpr size_t kNumBuckets = 40;
+  static constexpr size_t kSubBuckets = 8;
+  static constexpr size_t kNumBuckets = 1 + 40 * kSubBuckets;
+  static constexpr double kOverflowMicros = 1099511627776.0;  // 2^40
   size_t counts[kNumBuckets] = {};
   size_t total = 0;
   /// NaN samples rejected by Record (not part of `total`).
@@ -69,8 +71,8 @@ struct LatencyHistogram {
 
   /// Upper-bound estimate (µs) of the q-quantile, q in [0, 1]: the
   /// upper edge of the first bucket whose cumulative count reaches
-  /// q * total. 0 when the histogram is empty; the 2^40 overflow edge
-  /// when the quantile saturates the last bucket (see above).
+  /// q * total. 0 when the histogram is empty; kOverflowMicros when
+  /// the quantile saturates the last bucket (see above).
   double Quantile(double q) const;
   double P50() const { return Quantile(0.50); }
   double P99() const { return Quantile(0.99); }

@@ -11,13 +11,14 @@
 //   (*server)->WaitForShutdownRequest();       // a client sent kShutdown
 //   (*server)->Stop();
 //
-// Threading: one accept thread, two threads per connection. The reader
-// decodes frames and submits queries straight into the service (the
-// admission queue is the backpressure point — the socket never buffers
-// unbounded work); the writer drains the connection's reply queue in
-// submission order, waiting on each future, so pipelined replies come
-// back FIFO per connection. Both ends set TCP_NODELAY; a departed
-// peer's connection is reaped on the next accept.
+// Threading: one accept thread, one reader per connection. The reader
+// reserves a reply slot per query and submits it through the service's
+// callback primitive (an idle interactive query is routed right there).
+// The completing thread fills the slot and writes the ready head slots
+// in order, with MSG_DONTWAIT; bytes the socket refuses wait in an
+// outbox the reader flushes, and a peer whose outbox has not drained
+// within recv_timeout_seconds is dropped. Both ends set TCP_NODELAY; a
+// departed peer's connection is reaped on the next accept.
 //
 // Hostile input never takes the server down: a malformed frame earns a
 // best-effort kError reply with the precise decode Status and the
@@ -62,7 +63,8 @@ struct NetServerOptions {
 struct NetServerStats {
   size_t connections_accepted = 0;
   /// Connections closed by the server because the peer broke protocol
-  /// (malformed frame, oversized prefix, mid-frame stall/disconnect).
+  /// (malformed frame, oversized prefix, mid-frame stall/disconnect,
+  /// replies left unread).
   size_t connections_dropped = 0;
   size_t frames_received = 0;
   size_t frames_sent = 0;
@@ -84,8 +86,8 @@ class NetServer {
   bool shutdown_requested() const;
 
   /// Stops accepting, shuts the owned service down (draining admitted
-  /// work so every in-flight reply future resolves), then unblocks and
-  /// joins every connection thread and closes all sockets. Idempotent;
+  /// work so every reply slot is filled), then unblocks and joins every
+  /// connection thread and closes all sockets. Idempotent;
   /// Stats()/service().Stats() stay readable afterwards.
   void Stop();
 
@@ -107,9 +109,12 @@ class NetServer {
 
   void AcceptLoop();
   void ReaderLoop(Connection* conn);
-  void WriterLoop(Connection* conn);
+  /// Reads and handles one frame; false = stop reading.
+  bool ReadOne(Connection* conn, std::string* payload);
   /// Handles one decoded frame; false = close the connection.
   bool HandleFrame(Connection* conn, MsgType type, std::string_view body);
+  /// Counts a decode error and a dropped peer; sends a kError frame.
+  void Drop(Connection* conn, const Status& error);
 
   std::unique_ptr<QueryService> service_;
   NetServerOptions options_;

@@ -65,8 +65,6 @@ enum class QueryKind : uint8_t {
 /// temporal-frame decode.
 inline constexpr uint8_t kNumQueryKinds = 4;
 
-const char* QueryKindName(QueryKind kind);
-
 /// Per-request knobs. Strategies ignore options that don't apply to
 /// them: SNAP and NTV ignore both (SNAP always reads the shared store,
 /// NTV has none), and the reachability / nearest-facility sweeps ignore
@@ -228,10 +226,6 @@ class Router {
   virtual CacheStatsSnapshot CacheStats() const {
     return CacheStatsSnapshot();
   }
-
-  /// Cumulative Graph_Update derivations (full + delta) performed by
-  /// this router's shared snapshot store; 0 without one. Thread-safe.
-  size_t SnapshotBuildCount() const { return CacheStats().builds(); }
 
   /// Re-targets the snapshot store's byte budget (0 = unlimited),
   /// evicting immediately when over — under an evicting policy; the

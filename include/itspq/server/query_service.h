@@ -8,8 +8,11 @@
 // admission queue drained by worker threads. A woken worker takes what
 // is already queued, up to kMaxBatch requests in QoS-class order, and
 // dispatches it as one RouteBatch call at once — it never waits for
-// more to arrive. Per-request deadlines are re-checked before and after
-// dispatch. Admission control is explicit:
+// more to arrive. An interactive request that finds the service idle
+// (nothing queued, dispatch capacity free, shard resident) is routed
+// inline by the submitting thread, through the same admission ledger
+// and deadline gates. Per-request deadlines are re-checked before and
+// after dispatch. Admission control is explicit:
 //
 //   queue full            -> kResourceExhausted  (backpressure)
 //   displaced while queued-> kResourceExhausted  (shed: a higher QoS
@@ -47,16 +50,18 @@
 //   opts.num_workers = 4;
 //   opts.default_deadline_micros = 50'000;          // 50 ms SLO
 //   auto service = MakeQueryService(std::move(catalog), opts);
-//   std::future<StatusOr<QueryResult>> answer =
-//       (*service)->Submit(request);
+//   (*service)->Submit(request, 50'000, QosClass::kInteractive,
+//                      [](StatusOr<QueryResult> answer) { ... });
+//   std::future<StatusOr<QueryResult>> later =
+//       (*service)->Submit(request);                 // future adapter
 //   ...
 //   ServiceStats report = (*service)->Stats();       // any time
 //   (*service)->Shutdown();                          // drains in-flight
 //
-// Submit() is thread-safe and non-blocking: every call returns a
-// future that is eventually fulfilled, rejections included. Shutdown()
-// (also run by the destructor) stops admission, serves everything
-// already admitted whose deadline still allows, and joins the workers.
+// Submit() is thread-safe; its callback (or future) runs exactly once,
+// rejections included. Shutdown() (also run by the destructor) stops
+// admission, serves everything already admitted whose deadline still
+// allows, joins the workers and waits out inline routes.
 //
 // The service is also the write plane's front door: SubmitUpdate()
 // feeds online ATI mutations through a bounded queue drained by one
@@ -71,6 +76,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -203,18 +209,18 @@ struct ServiceStats {
   std::array<size_t, kNumQueryKinds> submitted_by_kind = {};
   std::array<size_t, kNumQueryKinds> served_by_kind = {};
 
-  /// Queue shape: current depth (all classes), the deepest it has ever
-  /// been, the admission limit currently in force (== queue_capacity
-  /// until the adaptive limit engages), and the observed per-request
-  /// route-time EWMA driving it (0 until the first dispatch).
+  /// Queue shape: current depth (all classes), the deepest it has been
+  /// (an inline route counts as depth 1), the admission limit in force
+  /// (== queue_capacity until the adaptive limit engages), and the
+  /// per-request route-time EWMA driving it (0 until the first dispatch).
   size_t queue_depth = 0;
   size_t queue_high_water = 0;
   size_t queue_limit = 0;
   double ewma_route_micros = 0;
 
   /// Dispatch shape: batch_size_counts[b] = dispatched batches of size
-  /// b (index 0 unused; sized kMaxBatch + 1). Sum of b * count == the
-  /// requests that reached RouteBatch.
+  /// b (index 0 unused; sized kMaxBatch + 1; inline routes are size 1).
+  /// Sum of b * count == the requests that reached RouteBatch.
   size_t batches = 0;
   std::vector<size_t> batch_size_counts;
 
@@ -234,6 +240,16 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
+  /// Receives a request's outcome, exactly once. Must not block.
+  using Done = std::function<void(StatusOr<QueryResult>)>;
+
+  /// The submit primitive: explicit deadline (`deadline_micros` from
+  /// now; see below) and QoS class, which orders service and shedding
+  /// (see the file comment). `done` runs on a worker, or before Submit
+  /// returns for a rejection or an inline route.
+  void Submit(const QueryRequest& request, double deadline_micros,
+              QosClass qos, Done done);
+
   /// Submits under options().default_deadline_micros as kInteractive.
   std::future<StatusOr<QueryResult>> Submit(const QueryRequest& request);
 
@@ -242,16 +258,12 @@ class QueryService {
   /// never enqueued); NaN or negative is malformed (immediate
   /// kInvalidArgument — NaN must never be admitted, since every
   /// comparison against it would read "no deadline"); +infinity
-  /// disables the deadline regardless of the default. Thread-safe,
-  /// non-blocking; rejections are delivered through the returned
-  /// future.
+  /// disables the deadline regardless of the default. Rejections are
+  /// delivered through the returned future.
   std::future<StatusOr<QueryResult>> Submit(const QueryRequest& request,
                                             double deadline_micros);
 
-  /// Full-control submit: explicit deadline and QoS class. The class
-  /// orders both service (workers drain interactive before batch
-  /// before background) and shedding (overload displaces the lowest
-  /// class first); see the file comment.
+  /// Adapter: the primitive with a future in place of the callback.
   std::future<StatusOr<QueryResult>> Submit(const QueryRequest& request,
                                             double deadline_micros,
                                             QosClass qos);
@@ -277,9 +289,9 @@ class QueryService {
 
   /// Stops admission, serves every already-admitted request whose
   /// deadline still allows (rejecting the rest with kDeadlineExceeded),
-  /// applies every already-admitted update, and joins the workers plus
-  /// the updater. Idempotent; concurrent callers block until the drain
-  /// completes.
+  /// applies every already-admitted update, joins the workers plus the
+  /// updater, and waits out inline routes. Idempotent; concurrent
+  /// callers block until the drain completes.
   void Shutdown();
 
   /// Point-in-time counters; safe to call while traffic is in flight.
@@ -304,7 +316,7 @@ class QueryService {
     Clock::time_point submit;
     /// Clock::time_point::max() = no deadline.
     Clock::time_point deadline;
-    std::promise<StatusOr<QueryResult>> promise;
+    Done done;
   };
 
   struct PendingUpdate {
@@ -315,8 +327,8 @@ class QueryService {
   QueryService(VenueCatalog catalog, ServiceOptions options);
 
   void WorkerLoop();
-  /// Deadline-checks and dispatches one coalesced batch, fulfilling
-  /// every promise in it.
+  /// Deadline-checks and dispatches one coalesced batch, running every
+  /// `done` in it.
   void Dispatch(std::vector<Pending>* batch, QueryContext* context);
   /// The dedicated writer: drains the update queue FIFO, one
   /// ApplyAtiUpdate at a time.
@@ -326,9 +338,6 @@ class QueryService {
   /// The admission limit currently in force: queue_capacity, shrunk by
   /// the adaptive target-delay limit once an EWMA exists.
   size_t QueueLimitLocked() const;
-  /// Pops the oldest request of the highest-priority non-empty class.
-  /// Requires TotalQueuedLocked() > 0.
-  Pending PopHighestLocked();
 
   // Construction order matters: router_ points at catalog_.
   VenueCatalog catalog_;
@@ -341,6 +350,8 @@ class QueryService {
   std::array<std::deque<Pending>, kNumQosClasses> queues_;
   bool paused_;                 // guarded by mu_
   bool draining_ = false;       // guarded by mu_
+  /// Dispatches running, worker batches and inline routes alike.
+  int active_ = 0;              // guarded by mu_
   size_t queue_high_water_ = 0;  // guarded by mu_
   std::once_flag join_once_;
   std::vector<std::thread> workers_;

@@ -51,10 +51,6 @@ struct Rect {
 
   double width() const { return max_x - min_x; }
   double height() const { return max_y - min_y; }
-
-  Point2d Center() const {
-    return Point2d{(min_x + max_x) * 0.5, (min_y + max_y) * 0.5};
-  }
 };
 
 }  // namespace itspq

@@ -13,12 +13,14 @@ void LatencyHistogram::Record(double micros) {
     return;
   }
   size_t bucket = 0;
-  if (micros >= std::ldexp(1.0, static_cast<int>(kNumBuckets) - 1)) {
-    // Overflow bucket — also catches +infinity, where casting log2's
-    // result would be undefined.
+  if (micros >= kOverflowMicros) {
+    // Overflow bucket — also +infinity, which frexp cannot place.
     bucket = kNumBuckets - 1;
-  } else if (micros >= 2.0) {
-    bucket = static_cast<size_t>(std::log2(micros));
+  } else if (micros >= 1.0) {
+    int exp = 0;  // micros = m * 2^exp, m in [0.5, 1): octave exp - 1
+    const double m = std::frexp(micros, &exp);
+    bucket = 1 + static_cast<size_t>(exp - 1) * kSubBuckets +
+             static_cast<size_t>((2 * m - 1) * kSubBuckets);
   }
   ++counts[bucket];
   ++total;
@@ -38,9 +40,12 @@ double LatencyHistogram::Quantile(double q) const {
   size_t cumulative = 0;
   for (size_t i = 0; i < kNumBuckets; ++i) {
     cumulative += counts[i];
-    if (cumulative >= target) return std::ldexp(1.0, static_cast<int>(i) + 1);
+    if (cumulative < target) continue;
+    if (i == 0) return 1.0;
+    return std::ldexp(1.0 + ((i - 1) % kSubBuckets + 1.0) / kSubBuckets,
+                      static_cast<int>((i - 1) / kSubBuckets));
   }
-  return std::ldexp(1.0, static_cast<int>(kNumBuckets));
+  return kOverflowMicros;
 }
 
 }  // namespace itspq

@@ -2,68 +2,98 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <deque>
-#include <future>
 #include <utility>
 
 namespace itspq {
 namespace net {
+namespace {
 
-// One accepted socket plus its reply pipeline. The reader pushes an
-// entry per query (future resolved by the service) or per immediate
-// frame (stats, shutdown ack); the writer drains them strictly FIFO so
-// a client can pipeline queries and match replies by order as well as
-// by id.
+/// Above this many unsent reply bytes the reader takes no new frames.
+constexpr size_t kMaxOutboxBytes = 256 * 1024;
+/// A reader owed replies re-checks the outbox this often: a completing
+/// thread that leaves bytes there cannot wake it out of poll.
+constexpr int kOutboxTickMillis = 10;
+
+}  // namespace
+
+// One accepted socket and its reply queue. The reader reserves a slot
+// per reply in arrival order; whichever thread fills one writes every
+// ready slot at the head, so pipelined replies keep their order.
 struct NetServer::Connection {
-  ScopedFd fd;
-  std::thread reader;
-  std::thread writer;
-
-  struct Outgoing {
-    /// Query replies carry the future + id; immediate frames (stats,
-    /// acks, errors) arrive pre-encoded in `frame`.
-    bool is_query = false;
-    uint64_t request_id = 0;
-    /// What the writer encodes the resolved future as: kQueryReply for
-    /// kQuery requests, kTemporalReply (base + family extension) for
-    /// kTemporalQuery ones.
-    MsgType reply_type = MsgType::kQueryReply;
-    std::future<StatusOr<QueryResult>> future;
+  struct Slot {
+    bool ready = false;
     std::string frame;
   };
 
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<Outgoing> outgoing;  // guarded by mu
-  bool closing = false;           // guarded by mu
-  /// Reader and writer each add 1 as their last touch of the
-  /// connection; at 2 the accept thread may join and free it.
-  std::atomic<int> loops_done{0};
+  explicit Connection(std::atomic<size_t>& sent) : frames_sent(sent) {}
 
-  void Push(Outgoing item) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      outgoing.push_back(std::move(item));
-    }
-    cv.notify_one();
+  ScopedFd fd;
+  std::thread reader;
+  std::atomic<bool> done{false};  // the reader's last touch; reapable
+  std::atomic<size_t>& frames_sent;
+
+  std::mutex mu;
+  std::condition_variable cv;  // a writer finished
+  std::deque<Slot> slots;      // guarded by mu; stable references
+  /// Bytes the socket has not taken yet; only the writer changes it.
+  std::string outbox;          // guarded by mu
+  bool writing = false;        // guarded by mu
+  bool dead = false;  // guarded by mu; peer gone, replies discarded
+
+  bool Owed() const { return !slots.empty() || !outbox.empty() || writing; }
+
+  Slot* Reserve() {
+    std::lock_guard<std::mutex> lock(mu);
+    return &slots.emplace_back();
   }
 
-  /// Tells the writer to drain what's queued and exit. `force` also
-  /// shuts the socket down immediately — Stop() uses it to yank a
-  /// reader out of recv and a writer out of send; the reader's natural
-  /// exit does NOT force, so the final error/ack frame it just pushed
-  /// still reaches the peer before the writer sends FIN.
-  void Close(bool force) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      closing = true;
+  void Fill(Slot* slot, std::string frame) {
+    std::unique_lock<std::mutex> lock(mu);
+    slot->frame = std::move(frame);
+    slot->ready = true;
+    Flush(lock);
+  }
+
+  void Push(std::string frame) { Fill(Reserve(), std::move(frame)); }
+
+  /// Moves the ready slots at the head into the outbox and sends it
+  /// without blocking; a writer already at work picks them up instead.
+  void Flush(std::unique_lock<std::mutex>& lock) {
+    if (writing) return;
+    writing = true;
+    for (;;) {
+      for (; !slots.empty() && slots.front().ready; slots.pop_front()) {
+        if (dead) continue;
+        outbox += slots.front().frame;
+        frames_sent.fetch_add(1, std::memory_order_relaxed);
+      }
+      if (dead) outbox.clear();
+      if (outbox.empty()) break;
+      std::string out = std::move(outbox);
+      outbox.clear();
+      lock.unlock();
+      // MSG_NOSIGNAL: a vanished peer is EPIPE, not a SIGPIPE.
+      const ssize_t r = ::send(fd.get(), out.data(), out.size(),
+                               MSG_DONTWAIT | MSG_NOSIGNAL);
+      const bool alive = r >= 0 || errno == EAGAIN || errno == EWOULDBLOCK;
+      lock.lock();
+      dead = dead || !alive;
+      if (!alive || static_cast<size_t>(r) == out.size()) continue;
+      // Socket full: the reader sends the rest as the peer drains.
+      out.erase(0, r > 0 ? static_cast<size_t>(r) : 0);
+      outbox = std::move(out);
+      break;
     }
+    writing = false;
     cv.notify_all();
-    if (force && fd.valid()) ::shutdown(fd.get(), SHUT_RDWR);
   }
 };
 
@@ -86,7 +116,7 @@ void NetServer::AcceptLoop() {
       if (stopping_.load(std::memory_order_acquire)) return;
       continue;  // EINTR / transient accept failure
     }
-    auto conn = std::make_unique<Connection>();
+    auto conn = std::make_unique<Connection>(frames_sent_);
     conn->fd.Reset(raw);
     if (options_.recv_timeout_seconds > 0) {
       (void)SetRecvTimeout(raw, options_.recv_timeout_seconds);
@@ -96,14 +126,14 @@ void NetServer::AcceptLoop() {
     (void)::setsockopt(raw, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     Connection* raw_conn = conn.get();
-    // Reap peers gone since the last accept: join their exited threads
+    // Reap peers gone since the last accept: join their exited readers
     // and close their fds, so connections_ holds live peers only.
     std::vector<std::unique_ptr<Connection>> gone;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (stopping_.load(std::memory_order_acquire)) return;
       for (auto& c : connections_) {
-        if (c->loops_done.load(std::memory_order_acquire) == 2) {
+        if (c->done.load(std::memory_order_acquire)) {
           gone.push_back(std::move(c));
         }
       }
@@ -113,54 +143,93 @@ void NetServer::AcceptLoop() {
       connections_.push_back(std::move(conn));
     }
     raw_conn->reader = std::thread([this, raw_conn] { ReaderLoop(raw_conn); });
-    raw_conn->writer = std::thread([this, raw_conn] { WriterLoop(raw_conn); });
-    for (auto& c : gone) {
-      c->reader.join();
-      c->writer.join();
-    }
+    for (auto& c : gone) c->reader.join();
   }
 }
 
 void NetServer::ReaderLoop(Connection* conn) {
+  using Clock = std::chrono::steady_clock;
+  const int fd = conn->fd.get();
+  const std::chrono::duration<double> window(options_.recv_timeout_seconds);
   std::string payload;
-  while (true) {
-    Status error;
-    const FrameRead got =
-        ReadFrame(conn->fd.get(), options_.max_frame_bytes, &payload, &error);
-    if (got == FrameRead::kIdleTimeout) continue;  // quiet, not stalled
-    if (got == FrameRead::kCleanClose) break;
-    if (got == FrameRead::kError) {
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
-      connections_dropped_.fetch_add(1, std::memory_order_relaxed);
-      // Best-effort goodbye naming the violation, then drop the peer.
-      WireReply err;
-      err.request_id = 0;
-      err.code = error.code();
-      err.message = error.message();
-      Connection::Outgoing out;
-      out.frame = EncodeReplyFrame(err, MsgType::kError);
-      conn->Push(std::move(out));
-      break;
+  bool reading = true;
+  Clock::time_point stuck_since;  // outbox first seen holding bytes
+  std::unique_lock<std::mutex> lock(conn->mu);
+  while (reading || conn->Owed()) {
+    if (conn->dead) {
+      reading = false;
+      conn->Flush(lock);  // discards the outbox
     }
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
-    MsgType type;
-    std::string_view body;
-    Status header = DecodeFrameHeader(payload, &type, &body);
-    if (!header.ok()) {
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
+    if ((conn->outbox.empty() && !conn->writing) || conn->dead) {
+      stuck_since = Clock::time_point();
+    } else if (stuck_since == Clock::time_point()) {
+      stuck_since = Clock::now();
+    } else if (window.count() > 0 && Clock::now() - stuck_since > window) {
+      // The peer stopped reading its replies (kDeadlineExceeded); no
+      // kError frame could reach it through the full socket.
       connections_dropped_.fetch_add(1, std::memory_order_relaxed);
-      WireReply err;
-      err.code = header.code();
-      err.message = header.message();
-      Connection::Outgoing out;
-      out.frame = EncodeReplyFrame(err, MsgType::kError);
-      conn->Push(std::move(out));
-      break;
+      conn->dead = true;
+      ::shutdown(fd, SHUT_RDWR);
+      continue;
     }
-    if (!HandleFrame(conn, type, body)) break;
+    if (!conn->Owed()) {  // only a new frame can owe the peer anything
+      lock.unlock();
+      reading = ReadOne(conn, &payload);
+      lock.lock();
+      continue;
+    }
+    if (!reading && (conn->outbox.empty() || conn->writing)) {
+      conn->cv.wait(lock);  // replies still computing or being written
+      continue;
+    }
+    // Wait for the next frame (unless the outbox is over its cap) and,
+    // with bytes in the outbox, for room to send them.
+    pollfd ready = {fd, 0, 0};
+    if (reading && conn->outbox.size() <= kMaxOutboxBytes) {
+      ready.events = POLLIN;
+    }
+    if (!conn->outbox.empty()) ready.events |= POLLOUT;
+    lock.unlock();
+    (void)::poll(&ready, 1, kOutboxTickMillis);
+    if ((ready.events & POLLIN) &&
+        (ready.revents & (POLLIN | POLLHUP | POLLERR))) {
+      reading = ReadOne(conn, &payload);
+    }
+    lock.lock();
+    conn->Flush(lock);
   }
-  conn->Close(/*force=*/false);
-  conn->loops_done.fetch_add(1, std::memory_order_release);
+  // Every reserved reply is written, or the peer is gone: FIN.
+  lock.unlock();
+  ::shutdown(fd, SHUT_RDWR);
+  conn->done.store(true, std::memory_order_release);
+}
+
+bool NetServer::ReadOne(Connection* conn, std::string* payload) {
+  Status error;
+  const FrameRead got =
+      ReadFrame(conn->fd.get(), options_.max_frame_bytes, payload, &error);
+  if (got == FrameRead::kIdleTimeout) return true;  // quiet, not stalled
+  if (got == FrameRead::kError) Drop(conn, error);
+  if (got != FrameRead::kFrame) return false;
+  frames_received_.fetch_add(1, std::memory_order_relaxed);
+  MsgType type;
+  std::string_view body;
+  Status header = DecodeFrameHeader(*payload, &type, &body);
+  if (!header.ok()) {
+    Drop(conn, header);
+    return false;
+  }
+  return HandleFrame(conn, type, body);
+}
+
+void NetServer::Drop(Connection* conn, const Status& error) {
+  decode_errors_.fetch_add(1, std::memory_order_relaxed);
+  connections_dropped_.fetch_add(1, std::memory_order_relaxed);
+  // Best-effort goodbye naming the violation (request id 0).
+  WireReply err;
+  err.code = error.code();
+  err.message = error.message();
+  conn->Push(EncodeReplyFrame(err, MsgType::kError));
 }
 
 bool NetServer::HandleFrame(Connection* conn, MsgType type,
@@ -173,43 +242,33 @@ bool NetServer::HandleFrame(Connection* conn, MsgType type,
                            ? DecodeQueryBody(body, &query)
                            : DecodeTemporalQueryBody(body, &query);
       if (!decoded.ok()) {
-        decode_errors_.fetch_add(1, std::memory_order_relaxed);
-        connections_dropped_.fetch_add(1, std::memory_order_relaxed);
-        WireReply err;
-        err.code = decoded.code();
-        err.message = decoded.message();
-        Connection::Outgoing out;
-        out.frame = EncodeReplyFrame(err, MsgType::kError);
-        conn->Push(std::move(out));
+        Drop(conn, decoded);
         return false;
       }
-      Connection::Outgoing out;
-      out.is_query = true;
-      out.request_id = query.request_id;
       // A temporal request is answered in kind: the reply frame carries
       // the family extension only when the peer asked through the
       // temporal codec, so plain-kQuery clients never see layout skew.
-      if (type == MsgType::kTemporalQuery) {
-        out.reply_type = MsgType::kTemporalReply;
-      }
-      // Hand the request straight to admission: the service's bounded
-      // queue (and its QoS shedding) is the only buffer between the
-      // socket and the routers.
-      out.future = service_->Submit(ToQueryRequest(query),
-                                    query.deadline_micros, query.qos);
-      conn->Push(std::move(out));
+      const MsgType reply_type = type == MsgType::kQuery
+                                     ? MsgType::kQueryReply
+                                     : MsgType::kTemporalReply;
+      Connection::Slot* slot = conn->Reserve();
+      // Straight to admission: the service's bounded queue is the only
+      // buffer between socket and routers. The completing thread (this
+      // one, for an inline route) encodes and writes the reply.
+      service_->Submit(
+          ToQueryRequest(query), query.deadline_micros, query.qos,
+          [conn, slot, id = query.request_id,
+           reply_type](StatusOr<QueryResult> result) {
+            conn->Fill(slot,
+                       EncodeReplyFrame(MakeReply(id, result), reply_type));
+          });
       return true;
     }
-    case MsgType::kStatsRequest: {
-      Connection::Outgoing out;
-      out.frame = EncodeStatsReplyFrame(MakeWireStats(service_->Stats()));
-      conn->Push(std::move(out));
+    case MsgType::kStatsRequest:
+      conn->Push(EncodeStatsReplyFrame(MakeWireStats(service_->Stats())));
       return true;
-    }
     case MsgType::kShutdown: {
-      Connection::Outgoing out;
-      out.frame = EncodeEmptyFrame(MsgType::kShutdownAck);
-      conn->Push(std::move(out));
+      conn->Push(EncodeEmptyFrame(MsgType::kShutdownAck));
       {
         std::lock_guard<std::mutex> lock(mu_);
         shutdown_requested_ = true;
@@ -220,47 +279,9 @@ bool NetServer::HandleFrame(Connection* conn, MsgType type,
     default:
       // Server-bound traffic only; a client sending reply/ack types
       // is confused or hostile.
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
-      connections_dropped_.fetch_add(1, std::memory_order_relaxed);
-      WireReply err;
-      err.code = StatusCode::kInvalidArgument;
-      err.message = "unexpected client-bound message type";
-      Connection::Outgoing out;
-      out.frame = EncodeReplyFrame(err, MsgType::kError);
-      conn->Push(std::move(out));
+      Drop(conn, InvalidArgumentError("unexpected client-bound message type"));
       return false;
   }
-}
-
-void NetServer::WriterLoop(Connection* conn) {
-  while (true) {
-    Connection::Outgoing item;
-    {
-      std::unique_lock<std::mutex> lock(conn->mu);
-      conn->cv.wait(lock,
-                    [conn] { return conn->closing || !conn->outgoing.empty(); });
-      // Drain what's queued even when closing: the error/ack frame the
-      // reader pushed on its way out must still reach the peer.
-      if (conn->outgoing.empty()) break;
-      item = std::move(conn->outgoing.front());
-      conn->outgoing.pop_front();
-    }
-    std::string frame;
-    if (item.is_query) {
-      frame = EncodeReplyFrame(MakeReply(item.request_id, item.future.get()),
-                               item.reply_type);
-    } else {
-      frame = std::move(item.frame);
-    }
-    // A dead peer just ends the pipeline; replies still queued are
-    // dropped (their promises resolve in the service regardless).
-    if (!WriteFrame(conn->fd.get(), frame).ok()) break;
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // The writer owns the goodbye: FIN after the last delivered frame,
-  // which also pops a reader still parked in recv on this socket.
-  if (conn->fd.valid()) ::shutdown(conn->fd.get(), SHUT_RDWR);
-  conn->loops_done.fetch_add(1, std::memory_order_release);
 }
 
 void NetServer::WaitForShutdownRequest() {
@@ -285,19 +306,18 @@ void NetServer::Stop() {
     if (listen_fd_.valid()) ::shutdown(listen_fd_.get(), SHUT_RDWR);
     if (accept_thread_.joinable()) accept_thread_.join();
     listen_fd_.Reset();
-    // Drain the service first: every future a writer may be blocked on
-    // resolves (served or kDeadlineExceeded), so the joins below cannot
-    // deadlock behind a paused or backed-up backend.
+    // Drain the service first: every reply slot is then filled, so the
+    // joins below cannot deadlock behind a paused or backed-up backend.
     service_->Shutdown();
     std::vector<std::unique_ptr<Connection>> conns;
     {
       std::lock_guard<std::mutex> lock(mu_);
       conns.swap(connections_);
     }
+    // Pops each reader out of recv or poll; unsent replies are dropped.
     for (auto& conn : conns) {
-      conn->Close(/*force=*/true);
-      if (conn->reader.joinable()) conn->reader.join();
-      if (conn->writer.joinable()) conn->writer.join();
+      ::shutdown(conn->fd.get(), SHUT_RDWR);
+      conn->reader.join();
     }
     shutdown_cv_.notify_all();
   });

@@ -9,20 +9,6 @@
 
 namespace itspq {
 
-const char* QueryKindName(QueryKind kind) {
-  switch (kind) {
-    case QueryKind::kPointToPoint:
-      return "point-to-point";
-    case QueryKind::kReachability:
-      return "reachability";
-    case QueryKind::kNearestFacility:
-      return "nearest-facility";
-    case QueryKind::kMultiStop:
-      return "multi-stop";
-  }
-  return "unknown";
-}
-
 QueryContext::QueryContext()
     : scratch_(std::make_unique<internal::SearchScratch>()) {}
 QueryContext::~QueryContext() = default;

@@ -51,6 +51,15 @@ std::future<StatusOr<QueryResult>> QueryService::Submit(
   return Submit(request, deadline_micros, QosClass::kInteractive);
 }
 
+std::future<StatusOr<QueryResult>> QueryService::Submit(
+    const QueryRequest& request, double deadline_micros, QosClass qos) {
+  auto promise = std::make_shared<std::promise<StatusOr<QueryResult>>>();
+  Submit(request, deadline_micros, qos, [promise](StatusOr<QueryResult> r) {
+    promise->set_value(std::move(r));
+  });
+  return promise->get_future();
+}
+
 size_t QueryService::TotalQueuedLocked() const {
   size_t total = 0;
   for (const std::deque<Pending>& queue : queues_) total += queue.size();
@@ -76,19 +85,8 @@ size_t QueryService::QueueLimitLocked() const {
   return limit;
 }
 
-QueryService::Pending QueryService::PopHighestLocked() {
-  for (std::deque<Pending>& queue : queues_) {
-    if (queue.empty()) continue;
-    Pending pending = std::move(queue.front());
-    queue.pop_front();
-    return pending;
-  }
-  // Unreachable per contract; keeps the compiler happy.
-  return Pending();
-}
-
-std::future<StatusOr<QueryResult>> QueryService::Submit(
-    const QueryRequest& request, double deadline_micros, QosClass qos) {
+void QueryService::Submit(const QueryRequest& request,
+                          double deadline_micros, QosClass qos, Done done) {
   submitted_.fetch_add(1, kRelaxed);
   const size_t class_index = static_cast<size_t>(qos);
   const bool known_class = class_index < kNumQosClasses;
@@ -97,20 +95,25 @@ std::future<StatusOr<QueryResult>> QueryService::Submit(
   const bool known_kind = kind_index < kNumQueryKinds;
   if (known_kind) submitted_by_kind_[kind_index].fetch_add(1, kRelaxed);
   const Clock::time_point now = Clock::now();
+  // Cold shards load on the long-lived workers, never inline.
+  const bool may_inline = qos == QosClass::kInteractive &&
+                          catalog_.Contains(request.venue_id) &&
+                          catalog_.IsResident(request.venue_id);
 
-  // Everything that allocates (the request copy, the promise's shared
-  // state) happens outside mu_ — workers contend on that mutex, so the
-  // admission critical section is just the queue push / displacement.
+  // Everything that allocates (the request copy) happens outside mu_ —
+  // workers contend on that mutex, so the admission critical section
+  // is just the queue push / displacement.
   Pending pending;
   pending.request = request;
   pending.qos = qos;
   pending.submit = now;
   pending.deadline = DeadlineFor(now, deadline_micros);
-  std::future<StatusOr<QueryResult>> future = pending.promise.get_future();
+  pending.done = std::move(done);
 
   Status rejection;
   Pending victim;
   bool have_victim = false;
+  bool run_inline = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (draining_) {
@@ -186,22 +189,35 @@ std::future<StatusOr<QueryResult>> QueryService::Submit(
           rejection = ResourceExhaustedError("submission queue is full");
         }
       } else {
-        queues_[class_index].push_back(std::move(pending));
-        queue_high_water_ = std::max(queue_high_water_, TotalQueuedLocked());
+        // Alone in an idle service with dispatch capacity free, it
+        // leaves the queue at once: the submitter routes it inline.
+        const size_t depth = TotalQueuedLocked() + 1;
+        queue_high_water_ = std::max(queue_high_water_, depth);
         admitted_.fetch_add(1, kRelaxed);
+        run_inline = may_inline && depth == 1 && !paused_ &&
+                     active_ < options_.num_workers;
+        if (!run_inline) queues_[class_index].push_back(std::move(pending));
+        active_ += run_inline ? 1 : 0;
       }
     }
   }
   if (have_victim) {
-    victim.promise.set_value(StatusOr<QueryResult>(ResourceExhaustedError(
-        "shed: displaced by higher-priority traffic")));
+    victim.done(ResourceExhaustedError(
+        "shed: displaced by higher-priority traffic"));
   }
   if (!rejection.ok()) {
-    pending.promise.set_value(StatusOr<QueryResult>(std::move(rejection)));
+    pending.done(std::move(rejection));
+  } else if (run_inline) {
+    thread_local QueryContext context;
+    std::vector<Pending> batch;
+    batch.push_back(std::move(pending));
+    Dispatch(&batch, &context);
+    std::lock_guard<std::mutex> lock(mu_);
+    --active_;
+    if (draining_) cv_.notify_all();  // Shutdown waits for active_ == 0
   } else {
     cv_.notify_one();
   }
-  return future;
 }
 
 std::future<Status> QueryService::SubmitUpdate(const AtiUpdate& update) {
@@ -284,6 +300,8 @@ void QueryService::Shutdown() {
   std::call_once(join_once_, [this] {
     for (std::thread& worker : workers_) worker.join();
     updater_.join();
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return active_ == 0; });
   });
 }
 
@@ -292,22 +310,26 @@ void QueryService::WorkerLoop() {
   // across every batch this thread ever serves.
   QueryContext context;
   std::vector<Pending> batch;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
+    cv_.wait(lock, [this] {
+      return draining_ || (!paused_ && TotalQueuedLocked() > 0);
+    });
+    // The predicate only passes with empty queues when draining.
+    if (TotalQueuedLocked() == 0) return;
+    // Take what is queued, in class order so interactive work never
+    // waits behind background, and dispatch it without waiting.
     batch.clear();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] {
-        return draining_ || (!paused_ && TotalQueuedLocked() > 0);
-      });
-      // The predicate only passes with empty queues when draining.
-      if (TotalQueuedLocked() == 0) return;
-      // Take what is queued, in class order so interactive work never
-      // waits behind background, and dispatch it without waiting.
-      while (batch.size() < kMaxBatch && TotalQueuedLocked() > 0) {
-        batch.push_back(PopHighestLocked());
+    for (std::deque<Pending>& queue : queues_) {
+      for (; batch.size() < kMaxBatch && !queue.empty(); queue.pop_front()) {
+        batch.push_back(std::move(queue.front()));
       }
     }
+    ++active_;
+    lock.unlock();
     Dispatch(&batch, &context);
+    lock.lock();
+    --active_;
   }
 }
 
@@ -321,8 +343,8 @@ void QueryService::Dispatch(std::vector<Pending>* batch,
   for (Pending& pending : *batch) {
     if (start >= pending.deadline) {
       timed_out_in_queue_.fetch_add(1, kRelaxed);
-      pending.promise.set_value(StatusOr<QueryResult>(
-          DeadlineExceededError("deadline expired in the submission queue")));
+      pending.done(
+          DeadlineExceededError("deadline expired in the submission queue"));
     } else {
       live.push_back(std::move(pending));
     }
@@ -353,35 +375,34 @@ void QueryService::Dispatch(std::vector<Pending>* batch,
       kRelaxed);
 
   // Deadline gate #2: a client whose deadline passed mid-dispatch has
-  // given up — the computed answer is dropped, not delivered late.
-  LatencyHistogram batch_latency;
-  for (size_t i = 0; i < live.size(); ++i) {
-    Pending& pending = live[i];
-    if (completed >= pending.deadline) {
-      timed_out_in_flight_.fetch_add(1, kRelaxed);
-      pending.promise.set_value(StatusOr<QueryResult>(
-          DeadlineExceededError("deadline expired during dispatch")));
-      continue;
+  // given up — the answer is dropped, not delivered late. The ledger
+  // settles before any delivery, so Stats() covers a delivered answer.
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++batches_;
+    ++batch_size_counts_[live.size()];
+    for (size_t i = 0; i < live.size(); ++i) {
+      const Pending& pending = live[i];
+      if (completed >= pending.deadline) {
+        timed_out_in_flight_.fetch_add(1, kRelaxed);
+        results[i] = DeadlineExceededError("deadline expired during dispatch");
+        continue;
+      }
+      served_.fetch_add(1, kRelaxed);
+      served_by_class_[static_cast<size_t>(pending.qos)].fetch_add(1, kRelaxed);
+      const size_t kind = static_cast<size_t>(pending.request.kind);
+      if (kind < kNumQueryKinds) served_by_kind_[kind].fetch_add(1, kRelaxed);
+      if (results[i].ok()) {
+        if (results[i]->found) served_found_.fetch_add(1, kRelaxed);
+      } else {
+        route_errors_.fetch_add(1, kRelaxed);
+      }
+      latency_.Record(std::chrono::duration<double, std::micro>(
+                          completed - pending.submit)
+                          .count());
     }
-    served_.fetch_add(1, kRelaxed);
-    served_by_class_[static_cast<size_t>(pending.qos)].fetch_add(1, kRelaxed);
-    const size_t kind = static_cast<size_t>(pending.request.kind);
-    if (kind < kNumQueryKinds) served_by_kind_[kind].fetch_add(1, kRelaxed);
-    if (results[i].ok()) {
-      if (results[i]->found) served_found_.fetch_add(1, kRelaxed);
-    } else {
-      route_errors_.fetch_add(1, kRelaxed);
-    }
-    batch_latency.Record(
-        std::chrono::duration<double, std::micro>(completed - pending.submit)
-            .count());
-    pending.promise.set_value(std::move(results[i]));
   }
-
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++batches_;
-  ++batch_size_counts_[live.size()];
-  latency_.Accumulate(batch_latency);
+  for (size_t i = 0; i < live.size(); ++i) live[i].done(std::move(results[i]));
 }
 
 ServiceStats QueryService::Stats() const {

@@ -9,7 +9,10 @@
 // dropped connection, never UB (the asan/tsan CI presets run this
 // file against real sockets).
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -377,6 +380,36 @@ TEST(NetQosTest, OverloadShedsOnlyLowestClassWithExactAccounting) {
   EXPECT_EQ(stats.served_by_class[2], 0u);
 }
 
+// One connection pipelines interactive queries (routed inline on the
+// reader when the service is idle) and batch queries (always routed by
+// a worker): whichever thread finishes first, the replies come back in
+// submission order.
+TEST(NetReplayTest, PipelinedMixedClassesReplyInSubmissionOrder) {
+  auto server = MakeTestServer();
+  auto client =
+      ValueOrDie(NetClient::Connect(server->port()), "NetClient::Connect");
+  MultiVenueWorkloadConfig config;
+  config.num_requests = 64;
+  config.seed = 23;
+  std::vector<QueryRequest> workload = ValueOrDie(
+      GenerateMultiVenueWorkload(server->service().catalog(), config),
+      "GenerateMultiVenueWorkload");
+
+  std::vector<uint64_t> ids;
+  for (size_t i = 0; i < workload.size(); ++i) {
+    const QosClass qos = i % 2 == 0 ? QosClass::kInteractive : QosClass::kBatch;
+    ids.push_back(ValueOrDie(client->Send(workload[i], kInf, qos), "Send"));
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const WireReply reply = ValueOrDie(client->ReceiveReply(), "ReceiveReply");
+    EXPECT_EQ(reply.request_id, ids[i]) << "reply " << i;
+    EXPECT_EQ(reply.code, StatusCode::kOk) << "reply " << i;
+  }
+  const ServiceStats stats = server->service().Stats();
+  EXPECT_EQ(stats.served_by_class[0], workload.size() / 2);
+  EXPECT_EQ(stats.served_by_class[1], workload.size() / 2);
+}
+
 // ---------------------------------------------------------------------
 // Control frames.
 
@@ -569,6 +602,93 @@ TEST(NetHostileTest, TricklingPeerIsDroppedAtTheFrameDeadline) {
   EXPECT_LT(elapsed, std::chrono::seconds(1));
   ExpectEof(loris.get());
   EXPECT_TRUE(WaitFor([&] { return server->Stats().connections_dropped == 1; }));
+}
+
+// A peer that pipelines thousands of queries and never reads its
+// replies fills its socket. The threads that complete its queries must
+// not block on that socket: with one worker, the flood keeps being
+// served and a second connection's interactive query is answered
+// promptly while the peer is still connected, and the peer is dropped
+// once its replies have sat unsent for the guard window. Whole-venue
+// reachability replies list every door, so half of the 4096 already
+// overrun the kernel's socket buffers (loopback starts a send buffer at
+// megabytes) as well as the server's outbox cap.
+TEST(NetHostileTest, StalledReaderCannotPinAWorker) {
+  ServiceOptions service_opts;
+  service_opts.num_workers = 1;
+  service_opts.queue_capacity = 4096;  // admit the whole flood
+  NetServerOptions net_opts;
+  net_opts.recv_timeout_seconds = 3;
+  auto server = MakeTestServer(service_opts, net_opts);
+  FamilyGenConfig family;
+  family.kind = QueryKind::kReachability;
+  family.num_queries = 64;
+  family.min_departure_seconds = 10 * 3600;
+  family.max_departure_seconds = 18 * 3600;
+  family.min_budget_seconds = 1800;
+  std::vector<QueryRequest> flood_queries = ValueOrDie(
+      GenerateFamilyQueries(server->service().catalog().graph(0), family),
+      "GenerateFamilyQueries");
+  MultiVenueWorkloadConfig config;
+  config.num_requests = 1;
+  config.seed = 29;
+  const QueryRequest probe = ValueOrDie(
+      GenerateMultiVenueWorkload(server->service().catalog(), config),
+      "GenerateMultiVenueWorkload")[0];
+
+  // A small receive buffer, set before connect, so replies back up fast.
+  ScopedFd stalled(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(stalled.valid());
+  int rcvbuf = 4096;
+  ASSERT_EQ(::setsockopt(stalled.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         sizeof rcvbuf),
+            0);
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(stalled.get(), reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  const auto start = std::chrono::steady_clock::now();
+  std::thread flood([&] {
+    for (uint64_t i = 0; i < 4096; ++i) {
+      const std::string frame = EncodeTemporalQueryFrame(FromQueryRequest(
+          flood_queries[i % flood_queries.size()], i + 1, QosClass::kBatch,
+          kInf));
+      if (!WriteFrame(stalled.get(), frame).ok()) return;  // dropped
+    }
+  });
+  // Runs on every exit, failed assertions included: hanging up unblocks
+  // the flood and anything the server has stuck on this socket.
+  struct HangUp {
+    int fd;
+    std::thread* flood;
+    ~HangUp() {
+      ::shutdown(fd, SHUT_RDWR);
+      flood->join();
+    }
+  } hang_up{stalled.get(), &flood};
+  // Half the flood served, its replies stuck: a worker that blocked in
+  // send would still be parked there, waiting for the guard.
+  ASSERT_TRUE(WaitFor([&] { return server->service().Stats().served >= 2048; }))
+      << "the flood was never served";
+  EXPECT_EQ(server->Stats().connections_dropped, 0u)
+      << "served only once the stalled peer was dropped";
+
+  auto client =
+      ValueOrDie(NetClient::Connect(server->port()), "NetClient::Connect");
+  const auto asked = std::chrono::steady_clock::now();
+  const WireReply reply = ValueOrDie(
+      client->Query(probe, kInf, QosClass::kInteractive), "Query");
+  EXPECT_EQ(reply.code, StatusCode::kOk);
+  EXPECT_LT(std::chrono::steady_clock::now() - asked,
+            std::chrono::milliseconds(100));
+
+  EXPECT_TRUE(
+      WaitFor([&] { return server->Stats().connections_dropped == 1; }))
+      << "the stalled peer was never dropped";
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(8));
 }
 
 // Each client that hangs up is reaped on a later accept: 32 sequential

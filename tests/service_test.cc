@@ -8,6 +8,7 @@
 // Shutdown() performs the drain under test.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -16,11 +17,14 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "artifact/artifact.h"
 #include "common/status.h"
 #include "common/time.h"
 #include "gen/query_gen.h"
@@ -45,7 +49,7 @@ T ValueOrDie(StatusOr<T> value, const char* what) {
 
 // Three heterogeneous venues behind three different strategies — the
 // same fleet shape the sharding suite pins down.
-VenueCatalog MakeCatalog(uint64_t seed = 7) {
+std::vector<Venue> MakeFleet(uint64_t seed) {
   FleetConfig config;
   config.num_venues = 3;
   config.seed = seed;
@@ -53,8 +57,11 @@ VenueCatalog MakeCatalog(uint64_t seed = 7) {
   config.max_floors = 2;
   config.min_shop_rows = 2;
   config.max_shop_rows = 3;
-  std::vector<Venue> fleet =
-      ValueOrDie(GenerateVenueFleet(config), "GenerateVenueFleet");
+  return ValueOrDie(GenerateVenueFleet(config), "GenerateVenueFleet");
+}
+
+VenueCatalog MakeCatalog(uint64_t seed = 7) {
+  std::vector<Venue> fleet = MakeFleet(seed);
   VenueCatalog catalog;
   for (size_t i = 0; i < fleet.size(); ++i) {
     (void)ValueOrDie(catalog.AddVenue(std::move(fleet[i]), kShardStrategies[i]),
@@ -674,8 +681,20 @@ TEST(LatencyHistogramTest, OverflowBucketClampsInfinity) {
   histogram.Record(std::numeric_limits<double>::infinity());
   EXPECT_EQ(histogram.total, 1u);
   EXPECT_EQ(histogram.counts[LatencyHistogram::kNumBuckets - 1], 1u);
-  EXPECT_EQ(histogram.P99(),
-            std::ldexp(1.0, static_cast<int>(LatencyHistogram::kNumBuckets)));
+  EXPECT_EQ(histogram.P99(), LatencyHistogram::kOverflowMicros);
+}
+
+// Log-linear resolution: 40 µs and 60 µs must read apart. 99 samples at
+// 60 µs and one outlier put the median in 60's sub-bucket [60, 64),
+// within 12.5% of the truth — the power-of-two layout said 64..128.
+TEST(LatencyHistogramTest, SubBucketsResolveTheMedianWithinAnEighth) {
+  LatencyHistogram histogram;
+  for (int i = 0; i < 99; ++i) histogram.Record(60.0);
+  histogram.Record(5000.0);
+  EXPECT_GE(histogram.P50(), 60.0);
+  EXPECT_LE(histogram.P50(), 67.5);
+  EXPECT_GE(histogram.Quantile(1.0), 5000.0);
+  EXPECT_LE(histogram.Quantile(1.0), 5000.0 * 1.125);
 }
 
 // NaN durations are dropped and ledgered, never bucketed: a NaN would
@@ -772,6 +791,222 @@ TEST(QueryServiceFamilyTest, UnknownKindRejectedAtAdmission) {
     EXPECT_EQ(stats.submitted_by_kind[kind], 0u) << "kind " << kind;
     EXPECT_EQ(stats.served_by_kind[kind], 0u) << "kind " << kind;
   }
+}
+
+// ---------------------------------------------------------------------
+// Inline routing: an interactive request that finds the service idle
+// is routed on the submitting thread; everything else waits its turn
+// on a worker.
+
+constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+
+/// Submits through the callback primitive and reports the thread the
+/// callback ran on (via the returned future) plus whether it had
+/// already run when Submit returned.
+std::future<std::thread::id> SubmitRecordingThread(
+    QueryService* service, const QueryRequest& request, QosClass qos,
+    bool* ran_before_return) {
+  auto ran_on = std::make_shared<std::promise<std::thread::id>>();
+  std::future<std::thread::id> future = ran_on->get_future();
+  service->Submit(request, kNoDeadline, qos,
+                  [ran_on](StatusOr<QueryResult> result) {
+                    EXPECT_TRUE(result.ok()) << result.status().ToString();
+                    ran_on->set_value(std::this_thread::get_id());
+                  });
+  *ran_before_return =
+      future.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  return future;
+}
+
+TEST(QueryServiceInlineTest, IdleInteractiveRunsOnTheSubmittingThread) {
+  ServiceOptions options;
+  options.num_workers = 2;
+  std::unique_ptr<QueryService> service = MakeService(options);
+  const std::vector<QueryRequest> requests =
+      MakeWorkload(service->catalog(), 4);
+
+  for (const QueryRequest& request : requests) {
+    bool ran_before_return = false;
+    std::future<std::thread::id> ran_on = SubmitRecordingThread(
+        service.get(), request, QosClass::kInteractive, &ran_before_return);
+    EXPECT_TRUE(ran_before_return);
+    EXPECT_EQ(ran_on.get(), std::this_thread::get_id());
+  }
+
+  // Same ledger as a worker dispatch: admitted, a batch of one each,
+  // and the queue reached depth 1 on the way through.
+  service->Shutdown();
+  const ServiceStats stats = service->Stats();
+  EXPECT_EQ(stats.admitted, requests.size());
+  EXPECT_EQ(stats.served, requests.size());
+  EXPECT_EQ(stats.batches, requests.size());
+  EXPECT_EQ(stats.batch_size_counts[1], requests.size());
+  EXPECT_EQ(stats.queue_high_water, 1u);
+  EXPECT_EQ(stats.latency.total, requests.size());
+  EXPECT_GT(stats.ewma_route_micros, 0.0);
+}
+
+TEST(QueryServiceInlineTest, BatchAndBackgroundClassesRunOnWorkers) {
+  ServiceOptions options;
+  options.num_workers = 2;
+  std::unique_ptr<QueryService> service = MakeService(options);
+  const std::vector<QueryRequest> requests =
+      MakeWorkload(service->catalog(), 2);
+
+  for (QosClass qos : {QosClass::kBatch, QosClass::kBackground}) {
+    bool ran_before_return = false;
+    std::future<std::thread::id> ran_on = SubmitRecordingThread(
+        service.get(), requests[static_cast<size_t>(qos) - 1], qos,
+        &ran_before_return);
+    EXPECT_NE(ran_on.get(), std::this_thread::get_id())
+        << "class " << static_cast<int>(qos);
+  }
+  service->Shutdown();
+  EXPECT_EQ(service->Stats().served, 2u);
+}
+
+TEST(QueryServiceInlineTest, PausedServiceQueuesInteractiveWork) {
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.start_paused = true;
+  std::unique_ptr<QueryService> service = MakeService(options);
+  const QueryRequest request = MakeWorkload(service->catalog(), 1)[0];
+
+  bool ran_before_return = true;
+  std::future<std::thread::id> ran_on = SubmitRecordingThread(
+      service.get(), request, QosClass::kInteractive, &ran_before_return);
+  EXPECT_FALSE(ran_before_return);
+  EXPECT_EQ(service->Stats().queue_depth, 1u);
+
+  service->Resume();
+  EXPECT_NE(ran_on.get(), std::this_thread::get_id());
+  service->Shutdown();
+  EXPECT_EQ(service->Stats().served, 1u);
+}
+
+// With work already queued, a new interactive arrival queues behind it
+// instead of overtaking it on the submitting thread. The single worker
+// is held inside a batch request's callback so the queue stays put.
+TEST(QueryServiceInlineTest, QueuedWorkIsNotOvertakenInline) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  std::unique_ptr<QueryService> service = MakeService(options);
+  const std::vector<QueryRequest> requests =
+      MakeWorkload(service->catalog(), 3);
+
+  std::promise<void> worker_held;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  service->Submit(requests[0], kNoDeadline, QosClass::kBatch,
+                  [&worker_held, released](StatusOr<QueryResult>) {
+                    worker_held.set_value();
+                    released.wait();
+                  });
+  worker_held.get_future().wait();
+
+  std::mutex order_mu;
+  std::vector<size_t> order;
+  std::vector<std::thread::id> threads(3);
+  for (size_t i = 1; i < 3; ++i) {
+    service->Submit(requests[i], kNoDeadline, QosClass::kInteractive,
+                    [&, i](StatusOr<QueryResult> result) {
+                      EXPECT_TRUE(result.ok());
+                      std::lock_guard<std::mutex> lock(order_mu);
+                      order.push_back(i);
+                      threads[i] = std::this_thread::get_id();
+                    });
+    std::lock_guard<std::mutex> lock(order_mu);
+    EXPECT_TRUE(order.empty()) << "request " << i << " ran inline";
+  }
+  EXPECT_EQ(service->Stats().queue_depth, 2u);
+
+  release.set_value();
+  service->Shutdown();
+  ASSERT_EQ(order, (std::vector<size_t>{1, 2}));
+  EXPECT_NE(threads[1], std::this_thread::get_id());
+  EXPECT_NE(threads[2], std::this_thread::get_id());
+}
+
+// A cold lazy shard is loaded by a worker, never on the submitting
+// thread; once resident, the same venue routes inline.
+TEST(QueryServiceInlineTest, ColdShardLoadsOnAWorker) {
+  const std::string dir = "service_test_" + std::to_string(::getpid());
+  ASSERT_EQ(std::system(("mkdir -p " + dir).c_str()), 0);
+  std::vector<Venue> fleet = MakeFleet(7);
+  VenueCatalog lazy;
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    const std::string path = dir + "/venue_" + std::to_string(i) + ".itspq";
+    ASSERT_TRUE(WriteVenueArtifact(path, fleet[i]).ok());
+    (void)ValueOrDie(lazy.AddArtifactShard(path, "itg-s"), "AddArtifactShard");
+  }
+  const QueryRequest request = MakeWorkload(MakeCatalog(), 1)[0];
+  std::unique_ptr<QueryService> service = ValueOrDie(
+      MakeQueryService(std::move(lazy), ServiceOptions()), "MakeQueryService");
+  ASSERT_FALSE(service->catalog().IsResident(request.venue_id));
+  const size_t loads_before = service->Stats().catalog.total_loads;
+
+  bool ran_before_return = false;
+  std::future<std::thread::id> cold = SubmitRecordingThread(
+      service.get(), request, QosClass::kInteractive, &ran_before_return);
+  EXPECT_NE(cold.get(), std::this_thread::get_id());
+  EXPECT_EQ(service->Stats().catalog.total_loads, loads_before + 1);
+
+  std::future<std::thread::id> warm = SubmitRecordingThread(
+      service.get(), request, QosClass::kInteractive, &ran_before_return);
+  EXPECT_TRUE(ran_before_return);
+  EXPECT_EQ(warm.get(), std::this_thread::get_id());
+  service->Shutdown();
+  (void)std::system(("rm -rf " + dir).c_str());
+}
+
+// Inline routes and worker batches share one ledger: under mixed-class
+// traffic from several threads, some with deadlines too tight to make,
+// every request lands in exactly one outcome, and the batch histogram
+// counts exactly the requests that reached the router.
+TEST(QueryServiceInlineTest, MixedTrafficLedgerReconcilesAfterShutdown) {
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.queue_capacity = 32;
+  std::unique_ptr<QueryService> service = MakeService(options);
+  const std::vector<QueryRequest> requests =
+      MakeWorkload(service->catalog(), 64);
+
+  constexpr int kThreads = 4;
+  std::atomic<size_t> delivered{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < requests.size(); ++i) {
+        const QosClass qos = static_cast<QosClass>((i + t) % kNumQosClasses);
+        const double deadline = i % 7 == 0 ? 5.0 : kNoDeadline;
+        service->Submit(requests[i], deadline, qos,
+                        [&delivered](StatusOr<QueryResult>) {
+                          delivered.fetch_add(1);
+                        });
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  service->Shutdown();
+
+  const ServiceStats stats = service->Stats();
+  const size_t total = requests.size() * kThreads;
+  EXPECT_EQ(delivered.load(), total);
+  EXPECT_EQ(stats.submitted, total);
+  EXPECT_EQ(stats.submitted,
+            stats.rejected_queue_full + stats.rejected_expired +
+                stats.rejected_invalid + stats.rejected_shutdown +
+                stats.shed_displaced + stats.shed_infeasible +
+                stats.timed_out_in_queue + stats.timed_out_in_flight +
+                stats.served);
+  size_t routed = 0;
+  for (size_t b = 1; b < stats.batch_size_counts.size(); ++b) {
+    routed += b * stats.batch_size_counts[b];
+  }
+  EXPECT_EQ(routed, stats.served + stats.timed_out_in_flight);
+  EXPECT_EQ(routed, stats.catalog.total_queries);
+  EXPECT_EQ(stats.latency.total, stats.served);
+  EXPECT_EQ(stats.queue_depth, 0u);
 }
 
 }  // namespace
