@@ -10,9 +10,8 @@
 // (µs) and memory cost (KB). Defaults (bold in Table II): |T| = 8,
 // δs2t = 1500 m, t = 12:00.
 //
-// Strategies are resolved by registry name ("itg-s", "itg-a", "itg-a+",
-// "snap", "ntv") via MakeRouterOrDie; per-call knobs travel in
-// QueryOptions.
+// Strategies are resolved by name ("itg-s", "itg-a", "itg-a+", "snap",
+// "ntv") via MakeRouterOrDie; per-call knobs travel in QueryOptions.
 
 #include <cstdint>
 #include <memory>
@@ -26,8 +25,8 @@
 #include "gen/venue_gen.h"
 #include "gen/workload_gen.h"
 #include "itgraph/itgraph.h"
-#include "query/registry.h"
 #include "query/router.h"
+#include "query/strategies.h"
 #include "query/venue_catalog.h"
 #include "venue/venue.h"
 
@@ -54,8 +53,8 @@ struct World {
 World BuildWorld(int checkpoint_count = kDefaultT, int floors = 5,
                  uint64_t seed = 42);
 
-/// Resolves `name` through the global RouterRegistry; aborts the bench
-/// on an unknown strategy. `options` carries the snapshot-store config
+/// Resolves `name` through MakeRouter; aborts the bench on an unknown
+/// strategy. `options` carries the snapshot-store config
 /// (budget, eviction policy) for the cache ablations.
 std::unique_ptr<Router> MakeRouterOrDie(
     const World& world, const std::string& name,

@@ -108,7 +108,8 @@ double MeanRebuildMicros(const VenueCatalog& catalog) {
   for (size_t v = 0; v < catalog.NumVenues(); ++v) {
     Venue copy = catalog.venue(static_cast<VenueId>(v));
     const SteadyClock::time_point start = SteadyClock::now();
-    auto rebuilt = VersionedGraph::Build(std::move(copy), "itg-a+");
+    auto rebuilt = VersionedGraph::Build(std::move(copy),
+                                         TvCheck::kAsynchronousStrict);
     const double micros = MicrosSince(start);
     if (!rebuilt.ok()) DieStatus("rebuild failed", rebuilt.status());
     total += micros;

@@ -27,13 +27,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "itgraph/ati.h"
 #include "itgraph/csr_adjacency.h"
-#include "query/registry.h"
 #include "query/router.h"
+#include "query/strategies.h"
 #include "venue/venue.h"
 
 namespace itspq {
@@ -102,13 +103,22 @@ Status ValidateArtifactHeader(const std::string& path);
 StatusOr<std::vector<std::string>> ReadFleetManifest(const std::string& path);
 
 /// Assembles a serving world from a decoded artifact and publishes it
-/// as a `VersionedGraph` epoch 0 under `strategy` — the lazy-load
+/// as a `VersionedGraph` epoch 0 under strategy `check` — the lazy-load
 /// equivalent of VersionedGraph::Build(venue, ...), minus all the
 /// compilation that build performs (the artifact already carries it).
+/// kNotFound on an unknown eviction-policy name.
 StatusOr<std::shared_ptr<const VersionedGraph>> BuildWorldFromArtifact(
+    LoadedVenueWorld world, TvCheck check,
+    const RouterBuildOptions& options = RouterBuildOptions());
+/// As above, resolving `strategy` through ParseTvCheck (kNotFound on an
+/// unknown name).
+inline StatusOr<std::shared_ptr<const VersionedGraph>> BuildWorldFromArtifact(
     LoadedVenueWorld world, const std::string& strategy,
-    const RouterBuildOptions& options = RouterBuildOptions(),
-    const RouterRegistry* registry = nullptr);
+    const RouterBuildOptions& options = RouterBuildOptions()) {
+  auto check = ParseTvCheck(strategy);
+  if (!check.ok()) return check.status();
+  return BuildWorldFromArtifact(std::move(world), *check, options);
+}
 
 }  // namespace itspq
 

@@ -131,6 +131,15 @@ class BoundaryFlipIndex {
   std::vector<DoorId> doors_;    // concatenated per-boundary flip lists
 };
 
+/// The boundary ledger of `graph`: `times` gets every distinct interior
+/// ATI boundary, ascending, and `doors[i]` the ascending doors whose
+/// ATIs contribute times[i]. For normalised AtiSets every interior
+/// boundary is a genuine applicability flip, so `times` equals
+/// CheckpointSet::FromGraph's and `doors` BoundaryFlipIndex::Build's
+/// per-boundary lists — derived without a probe.
+void BuildBoundaryLedger(const ItGraph& graph, std::vector<double>* times,
+                         std::vector<std::vector<DoorId>>* doors);
+
 }  // namespace itspq
 
 #endif  // ITSPQ_ITGRAPH_CHECKPOINTS_H_

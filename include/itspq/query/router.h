@@ -11,7 +11,7 @@
 // owned by the caller. Route() is const and safe to call concurrently
 // from any number of threads, each with its own context:
 //
-//   auto router = MakeRouter("itg-s", graph);      // or RouterRegistry
+//   auto router = MakeRouter("itg-s", graph);      // strategies.h
 //   QueryContext ctx;                               // one per thread
 //   StatusOr<QueryResult> r =
 //       (*router)->Route({ps, pt, Instant::FromHMS(12)}, &ctx);
@@ -19,8 +19,8 @@
 // RouteBatch answers many requests in one call, optionally fanning out
 // over a thread pool — the first scaling surface for the serving path.
 //
-// Strategies are resolved by name through RouterRegistry (registry.h):
-// "itg-s", "itg-a", "itg-a+", "snap", "ntv".
+// Strategies (the closed TvCheck set) are resolved by name through
+// MakeRouter (strategies.h): "itg-s", "itg-a", "itg-a+", "snap", "ntv".
 
 #include <cstdint>
 #include <memory>
@@ -83,9 +83,9 @@ struct QueryOptions {
 
 /// Construction-time config for a query strategy — how the shared
 /// snapshot cache behaves (byte budget, eviction policy name, delta
-/// builds). Threaded through RouterRegistry::Create / MakeRouter and
-/// the TemporalRouter constructor; NTV, which owns no snapshot store,
-/// ignores the cache settings.
+/// builds). Threaded through MakeRouter and the TemporalRouter
+/// constructor; NTV, which owns no snapshot store, ignores the cache
+/// settings.
 struct RouterBuildOptions {
   SnapshotStoreOptions snapshot_cache;
   /// Non-null only on the update plane's epoch-transition path
@@ -202,7 +202,7 @@ class Router {
       const std::vector<QueryRequest>& requests,
       const BatchOptions& options = BatchOptions()) const;
 
-  /// Registry name of the strategy ("itg-s", "snap", ...).
+  /// Strategy name ("itg-s", "snap", ...; TvCheckName).
   const std::string& name() const { return name_; }
 
   /// The venue id this router answers for

@@ -9,11 +9,14 @@
 // side is immutable (the SnapshotStore synchronises internally), every
 // mutable search structure lives in the caller's QueryContext.
 //
-// Prefer resolving these through RouterRegistry (registry.h);
-// TemporalRouter is public so strategies can be constructed directly
-// when the name indirection isn't wanted.
+// The set is closed: a strategy name resolves to its TvCheck through
+// ParseTvCheck (MakeRouter does that for you), and TemporalRouter is
+// public so strategies can be constructed directly when the name
+// indirection isn't wanted.
 
+#include <memory>
 #include <optional>
+#include <string>
 
 #include "common/status.h"
 #include "itgraph/itgraph.h"
@@ -48,9 +51,30 @@ enum class TvCheck {
   kNone,
 };
 
-/// The registry name of a TV_Check ("itg-s", "itg-a", "itg-a+", "snap",
+/// Every TvCheck, in declaration order.
+inline constexpr TvCheck kTvChecks[] = {
+    TvCheck::kSynchronous, TvCheck::kAsynchronous,
+    TvCheck::kAsynchronousStrict, TvCheck::kSnapshot, TvCheck::kNone};
+
+/// The strategy name of a TV_Check ("itg-s", "itg-a", "itg-a+", "snap",
 /// "ntv").
 const char* TvCheckName(TvCheck check);
+
+/// The TvCheck whose TvCheckName is `name`; kNotFound for any other
+/// name.
+StatusOr<TvCheck> ParseTvCheck(const std::string& name);
+
+/// kNotFound when `options` names no eviction policy (including an
+/// empty name). Every path that builds a router from stored options
+/// checks here first: the store constructor itself can only fall back.
+Status ValidateBuildOptions(const RouterBuildOptions& options);
+
+/// Builds the TemporalRouter for strategy `name` (ParseTvCheck) on
+/// `graph` under `options` (snapshot-store budget/policy). Errors with
+/// kNotFound for an unknown strategy or eviction-policy name.
+StatusOr<std::unique_ptr<Router>> MakeRouter(
+    const std::string& name, const ItGraph& graph,
+    const RouterBuildOptions& options = RouterBuildOptions());
 
 /// Paper Alg. 1 under one TV_Check, answering every QueryKind.
 class TemporalRouter : public Router {

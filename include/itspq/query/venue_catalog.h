@@ -2,9 +2,10 @@
 #define ITSPQ_QUERY_VENUE_CATALOG_H_
 
 // The multi-venue serving state: N independently built venues (each
-// with its own ItGraph, per-venue Router resolved by strategy name,
-// and — inside the strategy — its own SnapshotStore), addressed by
-// the dense VenueId carried in QueryRequest::venue_id.
+// with its own ItGraph, per-venue Router whose strategy name is
+// resolved once, at registration (ParseTvCheck, strategies.h), and —
+// inside the strategy — its own SnapshotStore), addressed by the dense
+// VenueId carried in QueryRequest::venue_id.
 //
 //   VenueCatalog catalog;
 //   for (Venue& v : fleet) {
@@ -51,8 +52,8 @@
 #include "common/status.h"
 #include "itgraph/itgraph.h"
 #include "itgraph/snapshot_store.h"
-#include "query/registry.h"
 #include "query/router.h"
+#include "query/strategies.h"
 #include "update/ati_update.h"
 #include "update/versioned_graph.h"
 #include "venue/venue.h"
@@ -86,9 +87,6 @@ struct ShardStats {
   /// The shard router's snapshot-store counters (policy, budget,
   /// hits/misses/evictions, full vs delta builds, resident bytes).
   CacheStatsSnapshot cache;
-  /// Graph_Update derivations in the shard router's snapshot store
-  /// (= cache.builds(), kept as a flat column for reports).
-  size_t snapshot_builds = 0;
   /// Venue + IT-Graph + router shared state, bytes. 0 while a lazy
   /// shard is not resident.
   size_t memory_bytes = 0;
@@ -106,7 +104,6 @@ struct CatalogStats {
   size_t total_found = 0;
   size_t total_not_found = 0;
   size_t total_errors = 0;
-  size_t total_snapshot_builds = 0;
   size_t total_memory_bytes = 0;
   /// Catalog-wide write-path totals.
   size_t total_updates_applied = 0;
@@ -141,30 +138,30 @@ class VenueCatalog {
   VenueCatalog(const VenueCatalog&) = delete;
   VenueCatalog& operator=(const VenueCatalog&) = delete;
 
-  /// Takes ownership of `venue`, compiles its IT-Graph, and resolves
-  /// `strategy` through `registry` (the global registry when null),
-  /// building the shard router under `options` (snapshot-store budget /
-  /// eviction policy). Returns the new shard's VenueId — ids are dense,
-  /// in insertion order, starting at 0. On error the catalog is
-  /// unchanged.
+  /// Takes ownership of `venue`, resolves `strategy` and checks the
+  /// eviction-policy name (kNotFound on an unknown one, before anything
+  /// is compiled), compiles its IT-Graph,
+  /// and builds the shard router under `options` (snapshot-store
+  /// budget / eviction policy). Returns the new shard's VenueId — ids
+  /// are dense, in insertion order, starting at 0. On error the catalog
+  /// is unchanged.
   StatusOr<VenueId> AddVenue(
       Venue venue, const std::string& strategy,
       std::string label = std::string(),
-      const RouterBuildOptions& options = RouterBuildOptions(),
-      const RouterRegistry* registry = nullptr);
+      const RouterBuildOptions& options = RouterBuildOptions());
 
   /// Registers a lazy shard backed by the `.itspq` artifact at `path`
-  /// WITHOUT loading it: only the artifact header + section table are
-  /// validated (wrong magic, foreign endianness, a future format
-  /// version, or truncation are rejected here and leave the catalog
-  /// unchanged; payload corruption surfaces at first load). The shard
-  /// becomes resident on the first EnsureResident — typically a
-  /// ShardedRouter query — publishing the loaded world as epoch 0.
+  /// WITHOUT loading it: only the artifact header + section table and
+  /// the names are validated (wrong magic, foreign endianness, a future
+  /// format version, truncation, an unknown strategy or eviction-policy
+  /// name are rejected here and leave the catalog unchanged; payload
+  /// corruption surfaces at first load). The shard becomes resident on
+  /// the first EnsureResident — typically a ShardedRouter query —
+  /// publishing the loaded world as epoch 0.
   StatusOr<VenueId> AddArtifactShard(
       const std::string& path, const std::string& strategy,
       std::string label = std::string(),
-      const RouterBuildOptions& options = RouterBuildOptions(),
-      const RouterRegistry* registry = nullptr);
+      const RouterBuildOptions& options = RouterBuildOptions());
 
   /// Caps the bytes clean lazy shards keep resident (0 = unlimited) and
   /// installs the eviction policy choosing victims — the SnapshotStore
@@ -219,8 +216,13 @@ class VenueCatalog {
   /// Contains(id).
   std::shared_ptr<const VersionedGraph> world(VenueId id) const;
 
-  /// The epoch shard `id` currently serves. Requires Contains(id).
-  uint64_t epoch(VenueId id) const { return world(id)->epoch(); }
+  /// The epoch shard `id` currently serves. Requires Contains(id). A
+  /// cold lazy shard serves epoch 0: one that has taken an update is
+  /// pinned resident.
+  uint64_t epoch(VenueId id) const {
+    const std::shared_ptr<const VersionedGraph> pinned = world(id);
+    return pinned != nullptr ? pinned->epoch() : 0;
+  }
 
   size_t NumVenues() const { return shards_.size(); }
   bool Contains(VenueId id) const {
@@ -247,15 +249,13 @@ class VenueCatalog {
 
   struct Shard {
     std::string label;
-    std::string strategy;
+    TvCheck check = TvCheck::kSynchronous;
     /// Router construction config, re-used when an update rebuilds the
     /// shard router (the applier refreshes the budget from the live
     /// store). Guarded by update_mu.
     RouterBuildOptions build_options;
-    /// Lazy shards only: the backing `.itspq` artifact (empty = eager)
-    /// and the registry strategies resolve through on load.
+    /// Lazy shards only: the backing `.itspq` artifact (empty = eager).
     std::string artifact_path;
-    const RouterRegistry* registry = nullptr;
     bool lazy = false;
     /// The published version. Accessed with std::atomic_load /
     /// std::atomic_store (C++17's shared_ptr atomic free functions):
@@ -294,6 +294,12 @@ class VenueCatalog {
   const Shard& shard(VenueId id) const {
     return *shards_[static_cast<size_t>(id)];
   }
+
+  /// A shard for `strategy` under `options` (kNotFound on an unknown
+  /// strategy or eviction-policy name), stamped with the id and label it takes once appended.
+  StatusOr<std::unique_ptr<Shard>> NewShard(const std::string& strategy,
+                                            const RouterBuildOptions& options,
+                                            std::string label) const;
 
   /// Loads shard `s`'s artifact and publishes it as epoch 0. Caller
   /// holds s.update_mu; takes residency_mu_ for the accounting +

@@ -30,8 +30,8 @@
 #include "common/status.h"
 #include "itgraph/checkpoints.h"
 #include "itgraph/itgraph.h"
-#include "query/registry.h"
 #include "query/router.h"
+#include "query/strategies.h"
 #include "venue/venue.h"
 
 namespace itspq {
@@ -40,21 +40,19 @@ class UpdateApplier;
 
 class VersionedGraph {
  public:
-  /// Builds epoch 0 for `venue` under `strategy` (resolved through
-  /// `registry`, the global one when null). The ledger and flip index
-  /// are derived from the compiled graph; the router adopts them via a
-  /// warm start so nothing is computed twice. `options.warm_start` is
-  /// ignored (the version builds its own).
+  /// Builds epoch 0 for `venue` under strategy `check`. The ledger and
+  /// flip index are derived from the compiled graph; the router adopts
+  /// them via a warm start so nothing is computed twice.
+  /// `options.warm_start` is ignored (the version builds its own).
+  /// kNotFound on an unknown eviction-policy name.
   static StatusOr<std::shared_ptr<const VersionedGraph>> Build(
-      Venue venue, const std::string& strategy,
-      const RouterBuildOptions& options = RouterBuildOptions(),
-      const RouterRegistry* registry = nullptr);
+      Venue venue, TvCheck check,
+      const RouterBuildOptions& options = RouterBuildOptions());
 
   VersionedGraph(const VersionedGraph&) = delete;
   VersionedGraph& operator=(const VersionedGraph&) = delete;
 
   uint64_t epoch() const { return epoch_; }
-  const std::string& strategy() const { return strategy_; }
   const Venue& venue() const { return *venue_; }
   const ItGraph& graph() const { return *graph_; }
   const Router& router() const { return *router_; }
@@ -73,23 +71,22 @@ class VersionedGraph {
 
   VersionedGraph() = default;
 
-  /// Compiles the ledger + flip index from `graph_` (epoch 0 only; the
-  /// update path patches the previous version's ledger instead) and
-  /// builds router_ with a warm start. Both ctor paths funnel here.
+  /// Compiles the checkpoint set + flip index from the boundary ledger
+  /// and builds router_ with a warm start. Every construction path
+  /// validates the options and fills the ledger, then ends here.
   Status FinishBuild(const SnapshotStore* carry_from,
                      std::vector<ptrdiff_t> carry_plan,
                      std::vector<size_t> invalidate);
 
   uint64_t epoch_ = 0;
-  std::string strategy_;
+  TvCheck check_ = TvCheck::kSynchronous;
   /// Router construction config, retained so the next epoch rebuilds
   /// under the same policy/budget (the applier refreshes budget_bytes
   /// from the live store first). warm_start is always null here.
   RouterBuildOptions options_;
-  const RouterRegistry* registry_ = nullptr;
 
   // Destruction order (reverse of declaration) matters: graph_ points
-  // into venue_, router_ into graph_ and checkpoints.
+  // into venue_, router_ into graph_ (it copies the checkpoint set).
   std::unique_ptr<Venue> venue_;
   std::unique_ptr<ItGraph> graph_;
   /// The boundary ledger: boundary_times_[i] is contributed by exactly
@@ -97,7 +94,6 @@ class VersionedGraph {
   /// checkpoint set; doors are the flip lists.
   std::vector<double> boundary_times_;
   std::vector<std::vector<DoorId>> boundary_doors_;
-  CheckpointSet checkpoints_;
   BoundaryFlipIndex flips_;
   std::unique_ptr<Router> router_;
 };

@@ -136,8 +136,8 @@ class ArtifactCodec {
       const Venue& venue, const ArtifactWriteOptions& options);
   static StatusOr<LoadedVenueWorld> Decode(const uint8_t* data, size_t size);
   static StatusOr<std::shared_ptr<const VersionedGraph>> BuildWorld(
-      LoadedVenueWorld world, const std::string& strategy,
-      const RouterBuildOptions& options, const RouterRegistry* registry);
+      LoadedVenueWorld world, TvCheck check,
+      const RouterBuildOptions& options);
 
  private:
   // --- encode helpers (one per section) ---
@@ -304,26 +304,9 @@ StatusOr<std::vector<uint8_t>> ArtifactCodec::Encode(
   EncodeCompiledAtis(*graph, section(ArtifactSection::kCompiledAtis));
   EncodeAdjacencyCsr(*graph, section(ArtifactSection::kAdjacencyCsr));
 
-  // The boundary ledger, grouped exactly as VersionedGraph::Build does
-  // it: (time, door) contributions sorted on the pair key, so each
-  // per-boundary door list comes out ascending.
-  std::vector<std::pair<double, DoorId>> contributions;
-  const size_t n = graph->NumDoors();
-  for (size_t d = 0; d < n; ++d) {
-    for (double t : graph->Ati(static_cast<DoorId>(d)).InteriorBoundaries()) {
-      contributions.emplace_back(t, static_cast<DoorId>(d));
-    }
-  }
-  std::sort(contributions.begin(), contributions.end());
   std::vector<double> times;
   std::vector<std::vector<DoorId>> flip_lists;
-  for (const auto& [t, d] : contributions) {
-    if (times.empty() || times.back() != t) {
-      times.push_back(t);
-      flip_lists.emplace_back();
-    }
-    flip_lists.back().push_back(d);
-  }
+  BuildBoundaryLedger(*graph, &times, &flip_lists);
 
   {
     ByteWriter& w = section(ArtifactSection::kCheckpoints);
@@ -346,6 +329,7 @@ StatusOr<std::vector<uint8_t>> ArtifactCodec::Encode(
     auto d2d = D2dIndex::Build(*graph);
     if (!d2d.ok()) return d2d.status();
     ByteWriter& w = section(ArtifactSection::kD2d);
+    const size_t n = graph->NumDoors();
     w.U64(n);
     for (size_t from = 0; from < n; ++from) {
       for (size_t to = 0; to < n; ++to) {
@@ -925,8 +909,9 @@ StatusOr<LoadedVenueWorld> ArtifactCodec::Decode(const uint8_t* data,
 // ---------------------------------------------------------------------------
 
 StatusOr<std::shared_ptr<const VersionedGraph>> ArtifactCodec::BuildWorld(
-    LoadedVenueWorld world, const std::string& strategy,
-    const RouterBuildOptions& options, const RouterRegistry* registry) {
+    LoadedVenueWorld world, TvCheck check, const RouterBuildOptions& options) {
+  Status valid = ValidateBuildOptions(options);
+  if (!valid.ok()) return valid;
   if (world.venue == nullptr) {
     return InvalidArgumentError("BuildWorldFromArtifact: world has no venue");
   }
@@ -937,10 +922,9 @@ StatusOr<std::shared_ptr<const VersionedGraph>> ArtifactCodec::BuildWorld(
   }
 
   std::shared_ptr<VersionedGraph> version(new VersionedGraph());
-  version->strategy_ = strategy;
+  version->check_ = check;
   version->options_ = options;
   version->options_.warm_start = nullptr;
-  version->registry_ = registry;
   version->venue_ = std::move(world.venue);
 
   // Adopt the compiled graph verbatim — the decode path already
@@ -1106,10 +1090,8 @@ StatusOr<std::vector<std::string>> ReadFleetManifest(const std::string& path) {
 }
 
 StatusOr<std::shared_ptr<const VersionedGraph>> BuildWorldFromArtifact(
-    LoadedVenueWorld world, const std::string& strategy,
-    const RouterBuildOptions& options, const RouterRegistry* registry) {
-  return ArtifactCodec::BuildWorld(std::move(world), strategy, options,
-                                   registry);
+    LoadedVenueWorld world, TvCheck check, const RouterBuildOptions& options) {
+  return ArtifactCodec::BuildWorld(std::move(world), check, options);
 }
 
 }  // namespace itspq

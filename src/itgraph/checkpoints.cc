@@ -74,4 +74,28 @@ BoundaryFlipIndex BoundaryFlipIndex::FromLists(
   return index;
 }
 
+void BuildBoundaryLedger(const ItGraph& graph, std::vector<double>* times,
+                         std::vector<std::vector<DoorId>>* doors) {
+  // Collect (time, door) contributions of every door, then group by
+  // time. Sorting on the pair key leaves each per-boundary door list
+  // ascending — BoundaryFlipIndex::Build's emission order.
+  std::vector<std::pair<double, DoorId>> contributions;
+  const size_t n = graph.NumDoors();
+  for (size_t d = 0; d < n; ++d) {
+    for (double t : graph.Ati(static_cast<DoorId>(d)).InteriorBoundaries()) {
+      contributions.emplace_back(t, static_cast<DoorId>(d));
+    }
+  }
+  std::sort(contributions.begin(), contributions.end());
+  times->clear();
+  doors->clear();
+  for (const auto& [t, d] : contributions) {
+    if (times->empty() || times->back() != t) {
+      times->push_back(t);
+      doors->emplace_back();
+    }
+    doors->back().push_back(d);
+  }
+}
+
 }  // namespace itspq

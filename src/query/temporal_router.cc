@@ -8,6 +8,7 @@
 // output bit-identically to brute-force oracles.
 
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -464,6 +465,28 @@ const char* TvCheckName(TvCheck check) {
   static const char* const kNames[] = {"itg-s", "itg-a", "itg-a+", "snap",
                                        "ntv"};
   return kNames[static_cast<size_t>(check)];
+}
+
+StatusOr<TvCheck> ParseTvCheck(const std::string& name) {
+  for (TvCheck check : kTvChecks) {
+    if (name == TvCheckName(check)) return check;
+  }
+  return NotFoundError("unknown router '" + name + "'");
+}
+
+Status ValidateBuildOptions(const RouterBuildOptions& options) {
+  return MakeEvictionPolicy(options.snapshot_cache.policy, 1).status();
+}
+
+StatusOr<std::unique_ptr<Router>> MakeRouter(const std::string& name,
+                                             const ItGraph& graph,
+                                             const RouterBuildOptions& options) {
+  auto check = ParseTvCheck(name);
+  if (!check.ok()) return check.status();
+  Status valid = ValidateBuildOptions(options);
+  if (!valid.ok()) return valid;
+  return std::unique_ptr<Router>(
+      std::make_unique<TemporalRouter>(graph, *check, options));
 }
 
 TemporalRouter::TemporalRouter(const ItGraph& graph, TvCheck check,

@@ -33,15 +33,15 @@ VenueCatalog& VenueCatalog::operator=(VenueCatalog&& other) noexcept {
   return *this;
 }
 
-StatusOr<VenueId> VenueCatalog::AddVenue(Venue venue,
-                                         const std::string& strategy,
-                                         std::string label,
-                                         const RouterBuildOptions& options,
-                                         const RouterRegistry* registry) {
-  // Assemble the shard off to the side so a failed graph build or an
-  // unknown strategy leaves the catalog untouched.
+StatusOr<std::unique_ptr<VenueCatalog::Shard>> VenueCatalog::NewShard(
+    const std::string& strategy, const RouterBuildOptions& options,
+    std::string label) const {
+  auto check = ParseTvCheck(strategy);
+  if (!check.ok()) return check.status();
+  Status valid = ValidateBuildOptions(options);
+  if (!valid.ok()) return valid;
   auto shard = std::make_unique<Shard>();
-  shard->strategy = strategy;
+  shard->check = *check;
   shard->build_options = options;
   shard->build_options.warm_start = nullptr;
   // Stamp the shard's catalog id into the stored build options before
@@ -50,16 +50,25 @@ StatusOr<VenueId> VenueCatalog::AddVenue(Venue venue,
   // the binding, so it can reject requests addressed to another venue.
   const VenueId id = static_cast<VenueId>(shards_.size());
   shard->build_options.bound_venue_id = id;
-
-  auto world = VersionedGraph::Build(std::move(venue), strategy,
-                                     shard->build_options, registry);
-  if (!world.ok()) return world.status();
-  shard->world = *std::move(world);
-
   shard->label = label.empty() ? "venue-" + std::to_string(id)
                                : std::move(label);
-  shards_.push_back(std::move(shard));
-  return id;
+  return shard;
+}
+
+StatusOr<VenueId> VenueCatalog::AddVenue(Venue venue,
+                                         const std::string& strategy,
+                                         std::string label,
+                                         const RouterBuildOptions& options) {
+  // Assemble the shard off to the side so an unknown strategy or a
+  // failed graph build leaves the catalog untouched.
+  auto shard = NewShard(strategy, options, std::move(label));
+  if (!shard.ok()) return shard.status();
+  auto world = VersionedGraph::Build(std::move(venue), (*shard)->check,
+                                     (*shard)->build_options);
+  if (!world.ok()) return world.status();
+  (*shard)->world = *std::move(world);
+  shards_.push_back(*std::move(shard));
+  return static_cast<VenueId>(shards_.size() - 1);
 }
 
 std::shared_ptr<const VersionedGraph> VenueCatalog::world(VenueId id) const {
@@ -68,35 +77,18 @@ std::shared_ptr<const VersionedGraph> VenueCatalog::world(VenueId id) const {
 
 StatusOr<VenueId> VenueCatalog::AddArtifactShard(
     const std::string& path, const std::string& strategy, std::string label,
-    const RouterBuildOptions& options, const RouterRegistry* registry) {
+    const RouterBuildOptions& options) {
   // Fail registration — catalog untouched — on anything checkable
-  // without loading payloads: a bad header/table or a strategy no
-  // registry knows. Payload corruption surfaces at first load.
+  // without loading payloads: a bad header/table or an unknown
+  // strategy. Payload corruption surfaces at first load.
   Status header = ValidateArtifactHeader(path);
   if (!header.ok()) return header;
-  const RouterRegistry& reg =
-      registry != nullptr ? *registry : RouterRegistry::Global();
-  if (!reg.Contains(strategy)) {
-    return NotFoundError("AddArtifactShard: unknown strategy \"" + strategy +
-                         "\"");
-  }
-
-  auto shard = std::make_unique<Shard>();
-  shard->strategy = strategy;
-  shard->build_options = options;
-  shard->build_options.warm_start = nullptr;
-  shard->artifact_path = path;
-  shard->registry = registry;
-  shard->lazy = true;
-
-  // Same id stamping as AddVenue: the lazy load builds its router from
-  // these stored options, so the binding survives load/evict cycles.
-  const VenueId id = static_cast<VenueId>(shards_.size());
-  shard->build_options.bound_venue_id = id;
-  shard->label = label.empty() ? "venue-" + std::to_string(id)
-                               : std::move(label);
-  shards_.push_back(std::move(shard));
-  return id;
+  auto shard = NewShard(strategy, options, std::move(label));
+  if (!shard.ok()) return shard.status();
+  (*shard)->artifact_path = path;
+  (*shard)->lazy = true;
+  shards_.push_back(*std::move(shard));
+  return static_cast<VenueId>(shards_.size() - 1);
 }
 
 StatusOr<std::shared_ptr<const VersionedGraph>> VenueCatalog::EnsureResident(
@@ -132,8 +124,8 @@ StatusOr<std::shared_ptr<const VersionedGraph>> VenueCatalog::LoadShardLocked(
   Timer timer;
   auto loaded = LoadVenueArtifact(s.artifact_path);
   if (!loaded.ok()) return loaded.status();
-  auto built = BuildWorldFromArtifact(*std::move(loaded), s.strategy,
-                                      s.build_options, s.registry);
+  auto built =
+      BuildWorldFromArtifact(*std::move(loaded), s.check, s.build_options);
   if (!built.ok()) return built.status();
   std::shared_ptr<const VersionedGraph> world = *std::move(built);
 
@@ -289,7 +281,7 @@ CatalogStats VenueCatalog::Stats() const {
     ShardStats s;
     s.venue_id = static_cast<VenueId>(i);
     s.label = shard.label;
-    s.strategy = shard.strategy;
+    s.strategy = TvCheckName(shard.check);
     s.queries_served = shard.queries_served.load(std::memory_order_relaxed);
     s.routes_found = shard.routes_found.load(std::memory_order_relaxed);
     s.routes_not_found =
@@ -310,7 +302,6 @@ CatalogStats VenueCatalog::Stats() const {
     if (world != nullptr) {
       s.epoch = world->epoch();
       s.cache = world->router().CacheStats();
-      s.snapshot_builds = s.cache.builds();
       s.memory_bytes = world->MemoryUsage();
     }
 
@@ -321,7 +312,6 @@ CatalogStats VenueCatalog::Stats() const {
     report.total_found += s.routes_found;
     report.total_not_found += s.routes_not_found;
     report.total_errors += s.route_errors;
-    report.total_snapshot_builds += s.snapshot_builds;
     report.total_memory_bytes += s.memory_bytes;
     report.total_updates_applied += s.updates_applied;
     report.total_updates_rejected += s.updates_rejected;

@@ -47,9 +47,8 @@ StatusOr<std::shared_ptr<const VersionedGraph>> UpdateApplier::Apply(
 
   std::shared_ptr<VersionedGraph> next(new VersionedGraph());
   next->epoch_ = current.epoch_ + 1;
-  next->strategy_ = current.strategy_;
+  next->check_ = current.check_;
   next->options_ = current.options_;
-  next->registry_ = current.registry_;
   // Budget may have been re-targeted since construction
   // (SetSnapshotBudget / ApportionSnapshotBudget hit the live store,
   // not the stored options) — read it back so the next epoch keeps it.

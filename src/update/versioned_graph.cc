@@ -1,48 +1,26 @@
 #include "update/versioned_graph.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace itspq {
 
 StatusOr<std::shared_ptr<const VersionedGraph>> VersionedGraph::Build(
-    Venue venue, const std::string& strategy,
-    const RouterBuildOptions& options, const RouterRegistry* registry) {
+    Venue venue, TvCheck check, const RouterBuildOptions& options) {
+  Status valid = ValidateBuildOptions(options);
+  if (!valid.ok()) return valid;
   // shared_ptr<VersionedGraph> first so FinishBuild can run on a
   // non-const object; published as const.
   std::shared_ptr<VersionedGraph> version(new VersionedGraph());
-  version->strategy_ = strategy;
+  version->check_ = check;
   version->options_ = options;
   version->options_.warm_start = nullptr;
-  version->registry_ = registry;
   version->venue_ = std::make_unique<Venue>(std::move(venue));
 
   auto graph = ItGraph::Build(*version->venue_);
   if (!graph.ok()) return graph.status();
   version->graph_ = std::make_unique<ItGraph>(*std::move(graph));
-
-  // Epoch-0 ledger: collect (time, door) contributions of every door,
-  // then group by time. Doors are scanned in ascending id and
-  // std::sort is stable on the (time, door) key, so each per-boundary
-  // door list comes out sorted — matching BoundaryFlipIndex::Build's
-  // ascending-door emission order.
-  std::vector<std::pair<double, DoorId>> contributions;
-  const size_t n = version->graph_->NumDoors();
-  for (size_t d = 0; d < n; ++d) {
-    for (double t :
-         version->graph_->Ati(static_cast<DoorId>(d)).InteriorBoundaries()) {
-      contributions.emplace_back(t, static_cast<DoorId>(d));
-    }
-  }
-  std::sort(contributions.begin(), contributions.end());
-  for (const auto& [t, d] : contributions) {
-    if (version->boundary_times_.empty() ||
-        version->boundary_times_.back() != t) {
-      version->boundary_times_.push_back(t);
-      version->boundary_doors_.emplace_back();
-    }
-    version->boundary_doors_.back().push_back(d);
-  }
+  BuildBoundaryLedger(*version->graph_, &version->boundary_times_,
+                      &version->boundary_doors_);
 
   Status status = version->FinishBuild(/*carry_from=*/nullptr, {}, {});
   if (!status.ok()) return status;
@@ -54,11 +32,10 @@ Status VersionedGraph::FinishBuild(const SnapshotStore* carry_from,
                                    std::vector<size_t> invalidate) {
   auto cps = CheckpointSet::FromTimes(boundary_times_);
   if (!cps.ok()) return cps.status();
-  checkpoints_ = *std::move(cps);
   flips_ = BoundaryFlipIndex::FromLists(boundary_doors_);
 
   SnapshotWarmStart warm;
-  warm.checkpoints = &checkpoints_;
+  warm.checkpoints = &*cps;
   warm.flip_index = &flips_;
   warm.carry_from = carry_from;
   warm.carry_plan = std::move(carry_plan);
@@ -66,11 +43,7 @@ Status VersionedGraph::FinishBuild(const SnapshotStore* carry_from,
 
   RouterBuildOptions build = options_;
   build.warm_start = &warm;
-  const RouterRegistry& reg =
-      registry_ != nullptr ? *registry_ : RouterRegistry::Global();
-  auto router = reg.Create(strategy_, *graph_, build);
-  if (!router.ok()) return router.status();
-  router_ = *std::move(router);
+  router_ = std::make_unique<TemporalRouter>(*graph_, check_, build);
   return Status::Ok();
 }
 

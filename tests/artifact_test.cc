@@ -20,8 +20,10 @@
 #include "artifact/format.h"
 #include "common/time.h"
 #include "gen/workload_gen.h"
-#include "query/registry.h"
+#include "itgraph/checkpoints.h"
+#include "itgraph/itgraph.h"
 #include "query/sharded_router.h"
+#include "query/strategies.h"
 #include "query/venue_catalog.h"
 #include "venue/venue.h"
 
@@ -276,12 +278,96 @@ TEST(ArtifactNegativeTest, UnknownStrategyRejectedAtRegistration) {
   EXPECT_EQ(catalog.NumVenues(), 0u);
 }
 
+// Every strategy name resolves both ways, and an unknown one is
+// kNotFound at each entry point that takes a name — the catalog stays
+// as it was and no id is burnt.
+TEST(StrategyNameTest, NamesRoundTripAndUnknownIsNotFoundEverywhere) {
+  const Venue venue = MakeSmallVenue();
+  const ItGraph graph = ValueOrDie(ItGraph::Build(venue), "ItGraph::Build");
+  for (TvCheck check : kTvChecks) {
+    const std::string name = TvCheckName(check);
+    EXPECT_EQ(ValueOrDie(ParseTvCheck(name), "ParseTvCheck"), check) << name;
+    EXPECT_EQ(ValueOrDie(MakeRouter(name, graph), "MakeRouter")->name(), name);
+  }
+
+  const std::string dir = TestDir("names");
+  const std::string path = dir + "/a.itspq";
+  WriteBytes(path, EncodeSmallVenue());
+  VenueCatalog catalog;
+  EXPECT_EQ(ValueOrDie(catalog.AddVenue(Venue(venue), "itg-s"), "AddVenue"),
+            0);
+  for (const char* unknown : {"", "ITG-S", "itg-z", "itg-a++", "itg-s "}) {
+    EXPECT_EQ(ParseTvCheck(unknown).status().code(), StatusCode::kNotFound)
+        << unknown;
+    EXPECT_EQ(MakeRouter(unknown, graph).status().code(),
+              StatusCode::kNotFound)
+        << unknown;
+    EXPECT_EQ(catalog.AddVenue(Venue(venue), unknown).status().code(),
+              StatusCode::kNotFound)
+        << unknown;
+    EXPECT_EQ(catalog.AddArtifactShard(path, unknown).status().code(),
+              StatusCode::kNotFound)
+        << unknown;
+    EXPECT_EQ(catalog.NumVenues(), 1u) << unknown;
+  }
+  EXPECT_EQ(ValueOrDie(catalog.AddArtifactShard(path, "ntv"),
+                       "AddArtifactShard"),
+            1);
+  const CatalogStats stats = catalog.Stats();
+  ASSERT_EQ(stats.shards.size(), 2u);
+  EXPECT_EQ(stats.shards[0].strategy, "itg-s");
+  EXPECT_EQ(stats.shards[1].strategy, "ntv");
+}
+
 TEST(ArtifactNegativeTest, MissingFileRejected) {
   VenueCatalog catalog;
   auto id = catalog.AddArtifactShard("no/such/dir/a.itspq", "itg-s");
   ASSERT_FALSE(id.ok());
   EXPECT_EQ(id.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(catalog.NumVenues(), 0u);
+}
+
+// The boundary ledger an artifact carries equals the probe reference
+// (CheckpointSet::FromGraph + BoundaryFlipIndex::Build) on a seeded
+// fleet, midnight-wrap schedules included.
+TEST(ArtifactTest, DecodedLedgerMatchesProbeBuild) {
+  FleetConfig config;
+  config.num_venues = 3;
+  config.seed = 11;
+  config.min_floors = 1;
+  config.max_floors = 2;
+  std::vector<Venue> fleet =
+      ValueOrDie(GenerateVenueFleet(config), "GenerateVenueFleet");
+  {
+    Venue::Builder wrap = Venue::Builder::FromVenue(fleet[0]);
+    for (DoorId d = 0; d < static_cast<DoorId>(fleet[0].NumDoors()); d += 3) {
+      ASSERT_TRUE(
+          wrap.SetDoorAti(d, {TimeInterval{22 * 3600.0, 2 * 3600.0}}).ok());
+    }
+    fleet.push_back(ValueOrDie(std::move(wrap).Build(), "wrap Build"));
+  }
+
+  for (size_t v = 0; v < fleet.size(); ++v) {
+    const std::vector<uint8_t> image =
+        ValueOrDie(EncodeVenueArtifact(fleet[v]), "EncodeVenueArtifact");
+    const LoadedVenueWorld decoded = ValueOrDie(
+        DecodeVenueArtifact(image.data(), image.size()), "DecodeVenueArtifact");
+    const ItGraph graph =
+        ValueOrDie(ItGraph::Build(fleet[v]), "ItGraph::Build");
+    const CheckpointSet probe_cps = CheckpointSet::FromGraph(graph);
+    EXPECT_EQ(decoded.checkpoint_times, probe_cps.times()) << "venue " << v;
+
+    const BoundaryFlipIndex probe = BoundaryFlipIndex::Build(graph, probe_cps);
+    ASSERT_GT(probe.NumBoundaries(), 0u) << "venue " << v;
+    ASSERT_EQ(decoded.flip_lists.size(), probe.NumBoundaries())
+        << "venue " << v;
+    for (size_t b = 0; b < probe.NumBoundaries(); ++b) {
+      const std::vector<DoorId> from_probe(probe.FlipsBegin(b),
+                                           probe.FlipsEnd(b));
+      EXPECT_EQ(decoded.flip_lists[b], from_probe)
+          << "venue " << v << " boundary " << b;
+    }
+  }
 }
 
 // The metadata round-trips: label, D2D flag, and the manifest loader's
@@ -334,7 +420,8 @@ TEST(ArtifactRoundTripTest, LoadedWorldAnswersBitIdenticallyPerStrategy) {
     sources.push_back(ValueOrDie(std::move(wrap).Build(), "wrap Build"));
   }
 
-  for (const std::string& strategy : RouterRegistry::Global().Names()) {
+  for (TvCheck check : kTvChecks) {
+    const std::string strategy = TvCheckName(check);
     VenueCatalog eager, loaded;
     for (size_t i = 0; i < sources.size(); ++i) {
       const std::string path =

@@ -8,8 +8,8 @@
 #include "gen/venue_gen.h"
 #include "itgraph/d2d_index.h"
 #include "itgraph/itgraph.h"
-#include "query/registry.h"
 #include "query/router.h"
+#include "query/strategies.h"
 
 namespace itspq {
 namespace {

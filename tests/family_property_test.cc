@@ -40,8 +40,8 @@
 #include "itgraph/checkpoints.h"
 #include "itgraph/door_search.h"
 #include "itgraph/itgraph.h"
-#include "query/registry.h"
 #include "query/router.h"
+#include "query/strategies.h"
 #include "venue/venue.h"
 
 namespace itspq {

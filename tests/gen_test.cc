@@ -10,7 +10,7 @@
 #include "gen/workload_gen.h"
 #include "itgraph/checkpoints.h"
 #include "itgraph/itgraph.h"
-#include "query/registry.h"
+#include "query/strategies.h"
 
 namespace itspq {
 namespace {

@@ -181,6 +181,48 @@ TEST_F(LazyCatalogTest, ShardsLoadOnFirstQueryOnly) {
   }
 }
 
+// A cold lazy shard has no published world, yet epoch(id) requires only
+// Contains(id): it reads 0 (a shard that took an update is pinned
+// resident, so a cold one never left epoch 0) and loads nothing.
+TEST_F(LazyCatalogTest, ColdShardReadsEpochZeroWithoutLoading) {
+  VenueCatalog lazy = MakeLazyCatalog();
+  for (size_t i = 0; i < kFleetSize; ++i) {
+    const VenueId id = static_cast<VenueId>(i);
+    EXPECT_EQ(lazy.epoch(id), 0u);
+    EXPECT_FALSE(lazy.IsResident(id));
+  }
+  EXPECT_EQ(lazy.Stats().total_loads, 0u);
+
+  AtiUpdate update;
+  update.venue_id = 1;
+  update.door_id = 0;
+  update.intervals = {TimeInterval{9 * 3600.0, 17 * 3600.0}};
+  (void)ValueOrDie(lazy.ApplyAtiUpdate(update), "ApplyAtiUpdate");
+  EXPECT_EQ(lazy.epoch(1), 1u);
+  EXPECT_EQ(lazy.epoch(0), 0u);
+  EXPECT_FALSE(lazy.IsResident(0));
+}
+
+// A lazy shard builds its router from the stored options at every load,
+// so an eviction policy that names nothing must fail registration —
+// catalog untouched — rather than leave a shard that can never load.
+TEST_F(LazyCatalogTest, BadEvictionPolicyIsRejectedAtRegistration) {
+  VenueCatalog catalog;
+  RouterBuildOptions bad_policy;
+  bad_policy.snapshot_cache.policy = "no-such-policy";
+  auto rejected =
+      catalog.AddArtifactShard(ArtifactPath(0), "itg-a+", "", bad_policy);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(catalog.NumVenues(), 0u);
+  EXPECT_FALSE(catalog.Contains(0));
+
+  const VenueId id = ValueOrDie(
+      catalog.AddArtifactShard(ArtifactPath(0), "itg-a+"), "AddArtifactShard");
+  EXPECT_EQ(id, 0);
+  EXPECT_TRUE(catalog.EnsureResident(id).ok());
+}
+
 // The load-failure path still reconciles the shard ledger: a query
 // that dies in EnsureResident (artifact corrupted after registration)
 // must land in queries_served AND route_errors together — not one

@@ -37,8 +37,8 @@
 #include "itgraph/door_search.h"
 #include "itgraph/graph_update.h"
 #include "itgraph/itgraph.h"
-#include "query/registry.h"
 #include "query/router.h"
+#include "query/strategies.h"
 #include "query/verifier.h"
 #include "venue/venue.h"
 

@@ -14,7 +14,6 @@
 #include "gen/query_gen.h"
 #include "gen/venue_gen.h"
 #include "itgraph/itgraph.h"
-#include "query/registry.h"
 #include "query/router.h"
 #include "query/strategies.h"
 
@@ -72,10 +71,10 @@ std::vector<QueryRequest> MakeRequests(const ApiWorld& world) {
   return requests;
 }
 
-TEST(RouterRegistryTest, ResolvesEveryBuiltinStrategy) {
+TEST(StrategyNameTest, ResolvesEveryBuiltinStrategy) {
   ApiWorld world = MakeWorld();
-  for (const char* name : kBuiltinStrategies) {
-    ASSERT_TRUE(RouterRegistry::Global().Contains(name)) << name;
+  for (TvCheck check : kTvChecks) {
+    const std::string name = TvCheckName(check);
     auto router = MakeRouter(name, *world.graph);
     ASSERT_TRUE(router.ok()) << name;
     EXPECT_EQ((*router)->name(), name);
@@ -89,35 +88,21 @@ TEST(RouterRegistryTest, ResolvesEveryBuiltinStrategy) {
   }
 }
 
-TEST(RouterRegistryTest, RejectsUnknownName) {
+TEST(StrategyNameTest, RejectsUnknownName) {
   ApiWorld world = MakeWorld();
   auto router = MakeRouter("itg-z", *world.graph);
   ASSERT_FALSE(router.ok());
   EXPECT_EQ(router.status().code(), StatusCode::kNotFound);
-  EXPECT_FALSE(RouterRegistry::Global().Contains("itg-z"));
+  EXPECT_EQ(ParseTvCheck("itg-z").status().code(), StatusCode::kNotFound);
 }
 
-TEST(RouterRegistryTest, GlobalNamesListsBuiltins) {
-  const std::vector<std::string> names = RouterRegistry::Global().Names();
+TEST(StrategyNameTest, TvCheckArrayListsBuiltins) {
+  std::vector<std::string> names;
+  for (TvCheck check : kTvChecks) names.push_back(TvCheckName(check));
   for (const char* name : kBuiltinStrategies) {
     EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
         << name;
   }
-}
-
-TEST(RouterRegistryTest, RegisterRejectsDuplicatesAndEmptyNames) {
-  RouterRegistry registry;
-  auto factory = [](const ItGraph& graph,
-                    const RouterBuildOptions&) -> std::unique_ptr<Router> {
-    return std::make_unique<TemporalRouter>(graph, TvCheck::kNone);
-  };
-  EXPECT_TRUE(registry.Register("custom", factory).ok());
-  EXPECT_EQ(registry.Register("custom", factory).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.Register("", factory).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_TRUE(registry.Contains("custom"));
-  EXPECT_FALSE(registry.Contains("itg-s"));  // isolated from Global()
 }
 
 TEST(RouteBatchTest, AgreesWithSequentialRoute) {

@@ -11,8 +11,8 @@
 #include "gen/query_gen.h"
 #include "gen/venue_gen.h"
 #include "itgraph/itgraph.h"
-#include "query/registry.h"
 #include "query/router.h"
+#include "query/strategies.h"
 #include "query/verifier.h"
 
 namespace itspq {
@@ -24,7 +24,7 @@ struct TestWorld {
   std::vector<QueryInstance> queries;
 
   /// Null on failure (with the failure recorded); callers ASSERT on the
-  /// result so a registry error fails the test instead of crashing it.
+  /// result so a MakeRouter error fails the test instead of crashing it.
   std::unique_ptr<Router> Make(const std::string& name) const {
     auto router = MakeRouter(name, *graph);
     if (!router.ok()) {

@@ -23,8 +23,8 @@
 #include "itgraph/csr_adjacency.h"
 #include "itgraph/door_mask.h"
 #include "itgraph/itgraph.h"
-#include "query/registry.h"
 #include "query/router.h"
+#include "query/strategies.h"
 #include "venue/venue.h"
 
 namespace itspq {
@@ -254,11 +254,12 @@ TEST(SearchCoreTest, ReusedContextIsBitIdenticalToFreshContexts) {
   }();
   ASSERT_NE(small.graph->NumDoors(), big.graph->NumDoors());
 
-  for (const std::string& strategy : RouterRegistry::Global().Names()) {
-    std::unique_ptr<Router> small_router = ValueOrDie(
-        RouterRegistry::Global().Create(strategy, *small.graph), "Create");
-    std::unique_ptr<Router> big_router = ValueOrDie(
-        RouterRegistry::Global().Create(strategy, *big.graph), "Create");
+  for (TvCheck check : kTvChecks) {
+    const std::string strategy = TvCheckName(check);
+    std::unique_ptr<Router> small_router =
+        ValueOrDie(MakeRouter(strategy, *small.graph), "MakeRouter");
+    std::unique_ptr<Router> big_router =
+        ValueOrDie(MakeRouter(strategy, *big.graph), "MakeRouter");
 
     QueryContext reused;
     for (int round = 0; round < 3; ++round) {
@@ -293,8 +294,8 @@ TEST(SearchCoreTest, BatchWithRetainedPinsMatchesSingleQueries) {
   for (const std::string& strategy : {std::string("itg-a+"),
                                       std::string("itg-a"),
                                       std::string("itg-s")}) {
-    std::unique_ptr<Router> router = ValueOrDie(
-        RouterRegistry::Global().Create(strategy, *world.graph), "Create");
+    std::unique_ptr<Router> router =
+        ValueOrDie(MakeRouter(strategy, *world.graph), "MakeRouter");
     std::vector<QueryRequest> requests;
     QueryOptions options;
     options.use_snapshot_cache = true;

@@ -18,9 +18,9 @@
 
 #include "common/time.h"
 #include "gen/workload_gen.h"
-#include "query/registry.h"
 #include "query/router.h"
 #include "query/sharded_router.h"
+#include "query/strategies.h"
 #include "query/venue_catalog.h"
 
 namespace itspq {
@@ -277,15 +277,16 @@ TEST(VenueCatalogTest, StatsCountTrafficPerShardAndAggregate) {
             after.total_found + after.total_not_found + after.total_errors);
   // The itg-a+ shard derived reduced graphs through its shared store,
   // and the store's counters thread through ShardStats.
-  EXPECT_GT(after.shards[1].snapshot_builds, 0u);
-  EXPECT_EQ(after.shards[1].snapshot_builds, after.shards[1].cache.builds());
+  EXPECT_GT(after.shards[1].cache.builds(), 0u);
   EXPECT_EQ(after.shards[1].cache.policy, "keep-all");  // the default
   EXPECT_EQ(after.shards[1].cache.misses, after.shards[1].cache.builds());
   EXPECT_EQ(after.shards[1].cache.evictions, 0u);  // unbudgeted
   EXPECT_GT(after.shards[1].cache.resident_bytes, 0u);
   // The ntv-free fleet aggregates into the catalog-wide cache totals.
-  EXPECT_GE(after.total_snapshot_builds, after.shards[1].snapshot_builds);
-  EXPECT_EQ(after.total_cache.builds(), after.total_snapshot_builds);
+  EXPECT_GE(after.total_cache.builds(), after.shards[1].cache.builds());
+  size_t shard_builds = 0;
+  for (const ShardStats& s : after.shards) shard_builds += s.cache.builds();
+  EXPECT_EQ(after.total_cache.builds(), shard_builds);
   EXPECT_GE(after.total_cache.resident_bytes,
             after.shards[1].cache.resident_bytes);
   EXPECT_GT(after.total_memory_bytes, 0u);

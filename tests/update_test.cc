@@ -163,7 +163,7 @@ TEST(ItGraphBuildFromTest, RejectsDoorCountMismatchAndUnknownDoor) {
 
 TEST(VersionedGraphTest, LedgerFlipIndexMatchesProbeBuild) {
   auto world = ValueOrDie(
-      VersionedGraph::Build(MakeVariedVenue(), "itg-a+"), "Build");
+      VersionedGraph::Build(MakeVariedVenue(), TvCheck::kAsynchronousStrict), "Build");
   // The ledger-derived checkpoint set and CSR flip index must be
   // bit-identical to the from-scratch derivations.
   const CheckpointSet probe_cps = CheckpointSet::FromGraph(world->graph());
@@ -185,7 +185,7 @@ TEST(VersionedGraphTest, LedgerFlipIndexMatchesProbeBuild) {
 
 TEST(VersionedGraphTest, LedgerStaysConsistentAcrossUpdates) {
   auto world = ValueOrDie(
-      VersionedGraph::Build(MakeVariedVenue(), "itg-a+"), "Build");
+      VersionedGraph::Build(MakeVariedVenue(), TvCheck::kAsynchronousStrict), "Build");
   Rng rng(17);
   for (int round = 0; round < 8; ++round) {
     AtiUpdate update;

@@ -5,8 +5,8 @@
 
 #include "common/time.h"
 #include "itgraph/itgraph.h"
-#include "query/registry.h"
 #include "query/router.h"
+#include "query/strategies.h"
 #include "query/verifier.h"
 
 namespace itspq {

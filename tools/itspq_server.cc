@@ -8,7 +8,7 @@
 //
 //   itspq_server --venues=2 --seed=7 [--max-floors=2] [--port=0]
 //                [--port-file=PATH] [--workers=2] [--queue=64]
-//                [--target-delay-micros=0] [--deadline-micros=0]
+//                [--target-delay-micros=0]
 //
 // --port=0 (default) takes a kernel-assigned ephemeral port;
 // --port-file writes the bound port as a decimal line once listening,
@@ -86,9 +86,6 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--target-delay-micros", &value)) {
       service_opts.target_queue_delay_micros =
           static_cast<double>(ParseLong(value, "--target-delay-micros"));
-    } else if (ParseFlag(argv[i], "--deadline-micros", &value)) {
-      service_opts.default_deadline_micros =
-          static_cast<double>(ParseLong(value, "--deadline-micros"));
     } else {
       Die(std::string("unknown flag: ") + argv[i]);
     }
