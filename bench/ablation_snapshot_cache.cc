@@ -1,7 +1,7 @@
 // Ablation over the SnapshotStore: Alg. 3 as published (rebuild the
-// reduced graph from G0 at every update) vs the budgeted,
-// policy-pluggable per-interval store, swept over eviction policy x
-// byte budget x delta-vs-full miss fills.
+// reduced graph from G0 at every update) vs the budgeted LRU
+// per-interval store, swept over its byte budget; plus the two miss
+// builders (from G0 vs delta from a neighbour) head to head.
 //
 // The workload alternates query times across checkpoint intervals so
 // the time-dependent graph must switch on every query — the worst case
@@ -9,13 +9,12 @@
 // eviction too (every interval keeps coming back).
 //
 // `--smoke` shrinks the venue to one floor and one |T| setting so CI
-// can exercise the eviction paths of every policy on each push;
+// can exercise the eviction paths on each push;
 // `--seed=N` threads through venue and workload generation so a
 // printed seed reproduces the exact run.
 
 #include <cstdio>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -81,22 +80,18 @@ void BuildCostComparison(const World& world, int reps) {
 }
 
 // --- Part 2: the serving path. ITG/A+ reading reduced graphs through a
-// SnapshotStore, swept over policy x budget x delta, against the
-// rebuild-from-G0 baseline.
+// SnapshotStore, swept over its budget, against the rebuild-from-G0
+// baseline.
 struct SweepRow {
-  std::string label;
   double mean_us = 0;
   CacheStatsSnapshot cache;
 };
 
 SweepRow RunStore(const World& world,
                   const std::vector<QueryInstance>& queries, int reps,
-                  bool use_cache, const std::string& policy,
-                  size_t budget_bytes, bool delta) {
+                  bool use_cache, size_t budget_bytes) {
   RouterBuildOptions options;
-  options.snapshot_cache.policy = policy;
   options.snapshot_cache.budget_bytes = budget_bytes;
-  options.snapshot_cache.delta_builds = delta;
   const auto router = MakeRouterOrDie(world, "itg-a+", options);
 
   QueryOptions query_options;
@@ -122,8 +117,7 @@ SweepRow RunStore(const World& world,
   return row;
 }
 
-void PolicySweep(const World& world, int t_size, int reps,
-                 const std::vector<std::string>& policies, uint64_t seed) {
+void BudgetSweep(const World& world, int t_size, int reps, uint64_t seed) {
   const auto queries =
       MakeWorkload(world, kDefaultS2t, kPairsPerSetting, seed + 1);
 
@@ -135,18 +129,17 @@ void PolicySweep(const World& world, int t_size, int reps,
   const size_t intervals = cps.NumIntervals();
 
   std::printf(
-      "\n== |T| = %d: policy x budget x delta sweep (ITG/A+, %zu intervals, "
+      "\n== |T| = %d: LRU budget sweep (ITG/A+, %zu intervals, "
       "%s/snapshot) ==\n"
-      "%-10s %-10s %-6s %10s %7s %7s %7s %6s %6s %8s %10s\n",
-      t_size, intervals, FormatBytes(snap_bytes).c_str(), "policy", "budget",
-      "delta", "us/query", "hits", "misses", "evict", "full", "delta",
-      "touches", "resident");
+      "%-10s %10s %7s %7s %7s %6s %6s %8s %10s\n",
+      t_size, intervals, FormatBytes(snap_bytes).c_str(), "budget",
+      "us/query", "hits", "misses", "evict", "full", "delta", "touches",
+      "resident");
 
   const SweepRow rebuild =
-      RunStore(world, queries, reps, /*use_cache=*/false, "keep-all", 0, true);
-  std::printf("%-10s %-10s %-6s %10.1f %7s %7s %7s %6s %6s %8s %10s\n",
-              "(no store)", "-", "-", rebuild.mean_us, "-", "-", "-", "-", "-",
-              "-", "-");
+      RunStore(world, queries, reps, /*use_cache=*/false, 0);
+  std::printf("%-10s %10.1f %7s %7s %7s %6s %6s %8s %10s\n", "(no store)",
+              rebuild.mean_us, "-", "-", "-", "-", "-", "-", "-");
 
   struct BudgetSetting {
     const char* label;
@@ -157,23 +150,14 @@ void PolicySweep(const World& world, int t_size, int reps,
       {"half", (intervals + 1) / 2},
       {"2 snaps", 2},
   };
-  for (const std::string& policy : policies) {
-    for (const BudgetSetting& budget : budgets) {
-      // keep-all ignores budgets by design; show it once, unlimited.
-      if (policy == "keep-all" && budget.snapshots != 0) continue;
-      for (bool delta : {true, false}) {
-        const SweepRow row =
-            RunStore(world, queries, reps, /*use_cache=*/true, policy,
-                     budget.snapshots * snap_bytes, delta);
-        std::printf(
-            "%-10s %-10s %-6s %10.1f %7zu %7zu %7zu %6zu %6zu %8zu %10s\n",
-            policy.c_str(), budget.label, delta ? "on" : "off", row.mean_us,
-            row.cache.hits, row.cache.misses, row.cache.evictions,
-            row.cache.full_builds, row.cache.delta_builds,
-            row.cache.delta_door_touches,
-            FormatBytes(row.cache.resident_bytes).c_str());
-      }
-    }
+  for (const BudgetSetting& budget : budgets) {
+    const SweepRow row = RunStore(world, queries, reps, /*use_cache=*/true,
+                                  budget.snapshots * snap_bytes);
+    std::printf("%-10s %10.1f %7zu %7zu %7zu %6zu %6zu %8zu %10s\n",
+                budget.label, row.mean_us, row.cache.hits, row.cache.misses,
+                row.cache.evictions, row.cache.full_builds,
+                row.cache.delta_builds, row.cache.delta_door_touches,
+                FormatBytes(row.cache.resident_bytes).c_str());
   }
 }
 
@@ -181,13 +165,12 @@ void Run(bool smoke, uint64_t seed) {
   std::printf("seed: %llu (rerun with --seed=%llu)\n",
               static_cast<unsigned long long>(seed),
               static_cast<unsigned long long>(seed));
-  const std::vector<std::string> policies = {"keep-all", "lru", "clock"};
   if (smoke) {
-    // Tiny venue, every policy, budgets tight enough that lru/clock
-    // evict constantly — the CI check that eviction paths stay healthy.
+    // Tiny venue, budgets tight enough that the store evicts constantly
+    // — the CI check that eviction paths stay healthy.
     World world = BuildWorld(/*checkpoint_count=*/6, /*floors=*/1, seed);
     BuildCostComparison(world, /*reps=*/3);
-    PolicySweep(world, 6, /*reps=*/1, policies, seed);
+    BudgetSweep(world, 6, /*reps=*/1, seed);
     return;
   }
   {
@@ -198,7 +181,7 @@ void Run(bool smoke, uint64_t seed) {
   }
   for (int t_size : {4, 8, 16}) {
     World world = BuildWorld(t_size, /*floors=*/5, seed);
-    PolicySweep(world, t_size, /*reps=*/3, policies, seed);
+    BudgetSweep(world, t_size, /*reps=*/3, seed);
   }
 }
 

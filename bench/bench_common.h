@@ -54,8 +54,8 @@ World BuildWorld(int checkpoint_count = kDefaultT, int floors = 5,
                  uint64_t seed = 42);
 
 /// Resolves `name` through MakeRouter; aborts the bench on an unknown
-/// strategy. `options` carries the snapshot-store config
-/// (budget, eviction policy) for the cache ablations.
+/// strategy. `options` carries the snapshot-store budget for the cache
+/// ablations.
 std::unique_ptr<Router> MakeRouterOrDie(
     const World& world, const std::string& name,
     const RouterBuildOptions& options = RouterBuildOptions());

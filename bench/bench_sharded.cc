@@ -136,16 +136,15 @@ void Run(int threads_override, uint64_t seed) {
   // delta builds, resident cache bytes).
   std::printf("\n== catalog stats (4 shards, after %d queries) ==\n",
               static_cast<int>(last_stats.total_queries));
-  std::printf("%-10s %-8s %8s %8s %6s %8s %7s %6s %5s %5s %9s %9s\n", "venue",
-              "strategy", "queries", "found", "errors", "policy", "hits",
-              "miss", "evict", "delta", "cache", "memory");
+  std::printf("%-10s %-8s %8s %8s %6s %7s %6s %5s %5s %9s %9s\n", "venue",
+              "strategy", "queries", "found", "errors", "hits", "miss",
+              "evict", "delta", "cache", "memory");
   auto print_stats_row = [](const char* label, const char* strategy,
                             size_t queries, size_t found, size_t errors,
                             const CacheStatsSnapshot& cache,
                             size_t memory_bytes) {
-    std::printf("%-10s %-8s %8zu %8zu %6zu %8s %7zu %6zu %5zu %5zu %9s %9s\n",
-                label, strategy, queries, found, errors,
-                cache.policy.empty() ? "-" : cache.policy.c_str(), cache.hits,
+    std::printf("%-10s %-8s %8zu %8zu %6zu %7zu %6zu %5zu %5zu %9s %9s\n",
+                label, strategy, queries, found, errors, cache.hits,
                 cache.misses, cache.evictions, cache.delta_builds,
                 FormatBytes(cache.resident_bytes).c_str(),
                 FormatBytes(memory_bytes).c_str());

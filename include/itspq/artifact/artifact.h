@@ -106,7 +106,6 @@ StatusOr<std::vector<std::string>> ReadFleetManifest(const std::string& path);
 /// as a `VersionedGraph` epoch 0 under strategy `check` — the lazy-load
 /// equivalent of VersionedGraph::Build(venue, ...), minus all the
 /// compilation that build performs (the artifact already carries it).
-/// kNotFound on an unknown eviction-policy name.
 StatusOr<std::shared_ptr<const VersionedGraph>> BuildWorldFromArtifact(
     LoadedVenueWorld world, TvCheck check,
     const RouterBuildOptions& options = RouterBuildOptions());

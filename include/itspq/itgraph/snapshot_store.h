@@ -1,18 +1,17 @@
 #ifndef ITSPQ_ITGRAPH_SNAPSHOT_STORE_H_
 #define ITSPQ_ITGRAPH_SNAPSHOT_STORE_H_
 
-// The budgeted, policy-pluggable memoisation layer over Graph_Update.
+// The budgeted memoisation layer over Graph_Update.
 //
 // SnapshotStore replaces the grow-forever SnapshotCache: it owns a byte
-// budget and an EvictionPolicy, hands snapshots out as
-// shared_ptr<const GraphSnapshot> so concurrent Route() readers keep a
-// pinned mask alive across an eviction, and fills misses with the cheap
-// delta builder (BuildSnapshotDelta from a resident adjacent interval)
-// whenever it can, falling back to the from-G0 Alg. 3 build.
+// budget, evicts least-recently-used intervals past it, hands snapshots
+// out as shared_ptr<const GraphSnapshot> so concurrent Route() readers
+// keep a pinned mask alive across an eviction, and fills misses with
+// the cheap delta builder (BuildSnapshotDelta from a resident adjacent
+// interval) whenever it can, falling back to the from-G0 Alg. 3 build.
 //
 //   SnapshotStoreOptions opts;
 //   opts.budget_bytes = 64 << 10;   // 0 = unlimited
-//   opts.policy = "lru";            // "keep-all" (default) | "lru" | "clock"
 //   SnapshotStore store(graph, cps, opts);
 //   std::shared_ptr<const GraphSnapshot> snap = store.Get(interval);
 //
@@ -23,45 +22,55 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "itgraph/checkpoints.h"
 #include "itgraph/graph_update.h"
 #include "itgraph/itgraph.h"
 
 namespace itspq {
 
-/// Which resident interval to evict next. Implementations are NOT
-/// thread-safe on their own — SnapshotStore calls them under its mutex.
-/// Built-ins: "keep-all" (never evicts — the pre-store behaviour),
-/// "lru" (least recently Get), "clock" (second-chance ref bits).
-class EvictionPolicy {
+/// Least-recently-used order over dense ids: SnapshotStore's interval
+/// slots and VenueCatalog's lazy shards. Each tracked id holds a stamp
+/// from a counter that only goes up, so a touch is one store and the
+/// victim is the smallest stamp. Not thread-safe; callers hold their
+/// own mutex.
+class LruOrder {
  public:
-  virtual ~EvictionPolicy() = default;
+  /// Marks `id` most recently used, tracking it if it was not.
+  void Touch(size_t id) {
+    if (id >= stamps_.size()) stamps_.resize(id + 1, 0);
+    stamps_[id] = ++clock_;
+  }
+  /// Stops tracking `id`.
+  void Forget(size_t id) {
+    if (id < stamps_.size()) stamps_[id] = 0;
+  }
+  bool Tracked(size_t id) const {
+    return id < stamps_.size() && stamps_[id] != 0;
+  }
+  /// The least recently touched tracked id other than `protect`; false
+  /// when there is none.
+  bool Victim(size_t protect, size_t* victim) const {
+    uint64_t oldest = 0;
+    for (size_t id = 0; id < stamps_.size(); ++id) {
+      const uint64_t stamp = stamps_[id];
+      if (stamp == 0 || id == protect) continue;
+      if (oldest == 0 || stamp < oldest) {
+        oldest = stamp;
+        *victim = id;
+      }
+    }
+    return oldest != 0;
+  }
 
-  virtual const std::string& name() const = 0;
-
-  /// Interval `interval` became resident.
-  virtual void OnInsert(size_t interval) = 0;
-  /// A Get() hit interval `interval`.
-  virtual void OnAccess(size_t interval) = 0;
-  /// The store evicted interval `interval`.
-  virtual void OnEvict(size_t interval) = 0;
-
-  /// Picks the next victim among resident intervals, skipping
-  /// `protect` (the interval the current Get() is about to return).
-  /// False when nothing is evictable.
-  virtual bool ChooseVictim(size_t protect, size_t* victim) = 0;
+ private:
+  std::vector<uint64_t> stamps_;  // 0 = not tracked
+  uint64_t clock_ = 0;
 };
-
-/// Resolves a policy by name for stores over `num_intervals` intervals.
-/// kNotFound on an unknown name.
-StatusOr<std::unique_ptr<EvictionPolicy>> MakeEvictionPolicy(
-    const std::string& name, size_t num_intervals);
 
 class SnapshotStore;
 
@@ -70,15 +79,15 @@ inline constexpr ptrdiff_t kNoCarrySource = -1;
 
 /// Warm-start state for rebuilding a store (and its router) after an
 /// online ATI update — produced by UpdateApplier (update/update_applier.h)
-/// from the venue's previous VersionedGraph. All pointers are borrowed
-/// for the duration of construction only.
+/// from the venue's previous VersionedGraph. All pointers are borrowed:
+/// flip_index must outlive the store, the rest only its construction.
 struct SnapshotWarmStart {
   /// The new graph's checkpoint set, derived incrementally by the update
   /// plane. Router adopts it verbatim instead of re-deriving FromGraph.
   const CheckpointSet* checkpoints = nullptr;
-  /// Flip index of (new graph, checkpoints), patched incrementally;
-  /// copied into the store so the first delta build never pays the
-  /// O(intervals x doors) probe.
+  /// Flip index of (new graph, checkpoints), patched incrementally.
+  /// The store reads it in place, so the first delta build never pays
+  /// the O(intervals x doors) probe; it must outlive the store.
   const BoundaryFlipIndex* flip_index = nullptr;
   /// The previous version's store; resident snapshots carry across.
   const SnapshotStore* carry_from = nullptr;
@@ -93,29 +102,20 @@ struct SnapshotWarmStart {
   std::vector<size_t> invalidate;
 };
 
-/// Construction knobs; the cache config QueryOptions/router construction
-/// carry (query/router.h threads these through RouterBuildOptions).
+/// Construction config; RouterBuildOptions (query/router.h) carries it
+/// to the router's store.
 struct SnapshotStoreOptions {
-  /// Resident-snapshot byte ceiling; 0 = unlimited. One snapshot always
-  /// stays resident even when it alone exceeds the budget (the caller
-  /// needs the mask it just asked for). Only binding under an evicting
-  /// policy: "keep-all" never evicts, so a budget combined with it is
-  /// advisory (Stats() still reports both numbers) — pick "lru" or
-  /// "clock" for an enforced ceiling.
+  /// Resident-snapshot byte ceiling; 0 = unlimited. Past it the least
+  /// recently used intervals are evicted, but one snapshot always stays
+  /// resident even when it alone exceeds the budget (the caller needs
+  /// the mask it just asked for).
   size_t budget_bytes = 0;
-  /// EvictionPolicy name: "keep-all" | "lru" | "clock".
-  std::string policy = "keep-all";
-  /// Fill misses from a resident adjacent interval via the boundary
-  /// flip list instead of rebuilding from G0 when possible.
-  bool delta_builds = true;
 };
 
 /// Point-in-time counters of one store — also the payload of
 /// Router::CacheStats(), which is how ShardStats/CatalogStats surface
 /// per-shard cache behaviour.
 struct CacheStatsSnapshot {
-  /// Empty when the router has no snapshot store at all (e.g. "ntv").
-  std::string policy;
   size_t budget_bytes = 0;
   size_t resident_snapshots = 0;
   size_t resident_bytes = 0;
@@ -140,34 +140,25 @@ struct CacheStatsSnapshot {
 
   size_t builds() const { return full_builds + delta_builds; }
 
-  /// Shard/catalog aggregation (policy strings keep the first non-empty
-  /// value, or "mixed" when shards disagree).
+  /// Shard/catalog aggregation: sums every counter.
   void Accumulate(const CacheStatsSnapshot& other);
 };
 
 class SnapshotStore {
  public:
-  /// Resolves `options.policy` by name; an unknown name falls back to
-  /// "keep-all" (Construct via MakeEvictionPolicy + the policy overload
-  /// to surface the error instead). `graph` and `cps` must outlive the
-  /// store. A non-null `warm` seeds the store from a previous version:
-  /// the flip index is adopted and resident snapshots are carried per
-  /// warm->carry_plan (skipping warm->invalidate) — see SnapshotWarmStart.
+  /// `graph` and `cps` must outlive the store. A non-null `warm` seeds
+  /// the store from a previous version: the flip index is borrowed and
+  /// resident snapshots are carried per warm->carry_plan (skipping
+  /// warm->invalidate) — see SnapshotWarmStart.
   SnapshotStore(const ItGraph& graph, const CheckpointSet& cps,
                 SnapshotStoreOptions options = SnapshotStoreOptions(),
-                const SnapshotWarmStart* warm = nullptr);
-
-  /// Full control: non-null `policy` built for cps.NumIntervals().
-  SnapshotStore(const ItGraph& graph, const CheckpointSet& cps,
-                SnapshotStoreOptions options,
-                std::unique_ptr<EvictionPolicy> policy,
                 const SnapshotWarmStart* warm = nullptr);
 
   SnapshotStore(const SnapshotStore&) = delete;
   SnapshotStore& operator=(const SnapshotStore&) = delete;
 
   /// The snapshot for `interval_index`, built on miss (delta from a
-  /// resident neighbour when allowed, else from G0). The returned
+  /// resident neighbour when there is one, else from G0). The returned
   /// shared_ptr pins the snapshot: it stays valid after the store
   /// evicts that interval. When `built_now` is non-null it is set to
   /// whether this call performed a Graph_Update derivation.
@@ -198,29 +189,31 @@ class SnapshotStore {
   /// another shard's router) can never alias a previous store.
   uint64_t id() const { return id_; }
 
-  /// Store overhead + resident snapshots + the flip index.
+  /// Store overhead + resident snapshots + the flip index when the
+  /// store owns it (a borrowed warm-start index is its owner's).
   size_t MemoryUsage() const;
 
-  /// The per-boundary flip lists delta builds apply. Built at most
-  /// once, on the first delta-enabled Get (or this call), so stores
+  /// The per-boundary flip lists delta builds apply: the warm start's,
+  /// or built at most once, on the first Get (or this call), so stores
   /// that are never read pay nothing.
   const BoundaryFlipIndex& flip_index() const { return EnsureFlips(); }
 
  private:
-  /// Evicts under `mu_` until the resident set fits `budget`, never
-  /// evicting `protect`.
-  void EvictToFitLocked(size_t budget, size_t protect) const;
+  /// Evicts least-recently-used slots under `mu_` until the resident
+  /// set fits budget_bytes_ (none when it is 0), never evicting
+  /// `protect`.
+  void EvictToFitLocked(size_t protect) const;
 
-  /// Builds flips_ at most once, OUTSIDE mu_ — the O(intervals x doors)
-  /// build must never stall concurrent readers of resident snapshots.
+  /// Returns the borrowed index, or builds flips_ at most once, OUTSIDE
+  /// mu_ — the O(intervals x doors) build must never stall concurrent
+  /// readers of resident snapshots.
   const BoundaryFlipIndex& EnsureFlips() const;
 
   const ItGraph* graph_;
   const CheckpointSet* cps_;
   const uint64_t id_;
-  /// mutable: SetBudget is const (stores live behind const routers once
-  /// published) and re-targets budget_bytes under mu_.
-  mutable SnapshotStoreOptions options_;
+  /// The warm start's flip index, or null when the store builds its own.
+  const BoundaryFlipIndex* const borrowed_flips_;
   mutable std::once_flag flips_once_;
   /// Set (release) after flips_ is built; lets MemoryUsage read the
   /// index size without forcing a build.
@@ -230,7 +223,11 @@ class SnapshotStore {
   mutable std::mutex mu_;
   /// One slot per interval; null when not resident. Guarded by mu_.
   mutable std::vector<std::shared_ptr<const GraphSnapshot>> slots_;
-  mutable std::unique_ptr<EvictionPolicy> policy_;
+  /// Recency of the resident slots. Guarded by mu_, like every field
+  /// below. budget_bytes_ is mutable because SetBudget is const (stores
+  /// live behind const routers once published).
+  mutable LruOrder lru_;
+  mutable size_t budget_bytes_;
   mutable size_t resident_bytes_ = 0;
   mutable size_t resident_count_ = 0;
   mutable size_t hits_ = 0;

@@ -76,14 +76,13 @@ struct QueryOptions {
   /// ITG/A, ITG/A+: read reduced graphs from the router's shared
   /// per-interval SnapshotStore instead of rebuilding from G0 per
   /// query (extension measured in ablation_snapshot_cache). The
-  /// store's budget/policy are construction-time config
+  /// store's budget is construction-time config
   /// (RouterBuildOptions below).
   bool use_snapshot_cache = false;
 };
 
-/// Construction-time config for a query strategy — how the shared
-/// snapshot cache behaves (byte budget, eviction policy name, delta
-/// builds). Threaded through MakeRouter and the TemporalRouter
+/// Construction-time config for a query strategy — the shared snapshot
+/// cache's byte budget. Threaded through MakeRouter and the TemporalRouter
 /// constructor; NTV, which owns no snapshot store, ignores the cache
 /// settings.
 struct RouterBuildOptions {
@@ -92,7 +91,9 @@ struct RouterBuildOptions {
   /// (update/update_applier.h): the router adopts the precomputed
   /// checkpoint set and flip index instead of re-deriving them from the
   /// graph, and its snapshot store carries resident snapshots from the
-  /// previous version. Borrowed for construction only — never stored.
+  /// previous version. Borrowed for construction only — never stored —
+  /// except its flip index, which the store reads in place and which
+  /// must outlive the router.
   const SnapshotWarmStart* warm_start = nullptr;
   /// The VenueId this router answers for. Route() accepts requests
   /// whose venue_id is 0 (unaddressed) or equals the bound id, and
@@ -221,17 +222,17 @@ class Router {
 
   /// Point-in-time counters of the router's shared snapshot store —
   /// hits, misses, evictions, full-vs-delta builds, resident bytes.
-  /// Default-constructed (empty policy name) for strategies without a
-  /// store; composite routers aggregate over their shards. Thread-safe.
+  /// Default-constructed (all zero) for strategies without a store;
+  /// composite routers aggregate over their shards. Thread-safe.
   virtual CacheStatsSnapshot CacheStats() const {
     return CacheStatsSnapshot();
   }
 
   /// Re-targets the snapshot store's byte budget (0 = unlimited),
-  /// evicting immediately when over — under an evicting policy; the
-  /// default "keep-all" records the budget but never evicts. No-op for
-  /// strategies without a store. This is the hook VenueCatalog uses to
-  /// apportion a catalog-wide budget across shards. Thread-safe (const:
+  /// evicting least recently used snapshots immediately when over.
+  /// No-op for strategies without a store. This is the hook
+  /// VenueCatalog uses to apportion a catalog-wide budget across
+  /// shards. Thread-safe (const:
   /// the store synchronises internally, and the update plane publishes
   /// routers behind shared_ptr<const VersionedGraph>).
   virtual void SetSnapshotBudget(size_t budget_bytes) const {

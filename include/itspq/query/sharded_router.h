@@ -36,8 +36,7 @@ class ShardedRouter : public Router {
 
   const VenueCatalog& catalog() const { return *catalog_; }
 
-  /// Aggregates over all shards (policy name is "mixed" when shards
-  /// run different eviction policies).
+  /// Sums the counters of all shards.
   CacheStatsSnapshot CacheStats() const override;
   size_t MemoryUsage() const override;
 

@@ -64,14 +64,9 @@ const char* TvCheckName(TvCheck check);
 /// name.
 StatusOr<TvCheck> ParseTvCheck(const std::string& name);
 
-/// kNotFound when `options` names no eviction policy (including an
-/// empty name). Every path that builds a router from stored options
-/// checks here first: the store constructor itself can only fall back.
-Status ValidateBuildOptions(const RouterBuildOptions& options);
-
 /// Builds the TemporalRouter for strategy `name` (ParseTvCheck) on
-/// `graph` under `options` (snapshot-store budget/policy). Errors with
-/// kNotFound for an unknown strategy or eviction-policy name.
+/// `graph` under `options` (snapshot-store budget). Errors with
+/// kNotFound for an unknown strategy name.
 StatusOr<std::unique_ptr<Router>> MakeRouter(
     const std::string& name, const ItGraph& graph,
     const RouterBuildOptions& options = RouterBuildOptions());

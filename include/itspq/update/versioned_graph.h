@@ -44,7 +44,6 @@ class VersionedGraph {
   /// flip index are derived from the compiled graph; the router adopts
   /// them via a warm start so nothing is computed twice.
   /// `options.warm_start` is ignored (the version builds its own).
-  /// kNotFound on an unknown eviction-policy name.
   static StatusOr<std::shared_ptr<const VersionedGraph>> Build(
       Venue venue, TvCheck check,
       const RouterBuildOptions& options = RouterBuildOptions());
@@ -59,7 +58,8 @@ class VersionedGraph {
   const CheckpointSet& checkpoints() const { return router_->checkpoints(); }
   const BoundaryFlipIndex& flip_index() const { return flips_; }
 
-  /// Venue + graph + router shared state + flip index, bytes.
+  /// Venue + graph + router shared state + flip index, bytes. The flip
+  /// index is counted once: the router's store borrows it.
   size_t MemoryUsage() const;
 
  private:
@@ -73,7 +73,7 @@ class VersionedGraph {
 
   /// Compiles the checkpoint set + flip index from the boundary ledger
   /// and builds router_ with a warm start. Every construction path
-  /// validates the options and fills the ledger, then ends here.
+  /// fills the ledger, then ends here.
   Status FinishBuild(const SnapshotStore* carry_from,
                      std::vector<ptrdiff_t> carry_plan,
                      std::vector<size_t> invalidate);
@@ -81,12 +81,13 @@ class VersionedGraph {
   uint64_t epoch_ = 0;
   TvCheck check_ = TvCheck::kSynchronous;
   /// Router construction config, retained so the next epoch rebuilds
-  /// under the same policy/budget (the applier refreshes budget_bytes
+  /// under the same budget (the applier refreshes budget_bytes
   /// from the live store first). warm_start is always null here.
   RouterBuildOptions options_;
 
   // Destruction order (reverse of declaration) matters: graph_ points
-  // into venue_, router_ into graph_ (it copies the checkpoint set).
+  // into venue_, router_ into graph_ (it copies the checkpoint set) and
+  // its snapshot store reads flips_ in place.
   std::unique_ptr<Venue> venue_;
   std::unique_ptr<ItGraph> graph_;
   /// The boundary ledger: boundary_times_[i] is contributed by exactly

@@ -910,8 +910,6 @@ StatusOr<LoadedVenueWorld> ArtifactCodec::Decode(const uint8_t* data,
 
 StatusOr<std::shared_ptr<const VersionedGraph>> ArtifactCodec::BuildWorld(
     LoadedVenueWorld world, TvCheck check, const RouterBuildOptions& options) {
-  Status valid = ValidateBuildOptions(options);
-  if (!valid.ok()) return valid;
   if (world.venue == nullptr) {
     return InvalidArgumentError("BuildWorldFromArtifact: world has no venue");
   }

@@ -1,117 +1,11 @@
 #include "itgraph/snapshot_store.h"
 
 #include <algorithm>
-#include <list>
 #include <utility>
 
 namespace itspq {
 
 namespace {
-
-/// Today's behaviour as a policy: everything stays resident, so a
-/// budgeted store with "keep-all" simply stops evicting (the budget is
-/// advisory) and an unbudgeted one is the old SnapshotCache.
-class KeepAllPolicy : public EvictionPolicy {
- public:
-  const std::string& name() const override {
-    static const std::string kName = "keep-all";
-    return kName;
-  }
-  void OnInsert(size_t) override {}
-  void OnAccess(size_t) override {}
-  void OnEvict(size_t) override {}
-  bool ChooseVictim(size_t, size_t*) override { return false; }
-};
-
-/// Least-recently-used over Get() order (hits and inserts both count as
-/// uses). Interval count is small (|T|+1), so a list + iterator table
-/// is plenty.
-class LruPolicy : public EvictionPolicy {
- public:
-  explicit LruPolicy(size_t num_intervals)
-      : where_(num_intervals, order_.end()) {}
-
-  const std::string& name() const override {
-    static const std::string kName = "lru";
-    return kName;
-  }
-
-  void OnInsert(size_t interval) override { Touch(interval); }
-  void OnAccess(size_t interval) override { Touch(interval); }
-
-  void OnEvict(size_t interval) override {
-    order_.erase(where_[interval]);
-    where_[interval] = order_.end();
-  }
-
-  bool ChooseVictim(size_t protect, size_t* victim) override {
-    // Oldest first; `protect` (at most one resident interval) is
-    // skipped, so inspecting the back two suffices.
-    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-      if (*it == protect) continue;
-      *victim = *it;
-      return true;
-    }
-    return false;
-  }
-
- private:
-  void Touch(size_t interval) {
-    if (where_[interval] != order_.end()) order_.erase(where_[interval]);
-    order_.push_front(interval);
-    where_[interval] = order_.begin();
-  }
-
-  std::list<size_t> order_;  // front = most recent
-  std::vector<std::list<size_t>::iterator> where_;
-};
-
-/// Second-chance clock: a hit sets the interval's reference bit; the
-/// sweeping hand clears bits until it lands on an unreferenced resident
-/// interval. Approximates LRU without per-access list surgery.
-class ClockPolicy : public EvictionPolicy {
- public:
-  explicit ClockPolicy(size_t num_intervals)
-      : resident_(num_intervals, 0), referenced_(num_intervals, 0) {}
-
-  const std::string& name() const override {
-    static const std::string kName = "clock";
-    return kName;
-  }
-
-  void OnInsert(size_t interval) override {
-    resident_[interval] = 1;
-    referenced_[interval] = 1;
-  }
-  void OnAccess(size_t interval) override { referenced_[interval] = 1; }
-  void OnEvict(size_t interval) override {
-    resident_[interval] = 0;
-    referenced_[interval] = 0;
-  }
-
-  bool ChooseVictim(size_t protect, size_t* victim) override {
-    const size_t n = resident_.size();
-    // Two full sweeps bound the scan: the first may only be clearing
-    // reference bits, the second must find an unreferenced interval.
-    for (size_t step = 0; step < 2 * n; ++step) {
-      const size_t at = hand_;
-      hand_ = (hand_ + 1) % n;
-      if (!resident_[at] || at == protect) continue;
-      if (referenced_[at]) {
-        referenced_[at] = 0;
-        continue;
-      }
-      *victim = at;
-      return true;
-    }
-    return false;
-  }
-
- private:
-  std::vector<uint8_t> resident_;
-  std::vector<uint8_t> referenced_;
-  size_t hand_ = 0;
-};
 
 /// Store ids start at 1 so 0 stays the "no pins held" sentinel in
 /// SearchScratch::pinned_store_id.
@@ -119,27 +13,7 @@ std::atomic<uint64_t> g_next_store_id{1};
 
 }  // namespace
 
-StatusOr<std::unique_ptr<EvictionPolicy>> MakeEvictionPolicy(
-    const std::string& name, size_t num_intervals) {
-  if (name == "keep-all") {
-    return std::unique_ptr<EvictionPolicy>(new KeepAllPolicy());
-  }
-  if (name == "lru") {
-    return std::unique_ptr<EvictionPolicy>(new LruPolicy(num_intervals));
-  }
-  if (name == "clock") {
-    return std::unique_ptr<EvictionPolicy>(new ClockPolicy(num_intervals));
-  }
-  return NotFoundError("unknown eviction policy '" + name +
-                       "' (known: keep-all, lru, clock)");
-}
-
 void CacheStatsSnapshot::Accumulate(const CacheStatsSnapshot& other) {
-  if (policy.empty()) {
-    policy = other.policy;
-  } else if (!other.policy.empty() && other.policy != policy) {
-    policy = "mixed";
-  }
   budget_bytes += other.budget_bytes;
   resident_snapshots += other.resident_snapshots;
   resident_bytes += other.resident_bytes;
@@ -157,36 +31,16 @@ void CacheStatsSnapshot::Accumulate(const CacheStatsSnapshot& other) {
 SnapshotStore::SnapshotStore(const ItGraph& graph, const CheckpointSet& cps,
                              SnapshotStoreOptions options,
                              const SnapshotWarmStart* warm)
-    : SnapshotStore(graph, cps, options, nullptr, warm) {}
-
-SnapshotStore::SnapshotStore(const ItGraph& graph, const CheckpointSet& cps,
-                             SnapshotStoreOptions options,
-                             std::unique_ptr<EvictionPolicy> policy,
-                             const SnapshotWarmStart* warm)
     : graph_(&graph),
       cps_(&cps),
       id_(g_next_store_id.fetch_add(1, std::memory_order_relaxed)),
-      options_(std::move(options)),
+      borrowed_flips_(warm != nullptr ? warm->flip_index : nullptr),
       slots_(cps.NumIntervals()),
-      policy_(std::move(policy)) {
-  if (policy_ == nullptr) {
-    auto made = MakeEvictionPolicy(options_.policy, cps.NumIntervals());
-    if (!made.ok()) made = MakeEvictionPolicy("keep-all", cps.NumIntervals());
-    policy_ = *std::move(made);
+      budget_bytes_(options.budget_bytes) {
+  if (warm == nullptr || warm->carry_from == nullptr ||
+      warm->carry_plan.empty()) {
+    return;
   }
-  options_.policy = policy_->name();
-  if (warm == nullptr) return;
-
-  if (warm->flip_index != nullptr) {
-    // Adopt the incrementally patched index; call_once so a later
-    // EnsureFlips is a no-op rather than a second build.
-    std::call_once(flips_once_, [this, warm] {
-      flips_ = *warm->flip_index;
-      flips_built_.store(true, std::memory_order_release);
-    });
-  }
-
-  if (warm->carry_from == nullptr || warm->carry_plan.empty()) return;
   const SnapshotStore& prev = *warm->carry_from;
   // The construction-time carry needs no lock on *this (no other thread
   // can see a half-built store), but resident slots of the previous
@@ -221,15 +75,14 @@ SnapshotStore::SnapshotStore(const ItGraph& graph, const CheckpointSet& cps,
     slots_[j] = std::move(snap);
     resident_bytes_ += slots_[j]->TotalBytes();
     ++resident_count_;
-    policy_->OnInsert(j);
+    lru_.Touch(j);
   }
-  if (options_.budget_bytes != 0) {
-    // slots_.size() is not a valid interval: protect nothing.
-    EvictToFitLocked(options_.budget_bytes, slots_.size());
-  }
+  // slots_.size() is not a valid interval: protect nothing.
+  EvictToFitLocked(slots_.size());
 }
 
 const BoundaryFlipIndex& SnapshotStore::EnsureFlips() const {
+  if (borrowed_flips_ != nullptr) return *borrowed_flips_;
   std::call_once(flips_once_, [this] {
     flips_ = BoundaryFlipIndex::Build(*graph_, *cps_);
     flips_built_.store(true, std::memory_order_release);
@@ -242,36 +95,32 @@ std::shared_ptr<const GraphSnapshot> SnapshotStore::Get(
   if (built_now != nullptr) *built_now = false;
   // Resolve the flip index before taking the mutex: the one-time
   // O(intervals x doors) build must not block concurrent readers.
-  const BoundaryFlipIndex* flips =
-      options_.delta_builds ? &EnsureFlips() : nullptr;
+  const BoundaryFlipIndex& flips = EnsureFlips();
   std::lock_guard<std::mutex> lock(mu_);
   std::shared_ptr<const GraphSnapshot>& slot = slots_[interval_index];
   if (slot != nullptr) {
     ++hits_;
-    policy_->OnAccess(interval_index);
+    lru_.Touch(interval_index);
     return slot;
   }
 
   ++misses_;
   std::shared_ptr<const GraphSnapshot> snap;
-  if (flips != nullptr) {
-    // Either resident neighbour works; adjacency is symmetric.
-    const GraphSnapshot* neighbour = nullptr;
-    if (interval_index > 0 && slots_[interval_index - 1] != nullptr) {
-      neighbour = slots_[interval_index - 1].get();
-    } else if (interval_index + 1 < slots_.size() &&
-               slots_[interval_index + 1] != nullptr) {
-      neighbour = slots_[interval_index + 1].get();
-    }
-    if (neighbour != nullptr) {
-      size_t touched = 0;
-      snap = std::make_shared<GraphSnapshot>(BuildSnapshotDelta(
-          *graph_, *cps_, *flips, *neighbour, interval_index, &touched));
-      ++delta_builds_;
-      delta_door_touches_ += touched;
-    }
+  // Either resident neighbour works; adjacency is symmetric.
+  const GraphSnapshot* neighbour = nullptr;
+  if (interval_index > 0 && slots_[interval_index - 1] != nullptr) {
+    neighbour = slots_[interval_index - 1].get();
+  } else if (interval_index + 1 < slots_.size() &&
+             slots_[interval_index + 1] != nullptr) {
+    neighbour = slots_[interval_index + 1].get();
   }
-  if (snap == nullptr) {
+  if (neighbour != nullptr) {
+    size_t touched = 0;
+    snap = std::make_shared<GraphSnapshot>(BuildSnapshotDelta(
+        *graph_, *cps_, flips, *neighbour, interval_index, &touched));
+    ++delta_builds_;
+    delta_door_touches_ += touched;
+  } else {
     snap = std::make_shared<GraphSnapshot>(
         BuildSnapshot(*graph_, *cps_, interval_index));
     ++full_builds_;
@@ -281,17 +130,16 @@ std::shared_ptr<const GraphSnapshot> SnapshotStore::Get(
   slot = snap;
   resident_bytes_ += snap->TotalBytes();
   ++resident_count_;
-  policy_->OnInsert(interval_index);
-  if (options_.budget_bytes != 0) {
-    EvictToFitLocked(options_.budget_bytes, interval_index);
-  }
+  lru_.Touch(interval_index);
+  EvictToFitLocked(interval_index);
   return snap;
 }
 
-void SnapshotStore::EvictToFitLocked(size_t budget, size_t protect) const {
-  while (resident_bytes_ > budget) {
+void SnapshotStore::EvictToFitLocked(size_t protect) const {
+  if (budget_bytes_ == 0) return;  // unlimited
+  while (resident_bytes_ > budget_bytes_) {
     size_t victim = 0;
-    if (!policy_->ChooseVictim(protect, &victim)) break;
+    if (!lru_.Victim(protect, &victim)) break;
     std::shared_ptr<const GraphSnapshot>& slot = slots_[victim];
     resident_bytes_ -= slot->TotalBytes();
     // Readers holding the shared_ptr keep the mask alive; the store
@@ -299,7 +147,7 @@ void SnapshotStore::EvictToFitLocked(size_t budget, size_t protect) const {
     slot.reset();
     --resident_count_;
     ++evictions_;
-    policy_->OnEvict(victim);
+    lru_.Forget(victim);
   }
 }
 
@@ -317,25 +165,22 @@ size_t SnapshotStore::InvalidateIntervals(
     --resident_count_;
     ++invalidated_;
     ++dropped;
-    policy_->OnEvict(interval);
+    lru_.Forget(interval);
   }
   return dropped;
 }
 
 void SnapshotStore::SetBudget(size_t budget_bytes) const {
   std::lock_guard<std::mutex> lock(mu_);
-  options_.budget_bytes = budget_bytes;
-  if (budget_bytes != 0) {
-    // slots_.size() is not a valid interval: protect nothing.
-    EvictToFitLocked(budget_bytes, slots_.size());
-  }
+  budget_bytes_ = budget_bytes;
+  // slots_.size() is not a valid interval: protect nothing.
+  EvictToFitLocked(slots_.size());
 }
 
 CacheStatsSnapshot SnapshotStore::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   CacheStatsSnapshot stats;
-  stats.policy = policy_->name();
-  stats.budget_bytes = options_.budget_bytes;
+  stats.budget_bytes = budget_bytes_;
   stats.resident_snapshots = resident_count_;
   stats.resident_bytes = resident_bytes_;
   stats.hits = hits_;

@@ -474,17 +474,11 @@ StatusOr<TvCheck> ParseTvCheck(const std::string& name) {
   return NotFoundError("unknown router '" + name + "'");
 }
 
-Status ValidateBuildOptions(const RouterBuildOptions& options) {
-  return MakeEvictionPolicy(options.snapshot_cache.policy, 1).status();
-}
-
 StatusOr<std::unique_ptr<Router>> MakeRouter(const std::string& name,
                                              const ItGraph& graph,
                                              const RouterBuildOptions& options) {
   auto check = ParseTvCheck(name);
   if (!check.ok()) return check.status();
-  Status valid = ValidateBuildOptions(options);
-  if (!valid.ok()) return valid;
   return std::unique_ptr<Router>(
       std::make_unique<TemporalRouter>(graph, *check, options));
 }

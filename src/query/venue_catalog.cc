@@ -12,7 +12,7 @@ VenueCatalog::VenueCatalog(VenueCatalog&& other) noexcept
     : shards_(std::move(other.shards_)),
       residency_engaged_(
           other.residency_engaged_.load(std::memory_order_relaxed)),
-      residency_policy_(std::move(other.residency_policy_)),
+      residency_lru_(std::move(other.residency_lru_)),
       residency_budget_bytes_(other.residency_budget_bytes_),
       resident_lazy_bytes_(other.resident_lazy_bytes_),
       shard_evictions_(other.shard_evictions_),
@@ -24,7 +24,7 @@ VenueCatalog& VenueCatalog::operator=(VenueCatalog&& other) noexcept {
     residency_engaged_.store(
         other.residency_engaged_.load(std::memory_order_relaxed),
         std::memory_order_relaxed);
-    residency_policy_ = std::move(other.residency_policy_);
+    residency_lru_ = std::move(other.residency_lru_);
     residency_budget_bytes_ = other.residency_budget_bytes_;
     resident_lazy_bytes_ = other.resident_lazy_bytes_;
     shard_evictions_ = other.shard_evictions_;
@@ -38,8 +38,6 @@ StatusOr<std::unique_ptr<VenueCatalog::Shard>> VenueCatalog::NewShard(
     std::string label) const {
   auto check = ParseTvCheck(strategy);
   if (!check.ok()) return check.status();
-  Status valid = ValidateBuildOptions(options);
-  if (!valid.ok()) return valid;
   auto shard = std::make_unique<Shard>();
   shard->check = *check;
   shard->build_options = options;
@@ -96,13 +94,13 @@ StatusOr<std::shared_ptr<const VersionedGraph>> VenueCatalog::EnsureResident(
   const Shard& s = shard(id);
   std::shared_ptr<const VersionedGraph> world = std::atomic_load(&s.world);
   if (world != nullptr) {
-    // Hot hit. Touch the eviction policy only when a budget is engaged
-    // and the shard is actually in the evictable pool.
+    // Hot hit. Touch the LRU order only when a budget is engaged and
+    // the shard is actually in the evictable pool.
     if (s.lazy && residency_engaged_.load(std::memory_order_acquire) &&
         !s.unevictable.load(std::memory_order_relaxed)) {
       std::lock_guard<std::mutex> lock(residency_mu_);
-      if (s.policy_tracked) {
-        residency_policy_->OnAccess(static_cast<size_t>(id));
+      if (residency_lru_.Tracked(static_cast<size_t>(id))) {
+        residency_lru_.Touch(static_cast<size_t>(id));
       }
     }
     return world;
@@ -141,11 +139,8 @@ StatusOr<std::shared_ptr<const VersionedGraph>> VenueCatalog::LoadShardLocked(
         s.resident_bytes == 0) {
       s.resident_bytes = world->MemoryUsage();
       resident_lazy_bytes_ += s.resident_bytes;
-      if (residency_policy_ != nullptr && !s.policy_tracked) {
-        residency_policy_->OnInsert(static_cast<size_t>(id));
-        s.policy_tracked = true;
-        EvictToFitLocked(static_cast<size_t>(id));
-      }
+      residency_lru_.Touch(static_cast<size_t>(id));
+      EvictToFitLocked(static_cast<size_t>(id));
     }
   }
   return world;
@@ -154,26 +149,20 @@ StatusOr<std::shared_ptr<const VersionedGraph>> VenueCatalog::LoadShardLocked(
 void VenueCatalog::PinResidentLocked(const Shard& s, VenueId id) const {
   if (!s.lazy || s.unevictable.load(std::memory_order_relaxed)) return;
   s.unevictable.store(true, std::memory_order_relaxed);
-  if (!residency_engaged_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(residency_mu_);
-  if (s.policy_tracked) {
-    // Untrack without dropping the world: the policy's OnEvict is its
-    // "forget this id" hook, the published pointer stays.
-    residency_policy_->OnEvict(static_cast<size_t>(id));
-    s.policy_tracked = false;
-  }
+  // Untrack without dropping the world: the published pointer stays.
+  residency_lru_.Forget(static_cast<size_t>(id));
   resident_lazy_bytes_ -= s.resident_bytes;
   s.resident_bytes = 0;
 }
 
 void VenueCatalog::EvictToFitLocked(size_t protect) const {
-  if (residency_policy_ == nullptr || residency_budget_bytes_ == 0) return;
+  if (residency_budget_bytes_ == 0) return;  // unlimited
   while (resident_lazy_bytes_ > residency_budget_bytes_) {
     size_t victim = 0;
-    if (!residency_policy_->ChooseVictim(protect, &victim)) break;
+    if (!residency_lru_.Victim(protect, &victim)) break;
     const Shard& v = *shards_[victim];
-    residency_policy_->OnEvict(victim);
-    v.policy_tracked = false;
+    residency_lru_.Forget(victim);
     resident_lazy_bytes_ -= v.resident_bytes;
     v.resident_bytes = 0;
     // Readers that pinned this world finish on it; the slot going null
@@ -185,15 +174,16 @@ void VenueCatalog::EvictToFitLocked(size_t protect) const {
 
 Status VenueCatalog::SetResidencyBudget(size_t budget_bytes,
                                         const std::string& policy) {
-  auto made = MakeEvictionPolicy(policy, shards_.size());
-  if (!made.ok()) return made.status();
+  if (policy != "lru") {
+    return NotFoundError("unknown residency policy '" + policy +
+                         "' (known: lru)");
+  }
   std::lock_guard<std::mutex> lock(residency_mu_);
-  residency_policy_ = std::move(*made);
+  residency_lru_ = LruOrder();
   residency_budget_bytes_ = budget_bytes;
   resident_lazy_bytes_ = 0;
   for (size_t i = 0; i < shards_.size(); ++i) {
     const Shard& s = *shards_[i];
-    s.policy_tracked = false;
     s.resident_bytes = 0;
     if (!s.lazy || s.unevictable.load(std::memory_order_relaxed)) continue;
     const std::shared_ptr<const VersionedGraph> world =
@@ -201,8 +191,7 @@ Status VenueCatalog::SetResidencyBudget(size_t budget_bytes,
     if (world == nullptr) continue;
     s.resident_bytes = world->MemoryUsage();
     resident_lazy_bytes_ += s.resident_bytes;
-    residency_policy_->OnInsert(i);
-    s.policy_tracked = true;
+    residency_lru_.Touch(i);
   }
   EvictToFitLocked(/*protect=*/shards_.size());
   residency_engaged_.store(true, std::memory_order_release);

@@ -6,8 +6,6 @@ namespace itspq {
 
 StatusOr<std::shared_ptr<const VersionedGraph>> VersionedGraph::Build(
     Venue venue, TvCheck check, const RouterBuildOptions& options) {
-  Status valid = ValidateBuildOptions(options);
-  if (!valid.ok()) return valid;
   // shared_ptr<VersionedGraph> first so FinishBuild can run on a
   // non-const object; published as const.
   std::shared_ptr<VersionedGraph> version(new VersionedGraph());

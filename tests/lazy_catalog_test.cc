@@ -203,26 +203,6 @@ TEST_F(LazyCatalogTest, ColdShardReadsEpochZeroWithoutLoading) {
   EXPECT_FALSE(lazy.IsResident(0));
 }
 
-// A lazy shard builds its router from the stored options at every load,
-// so an eviction policy that names nothing must fail registration —
-// catalog untouched — rather than leave a shard that can never load.
-TEST_F(LazyCatalogTest, BadEvictionPolicyIsRejectedAtRegistration) {
-  VenueCatalog catalog;
-  RouterBuildOptions bad_policy;
-  bad_policy.snapshot_cache.policy = "no-such-policy";
-  auto rejected =
-      catalog.AddArtifactShard(ArtifactPath(0), "itg-a+", "", bad_policy);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(catalog.NumVenues(), 0u);
-  EXPECT_FALSE(catalog.Contains(0));
-
-  const VenueId id = ValueOrDie(
-      catalog.AddArtifactShard(ArtifactPath(0), "itg-a+"), "AddArtifactShard");
-  EXPECT_EQ(id, 0);
-  EXPECT_TRUE(catalog.EnsureResident(id).ok());
-}
-
 // The load-failure path still reconciles the shard ledger: a query
 // that dies in EnsureResident (artifact corrupted after registration)
 // must land in queries_served AND route_errors together — not one
@@ -296,21 +276,32 @@ TEST_F(LazyCatalogTest, BudgetEvictsColdShardsAndAnswersStayIdentical) {
   EXPECT_LT(stats.resident_shards, kFleetSize);
   EXPECT_GT(stats.load_latency.total, 0u);
 
-  // keep-all is the advisory escape hatch: same tiny budget, no
-  // evictions ever.
-  VenueCatalog advisory = MakeLazyCatalog();
-  ASSERT_TRUE(advisory.SetResidencyBudget(1, "keep-all").ok());
-  QueryContext advisory_context;
-  ShardedRouter advisory_router(advisory);
-  for (const QueryRequest& request : requests) {
-    ASSERT_TRUE(advisory_router.Route(request, &advisory_context).ok());
-  }
-  EXPECT_EQ(advisory.Stats().total_shard_evictions, 0u);
-  EXPECT_EQ(advisory.Stats().total_loads, kFleetSize);
-
   // Unknown policies are rejected up front.
   EXPECT_EQ(lazy.SetResidencyBudget(budget, "no-such-policy").code(),
             StatusCode::kNotFound);
+}
+
+// The exact residency victim order: with room for any two of shards
+// 0-2 but not all three, re-reading shard 0 makes shard 1 the least
+// recently used, so loading shard 2 evicts 1 and leaves 0 and 2
+// resident.
+TEST_F(LazyCatalogTest, LruEvictsLeastRecentlyUsedShard) {
+  VenueCatalog probe = MakeLazyCatalog();
+  size_t three_shards = 0;
+  for (VenueId id : {0, 1, 2}) {
+    three_shards +=
+        ValueOrDie(probe.EnsureResident(id), "probe")->MemoryUsage();
+  }
+
+  VenueCatalog lazy = MakeLazyCatalog();
+  ASSERT_TRUE(lazy.SetResidencyBudget(three_shards - 1, "lru").ok());
+  for (VenueId id : {0, 1, 0, 2}) {
+    ASSERT_TRUE(lazy.EnsureResident(id).ok()) << id;
+  }
+  EXPECT_EQ(lazy.Stats().total_shard_evictions, 1u);
+  EXPECT_TRUE(lazy.IsResident(0));
+  EXPECT_FALSE(lazy.IsResident(1));
+  EXPECT_TRUE(lazy.IsResident(2));
 }
 
 TEST_F(LazyCatalogTest, UpdatedShardIsPinnedAndNeverEvicted) {

@@ -418,56 +418,52 @@ TEST(CrossStrategyPropertyTest, MidnightWrapAti) {
 }
 
 // The eviction-transparency property: a SnapshotStore squeezed to two
-// resident snapshots (forcing evictions all day) must answer the
-// randomized workload bit-identically to the unbudgeted keep-all
-// store — eviction may cost rebuilds, never correctness.
+// resident snapshots (forcing LRU evictions all day) must answer the
+// randomized workload bit-identically to an unbudgeted store —
+// eviction may cost rebuilds, never correctness.
 TEST(CrossStrategyPropertyTest, BudgetedEvictingStoresMatchKeepAll) {
   for (uint64_t seed : {11u, 22u}) {
     PropertyWorld world = MakeWorld(seed);
-    auto keep_all = ValueOrDie(MakeRouter("itg-a+", *world.graph), "keep-all");
+    auto unbudgeted =
+        ValueOrDie(MakeRouter("itg-a+", *world.graph), "unbudgeted");
 
     const CheckpointSet cps = CheckpointSet::FromGraph(*world.graph);
     const size_t snap_bytes = BuildSnapshot(*world.graph, cps, 0).TotalBytes();
-    for (const char* policy : {"lru", "clock"}) {
-      RouterBuildOptions tight;
-      tight.snapshot_cache.policy = policy;
-      // Two resident snapshots — far below |T|+1 intervals, so the
-      // store evicts continuously.
-      tight.snapshot_cache.budget_bytes = 2 * snap_bytes;
-      auto evicting =
-          ValueOrDie(MakeRouter("itg-a+", *world.graph, tight), policy);
+    RouterBuildOptions tight;
+    // Two resident snapshots — far below |T|+1 intervals, so the store
+    // evicts continuously.
+    tight.snapshot_cache.budget_bytes = 2 * snap_bytes;
+    auto evicting =
+        ValueOrDie(MakeRouter("itg-a+", *world.graph, tight), "evicting");
 
-      QueryOptions cached;
-      cached.use_snapshot_cache = true;
-      QueryContext context;
-      for (size_t pair = 0; pair < world.queries.size(); ++pair) {
-        const QueryInstance& q = world.queries[pair];
-        for (int hour : {3, 7, 9, 11, 13, 15, 17, 19, 21, 23}) {
-          const QueryRequest request{q.ps, q.pt, Instant::FromHMS(hour),
-                                     cached};
-          const std::string where = std::string(policy) + " seed " +
-                                    std::to_string(seed) + " pair " +
-                                    std::to_string(pair) + " hour " +
-                                    std::to_string(hour);
-          auto full = keep_all->Route(request, &context);
-          auto tight_result = evicting->Route(request, &context);
-          ASSERT_TRUE(full.ok()) << where;
-          ASSERT_TRUE(tight_result.ok()) << where;
-          EXPECT_EQ(full->found, tight_result->found) << where;
-          if (full->found && tight_result->found) {
-            EXPECT_EQ(full->path.length_m(), tight_result->path.length_m())
-                << where;
-            EXPECT_EQ(full->path.steps().size(),
-                      tight_result->path.steps().size())
-                << where;
-          }
+    QueryOptions cached;
+    cached.use_snapshot_cache = true;
+    QueryContext context;
+    for (size_t pair = 0; pair < world.queries.size(); ++pair) {
+      const QueryInstance& q = world.queries[pair];
+      for (int hour : {3, 7, 9, 11, 13, 15, 17, 19, 21, 23}) {
+        const QueryRequest request{q.ps, q.pt, Instant::FromHMS(hour),
+                                   cached};
+        const std::string where = "seed " + std::to_string(seed) + " pair " +
+                                  std::to_string(pair) + " hour " +
+                                  std::to_string(hour);
+        auto full = unbudgeted->Route(request, &context);
+        auto tight_result = evicting->Route(request, &context);
+        ASSERT_TRUE(full.ok()) << where;
+        ASSERT_TRUE(tight_result.ok()) << where;
+        EXPECT_EQ(full->found, tight_result->found) << where;
+        if (full->found && tight_result->found) {
+          EXPECT_EQ(full->path.length_m(), tight_result->path.length_m())
+              << where;
+          EXPECT_EQ(full->path.steps().size(),
+                    tight_result->path.steps().size())
+              << where;
         }
       }
-      const CacheStatsSnapshot stats = evicting->CacheStats();
-      EXPECT_EQ(stats.policy, policy);
-      EXPECT_GT(stats.evictions, 0u) << policy << ": budget never bound";
-      EXPECT_LE(stats.resident_bytes, tight.snapshot_cache.budget_bytes);
     }
+    const CacheStatsSnapshot stats = evicting->CacheStats();
+    EXPECT_GT(stats.evictions, 0u) << "budget never bound";
+    EXPECT_LE(stats.resident_bytes, tight.snapshot_cache.budget_bytes);
   }
 }
 

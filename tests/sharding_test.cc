@@ -130,17 +130,6 @@ TEST(VenueCatalogTest, AddVenueUnknownStrategyLeavesCatalogUnchanged) {
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(*first, 0);
   EXPECT_EQ(catalog.NumVenues(), 1u);
-
-  // A bad snapshot-store policy is caught before the shard lands too.
-  RouterBuildOptions bad_policy;
-  bad_policy.snapshot_cache.policy = "no-such-policy";
-  auto rejected =
-      catalog.AddVenue(std::move((*fleet)[2]), "itg-a+", "", bad_policy);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(catalog.NumVenues(), 1u);
-  EXPECT_EQ(catalog.label(0), "venue-0");
-  EXPECT_FALSE(catalog.Contains(1));
 }
 
 TEST(ShardedRouterTest, DispatchesByVenueId) {
@@ -278,7 +267,6 @@ TEST(VenueCatalogTest, StatsCountTrafficPerShardAndAggregate) {
   // The itg-a+ shard derived reduced graphs through its shared store,
   // and the store's counters thread through ShardStats.
   EXPECT_GT(after.shards[1].cache.builds(), 0u);
-  EXPECT_EQ(after.shards[1].cache.policy, "keep-all");  // the default
   EXPECT_EQ(after.shards[1].cache.misses, after.shards[1].cache.builds());
   EXPECT_EQ(after.shards[1].cache.evictions, 0u);  // unbudgeted
   EXPECT_GT(after.shards[1].cache.resident_bytes, 0u);
@@ -308,14 +296,12 @@ TEST(VenueCatalogTest, ApportionSnapshotBudgetSqueezesShardsSafely) {
   std::vector<Venue> fleet_b =
       ValueOrDie(GenerateVenueFleet(config), "GenerateVenueFleet");
 
-  RouterBuildOptions lru;
-  lru.snapshot_cache.policy = "lru";
   VenueCatalog unbudgeted, budgeted;
   for (size_t i = 0; i < fleet_a.size(); ++i) {
     (void)ValueOrDie(unbudgeted.AddVenue(std::move(fleet_a[i]), "itg-a+"),
                      "add");
     (void)ValueOrDie(
-        budgeted.AddVenue(std::move(fleet_b[i]), "itg-a+", "", lru), "add");
+        budgeted.AddVenue(std::move(fleet_b[i]), "itg-a+"), "add");
   }
   ShardedRouter reference(unbudgeted);
   ShardedRouter squeezed(budgeted);
@@ -354,12 +340,10 @@ TEST(VenueCatalogTest, ApportionSnapshotBudgetSqueezesShardsSafely) {
   for (const ShardStats& s : stats.shards) {
     EXPECT_EQ(s.cache.budget_bytes, total_budget / stats.shards.size())
         << s.label;
-    EXPECT_EQ(s.cache.policy, "lru") << s.label;
     EXPECT_LE(s.cache.resident_bytes, s.cache.budget_bytes) << s.label;
   }
   EXPECT_EQ(stats.total_cache.budget_bytes,
             (total_budget / stats.shards.size()) * stats.shards.size());
-  EXPECT_EQ(stats.total_cache.policy, "lru");
 }
 
 // Apportioning fewer bytes than shards must stay a binding budget, not
@@ -367,8 +351,6 @@ TEST(VenueCatalogTest, ApportionSnapshotBudgetSqueezesShardsSafely) {
 // in keep-one-snapshot mode, and answers exactly like an unbudgeted
 // catalog. Apportioning 0 is the documented way back to unlimited.
 TEST(VenueCatalogTest, ApportionMoreShardsThanBytesDegradesGracefully) {
-  RouterBuildOptions lru;
-  lru.snapshot_cache.policy = "lru";
   VenueCatalog reference_catalog, squeezed_catalog;
   for (VenueCatalog* catalog : {&reference_catalog, &squeezed_catalog}) {
     FleetConfig config;
@@ -379,7 +361,7 @@ TEST(VenueCatalogTest, ApportionMoreShardsThanBytesDegradesGracefully) {
     std::vector<Venue> fleet =
         ValueOrDie(GenerateVenueFleet(config), "GenerateVenueFleet");
     for (Venue& venue : fleet) {
-      (void)ValueOrDie(catalog->AddVenue(std::move(venue), "itg-a+", "", lru),
+      (void)ValueOrDie(catalog->AddVenue(std::move(venue), "itg-a+"),
                        "AddVenue");
     }
   }

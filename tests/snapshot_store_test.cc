@@ -1,7 +1,7 @@
 // The snapshot layer: bit-packed DoorMask snapshots, the boundary flip
-// index, delta-vs-full Graph_Update builds, and the budgeted,
-// policy-pluggable SnapshotStore (eviction correctness, pinned readers,
-// an 8-thread pin/evict hammer the tsan CI preset race-checks).
+// index, delta-vs-full Graph_Update builds, and the budgeted LRU
+// SnapshotStore (eviction order and correctness, pinned readers, an
+// 8-thread pin/evict hammer the tsan CI preset race-checks).
 
 #include <gtest/gtest.h>
 
@@ -167,20 +167,9 @@ TEST(GraphSnapshotTest, DeltaBuildMatchesFullBuildBothDirections) {
   }
 }
 
-TEST(EvictionPolicyTest, FactoryResolvesKnownNamesAndRejectsUnknown) {
-  for (const char* name : {"keep-all", "lru", "clock"}) {
-    auto policy = MakeEvictionPolicy(name, 8);
-    ASSERT_TRUE(policy.ok()) << name;
-    EXPECT_EQ((*policy)->name(), name);
-  }
-  auto unknown = MakeEvictionPolicy("fifo", 8);
-  ASSERT_FALSE(unknown.ok());
-  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
-}
-
 TEST(SnapshotStoreTest, KeepAllMemoisesAndNeverEvicts) {
   StoreWorld world = MakeWorld();
-  SnapshotStoreOptions options;  // keep-all, unlimited — the old cache
+  SnapshotStoreOptions options;  // unlimited — the old cache
   SnapshotStore store(*world.graph, world.cps, options);
 
   bool built_now = false;
@@ -192,7 +181,6 @@ TEST(SnapshotStoreTest, KeepAllMemoisesAndNeverEvicts) {
 
   for (size_t i = 0; i < store.NumIntervals(); ++i) (void)store.Get(i);
   const CacheStatsSnapshot stats = store.Stats();
-  EXPECT_EQ(stats.policy, "keep-all");
   EXPECT_EQ(stats.evictions, 0u);
   EXPECT_EQ(stats.resident_snapshots, store.NumIntervals());
   EXPECT_EQ(stats.misses, store.NumIntervals());
@@ -206,7 +194,6 @@ TEST(SnapshotStoreTest, EvictedIntervalRebuildsBitIdentical) {
   // the previous one.
   const GraphSnapshot probe = BuildSnapshot(*world.graph, world.cps, 0);
   SnapshotStoreOptions options;
-  options.policy = "lru";
   options.budget_bytes = SnapBytes(probe);
   SnapshotStore store(*world.graph, world.cps, options);
   ASSERT_GE(store.NumIntervals(), 3u);
@@ -235,35 +222,34 @@ TEST(SnapshotStoreTest, EvictedIntervalRebuildsBitIdentical) {
   EXPECT_EQ(store.Stats().misses, misses_before + 1);
 }
 
-TEST(SnapshotStoreTest, ClockPolicyEvictsAndRebuildsCorrectly) {
+// The exact LRU victim order: under a two-snapshot budget, re-reading
+// interval 0 makes interval 1 the least recently used, so the miss on
+// interval 2 evicts 1 and leaves 0 and 2 resident.
+TEST(SnapshotStoreTest, LruEvictsLeastRecentlyUsedInterval) {
   StoreWorld world = MakeWorld();
   const GraphSnapshot probe = BuildSnapshot(*world.graph, world.cps, 0);
   SnapshotStoreOptions options;
-  options.policy = "clock";
   options.budget_bytes = 2 * SnapBytes(probe);
   SnapshotStore store(*world.graph, world.cps, options);
+  ASSERT_GE(store.NumIntervals(), 3u);
 
-  // Reference masks straight from the builder.
-  std::vector<DoorMask> expect;
-  for (size_t i = 0; i < store.NumIntervals(); ++i) {
-    expect.push_back(BuildSnapshot(*world.graph, world.cps, i).open);
-  }
-  // Three passes over all intervals under a two-snapshot budget: every
-  // mask handed out must match its from-G0 derivation.
-  for (int pass = 0; pass < 3; ++pass) {
-    for (size_t i = 0; i < store.NumIntervals(); ++i) {
-      EXPECT_EQ(store.Get(i)->open, expect[i]) << "pass " << pass << " interval " << i;
-    }
-  }
-  const CacheStatsSnapshot stats = store.Stats();
-  EXPECT_EQ(stats.policy, "clock");
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_LE(stats.resident_bytes, options.budget_bytes);
+  for (size_t interval : {0u, 1u, 0u, 2u}) (void)store.Get(interval);
+  CacheStatsSnapshot stats = store.Stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.resident_snapshots, 2u);
+
+  bool built_now = true;
+  (void)store.Get(0, &built_now);
+  EXPECT_FALSE(built_now) << "interval 0 was evicted";
+  (void)store.Get(2, &built_now);
+  EXPECT_FALSE(built_now) << "interval 2 was evicted";
+  (void)store.Get(1, &built_now);
+  EXPECT_TRUE(built_now) << "interval 1 stayed resident";
 }
 
 TEST(SnapshotStoreTest, DeltaBuildsServeMissesWithinFlipBudget) {
   StoreWorld world = MakeWorld();
-  SnapshotStoreOptions options;  // unlimited keep-all, delta on
+  SnapshotStoreOptions options;  // unlimited
   SnapshotStore store(*world.graph, world.cps, options);
   const BoundaryFlipIndex& flips = store.flip_index();
 
@@ -290,30 +276,10 @@ TEST(SnapshotStoreTest, DeltaBuildsServeMissesWithinFlipBudget) {
   }
 }
 
-TEST(SnapshotStoreTest, DeltaDisabledFallsBackToFullBuilds) {
-  StoreWorld world = MakeWorld();
-  SnapshotStoreOptions options;
-  options.delta_builds = false;
-  SnapshotStore store(*world.graph, world.cps, options);
-  for (size_t i = 0; i < store.NumIntervals(); ++i) (void)store.Get(i);
-  const CacheStatsSnapshot stats = store.Stats();
-  EXPECT_EQ(stats.full_builds, store.NumIntervals());
-  EXPECT_EQ(stats.delta_builds, 0u);
-  EXPECT_EQ(stats.delta_door_touches, 0u);
-}
-
-TEST(SnapshotStoreTest, UnknownPolicyFallsBackToKeepAll) {
-  StoreWorld world = MakeWorld();
-  SnapshotStoreOptions options;
-  options.policy = "no-such-policy";
-  SnapshotStore store(*world.graph, world.cps, options);
-  EXPECT_EQ(store.Stats().policy, "keep-all");
-}
-
 TEST(SnapshotStoreTest, SetBudgetEvictsImmediately) {
   StoreWorld world = MakeWorld();
   SnapshotStoreOptions options;
-  options.policy = "lru";  // unlimited budget to start
+  // Unlimited budget to start.
   SnapshotStore store(*world.graph, world.cps, options);
   for (size_t i = 0; i < store.NumIntervals(); ++i) (void)store.Get(i);
   ASSERT_EQ(store.Stats().resident_snapshots, store.NumIntervals());
@@ -332,12 +298,10 @@ TEST(SnapshotStoreTest, SetBudgetEvictsImmediately) {
 // Budget edge cases the store must degrade through gracefully — never
 // crash, never hand out a wrong mask.
 
-// budget_bytes = 0 is "unlimited", even under an evicting policy: lru
-// with no budget behaves exactly like keep-all.
+// budget_bytes = 0 is "unlimited": the LRU never evicts.
 TEST(SnapshotStoreBudgetEdgeTest, ZeroBudgetMeansUnlimitedUnderLru) {
   StoreWorld world = MakeWorld();
   SnapshotStoreOptions options;
-  options.policy = "lru";
   options.budget_bytes = 0;
   SnapshotStore store(*world.graph, world.cps, options);
   for (int pass = 0; pass < 2; ++pass) {
@@ -359,7 +323,6 @@ TEST(SnapshotStoreBudgetEdgeTest, ZeroBudgetMeansUnlimitedUnderLru) {
 TEST(SnapshotStoreBudgetEdgeTest, BudgetBelowOneSnapshotKeepsExactlyOne) {
   StoreWorld world = MakeWorld();
   SnapshotStoreOptions options;
-  options.policy = "lru";
   options.budget_bytes = 1;  // smaller than any snapshot
   SnapshotStore store(*world.graph, world.cps, options);
   ASSERT_GE(store.NumIntervals(), 2u);
@@ -382,7 +345,6 @@ TEST(SnapshotStoreBudgetEdgeTest, BudgetBelowOneSnapshotKeepsExactlyOne) {
 TEST(SnapshotStoreBudgetEdgeTest, SetBudgetBelowOneSnapshotCollapsesToOne) {
   StoreWorld world = MakeWorld();
   SnapshotStoreOptions options;
-  options.policy = "clock";
   SnapshotStore store(*world.graph, world.cps, options);
   for (size_t i = 0; i < store.NumIntervals(); ++i) (void)store.Get(i);
   ASSERT_EQ(store.Stats().resident_snapshots, store.NumIntervals());
@@ -414,7 +376,6 @@ TEST(SnapshotStoreConcurrencyTest, PinEvictHammer) {
   StoreWorld world = MakeWorld();
   const GraphSnapshot probe = BuildSnapshot(*world.graph, world.cps, 0);
   SnapshotStoreOptions options;
-  options.policy = "lru";
   options.budget_bytes = SnapBytes(probe);
   SnapshotStore store(*world.graph, world.cps, options);
   const size_t intervals = store.NumIntervals();

@@ -183,6 +183,25 @@ TEST(VersionedGraphTest, LedgerFlipIndexMatchesProbeBuild) {
   }
 }
 
+// The router's snapshot store reads the version's flip index in place,
+// so an itg-a+ version costs exactly one empty slot table more than the
+// store-less ntv version of the same venue: the flip CSR is counted once.
+TEST(VersionedGraphTest, MemoryUsageCountsFlipIndexOnce) {
+  auto with_store = ValueOrDie(
+      VersionedGraph::Build(MakeVariedVenue(), TvCheck::kAsynchronousStrict),
+      "Build");
+  auto without_store = ValueOrDie(
+      VersionedGraph::Build(MakeVariedVenue(), TvCheck::kNone), "Build");
+  const SnapshotStore* store = with_store->router().snapshot_store();
+  ASSERT_NE(store, nullptr);
+  ASSERT_GT(with_store->flip_index().TotalFlips(), 0u);
+  const size_t slot_table =
+      store->NumIntervals() * sizeof(std::shared_ptr<const GraphSnapshot>);
+  EXPECT_EQ(store->MemoryUsage(), slot_table);
+  EXPECT_EQ(with_store->MemoryUsage(),
+            without_store->MemoryUsage() + slot_table);
+}
+
 TEST(VersionedGraphTest, LedgerStaysConsistentAcrossUpdates) {
   auto world = ValueOrDie(
       VersionedGraph::Build(MakeVariedVenue(), TvCheck::kAsynchronousStrict), "Build");
