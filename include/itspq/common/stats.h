@@ -42,6 +42,9 @@ struct SearchStats {
   double search_micros = 0;
   size_t peak_memory_bytes = 0;
   size_t doors_popped = 0;
+  /// Adjacency entries in the CSR segments the search walked, counted
+  /// per segment whether or not the neighbour was already settled.
+  size_t edges_scanned = 0;
   /// Number of Graph_Update reduced-graph (re)builds this query.
   size_t graph_updates = 0;
 };

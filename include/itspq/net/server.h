@@ -14,6 +14,8 @@
 // Threading: one accept thread, one reader per connection. The reader
 // reserves a reply slot per query and submits it through the service's
 // callback primitive (an idle interactive query is routed right there).
+// A reader owed nothing spins up to 50 µs for the next frame of a peer
+// whose last frame came that fast, and only then parks in recv.
 // The completing thread fills the slot and writes the ready head slots
 // in order, with MSG_DONTWAIT; bytes the socket refuses wait in an
 // outbox the reader flushes, and a peer whose outbox has not drained

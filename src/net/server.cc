@@ -16,11 +16,27 @@ namespace itspq {
 namespace net {
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 /// Above this many unsent reply bytes the reader takes no new frames.
 constexpr size_t kMaxOutboxBytes = 256 * 1024;
 /// A reader owed replies re-checks the outbox this often: a completing
 /// thread that leaves bytes there cannot wake it out of poll.
 constexpr int kOutboxTickMillis = 10;
+/// An idle reader whose peer sent its last frame within this long of
+/// the reader going idle polls this long for the next one before it
+/// parks: a loopback wake-up costs about a closed-loop round trip.
+constexpr std::chrono::microseconds kSpinWindow(50);
+
+/// Peeks without blocking until `fd` has a byte, EOF or an error
+/// pending, or `until` passes; the caller's blocking read follows.
+void SpinForInput(int fd, Clock::time_point until) {
+  char byte;
+  do {
+    if (::recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT) >= 0) return;
+    if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) return;
+  } while (Clock::now() < until);
+}
 
 }  // namespace
 
@@ -39,6 +55,7 @@ struct NetServer::Connection {
   std::thread reader;
   std::atomic<bool> done{false};  // the reader's last touch; reapable
   std::atomic<size_t>& frames_sent;
+  Clock::time_point framed_at;  // reader only: ReadOne's last whole frame
 
   std::mutex mu;
   std::condition_variable cv;  // a writer finished
@@ -148,12 +165,12 @@ void NetServer::AcceptLoop() {
 }
 
 void NetServer::ReaderLoop(Connection* conn) {
-  using Clock = std::chrono::steady_clock;
   const int fd = conn->fd.get();
   const std::chrono::duration<double> window(options_.recv_timeout_seconds);
   std::string payload;
   bool reading = true;
   Clock::time_point stuck_since;  // outbox first seen holding bytes
+  bool spin = false;  // the peer's last frame came inside kSpinWindow
   std::unique_lock<std::mutex> lock(conn->mu);
   while (reading || conn->Owed()) {
     if (conn->dead) {
@@ -174,7 +191,10 @@ void NetServer::ReaderLoop(Connection* conn) {
     }
     if (!conn->Owed()) {  // only a new frame can owe the peer anything
       lock.unlock();
+      const Clock::time_point idle = Clock::now();
+      if (spin) SpinForInput(fd, idle + kSpinWindow);
       reading = ReadOne(conn, &payload);
+      spin = conn->framed_at >= idle && conn->framed_at - idle <= kSpinWindow;
       lock.lock();
       continue;
     }
@@ -211,6 +231,7 @@ bool NetServer::ReadOne(Connection* conn, std::string* payload) {
   if (got == FrameRead::kIdleTimeout) return true;  // quiet, not stalled
   if (got == FrameRead::kError) Drop(conn, error);
   if (got != FrameRead::kFrame) return false;
+  conn->framed_at = Clock::now();
   frames_received_.fetch_add(1, std::memory_order_relaxed);
   MsgType type;
   std::string_view body;
@@ -268,12 +289,14 @@ bool NetServer::HandleFrame(Connection* conn, MsgType type,
       conn->Push(EncodeStatsReplyFrame(MakeWireStats(service_->Stats())));
       return true;
     case MsgType::kShutdown: {
-      conn->Push(EncodeEmptyFrame(MsgType::kShutdownAck));
+      // Flag first: the push below writes the ack at once, and a client
+      // holding it must see shutdown_requested().
       {
         std::lock_guard<std::mutex> lock(mu_);
         shutdown_requested_ = true;
       }
       shutdown_cv_.notify_all();
+      conn->Push(EncodeEmptyFrame(MsgType::kShutdownAck));
       return true;  // keep the connection until the client hangs up
     }
     default:

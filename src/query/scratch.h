@@ -224,6 +224,7 @@ inline StatusOr<QueryResult> RouteMultiStop(const Router& router,
                         answer.status().message());
     }
     result.stats.doors_popped += answer->stats.doors_popped;
+    result.stats.edges_scanned += answer->stats.edges_scanned;
     result.stats.graph_updates += answer->stats.graph_updates;
     result.stats.peak_memory_bytes = std::max(
         result.stats.peak_memory_bytes, answer->stats.peak_memory_bytes);

@@ -449,6 +449,7 @@ void Search(const ItGraph& graph, const QueryRequest& request,
       }
       const uint32_t begin = adj.seg_offsets[seg];
       const uint32_t end = adj.seg_offsets[seg + 1];
+      stats.edges_scanned += end - begin;
       for (uint32_t k = begin; k < end; ++k) {
         const size_t next = adj.neighbor_ids[k];
         if (s.Settled(next)) continue;

@@ -818,5 +818,89 @@ TEST(FamilyBatchTest, MixedKindBatchMatchesSequentialRoutes) {
   }
 }
 
+// ---------------------------------------------------------------------
+// SearchStats::edges_scanned: the count of adjacency entries walked.
+
+// An NTV sweep with a budget no walk exhausts settles every door of a
+// connected venue, and a settled door walks both of its CSR segments,
+// so the count is exactly the adjacency's size.
+TEST(FamilyEdgeCountTest, UnboundedNtvReachabilityScansEveryEdge) {
+  // Three rooms off one hall, with doors between neighbouring rooms.
+  Venue::Builder builder;
+  const PartitionId hall = builder.AddPartition(Rect{0, 10, 30, 20}, 0);
+  const PartitionId room_a = builder.AddPartition(Rect{0, 0, 10, 10}, 0);
+  const PartitionId room_b = builder.AddPartition(Rect{10, 0, 20, 10}, 0);
+  const PartitionId room_c = builder.AddPartition(Rect{20, 0, 30, 10}, 0);
+  builder.AddDoor(Point2d{5, 10}, 0, room_a, hall);
+  builder.AddDoor(Point2d{15, 10}, 0, room_b, hall);
+  builder.AddDoor(Point2d{25, 10}, 0, room_c, hall);
+  builder.AddDoor(Point2d{10, 5}, 0, room_a, room_b);
+  builder.AddDoor(Point2d{20, 5}, 0, room_b, room_c);
+  auto venue = std::move(builder).Build();
+  ASSERT_TRUE(venue.ok());
+  auto graph = ItGraph::Build(*venue);
+  ASSERT_TRUE(graph.ok());
+  auto router = ValueOrDie(MakeRouter("ntv", *graph), "ntv");
+
+  QueryRequest reach;
+  reach.kind = QueryKind::kReachability;
+  reach.source = IndoorPoint{{5, 5}, 0};
+  reach.departure = Instant::FromHMS(12);
+  reach.budget_seconds = 1e9;
+  QueryContext context;
+  auto result = router->Route(reach, &context);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->reachable.size(), graph->NumDoors());
+  EXPECT_EQ(result->stats.doors_popped, graph->NumDoors());
+  EXPECT_EQ(result->stats.edges_scanned,
+            graph->adjacency().neighbor_ids.size());
+}
+
+// A multi-stop query counts what its legs count, routed one at a time.
+TEST(FamilyEdgeCountTest, MultiStopSumsItsLegs) {
+  FamilyWorld world = MakeWorld(11);
+  auto routers = MakeAllRouters(world);
+  QueryContext context;
+  FamilyGenConfig config;
+  config.kind = QueryKind::kMultiStop;
+  config.num_queries = 4;
+  config.seed = 18;
+  config.num_waypoints = 2;
+  config.min_departure_seconds = 10 * 3600;  // midday: legs get searched
+  config.max_departure_seconds = 18 * 3600;
+  const std::vector<QueryRequest> requests = ValueOrDie(
+      GenerateFamilyQueries(*world.graph, config), "GenerateFamilyQueries");
+
+  for (size_t qi = 0; qi < requests.size(); ++qi) {
+    const QueryRequest& request = requests[qi];
+    for (const auto& router : routers) {
+      const std::string where = router->name() + " query " + std::to_string(qi);
+      auto result = router->Route(request, &context);
+      ASSERT_TRUE(result.ok()) << where;
+
+      QueryRequest leg = request;
+      leg.kind = QueryKind::kPointToPoint;
+      leg.waypoints.clear();
+      double dep = request.departure.seconds();
+      size_t edges = 0, pops = 0;
+      for (size_t i = 0; i <= request.waypoints.size(); ++i) {
+        leg.source = i == 0 ? request.source : request.waypoints[i - 1];
+        leg.target = i < request.waypoints.size() ? request.waypoints[i]
+                                                  : request.target;
+        leg.departure = Instant(dep);
+        auto answer = router->Route(leg, &context);
+        ASSERT_TRUE(answer.ok()) << where << " leg " << i;
+        edges += answer->stats.edges_scanned;
+        pops += answer->stats.doors_popped;
+        if (!answer->found) break;
+        dep += answer->path.length_m() * kInvWalkSpeedMps;
+      }
+      EXPECT_GT(result->stats.edges_scanned, 0u) << where;
+      EXPECT_EQ(result->stats.edges_scanned, edges) << where;
+      EXPECT_EQ(result->stats.doors_popped, pops) << where;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace itspq

@@ -126,6 +126,44 @@ size_t CountOpenFds() {
   return count;
 }
 
+/// Open fds once departed peers are reaped, for a process that held
+/// `before` when they connected. A probe's answered round trip means its
+/// accept, and the reaping that runs on it, are done. Allowed above the
+/// start: the probe's two ends plus one departed peer not yet finished
+/// when that accept ran. A few probes give slow (sanitizer) builds time
+/// for the last peers to exit.
+size_t OpenFdsAfterReaping(NetServer& server, size_t before) {
+  size_t after = 0;
+  for (int probes = 0; probes < 20; ++probes) {
+    auto probe =
+        ValueOrDie(NetClient::Connect(server.port()), "NetClient::Connect");
+    EXPECT_TRUE(probe->FetchStats().ok());
+    after = CountOpenFds();
+    if (after <= before + 3) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  return after;
+}
+
+/// Sends two stats requests in one write and reads both replies. The
+/// second request is already waiting when the reader goes idle after
+/// the first, so the reader then spins for this peer's next frame.
+void TwoStatsRoundTrips(int fd) {
+  const std::string request = EncodeEmptyFrame(MsgType::kStatsRequest);
+  ASSERT_TRUE(WriteFrame(fd, request + request).ok());
+  for (int i = 0; i < 2; ++i) {
+    std::string payload;
+    Status error;
+    ASSERT_EQ(ReadFrame(fd, kDefaultMaxFrameBytes, &payload, &error),
+              FrameRead::kFrame)
+        << error.ToString();
+    MsgType type = MsgType::kError;
+    std::string_view body;
+    ASSERT_TRUE(DecodeFrameHeader(payload, &type, &body).ok());
+    EXPECT_EQ(type, MsgType::kStatsReply);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Replay: the socket answers exactly what the router answers.
 
@@ -691,6 +729,81 @@ TEST(NetHostileTest, StalledReaderCannotPinAWorker) {
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(8));
 }
 
+// ---------------------------------------------------------------------
+// The idle reader's spin: it polls for a quick peer's next frame before
+// it parks, and must end exactly as the blocking read would.
+
+// A peer that hangs up right after its replies closes while its reader
+// spins: a clean close, so the connection is reaped and nothing counts
+// as a decode error or a drop.
+TEST(NetSpinTest, HangUpInsideTheSpinWindowIsReaped) {
+  auto server = MakeTestServer();
+  const size_t before = CountOpenFds();
+  for (int i = 0; i < 8; ++i) {
+    ScopedFd fd = ValueOrDie(ConnectLoopback(server->port()), "connect");
+    TwoStatsRoundTrips(fd.get());
+  }  // each hangs up the moment it has its second reply
+  EXPECT_LE(OpenFdsAfterReaping(*server, before), before + 3);
+  const NetServerStats stats = server->Stats();
+  EXPECT_EQ(stats.decode_errors, 0u);
+  EXPECT_EQ(stats.connections_dropped, 0u);
+}
+
+// A length prefix that arrives while the reader spins starts the frame
+// deadline just as it would for a parked reader: the stalled peer is
+// dropped once recv_timeout_seconds pass, not sooner and not never.
+TEST(NetSpinTest, PrefixInsideTheSpinWindowStillTripsTheDeadline) {
+  NetServerOptions net_opts;
+  net_opts.recv_timeout_seconds = 0.2;
+  auto server = MakeTestServer(ServiceOptions(), net_opts);
+  ScopedFd loris = ValueOrDie(ConnectLoopback(server->port()), "connect");
+  ASSERT_TRUE(SetRecvTimeout(loris.get(), 2.0).ok());
+  TwoStatsRoundTrips(loris.get());
+  const auto start = std::chrono::steady_clock::now();
+  const uint32_t len = 100;
+  ASSERT_TRUE(
+      WriteFrame(loris.get(),
+                 std::string(reinterpret_cast<const char*>(&len), sizeof len))
+          .ok());
+  const WireReply err = ReadErrorFrame(loris.get());
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(err.code, StatusCode::kDeadlineExceeded);
+  EXPECT_NE(err.message.find("slow-loris"), std::string::npos);
+  EXPECT_GE(elapsed, std::chrono::milliseconds(150));
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+  ExpectEof(loris.get());
+  EXPECT_TRUE(WaitFor([&] { return server->Stats().connections_dropped == 1; }));
+}
+
+// Requests in back-to-back pairs with pauses far beyond the window in
+// between: each pair's second request arrives at once, so the reader
+// then spins, in vain, and parks for the rest of the pause. Every reply
+// still comes back, in order.
+TEST(NetSpinTest, SpacedRequestsParkTheReaderAndAllReplyInOrder) {
+  auto server = MakeTestServer();
+  auto client =
+      ValueOrDie(NetClient::Connect(server->port()), "NetClient::Connect");
+  MultiVenueWorkloadConfig config;
+  config.num_requests = 16;
+  config.seed = 31;
+  std::vector<QueryRequest> workload = ValueOrDie(
+      GenerateMultiVenueWorkload(server->service().catalog(), config),
+      "GenerateMultiVenueWorkload");
+  std::vector<uint64_t> ids;
+  for (size_t i = 0; i < workload.size(); ++i) {
+    ids.push_back(ValueOrDie(
+        client->Send(workload[i], kInf, QosClass::kInteractive), "Send"));
+    if (i % 2 == 1) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const WireReply reply = ValueOrDie(client->ReceiveReply(), "ReceiveReply");
+    EXPECT_EQ(reply.request_id, ids[i]) << "reply " << i;
+    EXPECT_EQ(reply.code, StatusCode::kOk) << "reply " << i;
+  }
+  EXPECT_EQ(server->service().Stats().served, workload.size());
+  EXPECT_EQ(server->Stats().decode_errors, 0u);
+}
+
 // Each client that hangs up is reaped on a later accept: 32 sequential
 // connect/close cycles leave the process holding only a small constant
 // number of extra fds, not one per departed client.
@@ -702,20 +815,7 @@ TEST(NetChurnTest, ClosedConnectionsAreReaped) {
         ValueOrDie(NetClient::Connect(server->port()), "NetClient::Connect");
     ASSERT_TRUE(client->FetchStats().ok()) << "cycle " << i;
   }
-  // A probe's answered round trip means its accept, and the reaping that
-  // runs on it, are done. Allowed above the start: the probe's two ends
-  // plus one departed peer not yet finished when that accept ran. A few
-  // probes give slow (sanitizer) builds time for the last peers to exit.
-  size_t after = 0;
-  for (int probes = 0; probes < 20; ++probes) {
-    auto probe =
-        ValueOrDie(NetClient::Connect(server->port()), "NetClient::Connect");
-    ASSERT_TRUE(probe->FetchStats().ok());
-    after = CountOpenFds();
-    if (after <= before + 3) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  EXPECT_LE(after, before + 3);
+  EXPECT_LE(OpenFdsAfterReaping(*server, before), before + 3);
   EXPECT_GE(server->Stats().connections_accepted, 33u);
 }
 
