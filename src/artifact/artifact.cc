@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <utility>
 
@@ -18,34 +19,19 @@
 namespace itspq {
 namespace {
 
-const char* SectionName(uint32_t kind) {
-  switch (static_cast<ArtifactSection>(kind)) {
-    case ArtifactSection::kMeta:
-      return "Meta";
-    case ArtifactSection::kPartitions:
-      return "Partitions";
-    case ArtifactSection::kDoors:
-      return "Doors";
-    case ArtifactSection::kDoorAtis:
-      return "DoorAtis";
-    case ArtifactSection::kDoorsOf:
-      return "DoorsOf";
-    case ArtifactSection::kDistanceMatrices:
-      return "DistanceMatrices";
-    case ArtifactSection::kFloorIndex:
-      return "FloorIndex";
-    case ArtifactSection::kCompiledAtis:
-      return "CompiledAtis";
-    case ArtifactSection::kCheckpoints:
-      return "Checkpoints";
-    case ArtifactSection::kFlipIndex:
-      return "FlipIndex";
-    case ArtifactSection::kD2d:
-      return "D2d";
-    case ArtifactSection::kAdjacencyCsr:
-      return "AdjacencyCsr";
-  }
-  return "?";
+Status CorruptSection(const char* section, const std::string& what) {
+  return InvalidArgumentError(std::string("artifact section ") + section +
+                              ": " + what);
+}
+
+/// CSR list projections and per-element hooks for the codecs below.
+constexpr auto kSelf = [](const auto& list) -> const auto& { return list; };
+constexpr auto kAny = [](const auto&) { return true; };
+/// Accepts ids in [0, bound): partition and door references.
+auto Below(uint64_t bound) {
+  return [bound](int32_t id) {
+    return id >= 0 && static_cast<uint64_t>(id) < bound;
+  };
 }
 
 /// Little-endian append-only buffer for one section payload.
@@ -56,14 +42,28 @@ struct ByteWriter {
     const auto* b = static_cast<const uint8_t*>(p);
     out.insert(out.end(), b, b + n);
   }
-  void U32(uint32_t v) { Raw(&v, sizeof(v)); }
-  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
-  void I32(int32_t v) { Raw(&v, sizeof(v)); }
-  void F64(double v) { Raw(&v, sizeof(v)); }
+  template <typename T>
+  void Put(const T& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    Raw(&v, sizeof(v));
+  }
   template <typename T>
   void Pod(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     Raw(v.data(), v.size() * sizeof(T));
+  }
+  /// CSR offsets: 0, then the running total of each `list(x)`'s length.
+  template <typename Lists, typename List>
+  void Offsets(const Lists& lists, List list) {
+    uint64_t total = 0;
+    Put(total);
+    for (const auto& x : lists) Put(total += list(x).size());
+  }
+  /// One CSR block: the offsets, then every list's elements back to back.
+  template <typename Lists, typename List>
+  void Csr(const Lists& lists, List list) {
+    Offsets(lists, list);
+    for (const auto& x : lists) Pod(list(x));
   }
 };
 
@@ -71,59 +71,119 @@ struct ByteWriter {
 /// succeeds or trips the fail flag; nothing ever reads past `size_`.
 class ByteReader {
  public:
-  ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
+  ByteReader(const char* section, const uint8_t* data, size_t size)
+      : section_(section), data_(data), size_(size) {}
 
   bool Raw(void* p, size_t n) {
-    if (n > size_ - pos_) {
-      failed_ = true;
-      return false;
-    }
+    if (n > size_ - pos_) return Fail();
+    if (n == 0) return true;  // an empty vector's data() may be null
     std::memcpy(p, data_ + pos_, n);
     pos_ += n;
     return true;
   }
-  bool U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
-  bool U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
-  bool I32(int32_t* v) { return Raw(v, sizeof(*v)); }
-  bool F64(double* v) { return Raw(v, sizeof(*v)); }
+  template <typename T>
+  bool Get(T* v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    return Raw(v, sizeof(*v));
+  }
 
   /// Reads `count` trivially-copyable elements, guarding the resize
   /// against hostile counts (never allocates more than remains).
   template <typename T>
   bool Pod(std::vector<T>* v, uint64_t count) {
     static_assert(std::is_trivially_copyable_v<T>);
-    if (count > Remaining() / sizeof(T)) {
-      failed_ = true;
-      return false;
-    }
+    if (count > (size_ - pos_) / sizeof(T)) return Fail();
     v->resize(static_cast<size_t>(count));
     return Raw(v->data(), v->size() * sizeof(T));
   }
 
-  size_t Remaining() const { return size_ - pos_; }
-  bool failed() const { return failed_; }
+  /// CSR offsets for `count` lists: `count + 1` of them, from 0,
+  /// non-decreasing.
+  template <typename Offset>
+  bool Offsets(uint64_t count, std::vector<Offset>* offsets) {
+    if (!Pod(offsets, count + 1) || offsets->front() != 0 ||
+        !std::is_sorted(offsets->begin(), offsets->end())) {
+      return Fail();
+    }
+    return true;
+  }
+  /// The pool `offsets` index, split into its lists. False when the pool
+  /// is short or an element fails the `valid` hook.
+  template <typename T, typename Valid>
+  bool Pool(const std::vector<uint64_t>& offsets,
+            std::vector<std::vector<T>>* lists, Valid valid) {
+    std::vector<T> pool;
+    if (!Pod(&pool, offsets.back()) ||
+        !std::all_of(pool.begin(), pool.end(), valid)) {
+      return false;
+    }
+    lists->resize(offsets.size() - 1);
+    for (size_t i = 0; i < lists->size(); ++i) {
+      (*lists)[i].assign(pool.begin() + offsets[i],
+                         pool.begin() + offsets[i + 1]);
+    }
+    return true;
+  }
+  /// One CSR block of `count` lists: the offsets, then the pool.
+  template <typename T, typename Valid>
+  bool Csr(uint64_t count, std::vector<std::vector<T>>* lists, Valid valid) {
+    std::vector<uint64_t> offsets;
+    return Offsets(count, &offsets) && Pool(offsets, lists, valid);
+  }
+
+  /// This section's rejection: `what`, or "malformed" once a read has
+  /// failed (a check after a short read saw no real data).
+  Status Reject(const std::string& what) const {
+    return CorruptSection(section_, failed_ ? "malformed" : what);
+  }
   bool Exhausted() const { return !failed_ && pos_ == size_; }
 
  private:
+  bool Fail() {
+    failed_ = true;
+    return false;
+  }
+
+  const char* section_;
   const uint8_t* data_;
   size_t size_;
   size_t pos_ = 0;
   bool failed_ = false;
 };
 
-Status CorruptSection(uint32_t kind, const std::string& what) {
-  return InvalidArgumentError(std::string("artifact section ") +
-                              SectionName(kind) + ": " + what);
-}
-
 constexpr uint64_t kFlagHasD2d = 1;
 
-struct MetaSection {
-  uint64_t num_partitions = 0;
-  uint64_t num_doors = 0;
-  uint64_t flags = 0;
-  std::string label;
+// Fixed-size records, laid out exactly as on disk.
+struct MetaRecord {  // followed by the label bytes
+  uint64_t num_partitions;
+  uint64_t num_doors;
+  uint64_t flags;
+  uint64_t label_bytes;
 };
+struct PartitionRecord {
+  double min_x, min_y, max_x, max_y;
+  int32_t floor;
+  uint32_t pad;
+};
+struct DoorRecord {
+  double x, y;
+  int32_t floor;
+  int32_t partitions[2];
+  uint32_t pad;
+};
+struct MatrixRecord {  // DistanceMatrices header, one per partition
+  uint64_t num_doors;
+  int32_t base_id;
+  uint32_t local_index_size;
+};
+struct GridRecord {  // FloorIndex grid header, one per floor
+  double origin_x, origin_y, cell;
+  int32_t cols, rows;
+};
+static_assert(sizeof(MetaRecord) == 32 && sizeof(PartitionRecord) == 40 &&
+                  sizeof(DoorRecord) == 32 && sizeof(MatrixRecord) == 16 &&
+                  sizeof(GridRecord) == 32,
+              "artifact record layout is fixed");
 
 }  // namespace
 
@@ -139,146 +199,382 @@ class ArtifactCodec {
       LoadedVenueWorld world, TvCheck check,
       const RouterBuildOptions& options);
 
- private:
-  // --- encode helpers (one per section) ---
-  static void EncodeMeta(const Venue& v, const ArtifactWriteOptions& o,
-                         ByteWriter& w);
-  static void EncodePartitions(const Venue& v, ByteWriter& w);
-  static void EncodeDoors(const Venue& v, ByteWriter& w);
-  static void EncodeDoorAtis(const Venue& v, ByteWriter& w);
-  static void EncodeDoorsOf(const Venue& v, ByteWriter& w);
-  static void EncodeDistanceMatrices(const Venue& v, ByteWriter& w);
-  static void EncodeFloorIndex(const Venue& v, ByteWriter& w);
-  static void EncodeCompiledAtis(const ItGraph& g, ByteWriter& w);
-  static void EncodeAdjacencyCsr(const ItGraph& g, ByteWriter& w);
-
-  // --- decode helpers ---
-  static Status ParseMeta(ByteReader& r, MetaSection* meta);
-  static Status ParseVenue(const MetaSection& meta,
-                           const std::map<uint32_t, ByteReader>& sections,
-                           Venue* venue);
-  static Status ParseCompiledAtis(ByteReader& r, size_t num_doors,
-                                  std::vector<AtiSet>* atis);
-  static Status ParseAdjacencyCsr(ByteReader& r, const Venue& venue,
-                                  std::shared_ptr<const CsrAdjacency>* adj);
+  /// What the section encoders read: the venue and everything compiled
+  /// from it once, at encode time.
+  struct Source {
+    const Venue& venue;
+    const ItGraph& graph;
+    const ArtifactWriteOptions& options;
+    std::vector<double> times;
+    std::vector<std::vector<DoorId>> flip_lists;
+    std::unique_ptr<D2dIndex> d2d;
+  };
+  /// What the section decoders fill, in table order: each decoder may
+  /// rely on every section before it.
+  struct Sink {
+    MetaRecord meta = {};
+    Venue venue;
+    LoadedVenueWorld world;
+  };
+  /// One row of the section table: the section's layout, written and
+  /// read. An optional section (D2d) is present exactly when Meta's
+  /// kFlagHasD2d is set.
+  struct Section {
+    ArtifactSection kind;
+    const char* name;
+    bool required;
+    void (*encode)(const Source&, ByteWriter&);
+    Status (*decode)(ByteReader&, Sink&);
+  };
+  static const Section kSections[];
 };
+
+// The section table, in the order the writer emits it. Each decoder
+// holds only its section's semantic invariants: the decode loop checks
+// presence, duplicates and trailing bytes once for every row.
+const ArtifactCodec::Section ArtifactCodec::kSections[] = {
+    {ArtifactSection::kMeta, "Meta", true,
+     [](const Source& s, ByteWriter& w) {
+       const std::string& label = s.options.label;
+       w.Put(MetaRecord{s.venue.partitions_.size(), s.venue.doors_.size(),
+                        s.options.include_d2d ? kFlagHasD2d : 0,
+                        label.size()});
+       w.Raw(label.data(), label.size());
+     },
+     [](ByteReader& r, Sink& k) {
+       std::vector<char> label;
+       if (!r.Get(&k.meta) || !r.Pod(&label, k.meta.label_bytes)) {
+         return r.Reject("malformed");
+       }
+       k.world.label.assign(label.begin(), label.end());
+       // The in-memory structures index partitions and doors with int32
+       // ids.
+       if (k.meta.num_partitions > uint64_t{1} << 30 ||
+           k.meta.num_doors > uint64_t{1} << 30) {
+         return r.Reject("implausible partition/door count");
+       }
+       return Status::Ok();
+     }},
+    {ArtifactSection::kPartitions, "Partitions", true,
+     [](const Source& s, ByteWriter& w) {
+       for (const Partition& p : s.venue.partitions_) {
+         w.Put(PartitionRecord{p.rect.min_x, p.rect.min_y, p.rect.max_x,
+                               p.rect.max_y, p.floor, 0});
+       }
+     },
+     [](ByteReader& r, Sink& k) {
+       std::vector<PartitionRecord> records;
+       if (!r.Pod(&records, k.meta.num_partitions)) {
+         return r.Reject("malformed");
+       }
+       k.venue.partitions_.resize(records.size());
+       for (size_t i = 0; i < records.size(); ++i) {
+         const PartitionRecord& rec = records[i];
+         Partition& p = k.venue.partitions_[i];
+         p.rect = Rect{rec.min_x, rec.min_y, rec.max_x, rec.max_y};
+         p.floor = rec.floor;
+       }
+       return Status::Ok();
+     }},
+    {ArtifactSection::kDoors, "Doors", true,
+     [](const Source& s, ByteWriter& w) {
+       for (const Door& d : s.venue.doors_) {
+         w.Put(DoorRecord{d.pos.x, d.pos.y, d.floor,
+                          {d.partitions[0], d.partitions[1]}, 0});
+       }
+     },
+     [](ByteReader& r, Sink& k) {
+       std::vector<DoorRecord> records;
+       if (!r.Pod(&records, k.meta.num_doors)) return r.Reject("malformed");
+       k.venue.doors_.resize(records.size());
+       for (size_t i = 0; i < records.size(); ++i) {
+         const DoorRecord& rec = records[i];
+         if (!std::all_of(rec.partitions, rec.partitions + 2,
+                          Below(k.meta.num_partitions))) {
+           return r.Reject("door references unknown partition");
+         }
+         Door& d = k.venue.doors_[i];
+         d.pos = Point2d{rec.x, rec.y};
+         d.floor = rec.floor;
+         d.partitions = {rec.partitions[0], rec.partitions[1]};
+       }
+       return Status::Ok();
+     }},
+    {ArtifactSection::kDoorAtis, "DoorAtis", true,
+     // The SOURCE intervals (pre-normalisation) ride along so a loaded
+     // venue behaves identically under Builder::FromVenue / SetDoorAti —
+     // the online-update path re-derives from these, not from AtiSets.
+     [](const Source& s, ByteWriter& w) {
+       w.Put(uint64_t{s.venue.doors_.size() + 1});
+       w.Csr(s.venue.doors_,
+             [](const Door& d) -> const auto& { return d.ati_intervals; });
+     },
+     [](ByteReader& r, Sink& k) {
+       uint64_t offset_count = 0;
+       std::vector<std::vector<TimeInterval>> lists;
+       if (!r.Get(&offset_count) || offset_count != k.meta.num_doors + 1 ||
+           !r.Csr(k.meta.num_doors, &lists, kAny)) {
+         return r.Reject("malformed interval offsets");
+       }
+       for (size_t d = 0; d < lists.size(); ++d) {
+         k.venue.doors_[d].ati_intervals = std::move(lists[d]);
+       }
+       return Status::Ok();
+     }},
+    {ArtifactSection::kDoorsOf, "DoorsOf", true,
+     [](const Source& s, ByteWriter& w) { w.Csr(s.venue.doors_of_, kSelf); },
+     [](ByteReader& r, Sink& k) {
+       if (!r.Csr(k.meta.num_partitions, &k.venue.doors_of_,
+                  Below(k.meta.num_doors))) {
+         return r.Reject("door id out of range");
+       }
+       return Status::Ok();
+     }},
+    {ArtifactSection::kDistanceMatrices, "DistanceMatrices", true,
+     [](const Source& s, ByteWriter& w) {
+       const std::vector<DistanceMatrix>& dms = s.venue.distance_matrices_;
+       for (const DistanceMatrix& dm : dms) {
+         w.Put(MatrixRecord{dm.num_doors_, dm.base_id_,
+                            static_cast<uint32_t>(dm.local_index_.size())});
+       }
+       for (const DistanceMatrix& dm : dms) w.Pod(dm.local_index_);
+       for (const DistanceMatrix& dm : dms) w.Pod(dm.matrix_);
+     },
+     [](ByteReader& r, Sink& k) {
+       std::vector<MatrixRecord> records;
+       if (!r.Pod(&records, k.meta.num_partitions)) {
+         return r.Reject("malformed");
+       }
+       std::vector<DistanceMatrix>& dms = k.venue.distance_matrices_;
+       dms.resize(records.size());
+       for (size_t p = 0; p < dms.size(); ++p) {
+         DistanceMatrix& dm = dms[p];
+         if (records[p].num_doors > k.meta.num_doors ||
+             !r.Pod(&dm.local_index_, records[p].local_index_size)) {
+           return r.Reject("malformed matrix record");
+         }
+         dm.num_doors_ = static_cast<size_t>(records[p].num_doors);
+         dm.base_id_ = records[p].base_id;
+         // DistanceUnchecked performs no bounds checks at query time, so
+         // every door on the partition's boundary must resolve to a
+         // valid local index in its matrix.
+         for (DoorId d : k.venue.doors_of_[p]) {
+           const int64_t at = int64_t{d} - dm.base_id_;
+           if (at < 0 || static_cast<size_t>(at) >= dm.local_index_.size() ||
+               !Below(dm.num_doors_)(dm.local_index_[at])) {
+             return r.Reject("partition " + std::to_string(p) +
+                             " matrix does not cover its boundary doors");
+           }
+         }
+       }
+       for (DistanceMatrix& dm : dms) {
+         if (!r.Pod(&dm.matrix_, uint64_t{dm.num_doors_} * dm.num_doors_)) {
+           return r.Reject("malformed");
+         }
+       }
+       return Status::Ok();
+     }},
+    {ArtifactSection::kFloorIndex, "FloorIndex", true,
+     [](const Source& s, ByteWriter& w) {
+       w.Put(int32_t{s.venue.min_floor_});
+       w.Put(static_cast<uint32_t>(s.venue.floor_index_.size()));
+       for (const Venue::FloorIndex& fi : s.venue.floor_index_) {
+         w.Put(GridRecord{fi.origin_x, fi.origin_y, fi.cell, fi.cols, fi.rows});
+         w.Csr(fi.cells, kSelf);
+       }
+     },
+     [](ByteReader& r, Sink& k) {
+       uint32_t floors = 0;
+       if (!r.Get(&k.venue.min_floor_) || !r.Get(&floors) || floors > 4096) {
+         return r.Reject("malformed floor header");
+       }
+       k.venue.floor_index_.resize(floors);
+       for (Venue::FloorIndex& fi : k.venue.floor_index_) {
+         // Point location divides by the cell size and casts to int: a
+         // non-finite grid would make every lookup undefined behaviour.
+         GridRecord g;
+         if (!r.Get(&g) || g.cols < 0 || g.rows < 0 ||
+             !std::isfinite(g.origin_x) || !std::isfinite(g.origin_y) ||
+             !std::isfinite(g.cell) || !(g.cell > 0)) {
+           return r.Reject("malformed grid header");
+         }
+         fi.origin_x = g.origin_x;
+         fi.origin_y = g.origin_y;
+         fi.cell = g.cell;
+         fi.cols = g.cols;
+         fi.rows = g.rows;
+         if (!r.Csr(uint64_t(g.cols) * uint64_t(g.rows), &fi.cells,
+                    Below(k.meta.num_partitions))) {
+           return r.Reject("cell references unknown partition");
+         }
+       }
+       return Status::Ok();
+     }},
+    {ArtifactSection::kCompiledAtis, "CompiledAtis", true,
+     [](const Source& s, ByteWriter& w) {
+       const std::vector<AtiSet>& atis = s.graph.atis_;
+       w.Offsets(atis,
+                 [](const AtiSet& a) -> const auto& { return a.starts_; });
+       for (const AtiSet& a : atis) w.Pod(a.starts_);
+       for (const AtiSet& a : atis) w.Pod(a.ends_);
+     },
+     [](ByteReader& r, Sink& k) {
+       std::vector<uint64_t> offsets;
+       std::vector<std::vector<double>> starts, ends;
+       if (!r.Offsets(k.meta.num_doors, &offsets) ||
+           !r.Pool(offsets, &starts, kAny) || !r.Pool(offsets, &ends, kAny)) {
+         return r.Reject("malformed");
+       }
+       k.world.atis.resize(starts.size());
+       for (size_t d = 0; d < starts.size(); ++d) {
+         // Adopted verbatim — but verify the normalisation invariant the
+         // binary-search lookup relies on (sorted, disjoint, in-range),
+         // so a corrupt-but-checksum-colliding file cannot produce
+         // silent wrong answers.
+         const std::vector<double>& s = starts[d];
+         const std::vector<double>& e = ends[d];
+         for (size_t i = 0; i < s.size(); ++i) {
+           const bool in_range = s[i] >= 0 && s[i] < e[i] &&
+                                 e[i] <= kSecondsPerDay;
+           const bool disjoint = i + 1 == s.size() || e[i] <= s[i + 1];
+           if (!in_range || !disjoint) {
+             return r.Reject("door " + std::to_string(d) +
+                             " intervals are not normalised");
+           }
+         }
+         k.world.atis[d].starts_ = std::move(starts[d]);
+         k.world.atis[d].ends_ = std::move(ends[d]);
+       }
+       return Status::Ok();
+     }},
+    {ArtifactSection::kAdjacencyCsr, "AdjacencyCsr", true,
+     // The search core's relaxation arrays, verbatim: 2 segments per door
+     // (one per partition side), each a contiguous (neighbour id, weight)
+     // run. Weight extremes are recomputed at load — cheaper than trusting
+     // two floats a corrupt file could use to demote the bucket queue.
+     [](const Source& s, ByteWriter& w) {
+       const CsrAdjacency& adj = s.graph.adjacency();
+       w.Put(uint64_t{adj.num_doors});
+       w.Pod(adj.seg_offsets);
+       w.Pod(adj.seg_partition);
+       w.Pod(adj.neighbor_ids);
+       w.Pod(adj.neighbor_weights);
+     },
+     [](ByteReader& r, Sink& k) {
+       const size_t n = k.venue.NumDoors();
+       auto adj = std::make_shared<CsrAdjacency>();
+       uint64_t num_doors = 0;
+       if (!r.Get(&num_doors) || num_doors != n) {
+         return r.Reject("door count does not match the venue");
+       }
+       adj->num_doors = n;
+       if (!r.Offsets(2 * n, &adj->seg_offsets) ||
+           !r.Pod(&adj->seg_partition, 2 * n) ||
+           !r.Pod(&adj->neighbor_ids, adj->seg_offsets.back()) ||
+           !r.Pod(&adj->neighbor_weights, adj->seg_offsets.back())) {
+         return r.Reject("malformed");
+       }
+       // Adopted verbatim — but verify the invariants the unchecked
+       // relaxation loop relies on, so a checksum-colliding corruption
+       // can never index out of bounds or poison the frontier with NaN.
+       for (size_t d = 0; d < n; ++d) {
+         const Door& door = k.venue.doors_[d];
+         if (adj->seg_partition[2 * d] != door.partitions[0] ||
+             adj->seg_partition[2 * d + 1] != door.partitions[1]) {
+           return r.Reject("segment partition disagrees with door " +
+                           std::to_string(d));
+         }
+         for (uint32_t e = adj->seg_offsets[2 * d];
+              e < adj->seg_offsets[2 * d + 2]; ++e) {
+           const uint32_t id = adj->neighbor_ids[e];
+           const double weight = adj->neighbor_weights[e];
+           if (id >= n || id == d || !std::isfinite(weight) || weight < 0) {
+             return r.Reject("corrupt edge out of door " + std::to_string(d));
+           }
+         }
+       }
+       adj->RecomputeWeightExtremes();
+       k.world.adjacency = std::move(adj);
+       return Status::Ok();
+     }},
+    {ArtifactSection::kCheckpoints, "Checkpoints", true,
+     [](const Source& s, ByteWriter& w) {
+       w.Put(uint64_t{s.times.size()});
+       w.Pod(s.times);
+     },
+     [](ByteReader& r, Sink& k) {
+       std::vector<double>& times = k.world.checkpoint_times;
+       uint64_t count = 0;
+       if (!r.Get(&count) || !r.Pod(&times, count)) {
+         return r.Reject("malformed");
+       }
+       for (size_t i = 0; i < times.size(); ++i) {
+         if (!(times[i] > 0) || !(times[i] < kSecondsPerDay) ||
+             (i > 0 && !(times[i - 1] < times[i]))) {
+           return r.Reject("times not strictly increasing in (0, 86400)");
+         }
+       }
+       return Status::Ok();
+     }},
+    {ArtifactSection::kFlipIndex, "FlipIndex", true,
+     [](const Source& s, ByteWriter& w) {
+       w.Put(uint64_t{s.flip_lists.size()});
+       w.Csr(s.flip_lists, kSelf);
+     },
+     [](ByteReader& r, Sink& k) {
+       std::vector<std::vector<DoorId>>& lists = k.world.flip_lists;
+       uint64_t boundaries = 0;
+       if (!r.Get(&boundaries) ||
+           boundaries != k.world.checkpoint_times.size()) {
+         return r.Reject("boundary count does not match the checkpoint set");
+       }
+       if (!r.Csr(boundaries, &lists, Below(k.meta.num_doors))) {
+         return r.Reject("flip list names an unknown door");
+       }
+       for (size_t b = 0; b < lists.size(); ++b) {
+         if (lists[b].empty()) {
+           return r.Reject("empty flip list for a checkpoint");
+         }
+         if (std::adjacent_find(lists[b].begin(), lists[b].end(),
+                                std::greater_equal<>()) != lists[b].end()) {
+           return r.Reject("flip list corrupt at boundary " +
+                           std::to_string(b));
+         }
+       }
+       return Status::Ok();
+     }},
+    {ArtifactSection::kD2d, "D2d", false,
+     [](const Source& s, ByteWriter& w) {
+       const DoorId n = static_cast<DoorId>(s.graph.NumDoors());
+       w.Put(uint64_t{s.graph.NumDoors()});
+       for (DoorId from = 0; from < n; ++from) {
+         for (DoorId to = 0; to < n; ++to) w.Put(s.d2d->DoorDistance(from, to));
+       }
+     },
+     [](ByteReader& r, Sink& k) {
+       uint64_t n = 0;
+       if (!r.Get(&n) || n != k.meta.num_doors ||
+           !r.Pod(&k.world.d2d_matrix, n * n)) {
+         return r.Reject("malformed");
+       }
+       return Status::Ok();
+     }},
+};
+
+namespace {
+
+const char* SectionName(uint32_t kind) {
+  for (const ArtifactCodec::Section& s : ArtifactCodec::kSections) {
+    if (static_cast<uint32_t>(s.kind) == kind) return s.name;
+  }
+  return "?";
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
-
-void ArtifactCodec::EncodeMeta(const Venue& v, const ArtifactWriteOptions& o,
-                               ByteWriter& w) {
-  w.U64(v.partitions_.size());
-  w.U64(v.doors_.size());
-  w.U64(o.include_d2d ? kFlagHasD2d : 0);
-  w.U64(o.label.size());
-  w.Raw(o.label.data(), o.label.size());
-}
-
-void ArtifactCodec::EncodePartitions(const Venue& v, ByteWriter& w) {
-  for (const Partition& p : v.partitions_) {
-    w.F64(p.rect.min_x);
-    w.F64(p.rect.min_y);
-    w.F64(p.rect.max_x);
-    w.F64(p.rect.max_y);
-    w.I32(p.floor);
-    w.U32(0);  // pad to 8-byte record multiple
-  }
-}
-
-void ArtifactCodec::EncodeDoors(const Venue& v, ByteWriter& w) {
-  for (const Door& d : v.doors_) {
-    w.F64(d.pos.x);
-    w.F64(d.pos.y);
-    w.I32(d.floor);
-    w.I32(d.partitions[0]);
-    w.I32(d.partitions[1]);
-    w.U32(0);
-  }
-}
-
-void ArtifactCodec::EncodeDoorAtis(const Venue& v, ByteWriter& w) {
-  // The SOURCE intervals (pre-normalisation) ride along so a loaded
-  // venue behaves identically under Builder::FromVenue / SetDoorAti —
-  // the online-update path re-derives from these, not from AtiSets.
-  uint64_t total = 0;
-  w.U64(v.doors_.size() + 1);
-  w.U64(0);
-  for (const Door& d : v.doors_) {
-    total += d.ati_intervals.size();
-    w.U64(total);
-  }
-  for (const Door& d : v.doors_) {
-    for (const TimeInterval& ti : d.ati_intervals) {
-      w.F64(ti.start);
-      w.F64(ti.end);
-    }
-  }
-}
-
-void ArtifactCodec::EncodeDoorsOf(const Venue& v, ByteWriter& w) {
-  uint64_t total = 0;
-  w.U64(0);
-  for (const auto& doors : v.doors_of_) {
-    total += doors.size();
-    w.U64(total);
-  }
-  for (const auto& doors : v.doors_of_) w.Pod(doors);
-}
-
-void ArtifactCodec::EncodeDistanceMatrices(const Venue& v, ByteWriter& w) {
-  for (const DistanceMatrix& dm : v.distance_matrices_) {
-    w.U64(dm.num_doors_);
-    w.I32(dm.base_id_);
-    w.U32(static_cast<uint32_t>(dm.local_index_.size()));
-  }
-  for (const DistanceMatrix& dm : v.distance_matrices_) w.Pod(dm.local_index_);
-  for (const DistanceMatrix& dm : v.distance_matrices_) w.Pod(dm.matrix_);
-}
-
-void ArtifactCodec::EncodeFloorIndex(const Venue& v, ByteWriter& w) {
-  w.I32(v.min_floor_);
-  w.U32(static_cast<uint32_t>(v.floor_index_.size()));
-  for (const Venue::FloorIndex& fi : v.floor_index_) {
-    w.F64(fi.origin_x);
-    w.F64(fi.origin_y);
-    w.F64(fi.cell);
-    w.I32(fi.cols);
-    w.I32(fi.rows);
-    uint64_t total = 0;
-    w.U64(0);
-    for (const auto& cell : fi.cells) {
-      total += cell.size();
-      w.U64(total);
-    }
-    for (const auto& cell : fi.cells) w.Pod(cell);
-  }
-}
-
-void ArtifactCodec::EncodeCompiledAtis(const ItGraph& g, ByteWriter& w) {
-  uint64_t total = 0;
-  w.U64(0);
-  for (const AtiSet& a : g.atis_) {
-    total += a.starts_.size();
-    w.U64(total);
-  }
-  for (const AtiSet& a : g.atis_) w.Pod(a.starts_);
-  for (const AtiSet& a : g.atis_) w.Pod(a.ends_);
-}
-
-void ArtifactCodec::EncodeAdjacencyCsr(const ItGraph& g, ByteWriter& w) {
-  // The search core's relaxation arrays, verbatim: 2 segments per door
-  // (one per partition side), each a contiguous (neighbour id, weight)
-  // run. Weight extremes are recomputed at load — cheaper than trusting
-  // two floats a corrupt file could use to demote the bucket queue.
-  const CsrAdjacency& adj = g.adjacency();
-  w.U64(adj.num_doors);
-  w.Pod(adj.seg_offsets);
-  w.Pod(adj.seg_partition);
-  w.Pod(adj.neighbor_ids);
-  w.Pod(adj.neighbor_weights);
-}
 
 StatusOr<std::vector<uint8_t>> ArtifactCodec::Encode(
     const Venue& venue, const ArtifactWriteOptions& options) {
@@ -287,79 +583,38 @@ StatusOr<std::vector<uint8_t>> ArtifactCodec::Encode(
   // n^2 Dijkstra sweep for the D2D matrix.
   auto graph = ItGraph::Build(venue);
   if (!graph.ok()) return graph.status();
-
-  std::vector<std::pair<uint32_t, ByteWriter>> sections;
-  auto section = [&sections](ArtifactSection kind) -> ByteWriter& {
-    sections.emplace_back(static_cast<uint32_t>(kind), ByteWriter{});
-    return sections.back().second;
-  };
-
-  EncodeMeta(venue, options, section(ArtifactSection::kMeta));
-  EncodePartitions(venue, section(ArtifactSection::kPartitions));
-  EncodeDoors(venue, section(ArtifactSection::kDoors));
-  EncodeDoorAtis(venue, section(ArtifactSection::kDoorAtis));
-  EncodeDoorsOf(venue, section(ArtifactSection::kDoorsOf));
-  EncodeDistanceMatrices(venue, section(ArtifactSection::kDistanceMatrices));
-  EncodeFloorIndex(venue, section(ArtifactSection::kFloorIndex));
-  EncodeCompiledAtis(*graph, section(ArtifactSection::kCompiledAtis));
-  EncodeAdjacencyCsr(*graph, section(ArtifactSection::kAdjacencyCsr));
-
-  std::vector<double> times;
-  std::vector<std::vector<DoorId>> flip_lists;
-  BuildBoundaryLedger(*graph, &times, &flip_lists);
-
-  {
-    ByteWriter& w = section(ArtifactSection::kCheckpoints);
-    w.U64(times.size());
-    w.Pod(times);
-  }
-  {
-    ByteWriter& w = section(ArtifactSection::kFlipIndex);
-    w.U64(flip_lists.size());
-    uint64_t total = 0;
-    w.U64(0);
-    for (const auto& doors : flip_lists) {
-      total += doors.size();
-      w.U64(total);
-    }
-    for (const auto& doors : flip_lists) w.Pod(doors);
-  }
-
+  Source source{venue, *graph, options, {}, {}, nullptr};
+  BuildBoundaryLedger(*graph, &source.times, &source.flip_lists);
   if (options.include_d2d) {
     auto d2d = D2dIndex::Build(*graph);
     if (!d2d.ok()) return d2d.status();
-    ByteWriter& w = section(ArtifactSection::kD2d);
-    const size_t n = graph->NumDoors();
-    w.U64(n);
-    for (size_t from = 0; from < n; ++from) {
-      for (size_t to = 0; to < n; ++to) {
-        w.F64(d2d->DoorDistance(static_cast<DoorId>(from),
-                                static_cast<DoorId>(to)));
-      }
-    }
+    source.d2d = std::make_unique<D2dIndex>(*std::move(d2d));
+  }
+
+  std::vector<ArtifactSectionEntry> table;
+  std::vector<ByteWriter> payloads;
+  for (const Section& s : kSections) {
+    if (!s.required && !options.include_d2d) continue;
+    ByteWriter& w = payloads.emplace_back();
+    s.encode(source, w);
+    table.push_back({static_cast<uint32_t>(s.kind), 0, 0, w.out.size(),
+                     ArtifactChecksum(w.out.data(), w.out.size())});
   }
 
   // Assemble: header | table | payloads, offsets laid out in order.
+  uint64_t offset =
+      sizeof(ArtifactHeader) + table.size() * sizeof(ArtifactSectionEntry);
+  for (ArtifactSectionEntry& e : table) {
+    e.offset = offset;
+    offset += e.bytes;
+  }
   ArtifactHeader header;
   std::memcpy(header.magic, kArtifactMagic, sizeof(header.magic));
   header.format_version = kArtifactFormatVersion;
   header.endian_tag = kArtifactEndianTag;
-  header.header_bytes = sizeof(ArtifactHeader);
-  header.section_count = static_cast<uint32_t>(sections.size());
-
-  std::vector<ArtifactSectionEntry> table(sections.size());
-  uint64_t offset =
-      sizeof(ArtifactHeader) + table.size() * sizeof(ArtifactSectionEntry);
-  for (size_t i = 0; i < sections.size(); ++i) {
-    const std::vector<uint8_t>& payload = sections[i].second.out;
-    table[i].kind = sections[i].first;
-    table[i].reserved = 0;
-    table[i].offset = offset;
-    table[i].bytes = payload.size();
-    table[i].checksum = ArtifactChecksum(payload.data(), payload.size());
-    offset += payload.size();
-  }
   header.file_bytes = offset;
+  header.header_bytes = sizeof(ArtifactHeader);
+  header.section_count = static_cast<uint32_t>(table.size());
   header.table_checksum =
       ArtifactChecksum(table.data(), table.size() * sizeof(table[0]));
 
@@ -369,7 +624,7 @@ StatusOr<std::vector<uint8_t>> ArtifactCodec::Encode(
   image.insert(image.end(), hp, hp + sizeof(header));
   const auto* tp = reinterpret_cast<const uint8_t*>(table.data());
   image.insert(image.end(), tp, tp + table.size() * sizeof(table[0]));
-  for (const auto& [kind, w] : sections) {
+  for (const ByteWriter& w : payloads) {
     image.insert(image.end(), w.out.begin(), w.out.end());
   }
   return image;
@@ -445,323 +700,14 @@ Status CheckHeaderAndTable(const uint8_t* data, size_t size,
   const uint64_t payload_start = sizeof(ArtifactHeader) + table_bytes;
   for (const ArtifactSectionEntry& e : *table) {
     if (e.offset < payload_start || e.bytes > size || e.offset > size - e.bytes) {
-      return CorruptSection(e.kind, "extends past the end of the file");
+      return CorruptSection(SectionName(e.kind),
+                            "extends past the end of the file");
     }
   }
   return Status::Ok();
-}
-
-/// CSR offsets helper: reads `count + 1` offsets, validates they start
-/// at 0 and are non-decreasing. Returns false on malformed input.
-bool ReadCsrOffsets(ByteReader& r, size_t count, std::vector<uint64_t>* out) {
-  if (!r.Pod(out, count + 1)) return false;
-  if ((*out)[0] != 0) return false;
-  for (size_t i = 0; i + 1 < out->size(); ++i) {
-    if ((*out)[i] > (*out)[i + 1]) return false;
-  }
-  return true;
 }
 
 }  // namespace
-
-Status ArtifactCodec::ParseMeta(ByteReader& r, MetaSection* meta) {
-  constexpr uint32_t kKind = static_cast<uint32_t>(ArtifactSection::kMeta);
-  uint64_t label_len = 0;
-  if (!r.U64(&meta->num_partitions) || !r.U64(&meta->num_doors) ||
-      !r.U64(&meta->flags) || !r.U64(&label_len) ||
-      label_len > r.Remaining()) {
-    return CorruptSection(kKind, "malformed");
-  }
-  meta->label.resize(static_cast<size_t>(label_len));
-  if (!r.Raw(meta->label.data(), meta->label.size()) || !r.Exhausted()) {
-    return CorruptSection(kKind, "malformed");
-  }
-  // The in-memory structures index partitions and doors with int32 ids.
-  if (meta->num_partitions > size_t{1} << 30 ||
-      meta->num_doors > size_t{1} << 30) {
-    return CorruptSection(kKind, "implausible partition/door count");
-  }
-  return Status::Ok();
-}
-
-Status ArtifactCodec::ParseCompiledAtis(ByteReader& r, size_t num_doors,
-                                        std::vector<AtiSet>* atis) {
-  constexpr uint32_t kKind =
-      static_cast<uint32_t>(ArtifactSection::kCompiledAtis);
-  std::vector<uint64_t> offsets;
-  if (!ReadCsrOffsets(r, num_doors, &offsets)) {
-    return CorruptSection(kKind, "malformed interval offsets");
-  }
-  std::vector<double> starts, ends;
-  if (!r.Pod(&starts, offsets[num_doors]) ||
-      !r.Pod(&ends, offsets[num_doors]) || !r.Exhausted()) {
-    return CorruptSection(kKind, "interval pool truncated");
-  }
-  atis->resize(num_doors);
-  for (size_t d = 0; d < num_doors; ++d) {
-    const size_t begin = static_cast<size_t>(offsets[d]);
-    const size_t end = static_cast<size_t>(offsets[d + 1]);
-    // Adopted verbatim — but verify the normalisation invariant the
-    // binary-search lookup relies on (sorted, disjoint, in-range), so a
-    // corrupt-but-checksum-colliding file cannot produce silent wrong
-    // answers.
-    for (size_t i = begin; i < end; ++i) {
-      const bool in_range = starts[i] >= 0 && starts[i] < ends[i] &&
-                            ends[i] <= kSecondsPerDay;
-      const bool disjoint = i + 1 >= end || ends[i] <= starts[i + 1];
-      if (!in_range || !disjoint) {
-        return CorruptSection(kKind, "door " + std::to_string(d) +
-                                         " intervals are not normalised");
-      }
-    }
-    AtiSet& a = (*atis)[d];
-    a.starts_.assign(starts.begin() + begin, starts.begin() + end);
-    a.ends_.assign(ends.begin() + begin, ends.begin() + end);
-  }
-  return Status::Ok();
-}
-
-Status ArtifactCodec::ParseAdjacencyCsr(
-    ByteReader& r, const Venue& venue,
-    std::shared_ptr<const CsrAdjacency>* adj) {
-  constexpr uint32_t kKind =
-      static_cast<uint32_t>(ArtifactSection::kAdjacencyCsr);
-  const size_t n = venue.NumDoors();
-  auto out = std::make_shared<CsrAdjacency>();
-  uint64_t num_doors = 0;
-  if (!r.U64(&num_doors) || num_doors != n) {
-    return CorruptSection(kKind, "door count does not match the venue");
-  }
-  out->num_doors = n;
-  if (!r.Pod(&out->seg_offsets, 2 * num_doors + 1) ||
-      out->seg_offsets[0] != 0) {
-    return CorruptSection(kKind, "malformed segment offsets");
-  }
-  for (size_t s = 0; s + 1 < out->seg_offsets.size(); ++s) {
-    if (out->seg_offsets[s] > out->seg_offsets[s + 1]) {
-      return CorruptSection(kKind, "segment offsets not non-decreasing");
-    }
-  }
-  const uint64_t edges = out->seg_offsets[2 * n];
-  if (!r.Pod(&out->seg_partition, 2 * num_doors) ||
-      !r.Pod(&out->neighbor_ids, edges) ||
-      !r.Pod(&out->neighbor_weights, edges) || !r.Exhausted()) {
-    return CorruptSection(kKind, "edge pool truncated");
-  }
-  // Adopted verbatim — but verify the invariants the unchecked
-  // relaxation loop relies on, so a checksum-colliding corruption can
-  // never index out of bounds or poison the frontier with NaN.
-  for (size_t d = 0; d < n; ++d) {
-    const Door& door = venue.door(static_cast<DoorId>(d));
-    for (size_t side = 0; side < 2; ++side) {
-      if (out->seg_partition[2 * d + side] != door.partitions[side]) {
-        return CorruptSection(
-            kKind, "segment partition disagrees with door " +
-                       std::to_string(d));
-      }
-    }
-    for (uint32_t k = out->seg_offsets[2 * d]; k < out->seg_offsets[2 * d + 2];
-         ++k) {
-      const uint32_t id = out->neighbor_ids[k];
-      const double weight = out->neighbor_weights[k];
-      if (id >= n || id == d || !std::isfinite(weight) || weight < 0) {
-        return CorruptSection(kKind, "corrupt edge out of door " +
-                                         std::to_string(d));
-      }
-    }
-  }
-  out->RecomputeWeightExtremes();
-  *adj = std::move(out);
-  return Status::Ok();
-}
-
-Status ArtifactCodec::ParseVenue(
-    const MetaSection& meta, const std::map<uint32_t, ByteReader>& sections,
-    Venue* venue) {
-  const size_t P = static_cast<size_t>(meta.num_partitions);
-  const size_t n = static_cast<size_t>(meta.num_doors);
-  auto reader = [&sections](ArtifactSection kind) {
-    return sections.at(static_cast<uint32_t>(kind));  // copy: fresh cursor
-  };
-
-  {
-    constexpr uint32_t kKind =
-        static_cast<uint32_t>(ArtifactSection::kPartitions);
-    ByteReader r = reader(ArtifactSection::kPartitions);
-    venue->partitions_.resize(P);
-    for (Partition& p : venue->partitions_) {
-      uint32_t pad;
-      if (!r.F64(&p.rect.min_x) || !r.F64(&p.rect.min_y) ||
-          !r.F64(&p.rect.max_x) || !r.F64(&p.rect.max_y) ||
-          !r.I32(&p.floor) || !r.U32(&pad)) {
-        return CorruptSection(kKind, "truncated partition record");
-      }
-    }
-    if (!r.Exhausted()) return CorruptSection(kKind, "trailing bytes");
-  }
-
-  {
-    constexpr uint32_t kKind = static_cast<uint32_t>(ArtifactSection::kDoors);
-    ByteReader r = reader(ArtifactSection::kDoors);
-    venue->doors_.resize(n);
-    for (Door& d : venue->doors_) {
-      uint32_t pad;
-      if (!r.F64(&d.pos.x) || !r.F64(&d.pos.y) || !r.I32(&d.floor) ||
-          !r.I32(&d.partitions[0]) || !r.I32(&d.partitions[1]) ||
-          !r.U32(&pad)) {
-        return CorruptSection(kKind, "truncated door record");
-      }
-      for (PartitionId p : d.partitions) {
-        if (p < 0 || static_cast<size_t>(p) >= P) {
-          return CorruptSection(kKind, "door references unknown partition");
-        }
-      }
-    }
-    if (!r.Exhausted()) return CorruptSection(kKind, "trailing bytes");
-  }
-
-  {
-    constexpr uint32_t kKind =
-        static_cast<uint32_t>(ArtifactSection::kDoorAtis);
-    ByteReader r = reader(ArtifactSection::kDoorAtis);
-    uint64_t offset_count = 0;
-    std::vector<uint64_t> offsets;
-    if (!r.U64(&offset_count) || offset_count != n + 1 ||
-        !ReadCsrOffsets(r, n, &offsets)) {
-      return CorruptSection(kKind, "malformed interval offsets");
-    }
-    std::vector<TimeInterval> pool;
-    if (!r.Pod(&pool, offsets[n]) || !r.Exhausted()) {
-      return CorruptSection(kKind, "interval pool truncated");
-    }
-    for (size_t d = 0; d < n; ++d) {
-      venue->doors_[d].ati_intervals.assign(
-          pool.begin() + static_cast<size_t>(offsets[d]),
-          pool.begin() + static_cast<size_t>(offsets[d + 1]));
-    }
-  }
-
-  {
-    constexpr uint32_t kKind = static_cast<uint32_t>(ArtifactSection::kDoorsOf);
-    ByteReader r = reader(ArtifactSection::kDoorsOf);
-    std::vector<uint64_t> offsets;
-    if (!ReadCsrOffsets(r, P, &offsets)) {
-      return CorruptSection(kKind, "malformed door-list offsets");
-    }
-    std::vector<DoorId> pool;
-    if (!r.Pod(&pool, offsets[P]) || !r.Exhausted()) {
-      return CorruptSection(kKind, "door pool truncated");
-    }
-    for (DoorId d : pool) {
-      if (d < 0 || static_cast<size_t>(d) >= n) {
-        return CorruptSection(kKind, "door id out of range");
-      }
-    }
-    venue->doors_of_.resize(P);
-    for (size_t p = 0; p < P; ++p) {
-      venue->doors_of_[p].assign(
-          pool.begin() + static_cast<size_t>(offsets[p]),
-          pool.begin() + static_cast<size_t>(offsets[p + 1]));
-    }
-  }
-
-  {
-    constexpr uint32_t kKind =
-        static_cast<uint32_t>(ArtifactSection::kDistanceMatrices);
-    ByteReader r = reader(ArtifactSection::kDistanceMatrices);
-    struct Record {
-      uint64_t num_doors;
-      int32_t base_id;
-      uint32_t li_len;
-    };
-    std::vector<Record> records(P);
-    for (Record& rec : records) {
-      if (!r.U64(&rec.num_doors) || !r.I32(&rec.base_id) ||
-          !r.U32(&rec.li_len) || rec.num_doors > n) {
-        return CorruptSection(kKind, "malformed matrix record");
-      }
-    }
-    venue->distance_matrices_.resize(P);
-    for (size_t p = 0; p < P; ++p) {
-      DistanceMatrix& dm = venue->distance_matrices_[p];
-      dm.num_doors_ = static_cast<size_t>(records[p].num_doors);
-      dm.base_id_ = records[p].base_id;
-      if (!r.Pod(&dm.local_index_, records[p].li_len)) {
-        return CorruptSection(kKind, "local-index pool truncated");
-      }
-    }
-    for (size_t p = 0; p < P; ++p) {
-      DistanceMatrix& dm = venue->distance_matrices_[p];
-      if (!r.Pod(&dm.matrix_, static_cast<uint64_t>(dm.num_doors_) *
-                                  dm.num_doors_)) {
-        return CorruptSection(kKind, "matrix pool truncated");
-      }
-    }
-    if (!r.Exhausted()) return CorruptSection(kKind, "trailing bytes");
-    // DistanceUnchecked performs no bounds checks at query time, so
-    // verify here that every door on a partition's boundary resolves to
-    // a valid local index in that partition's matrix.
-    for (size_t p = 0; p < P; ++p) {
-      const DistanceMatrix& dm = venue->distance_matrices_[p];
-      for (DoorId d : venue->doors_of_[p]) {
-        const int64_t li = static_cast<int64_t>(d) - dm.base_id_;
-        if (li < 0 || static_cast<size_t>(li) >= dm.local_index_.size() ||
-            dm.local_index_[static_cast<size_t>(li)] < 0 ||
-            static_cast<size_t>(dm.local_index_[static_cast<size_t>(li)]) >=
-                dm.num_doors_) {
-          return CorruptSection(
-              kKind, "partition " + std::to_string(p) +
-                         " matrix does not cover its boundary doors");
-        }
-      }
-    }
-  }
-
-  {
-    constexpr uint32_t kKind =
-        static_cast<uint32_t>(ArtifactSection::kFloorIndex);
-    ByteReader r = reader(ArtifactSection::kFloorIndex);
-    uint32_t num_floors = 0;
-    if (!r.I32(&venue->min_floor_) || !r.U32(&num_floors) ||
-        num_floors > 4096) {
-      return CorruptSection(kKind, "malformed floor header");
-    }
-    venue->floor_index_.resize(num_floors);
-    for (Venue::FloorIndex& fi : venue->floor_index_) {
-      if (!r.F64(&fi.origin_x) || !r.F64(&fi.origin_y) || !r.F64(&fi.cell) ||
-          !r.I32(&fi.cols) || !r.I32(&fi.rows) || fi.cols < 0 || fi.rows < 0 ||
-          fi.cell <= 0) {
-        return CorruptSection(kKind, "malformed grid header");
-      }
-      const uint64_t ncells =
-          static_cast<uint64_t>(fi.cols) * static_cast<uint64_t>(fi.rows);
-      if (ncells > r.Remaining() / sizeof(uint64_t)) {
-        return CorruptSection(kKind, "implausible grid size");
-      }
-      std::vector<uint64_t> offsets;
-      if (!ReadCsrOffsets(r, static_cast<size_t>(ncells), &offsets)) {
-        return CorruptSection(kKind, "malformed cell offsets");
-      }
-      std::vector<PartitionId> pool;
-      if (!r.Pod(&pool, offsets[static_cast<size_t>(ncells)])) {
-        return CorruptSection(kKind, "cell pool truncated");
-      }
-      for (PartitionId p : pool) {
-        if (p < 0 || static_cast<size_t>(p) >= P) {
-          return CorruptSection(kKind, "cell references unknown partition");
-        }
-      }
-      fi.cells.resize(static_cast<size_t>(ncells));
-      for (size_t c = 0; c < fi.cells.size(); ++c) {
-        fi.cells[c].assign(pool.begin() + static_cast<size_t>(offsets[c]),
-                           pool.begin() + static_cast<size_t>(offsets[c + 1]));
-      }
-    }
-    if (!r.Exhausted()) return CorruptSection(kKind, "trailing bytes");
-  }
-
-  return Status::Ok();
-}
 
 StatusOr<LoadedVenueWorld> ArtifactCodec::Decode(const uint8_t* data,
                                                  size_t size) {
@@ -770,138 +716,35 @@ StatusOr<LoadedVenueWorld> ArtifactCodec::Decode(const uint8_t* data,
   if (!header_ok.ok()) return header_ok;
 
   // Verify every payload checksum before interpreting a single byte.
-  std::map<uint32_t, ByteReader> sections;
+  std::map<uint32_t, ByteReader> readers;
   for (const ArtifactSectionEntry& e : table) {
+    const char* name = SectionName(e.kind);
     if (ArtifactChecksum(data + e.offset, e.bytes) != e.checksum) {
-      return CorruptSection(e.kind, "checksum mismatch (corrupt artifact)");
+      return CorruptSection(name, "checksum mismatch (corrupt artifact)");
     }
-    if (!sections.emplace(e.kind, ByteReader(data + e.offset, e.bytes))
+    if (!readers.emplace(e.kind, ByteReader(name, data + e.offset, e.bytes))
              .second) {
-      return CorruptSection(e.kind, "duplicate section");
+      return CorruptSection(name, "duplicate section");
     }
   }
-  auto require = [&sections](ArtifactSection kind) -> Status {
-    if (sections.count(static_cast<uint32_t>(kind)) == 0) {
+
+  Sink sink;
+  for (const Section& s : kSections) {
+    const auto it = readers.find(static_cast<uint32_t>(s.kind));
+    const bool expected = s.required || (sink.meta.flags & kFlagHasD2d) != 0;
+    if (it == readers.end()) {
+      if (!expected) continue;
       return InvalidArgumentError(
-          std::string("artifact is missing required section ") +
-          SectionName(static_cast<uint32_t>(kind)));
+          std::string("artifact is missing required section ") + s.name);
     }
-    return Status::Ok();
-  };
-  for (ArtifactSection kind :
-       {ArtifactSection::kMeta, ArtifactSection::kPartitions,
-        ArtifactSection::kDoors, ArtifactSection::kDoorAtis,
-        ArtifactSection::kDoorsOf, ArtifactSection::kDistanceMatrices,
-        ArtifactSection::kFloorIndex, ArtifactSection::kCompiledAtis,
-        ArtifactSection::kAdjacencyCsr, ArtifactSection::kCheckpoints,
-        ArtifactSection::kFlipIndex}) {
-    Status s = require(kind);
-    if (!s.ok()) return s;
+    ByteReader& r = it->second;
+    if (!expected) return r.Reject("present but not declared in Meta flags");
+    Status status = s.decode(r, sink);
+    if (!status.ok()) return status;
+    if (!r.Exhausted()) return r.Reject("trailing bytes");
   }
-
-  MetaSection meta;
-  {
-    ByteReader r = sections.at(static_cast<uint32_t>(ArtifactSection::kMeta));
-    Status s = ParseMeta(r, &meta);
-    if (!s.ok()) return s;
-  }
-  const size_t n = static_cast<size_t>(meta.num_doors);
-
-  LoadedVenueWorld world;
-  world.label = meta.label;
-  {
-    Venue venue;
-    Status s = ParseVenue(meta, sections, &venue);
-    if (!s.ok()) return s;
-    world.venue = std::make_unique<Venue>(std::move(venue));
-  }
-
-  {
-    ByteReader r =
-        sections.at(static_cast<uint32_t>(ArtifactSection::kCompiledAtis));
-    Status s = ParseCompiledAtis(r, n, &world.atis);
-    if (!s.ok()) return s;
-  }
-
-  {
-    ByteReader r =
-        sections.at(static_cast<uint32_t>(ArtifactSection::kAdjacencyCsr));
-    Status s = ParseAdjacencyCsr(r, *world.venue, &world.adjacency);
-    if (!s.ok()) return s;
-  }
-
-  {
-    constexpr uint32_t kKind =
-        static_cast<uint32_t>(ArtifactSection::kCheckpoints);
-    ByteReader r = sections.at(kKind);
-    uint64_t count = 0;
-    if (!r.U64(&count) || !r.Pod(&world.checkpoint_times, count) ||
-        !r.Exhausted()) {
-      return CorruptSection(kKind, "malformed");
-    }
-    for (size_t i = 0; i < world.checkpoint_times.size(); ++i) {
-      const double t = world.checkpoint_times[i];
-      const bool ordered = i == 0 || world.checkpoint_times[i - 1] < t;
-      if (!(t > 0) || !(t < kSecondsPerDay) || !ordered) {
-        return CorruptSection(kKind, "times not strictly increasing in (0, "
-                                     "86400)");
-      }
-    }
-  }
-
-  {
-    constexpr uint32_t kKind =
-        static_cast<uint32_t>(ArtifactSection::kFlipIndex);
-    ByteReader r = sections.at(kKind);
-    uint64_t boundaries = 0;
-    std::vector<uint64_t> offsets;
-    if (!r.U64(&boundaries) ||
-        boundaries != world.checkpoint_times.size() ||
-        !ReadCsrOffsets(r, static_cast<size_t>(boundaries), &offsets)) {
-      return CorruptSection(
-          kKind, "boundary count does not match the checkpoint set");
-    }
-    std::vector<DoorId> pool;
-    if (!r.Pod(&pool, offsets[static_cast<size_t>(boundaries)]) ||
-        !r.Exhausted()) {
-      return CorruptSection(kKind, "flip pool truncated");
-    }
-    world.flip_lists.resize(static_cast<size_t>(boundaries));
-    for (size_t b = 0; b < world.flip_lists.size(); ++b) {
-      const size_t begin = static_cast<size_t>(offsets[b]);
-      const size_t end = static_cast<size_t>(offsets[b + 1]);
-      if (begin == end) {
-        return CorruptSection(kKind, "empty flip list for a checkpoint");
-      }
-      for (size_t i = begin; i < end; ++i) {
-        const bool in_range = pool[i] >= 0 && static_cast<size_t>(pool[i]) < n;
-        const bool ascending = i == begin || pool[i - 1] < pool[i];
-        if (!in_range || !ascending) {
-          return CorruptSection(kKind, "flip list corrupt at boundary " +
-                                           std::to_string(b));
-        }
-      }
-      world.flip_lists[b].assign(pool.begin() + begin, pool.begin() + end);
-    }
-  }
-
-  const uint32_t d2d_kind = static_cast<uint32_t>(ArtifactSection::kD2d);
-  if ((meta.flags & kFlagHasD2d) != 0) {
-    if (sections.count(d2d_kind) == 0) {
-      return InvalidArgumentError(
-          "artifact flags declare a D2d section but none is present");
-    }
-    ByteReader r = sections.at(d2d_kind);
-    uint64_t d2d_doors = 0;
-    if (!r.U64(&d2d_doors) || d2d_doors != n ||
-        !r.Pod(&world.d2d_matrix, d2d_doors * d2d_doors) || !r.Exhausted()) {
-      return CorruptSection(d2d_kind, "malformed");
-    }
-  } else if (sections.count(d2d_kind) != 0) {
-    return CorruptSection(d2d_kind, "present but not declared in Meta flags");
-  }
-
-  return world;
+  sink.world.venue = std::make_unique<Venue>(std::move(sink.venue));
+  return std::move(sink.world);
 }
 
 // ---------------------------------------------------------------------------

@@ -242,6 +242,10 @@ Status GetQueryCommon(WireReader& r, WireQuery* query) {
       !r.GetI32(&query->target_floor)) {
     return Truncated("query target point");
   }
+  if (!std::isfinite(query->source_x) || !std::isfinite(query->source_y) ||
+      !std::isfinite(query->target_x) || !std::isfinite(query->target_y)) {
+    return InvalidArgumentError("query endpoint coordinates are not finite");
+  }
   if (!r.GetF64(&query->departure_seconds)) return Truncated("query departure");
   // A NaN/inf departure is the same class of peer bug as a NaN
   // deadline: it would sail through WrapTimeOfDay into the search and
@@ -347,6 +351,9 @@ Status DecodeTemporalQueryBody(std::string_view body, WireQuery* query) {
     IndoorPoint p;
     if (!r.GetF64(&p.p.x) || !r.GetF64(&p.p.y) || !r.GetI32(&p.floor)) {
       return Truncated("temporal waypoint");
+    }
+    if (!std::isfinite(p.p.x) || !std::isfinite(p.p.y)) {
+      return InvalidArgumentError("waypoint coordinates are not finite");
     }
     query->waypoints.push_back(p);
   }

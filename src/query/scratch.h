@@ -120,6 +120,8 @@ struct SearchScratch {
 /// identically). kInvalidArgument on:
 ///   - a non-finite departure (NaN used to flow into WrapTimeOfDay and
 ///     surface as a silent found == false);
+///   - a non-finite source, target or waypoint coordinate (it reached
+///     the point locator's float-to-int cast);
 ///   - a non-zero venue_id naming a venue other than the router's bound
 ///     one (used to be silently answered by the wrong venue);
 ///   - per-family parameter violations (non-finite/negative budget,
@@ -129,6 +131,16 @@ inline Status ValidateRequest(const QueryRequest& request,
   if (!std::isfinite(request.departure.seconds())) {
     return InvalidArgumentError(
         "departure must be a finite time (NaN/inf rejected)");
+  }
+  const auto finite = [](const IndoorPoint& p) {
+    return std::isfinite(p.p.x) && std::isfinite(p.p.y);
+  };
+  if (!finite(request.source) || !finite(request.target) ||
+      !std::all_of(request.waypoints.begin(), request.waypoints.end(),
+                   finite)) {
+    return InvalidArgumentError(
+        "source, target and waypoint coordinates must be finite "
+        "(NaN/inf rejected)");
   }
   if (request.venue_id != 0 && request.venue_id != bound_venue_id) {
     return InvalidArgumentError(

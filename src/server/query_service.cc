@@ -107,7 +107,6 @@ void QueryService::Submit(const QueryRequest& request,
   pending.request = request;
   pending.qos = qos;
   pending.submit = now;
-  pending.deadline = DeadlineFor(now, deadline_micros);
   pending.done = std::move(done);
 
   Status rejection;
@@ -130,8 +129,9 @@ void QueryService::Submit(const QueryRequest& request,
       rejection = InvalidArgumentError(
           "unknown query kind " + std::to_string(kind_index));
     } else if (std::isnan(deadline_micros) || deadline_micros < 0) {
-      // NaN must never reach DeadlineFor: !(NaN < 1e15) reads as "no
-      // deadline", silently admitting a malformed request as immortal.
+      // Neither may reach DeadlineFor: !(NaN < 1e15) reads as "no
+      // deadline", silently admitting a malformed request as immortal,
+      // and a -inf deadline overflows the duration cast.
       rejected_invalid_.fetch_add(1, kRelaxed);
       rejection =
           InvalidArgumentError("deadline_micros must be a non-negative "
@@ -140,6 +140,7 @@ void QueryService::Submit(const QueryRequest& request,
       rejected_expired_.fetch_add(1, kRelaxed);
       rejection = DeadlineExceededError("deadline expired before admission");
     } else {
+      pending.deadline = DeadlineFor(now, deadline_micros);
       // Feasibility gate: with the observed per-request route time and
       // the queue depth this class would wait behind, can the deadline
       // still be met? Shedding now beats timing out in the queue later

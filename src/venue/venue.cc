@@ -14,6 +14,14 @@ namespace {
 // bloating small venues.
 constexpr double kLocateCellMetres = 64.0;
 
+/// The grid column (or row) of coordinate `v`, clamped to [0, count) in
+/// the double domain: a point far outside the grid, or a NaN, lands on
+/// an edge cell instead of overflowing the int cast.
+int GridCell(double v, double origin, double cell, int count) {
+  const double at = (v - origin) / cell;
+  return at > 0 ? static_cast<int>(std::min(at, count - 1.0)) : 0;
+}
+
 }  // namespace
 
 PartitionId Venue::Builder::AddPartition(const Rect& rect, int floor) {
@@ -166,18 +174,14 @@ void Venue::BuildLocationIndex() {
   for (size_t pid = 0; pid < partitions_.size(); ++pid) {
     const Partition& p = partitions_[pid];
     FloorIndex& index = floor_index_[static_cast<size_t>(p.floor - min_floor_)];
-    const int c0 = std::clamp(
-        static_cast<int>((p.rect.min_x - index.origin_x) / index.cell), 0,
-        index.cols - 1);
-    const int c1 = std::clamp(
-        static_cast<int>((p.rect.max_x - index.origin_x) / index.cell), 0,
-        index.cols - 1);
-    const int r0 = std::clamp(
-        static_cast<int>((p.rect.min_y - index.origin_y) / index.cell), 0,
-        index.rows - 1);
-    const int r1 = std::clamp(
-        static_cast<int>((p.rect.max_y - index.origin_y) / index.cell), 0,
-        index.rows - 1);
+    const int c0 =
+        GridCell(p.rect.min_x, index.origin_x, index.cell, index.cols);
+    const int c1 =
+        GridCell(p.rect.max_x, index.origin_x, index.cell, index.cols);
+    const int r0 =
+        GridCell(p.rect.min_y, index.origin_y, index.cell, index.rows);
+    const int r1 =
+        GridCell(p.rect.max_y, index.origin_y, index.cell, index.rows);
     for (int r = r0; r <= r1; ++r) {
       for (int c = c0; c <= c1; ++c) {
         index.cells[static_cast<size_t>(r) * index.cols + c].push_back(
@@ -193,12 +197,8 @@ std::vector<PartitionId> Venue::LocateAll(const IndoorPoint& point) const {
   if (point.floor < min_floor_ || f >= floor_index_.size()) return out;
   const FloorIndex& index = floor_index_[f];
   if (index.cols == 0 || index.rows == 0) return out;
-  const int c = std::clamp(
-      static_cast<int>((point.p.x - index.origin_x) / index.cell), 0,
-      index.cols - 1);
-  const int r = std::clamp(
-      static_cast<int>((point.p.y - index.origin_y) / index.cell), 0,
-      index.rows - 1);
+  const int c = GridCell(point.p.x, index.origin_x, index.cell, index.cols);
+  const int r = GridCell(point.p.y, index.origin_y, index.cell, index.rows);
   for (PartitionId pid :
        index.cells[static_cast<size_t>(r) * index.cols + c]) {
     if (partitions_[static_cast<size_t>(pid)].rect.Contains(point.p)) {

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -71,6 +74,70 @@ void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
   ASSERT_TRUE(out.is_open()) << path;
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
+}
+
+// An artifact image taken apart into its sections' kinds and payloads,
+// in table order.
+using Sections = std::vector<std::pair<uint32_t, std::vector<uint8_t>>>;
+
+Sections SplitSections(const std::vector<uint8_t>& image) {
+  ArtifactHeader header;
+  std::memcpy(&header, image.data(), sizeof(header));
+  std::vector<ArtifactSectionEntry> table(header.section_count);
+  std::memcpy(table.data(), image.data() + sizeof(header),
+              table.size() * sizeof(table[0]));
+  Sections sections;
+  for (const ArtifactSectionEntry& e : table) {
+    const auto begin = image.begin() + static_cast<long>(e.offset);
+    sections.emplace_back(
+        e.kind,
+        std::vector<uint8_t>(begin, begin + static_cast<long>(e.bytes)));
+  }
+  return sections;
+}
+
+// Recomputes every section checksum and the table checksum of an edited
+// image, as a hostile writer would, so only the decoder's structural
+// and semantic checks stand between the bytes and the serving world.
+void Reseal(std::vector<uint8_t>* image) {
+  ArtifactHeader header;
+  std::memcpy(&header, image->data(), sizeof(header));
+  std::vector<ArtifactSectionEntry> table(header.section_count);
+  std::memcpy(table.data(), image->data() + sizeof(header),
+              table.size() * sizeof(table[0]));
+  for (ArtifactSectionEntry& e : table) {
+    e.checksum = ArtifactChecksum(image->data() + e.offset, e.bytes);
+  }
+  header.table_checksum =
+      ArtifactChecksum(table.data(), table.size() * sizeof(table[0]));
+  std::memcpy(image->data(), &header, sizeof(header));
+  std::memcpy(image->data() + sizeof(header), table.data(),
+              table.size() * sizeof(table[0]));
+}
+
+// Lays `sections` out as the encoder does (header, table, payloads in
+// order) and seals the result.
+std::vector<uint8_t> Assemble(const Sections& sections) {
+  ArtifactHeader header = {};
+  std::memcpy(header.magic, kArtifactMagic, sizeof(header.magic));
+  header.format_version = kArtifactFormatVersion;
+  header.endian_tag = kArtifactEndianTag;
+  header.header_bytes = sizeof(ArtifactHeader);
+  header.section_count = static_cast<uint32_t>(sections.size());
+  std::vector<ArtifactSectionEntry> table(sections.size());
+  std::vector<uint8_t> image(sizeof(header) + table.size() * sizeof(table[0]));
+  for (size_t i = 0; i < sections.size(); ++i) {
+    table[i] = {sections[i].first, 0, image.size(), sections[i].second.size(),
+                0};
+    image.insert(image.end(), sections[i].second.begin(),
+                 sections[i].second.end());
+  }
+  header.file_bytes = image.size();
+  std::memcpy(image.data(), &header, sizeof(header));
+  std::memcpy(image.data() + sizeof(header), table.data(),
+              table.size() * sizeof(table[0]));
+  Reseal(&image);
+  return image;
 }
 
 // A corrupt or stale artifact must be rejected at registration with the
@@ -223,14 +290,8 @@ TEST(ArtifactNegativeTest, CorruptAdjacencyEdgeRejectedByValidation) {
   const uint32_t bogus = 0xFFFFFFFFu;  // id far outside [0, num_doors)
   std::memcpy(payload + ids_at, &bogus, sizeof(bogus));
 
-  // Recompute the section checksum and the table checksum over it, so
-  // only the structural validator stands between the bytes and UB.
-  adj_entry->checksum = ArtifactChecksum(payload, adj_entry->bytes);
-  header.table_checksum =
-      ArtifactChecksum(table.data(), table.size() * sizeof(table[0]));
-  std::memcpy(image.data(), &header, sizeof(header));
-  std::memcpy(image.data() + sizeof(header), table.data(),
-              table.size() * sizeof(table[0]));
+  // Only the structural validator stands between the bytes and UB.
+  Reseal(&image);
 
   WriteBytes(dir + "/a.itspq", image);
   auto loaded = LoadVenueArtifact(dir + "/a.itspq");
@@ -240,6 +301,251 @@ TEST(ArtifactNegativeTest, CorruptAdjacencyEdgeRejectedByValidation) {
       << loaded.status().ToString();
   EXPECT_NE(loaded.status().message().find("corrupt edge"), std::string::npos)
       << loaded.status().ToString();
+}
+
+// Little-endian field access into one section payload.
+template <typename T>
+T Get(const std::vector<uint8_t>& payload, size_t at) {
+  T value;
+  std::memcpy(&value, payload.data() + at, sizeof(value));
+  return value;
+}
+template <typename T>
+void Set(std::vector<uint8_t>* payload, size_t at, T value) {
+  std::memcpy(payload->data() + at, &value, sizeof(value));
+}
+
+std::vector<uint8_t>* Payload(Sections* sections, ArtifactSection kind) {
+  for (auto& [k, payload] : *sections) {
+    if (k == static_cast<uint32_t>(kind)) return &payload;
+  }
+  ADD_FAILURE() << "no section of kind " << static_cast<uint32_t>(kind);
+  std::abort();
+}
+
+// One corruption behind the checksums and the section that must reject
+// it. `d2d` picks the image it edits (written with or without D2d);
+// `fragment` is the message text the rejection carries, empty where
+// only the section name is pinned.
+struct SectionCase {
+  const char* name;
+  const char* section;
+  const char* fragment;
+  bool d2d;
+  void (*corrupt)(Sections*, uint64_t partitions, uint64_t doors);
+};
+
+const SectionCase kSectionCases[] = {
+    {"door to unknown partition", "Doors", "unknown partition", false,
+     [](Sections* s, uint64_t P, uint64_t) {
+       // Door record: f64 x, f64 y, i32 floor, i32 partitions[2], pad.
+       Set<int32_t>(Payload(s, ArtifactSection::kDoors), 20,
+                    static_cast<int32_t>(P));
+     }},
+    {"doors-of id out of range", "DoorsOf", "door id out of range", false,
+     [](Sections* s, uint64_t P, uint64_t n) {
+       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kDoorsOf);
+       ASSERT_GT(Get<uint64_t>(*p, P * 8), 0u);
+       Set<int32_t>(p, (P + 1) * 8, static_cast<int32_t>(n));
+     }},
+    {"matrix misses its boundary doors", "DistanceMatrices",
+     "does not cover its boundary doors", false,
+     [](Sections* s, uint64_t P, uint64_t) {
+       // Matrix record: u64 num_doors, i32 base_id, u32 local-index length.
+       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kDistanceMatrices);
+       for (uint64_t i = 0; i < P; ++i) Set<int32_t>(p, i * 16 + 8, INT32_MAX);
+     }},
+    {"floor cell to unknown partition", "FloorIndex",
+     "unknown partition", false,
+     [](Sections* s, uint64_t P, uint64_t) {
+       // i32 min floor, u32 floors, then floor 0: f64 origin x/y, f64
+       // cell, i32 cols, i32 rows, u64 offsets[cells + 1], i32 pool.
+       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kFloorIndex);
+       const uint64_t cells = static_cast<uint64_t>(Get<int32_t>(*p, 32)) *
+                              static_cast<uint64_t>(Get<int32_t>(*p, 36));
+       ASSERT_GT(Get<uint64_t>(*p, 40 + cells * 8), 0u);
+       Set<int32_t>(p, 40 + (cells + 1) * 8, static_cast<int32_t>(P));
+     }},
+    {"compiled ATI not normalised", "CompiledAtis", "not normalised", false,
+     [](Sections* s, uint64_t, uint64_t n) {
+       // u64 offsets[n + 1], f64 starts[E], f64 ends[E].
+       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kCompiledAtis);
+       const uint64_t intervals = Get<uint64_t>(*p, n * 8);
+       ASSERT_GT(intervals, 0u);
+       const size_t starts = (n + 1) * 8;
+       Set<double>(p, starts, Get<double>(*p, starts + intervals * 8));
+     }},
+    {"checkpoints not increasing", "Checkpoints", "strictly increasing", false,
+     [](Sections* s, uint64_t, uint64_t) {
+       // u64 count, f64 times[count].
+       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kCheckpoints);
+       ASSERT_GE(Get<uint64_t>(*p, 0), 2u);
+       Set<double>(p, 16, Get<double>(*p, 8));
+     }},
+    {"empty flip list", "FlipIndex", "empty flip list", false,
+     [](Sections* s, uint64_t, uint64_t) {
+       // u64 boundaries, u64 offsets[boundaries + 1], i32 pool.
+       Set<uint64_t>(Payload(s, ArtifactSection::kFlipIndex), 16, 0);
+     }},
+    {"unsorted flip list", "FlipIndex", "flip list corrupt", false,
+     [](Sections* s, uint64_t, uint64_t) {
+       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kFlipIndex);
+       const uint64_t boundaries = Get<uint64_t>(*p, 0);
+       const size_t pool = (boundaries + 2) * 8;
+       for (uint64_t b = 0; b < boundaries; ++b) {
+         const uint64_t begin = Get<uint64_t>(*p, (b + 1) * 8);
+         if (Get<uint64_t>(*p, (b + 2) * 8) - begin < 2) continue;
+         const size_t at = pool + begin * 4;
+         const int32_t first = Get<int32_t>(*p, at);
+         Set<int32_t>(p, at, Get<int32_t>(*p, at + 4));
+         Set<int32_t>(p, at + 4, first);
+         return;
+       }
+       FAIL() << "no boundary flips two doors";
+     }},
+    {"boundary count off the checkpoints", "FlipIndex",
+     "does not match the checkpoint set", false,
+     [](Sections* s, uint64_t, uint64_t) {
+       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kFlipIndex);
+       Set<uint64_t>(p, 0, Get<uint64_t>(*p, 0) + 1);
+     }},
+    {"D2d present but not declared", "D2d", "not declared", true,
+     [](Sections* s, uint64_t, uint64_t) {
+       // Meta: u64 partitions, u64 doors, u64 flags, u64 label length.
+       Set<uint64_t>(Payload(s, ArtifactSection::kMeta), 16, 0);
+     }},
+    {"D2d declared but absent", "D2d", "", false,
+     [](Sections* s, uint64_t, uint64_t) {
+       Set<uint64_t>(Payload(s, ArtifactSection::kMeta), 16, 1);
+     }},
+    {"duplicate section", "Checkpoints", "duplicate section", false,
+     [](Sections* s, uint64_t, uint64_t) {
+       s->emplace_back(static_cast<uint32_t>(ArtifactSection::kCheckpoints),
+                       *Payload(s, ArtifactSection::kCheckpoints));
+     }},
+    {"missing required section", "FlipIndex", "missing required section",
+     false,
+     [](Sections* s, uint64_t, uint64_t) {
+       s->erase(std::remove_if(s->begin(), s->end(),
+                               [](const auto& section) {
+                                 return section.first ==
+                                        static_cast<uint32_t>(
+                                            ArtifactSection::kFlipIndex);
+                               }),
+                s->end());
+     }},
+};
+
+// A floor grid the point locator cannot divide by: its origin and cell
+// size reach a float-to-int cast on every lookup.
+const SectionCase kNonFiniteGridCases[] = {
+    {"NaN grid cell", "FloorIndex", "malformed grid header", false,
+     [](Sections* s, uint64_t, uint64_t) {
+       Set<double>(Payload(s, ArtifactSection::kFloorIndex), 24, std::nan(""));
+     }},
+    {"infinite grid cell", "FloorIndex", "malformed grid header", false,
+     [](Sections* s, uint64_t, uint64_t) {
+       Set<double>(Payload(s, ArtifactSection::kFloorIndex), 24, HUGE_VAL);
+     }},
+    {"infinite grid origin", "FloorIndex", "malformed grid header", false,
+     [](Sections* s, uint64_t, uint64_t) {
+       Set<double>(Payload(s, ArtifactSection::kFloorIndex), 8, -HUGE_VAL);
+     }},
+    {"NaN grid origin", "FloorIndex", "malformed grid header", false,
+     [](Sections* s, uint64_t, uint64_t) {
+       Set<double>(Payload(s, ArtifactSection::kFloorIndex), 16, std::nan(""));
+     }},
+    {"negative grid cell", "FloorIndex", "malformed grid header", false,
+     [](Sections* s, uint64_t, uint64_t) {
+       Set<double>(Payload(s, ArtifactSection::kFloorIndex), 24, -1.0);
+     }},
+};
+
+std::string DecodeError(const Sections& sections) {
+  const std::vector<uint8_t> image = Assemble(sections);
+  auto decoded = DecodeVenueArtifact(image.data(), image.size());
+  if (decoded.ok()) return "decoded";
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+      << decoded.status().ToString();
+  return decoded.status().message();
+}
+
+// Applies each case to a fresh split of the small venue's image (with
+// or without D2d) and expects its section's rejection.
+template <size_t N>
+void ExpectEachRejected(const SectionCase (&cases)[N]) {
+  ArtifactWriteOptions with_d2d;
+  with_d2d.include_d2d = true;
+  const std::vector<uint8_t> images[2] = {
+      EncodeSmallVenue(),
+      ValueOrDie(EncodeVenueArtifact(MakeSmallVenue(), with_d2d),
+                 "EncodeVenueArtifact")};
+  for (const std::vector<uint8_t>& image : images) {
+    ASSERT_EQ(Assemble(SplitSections(image)), image);
+  }
+  Sections plain = SplitSections(images[0]);
+  const std::vector<uint8_t>& meta = *Payload(&plain, ArtifactSection::kMeta);
+  const uint64_t partitions = Get<uint64_t>(meta, 0);
+  const uint64_t doors = Get<uint64_t>(meta, 8);
+
+  for (const SectionCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    Sections sections = SplitSections(images[c.d2d ? 1 : 0]);
+    c.corrupt(&sections, partitions, doors);
+    const std::string message = DecodeError(sections);
+    EXPECT_NE(message.find(c.section), std::string::npos) << message;
+    EXPECT_NE(message.find(c.fragment), std::string::npos) << message;
+  }
+}
+
+// Every section's semantic check, pinned through a re-sealed image: the
+// rejection is kInvalidArgument and names the section at fault.
+TEST(ArtifactSectionRejectionTest, EverySectionRejectsItsBrokenInvariant) {
+  ExpectEachRejected(kSectionCases);
+}
+
+TEST(ArtifactSectionRejectionTest, NonFiniteFloorGridRejected) {
+  ExpectEachRejected(kNonFiniteGridCases);
+}
+
+// Bytes past a section's last field are rejected in every section, by
+// that section's name.
+TEST(ArtifactSectionRejectionTest, TrailingBytesRejectedInEverySection) {
+  ArtifactWriteOptions with_d2d;
+  with_d2d.include_d2d = true;
+  const Sections sections = SplitSections(ValueOrDie(
+      EncodeVenueArtifact(MakeSmallVenue(), with_d2d), "EncodeVenueArtifact"));
+  ASSERT_EQ(sections.size(), 12u);
+  const char* const names[] = {"",         "Meta",         "Partitions",
+                               "Doors",    "DoorAtis",     "DoorsOf",
+                               "DistanceMatrices",         "FloorIndex",
+                               "CompiledAtis", "Checkpoints", "FlipIndex",
+                               "D2d",      "AdjacencyCsr"};
+  for (size_t i = 0; i < sections.size(); ++i) {
+    Sections padded = sections;
+    padded[i].second.resize(padded[i].second.size() + 8, 0);
+    const char* name = names[padded[i].first];
+    SCOPED_TRACE(name);
+    const std::string message = DecodeError(padded);
+    EXPECT_NE(message.find(std::string("section ") + name), std::string::npos)
+        << message;
+  }
+}
+
+// The codec is canonical: a decoded venue re-encodes (same label, with
+// D2d) to exactly the bytes it was decoded from.
+TEST(ArtifactTest, ReencodingADecodedVenueIsByteIdentical) {
+  ArtifactWriteOptions options;
+  options.include_d2d = true;
+  options.label = "canonical";
+  const std::vector<uint8_t> first = ValueOrDie(
+      EncodeVenueArtifact(MakeSmallVenue(), options), "EncodeVenueArtifact");
+  const LoadedVenueWorld world = ValueOrDie(
+      DecodeVenueArtifact(first.data(), first.size()), "DecodeVenueArtifact");
+  ASSERT_EQ(world.label, options.label);
+  const std::vector<uint8_t> second = ValueOrDie(
+      EncodeVenueArtifact(*world.venue, options), "EncodeVenueArtifact");
+  EXPECT_EQ(first, second);
 }
 
 // The loaded world carries the compiled adjacency verbatim; assembling

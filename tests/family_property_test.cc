@@ -667,6 +667,48 @@ TEST(FamilyValidationTest, NonFiniteDeparturesRejectedEverywhere) {
   }
 }
 
+// A non-finite coordinate is a malformed request; a finite one far off
+// the grid (1e300 overflowed the point locator's int cast) is simply
+// outside every partition. Both are kInvalidArgument, for every
+// endpoint and every strategy.
+TEST(FamilyValidationTest, NonFiniteAndFarCoordinatesRejectedEverywhere) {
+  FamilyWorld world = MakeWorld(42);
+  auto routers = MakeAllRouters(world);
+  QueryContext context;
+  const IndoorPoint inside =
+      IndoorPoint{{world.venue->partition(0).rect.min_x + 1,
+                   world.venue->partition(0).rect.min_y + 1},
+                  world.venue->partition(0).floor};
+
+  for (const auto& router : routers) {
+    for (double bad : {kNan, kInf, -kInf, 1e300, -1e300}) {
+      for (int endpoint = 0; endpoint < 3; ++endpoint) {
+        QueryRequest request;
+        request.kind = endpoint == 2 ? QueryKind::kMultiStop
+                                     : QueryKind::kPointToPoint;
+        request.source = inside;
+        request.target = inside;
+        request.departure = Instant::FromHMS(12);
+        request.waypoints = {inside};
+        IndoorPoint& broken = endpoint == 0   ? request.source
+                              : endpoint == 1 ? request.target
+                                              : request.waypoints[0];
+        (endpoint == 1 ? broken.p.y : broken.p.x) = bad;
+        auto result = router->Route(request, &context);
+        ASSERT_FALSE(result.ok())
+            << router->name() << " endpoint " << endpoint << " " << bad;
+        EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+            << router->name() << ": " << result.status().ToString();
+        if (!std::isfinite(bad)) {
+          EXPECT_NE(result.status().message().find("finite"),
+                    std::string::npos)
+              << router->name() << ": " << result.status().message();
+        }
+      }
+    }
+  }
+}
+
 TEST(FamilyValidationTest, MalformedFamilyParametersRejected) {
   FamilyWorld world = MakeWorld(42);
   auto routers = MakeAllRouters(world);

@@ -358,6 +358,51 @@ TEST(WireTemporalQueryTest, NonFiniteDepartureRejectedByBothCodecs) {
   }
 }
 
+// Non-finite endpoint and waypoint coordinates stop at the edge, as a
+// non-finite departure does; a finite but far-away point decodes and is
+// left to the router, which finds it outside every partition.
+TEST(WireTemporalQueryTest, NonFiniteCoordinatesRejectedByBothCodecs) {
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(), 1e300}) {
+    const bool finite = std::isfinite(bad);
+    WireQuery out;
+    for (double WireQuery::*field :
+         {&WireQuery::source_x, &WireQuery::source_y, &WireQuery::target_x,
+          &WireQuery::target_y}) {
+      WireQuery q = SampleQuery();
+      q.*field = bad;
+      const Status plain = DecodeQueryBody(
+          FrameBody(EncodeQueryFrame(q), MsgType::kQuery), &out);
+      WireQuery tq = SampleTemporalQuery(QueryKind::kReachability);
+      tq.*field = bad;
+      const Status temporal = DecodeTemporalQueryBody(
+          FrameBody(EncodeTemporalQueryFrame(tq), MsgType::kTemporalQuery),
+          &out);
+      for (const Status& s : {plain, temporal}) {
+        if (finite) {
+          EXPECT_TRUE(s.ok()) << s.ToString();
+          continue;
+        }
+        EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad;
+        EXPECT_NE(s.message().find("coordinates"), std::string::npos)
+            << s.ToString();
+      }
+    }
+    WireQuery tq = SampleTemporalQuery(QueryKind::kMultiStop);
+    tq.waypoints[1].p.y = bad;
+    const Status waypoint = DecodeTemporalQueryBody(
+        FrameBody(EncodeTemporalQueryFrame(tq), MsgType::kTemporalQuery),
+        &out);
+    if (finite) {
+      EXPECT_TRUE(waypoint.ok()) << waypoint.ToString();
+      EXPECT_EQ(out.waypoints[1].p.y, bad);
+    } else {
+      EXPECT_EQ(waypoint.code(), StatusCode::kInvalidArgument) << bad;
+      EXPECT_NE(waypoint.message().find("waypoint"), std::string::npos);
+    }
+  }
+}
+
 TEST(WireTemporalQueryTest, NonFiniteBudgetRejectedForReachabilityOnly) {
   for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
     WireQuery q = SampleTemporalQuery(QueryKind::kReachability);
