@@ -14,10 +14,10 @@
 //
 // Latency numbers are scheduling-sensitive: on a 1-core host the
 // submitter and the workers time-share, so p99 reflects contention, not
-// service capacity — same caveat as bench_sharded's scaling rows; rerun
-// on multi-core hardware for real numbers. `--smoke` shrinks the run to
-// a CI-sized single point and exits non-zero if the serving invariants
-// break; `--seed=N` reproduces a run exactly.
+// service capacity; rerun on multi-core hardware for real numbers.
+// `--smoke` shrinks the run to a CI-sized single point and exits
+// non-zero if the serving invariants break; `--seed=N` reproduces a run
+// exactly.
 
 #include <algorithm>
 #include <chrono>
@@ -49,6 +49,7 @@ struct RunShape {
   int num_venues = 3;
   int max_floors = 2;
   int num_requests = 2048;
+  double deadline_micros = 50'000;  // 50 ms SLO
   ServiceOptions service;
 };
 
@@ -87,7 +88,9 @@ LoadResult RunLoadPoint(const RunShape& shape, double offered_qps,
   {
     std::vector<std::future<StatusOr<QueryResult>>> warmers;
     for (int i = 0; i < std::min(shape.num_requests, 32); ++i) {
-      warmers.push_back((*service)->Submit((*workload)[static_cast<size_t>(i)]));
+      warmers.push_back(
+          (*service)->Submit((*workload)[static_cast<size_t>(i)],
+                             shape.deadline_micros, QosClass::kInteractive));
     }
     for (auto& f : warmers) (void)f.get();
   }
@@ -101,7 +104,9 @@ LoadResult RunLoadPoint(const RunShape& shape, double offered_qps,
     std::this_thread::sleep_until(
         start + std::chrono::duration_cast<SteadyClock::duration>(
                     std::chrono::duration<double>((*arrivals)[static_cast<size_t>(i)])));
-    futures.push_back((*service)->Submit((*workload)[static_cast<size_t>(i)]));
+    futures.push_back((*service)->Submit((*workload)[static_cast<size_t>(i)],
+                                         shape.deadline_micros,
+                                         QosClass::kInteractive));
   }
   for (auto& f : futures) (void)f.get();
   const double seconds =
@@ -175,7 +180,6 @@ int Run(bool smoke, uint64_t seed) {
   RunShape shape;
   shape.service.num_workers = smoke ? 2 : 4;
   shape.service.queue_capacity = smoke ? 64 : 512;
-  shape.service.default_deadline_micros = 50'000;  // 50 ms SLO
   std::vector<double> loads = {500, 2000, 8000, 32000};
   if (smoke) {
     shape.num_venues = 2;

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -242,7 +243,9 @@ LoadResult RunLoadPoint(const RunShape& shape, bool with_writes,
         start + std::chrono::duration_cast<SteadyClock::duration>(
                     std::chrono::duration<double>(
                         (*arrivals)[static_cast<size_t>(i)])));
-    futures.push_back((*service)->Submit((*workload)[static_cast<size_t>(i)]));
+    futures.push_back((*service)->Submit(
+        (*workload)[static_cast<size_t>(i)],
+        std::numeric_limits<double>::infinity(), QosClass::kInteractive));
   }
   for (auto& f : futures) (void)f.get();
   const double seconds =

@@ -209,29 +209,6 @@ void BM_QueryEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryEndToEnd)->Arg(0)->Arg(1)->Arg(2);
 
-void BM_RouteBatch(benchmark::State& state) {
-  const World& world = SharedWorld();
-  static std::unique_ptr<Router> router = MakeRouterOrDie(world, "itg-s");
-  static std::vector<QueryRequest>* requests = [] {
-    auto* reqs = new std::vector<QueryRequest>();
-    for (const QueryInstance& q : MakeWorkload(SharedWorld(), 900,
-                                               /*pairs=*/4)) {
-      for (int hour : {10, 12, 14, 16}) {
-        reqs->push_back(QueryRequest{q.ps, q.pt, Instant::FromHMS(hour),
-                                     QueryOptions()});
-      }
-    }
-    return reqs;
-  }();
-  BatchOptions opts;
-  opts.num_threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto results = router->RouteBatch(*requests, opts);
-    benchmark::DoNotOptimize(results.size());
-  }
-}
-BENCHMARK(BM_RouteBatch)->Arg(1)->Arg(4);
-
 }  // namespace
 }  // namespace bench
 }  // namespace itspq

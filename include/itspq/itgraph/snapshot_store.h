@@ -183,10 +183,10 @@ class SnapshotStore {
 
   size_t NumIntervals() const { return slots_.size(); }
 
-  /// Process-unique store identity. Query contexts that retain pins
-  /// across a batch record this id so pins are reused only against the
-  /// store that issued them — a recycled heap address (epoch swap,
-  /// another shard's router) can never alias a previous store.
+  /// Process-unique store identity. A query context keeps its resident
+  /// mask warm across queries under this id, so the mask is reused only
+  /// against the store's own graph — a recycled heap address (epoch
+  /// swap, another shard's router) can never alias a previous store.
   uint64_t id() const { return id_; }
 
   /// Store overhead + resident snapshots + the flip index when the

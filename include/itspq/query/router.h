@@ -16,9 +16,6 @@
 //   StatusOr<QueryResult> r =
 //       (*router)->Route({ps, pt, Instant::FromHMS(12)}, &ctx);
 //
-// RouteBatch answers many requests in one call, optionally fanning out
-// over a thread pool — the first scaling surface for the serving path.
-//
 // Strategies (the closed TvCheck set) are resolved by name through
 // MakeRouter (strategies.h): "itg-s", "itg-a", "itg-a+", "snap", "ntv".
 
@@ -157,27 +154,6 @@ class QueryContext {
   std::unique_ptr<internal::SearchScratch> scratch_;
 };
 
-/// Options for Router::RouteBatch.
-struct BatchOptions {
-  /// Worker threads. <= 1 answers sequentially on the calling thread;
-  /// N > 1 fans the batch out over N threads, each with its own
-  /// QueryContext.
-  int num_threads = 1;
-  /// Scratch reuse for the sequential path: when non-null and
-  /// num_threads <= 1, routes with the caller's context instead of a
-  /// per-call throwaway — this is how QueryService's workers amortise
-  /// allocations across coalesced batches.
-  ///
-  /// CONTRACT: the threaded fan-out (num_threads > 1 with two or more
-  /// requests) IGNORES this field entirely. Pool workers each bring
-  /// their own context (contexts are single-threaded by design, so one
-  /// shared context cannot serve N workers), and the caller's context
-  /// is neither read nor mutated by the batch. Results are identical
-  /// either way; only scratch reuse differs. An empty batch returns
-  /// immediately and touches no context at all.
-  QueryContext* context = nullptr;
-};
-
 /// A query strategy bound to one IT-Graph. Immutable after
 /// construction; see the file comment for the concurrency contract.
 /// The graph must outlive the router.
@@ -195,13 +171,6 @@ class Router {
   /// reuse scratch.
   virtual StatusOr<QueryResult> Route(const QueryRequest& request,
                                       QueryContext* context) const = 0;
-
-  /// Answers every request, in order. Per-request failures (e.g. an
-  /// endpoint outside the venue) land in that slot's Status without
-  /// affecting the rest of the batch.
-  std::vector<StatusOr<QueryResult>> RouteBatch(
-      const std::vector<QueryRequest>& requests,
-      const BatchOptions& options = BatchOptions()) const;
 
   /// Strategy name ("itg-s", "snap", ...; TvCheckName).
   const std::string& name() const { return name_; }

@@ -3,10 +3,9 @@
 
 // The composite Router over a VenueCatalog. Route() dispatches each
 // request to the shard named by QueryRequest::venue_id and bumps that
-// shard's traffic counters; the inherited RouteBatch fans a mixed-venue
-// batch out over the opt-in thread pool, each worker's QueryContext
-// hopping shards as the work-stealing order dictates (per-query scratch
-// is re-sized per graph, so context hopping is safe — locked in by
+// shard's traffic counters. One QueryContext per thread may hop shards
+// from one request to the next (per-query scratch is re-sized per
+// graph, so context hopping is safe — locked in by
 // tests/sharding_test.cc).
 //
 // ShardedRouter is itself a Router, so the serving frontend can speak

@@ -12,9 +12,8 @@
 //     StatusOr<VenueId> id = catalog.AddVenue(std::move(v), "itg-s");
 //   }
 //   ShardedRouter router(catalog);              // sharded_router.h
-//   BatchOptions fan_out;
-//   fan_out.num_threads = 8;
-//   router.RouteBatch(requests, fan_out);       // requests carry venue_id
+//   QueryContext context;                       // one per thread
+//   router.Route(request, &context);            // request carries venue_id
 //   CatalogStats report = catalog.Stats();
 //
 // Build the catalog fully before sharing it; once built, every

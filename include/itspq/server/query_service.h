@@ -6,12 +6,12 @@
 // A QueryService owns a fully built VenueCatalog, fronts it with a
 // ShardedRouter, and serves Submit()ed requests through a bounded
 // admission queue drained by worker threads. A woken worker takes what
-// is already queued, up to kMaxBatch requests in QoS-class order, and
-// dispatches it as one RouteBatch call at once — it never waits for
-// more to arrive. An interactive request that finds the service idle
-// (nothing queued, dispatch capacity free, shard resident) is routed
-// inline by the submitting thread, through the same admission ledger
-// and deadline gates. Per-request deadlines are re-checked before and
+// is already queued, up to kMaxBatch requests in QoS-class order — it
+// never waits for more to arrive — and routes them one after another,
+// delivering each reply as soon as its route finishes. An interactive
+// request that finds the service idle (nothing queued, dispatch
+// capacity free, shard resident) is routed inline by the submitting
+// thread, through the same admission ledger and deadline gates. Per-request deadlines are re-checked before and
 // after dispatch. Admission control is explicit:
 //
 //   queue full            -> kResourceExhausted  (backpressure)
@@ -38,7 +38,10 @@
 //   * Deadline-feasibility shedding: a request whose deadline cannot be
 //     met given the queue depth ahead of it and the observed per-
 //     request route time (EWMA over dispatched batches) is shed at
-//     admission instead of wasting a queue slot to time out later.
+//     admission instead of wasting a queue slot to time out later:
+//     (queued_ahead + 1) * ewma / num_workers overruns the deadline.
+//     It needs a finite deadline and an EWMA, so cold starts, paused
+//     tests and deadline-free traffic are admitted.
 //   * Adaptive queue limits: when target_queue_delay_micros is set, the
 //     admission limit tracks target_delay / observed_route_time instead
 //     of the fixed queue_capacity (which remains the hard ceiling), so
@@ -48,12 +51,11 @@
 //   VenueCatalog catalog = BuildFleet();
 //   ServiceOptions opts;
 //   opts.num_workers = 4;
-//   opts.default_deadline_micros = 50'000;          // 50 ms SLO
 //   auto service = MakeQueryService(std::move(catalog), opts);
 //   (*service)->Submit(request, 50'000, QosClass::kInteractive,
 //                      [](StatusOr<QueryResult> answer) { ... });
-//   std::future<StatusOr<QueryResult>> later =
-//       (*service)->Submit(request);                 // future adapter
+//   std::future<StatusOr<QueryResult>> later =         // future adapter
+//       (*service)->Submit(request, 50'000, QosClass::kBatch);
 //   ...
 //   ServiceStats report = (*service)->Stats();       // any time
 //   (*service)->Shutdown();                          // drains in-flight
@@ -105,8 +107,9 @@ enum class QosClass : uint8_t {
 
 inline constexpr size_t kNumQosClasses = 3;
 
-/// The most already-queued requests a worker takes into one RouteBatch
-/// call; it never waits for more to arrive.
+/// The most already-queued requests a worker takes into one batch; it
+/// never waits for more to arrive, and it delivers each reply as soon
+/// as that request is routed.
 inline constexpr size_t kMaxBatch = 16;
 
 /// Construction-time serving knobs, validated by MakeQueryService.
@@ -117,8 +120,6 @@ struct ServiceOptions {
   /// Worker threads draining the queue. Each worker owns one
   /// QueryContext for its whole lifetime.
   int num_workers = 2;
-  /// Deadline applied by the one-argument Submit(); 0 = no deadline.
-  double default_deadline_micros = 0;
   /// Adaptive queue limit: when > 0, the admission limit is
   ///   min(queue_capacity,
   ///       max(min_queue_limit,
@@ -131,12 +132,6 @@ struct ServiceOptions {
   /// Floor under the adaptive limit so a latency spike cannot collapse
   /// admission to zero.
   size_t min_queue_limit = 4;
-  /// Deadline-feasibility shedding: reject a finite-deadline request at
-  /// admission (kResourceExhausted, counted in shed_infeasible) when
-  /// (queued_ahead + 1) * ewma / num_workers already overruns its
-  /// deadline. Engages only once an EWMA exists, so cold starts and
-  /// paused tests admit everything.
-  bool feasibility_shedding = true;
   /// Bound on the update queue SubmitUpdate feeds; submits beyond it
   /// bounce with kResourceExhausted. Updates are orders of magnitude
   /// rarer than queries, so the default is small.
@@ -176,7 +171,7 @@ struct ServiceStats {
   size_t shed_infeasible = 0;
   /// Deadline expired between admission and dispatch.
   size_t timed_out_in_queue = 0;
-  /// Deadline expired while the batch was being routed; the computed
+  /// Deadline expired while the request was being routed; the computed
   /// answer was dropped in favour of kDeadlineExceeded.
   size_t timed_out_in_flight = 0;
   /// Delivered a router answer (OK-found, OK-not-found, or a
@@ -220,7 +215,7 @@ struct ServiceStats {
 
   /// Dispatch shape: batch_size_counts[b] = dispatched batches of size
   /// b (index 0 unused; sized kMaxBatch + 1; inline routes are size 1).
-  /// Sum of b * count == the requests that reached RouteBatch.
+  /// Sum of b * count == the requests that reached the router.
   size_t batches = 0;
   std::vector<size_t> batch_size_counts;
 
@@ -243,25 +238,16 @@ class QueryService {
   /// Receives a request's outcome, exactly once. Must not block.
   using Done = std::function<void(StatusOr<QueryResult>)>;
 
-  /// The submit primitive: explicit deadline (`deadline_micros` from
-  /// now; see below) and QoS class, which orders service and shedding
-  /// (see the file comment). `done` runs on a worker, or before Submit
+  /// The submit primitive: a deadline `deadline_micros` from now and a
+  /// QoS class, which orders service and shedding (see the file
+  /// comment). A zero deadline is already expired (immediate
+  /// kDeadlineExceeded, never enqueued); NaN or negative is malformed
+  /// (immediate kInvalidArgument — NaN must never be admitted, since
+  /// every comparison against it would read "no deadline"); +infinity
+  /// means no deadline. `done` runs on a worker, or before Submit
   /// returns for a rejection or an inline route.
   void Submit(const QueryRequest& request, double deadline_micros,
               QosClass qos, Done done);
-
-  /// Submits under options().default_deadline_micros as kInteractive.
-  std::future<StatusOr<QueryResult>> Submit(const QueryRequest& request);
-
-  /// Submits with an explicit deadline, `deadline_micros` from now.
-  /// A zero deadline is already expired (immediate kDeadlineExceeded,
-  /// never enqueued); NaN or negative is malformed (immediate
-  /// kInvalidArgument — NaN must never be admitted, since every
-  /// comparison against it would read "no deadline"); +infinity
-  /// disables the deadline regardless of the default. Rejections are
-  /// delivered through the returned future.
-  std::future<StatusOr<QueryResult>> Submit(const QueryRequest& request,
-                                            double deadline_micros);
 
   /// Adapter: the primitive with a future in place of the callback.
   std::future<StatusOr<QueryResult>> Submit(const QueryRequest& request,
@@ -327,9 +313,9 @@ class QueryService {
   QueryService(VenueCatalog catalog, ServiceOptions options);
 
   void WorkerLoop();
-  /// Deadline-checks and dispatches one coalesced batch, running every
-  /// `done` in it.
-  void Dispatch(std::vector<Pending>* batch, QueryContext* context);
+  /// Deadline-checks and routes `size` requests from `batch` in order,
+  /// running each `done` as soon as that request is routed.
+  void Dispatch(Pending* batch, size_t size, QueryContext* context);
   /// The dedicated writer: drains the update queue FIFO, one
   /// ApplyAtiUpdate at a time.
   void UpdaterLoop();
@@ -397,8 +383,8 @@ class QueryService {
   LatencyHistogram latency_;                 // guarded by stats_mu_
 };
 
-/// Validates `options` (positive queue capacity and workers;
-/// non-negative deadlines and delays — kInvalidArgument otherwise),
+/// Validates `options` (positive queue capacity and workers; a target
+/// queue delay in [0, 1e15) — kInvalidArgument otherwise),
 /// requires a non-empty catalog (kFailedPrecondition), and starts the
 /// worker threads. The service owns the catalog from here on.
 StatusOr<std::unique_ptr<QueryService>> MakeQueryService(

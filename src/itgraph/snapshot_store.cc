@@ -7,8 +7,8 @@ namespace itspq {
 
 namespace {
 
-/// Store ids start at 1 so 0 stays the "no pins held" sentinel in
-/// SearchScratch::pinned_store_id.
+/// Store ids start at 1 so 0 stays the "no mask built yet" value of
+/// SearchScratch::resident_store_id.
 std::atomic<uint64_t> g_next_store_id{1};
 
 }  // namespace

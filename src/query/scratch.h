@@ -60,16 +60,8 @@ struct SearchScratch {
   // Shared-store path: per-interval pins of SnapshotStore snapshots.
   // Pinning once per (query, interval) keeps the store's mutex off the
   // per-relaxation path and guarantees an evicted interval's mask stays
-  // valid until the query completes. Released at the end of Route() —
-  // unless `retain_pins` is set (RouteBatch sets it around a coalesced
-  // batch so consecutive queries on the same shard share the pins and
-  // skip the per-query store round-trip). `pinned_store_id` records
-  // which store the pins came from: ids are process-unique, so a batch
-  // crossing shards (or an epoch swap mid-batch) can never reuse a
-  // stale pin vector by address coincidence.
+  // valid until the query completes. Released at the end of Route().
   std::vector<std::shared_ptr<const GraphSnapshot>> pinned;
-  uint64_t pinned_store_id = 0;
-  bool retain_pins = false;
 
   double Dist(size_t i) const {
     return label_stamp[i] == generation ? dist[i] : kInfDistance;
@@ -106,11 +98,6 @@ struct SearchScratch {
       std::fill(partition_stamp.begin(), partition_stamp.end(), 0);
       generation = 1;
     }
-  }
-
-  void ReleasePins() {
-    pinned.clear();
-    pinned_store_id = 0;
   }
 };
 

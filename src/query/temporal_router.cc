@@ -55,15 +55,7 @@ class SnapshotSource {
     if (!use_cache && keep_visited) {
       s.visited_intervals.assign(cps.NumIntervals(), std::nullopt);
     }
-    // A batch with retained pins reuses the previous query's pin vector
-    // when it came from this router's store; anything else (first
-    // query, another shard's store, an epoch swap that republished the
-    // router) starts from empty pins.
-    if (use_cache && (s.pinned_store_id != store.id() ||
-                      s.pinned.size() != cps.NumIntervals())) {
-      s.pinned.assign(cps.NumIntervals(), nullptr);
-      s.pinned_store_id = store.id();
-    }
+    if (use_cache) s.pinned.assign(cps.NumIntervals(), nullptr);
   }
 
   // Release the per-query snapshots before returning so a long-lived
@@ -71,11 +63,9 @@ class SnapshotSource {
   // store from reclaiming evicted ones). The scratch-owned resident
   // mask is kept warm instead — it pins nothing, costs one mask of
   // memory, and spares the next same-interval query a full rebuild.
-  // RouteBatch keeps the pins alive across its coalesced batch via
-  // retain_pins and releases them itself after the last query.
   ~SnapshotSource() {
     s_.visited_intervals.clear();
-    if (!s_.retain_pins) s_.ReleasePins();
+    s_.pinned.clear();
   }
 
   SnapshotSource(const SnapshotSource&) = delete;

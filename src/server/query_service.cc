@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 namespace itspq {
@@ -36,20 +35,6 @@ QueryService::QueryService(VenueCatalog catalog, ServiceOptions options)
 }
 
 QueryService::~QueryService() { Shutdown(); }
-
-std::future<StatusOr<QueryResult>> QueryService::Submit(
-    const QueryRequest& request) {
-  return Submit(request,
-                options_.default_deadline_micros == 0
-                    ? std::numeric_limits<double>::infinity()
-                    : options_.default_deadline_micros,
-                QosClass::kInteractive);
-}
-
-std::future<StatusOr<QueryResult>> QueryService::Submit(
-    const QueryRequest& request, double deadline_micros) {
-  return Submit(request, deadline_micros, QosClass::kInteractive);
-}
 
 std::future<StatusOr<QueryResult>> QueryService::Submit(
     const QueryRequest& request, double deadline_micros, QosClass qos) {
@@ -148,8 +133,7 @@ void QueryService::Submit(const QueryRequest& request,
       // who can still win.
       const double ewma = ewma_route_micros_.load(kRelaxed);
       bool infeasible = false;
-      if (options_.feasibility_shedding && ewma > 0 &&
-          deadline_micros < 1e15) {
+      if (ewma > 0 && deadline_micros < 1e15) {
         size_t queued_ahead = 0;
         for (size_t c = 0; c <= class_index; ++c) {
           queued_ahead += queues_[c].size();
@@ -210,9 +194,7 @@ void QueryService::Submit(const QueryRequest& request,
     pending.done(std::move(rejection));
   } else if (run_inline) {
     thread_local QueryContext context;
-    std::vector<Pending> batch;
-    batch.push_back(std::move(pending));
-    Dispatch(&batch, &context);
+    Dispatch(&pending, 1, &context);
     std::lock_guard<std::mutex> lock(mu_);
     --active_;
     if (draining_) cv_.notify_all();  // Shutdown waits for active_ == 0
@@ -328,82 +310,81 @@ void QueryService::WorkerLoop() {
     }
     ++active_;
     lock.unlock();
-    Dispatch(&batch, &context);
+    Dispatch(batch.data(), batch.size(), &context);
     lock.lock();
     --active_;
   }
 }
 
-void QueryService::Dispatch(std::vector<Pending>* batch,
+void QueryService::Dispatch(Pending* batch, size_t size,
                             QueryContext* context) {
   // Deadline gate #1: requests that died waiting never reach the
-  // router.
+  // router. The live ones close up at the front of the batch.
   const Clock::time_point start = Clock::now();
-  std::vector<Pending> live;
-  live.reserve(batch->size());
-  for (Pending& pending : *batch) {
-    if (start >= pending.deadline) {
+  size_t live = 0;
+  for (size_t i = 0; i < size; ++i) {
+    if (start >= batch[i].deadline) {
       timed_out_in_queue_.fetch_add(1, kRelaxed);
-      pending.done(
+      batch[i].done(
           DeadlineExceededError("deadline expired in the submission queue"));
     } else {
-      live.push_back(std::move(pending));
+      if (live != i) batch[live] = std::move(batch[i]);
+      ++live;
     }
   }
-  if (live.empty()) return;
-
-  std::vector<QueryRequest> requests;
-  requests.reserve(live.size());
-  for (const Pending& pending : live) requests.push_back(pending.request);
-  // The coalesced call. Workers are the parallelism, so the batch runs
-  // sequentially on this worker's long-lived context.
-  BatchOptions sequential;
-  sequential.context = context;
-  std::vector<StatusOr<QueryResult>> results =
-      router_.RouteBatch(requests, sequential);
-
-  // Feed the admission-side signals: per-request route time, smoothed.
-  // The first sample seeds the EWMA; later ones decay at 0.9 so a load
-  // shift shows up within a few dozen batches.
-  const Clock::time_point completed = Clock::now();
-  const double per_request_micros =
-      std::chrono::duration<double, std::micro>(completed - start).count() /
-      static_cast<double>(live.size());
-  const double previous = ewma_route_micros_.load(kRelaxed);
-  ewma_route_micros_.store(
-      previous == 0 ? per_request_micros
-                    : 0.9 * previous + 0.1 * per_request_micros,
-      kRelaxed);
-
-  // Deadline gate #2: a client whose deadline passed mid-dispatch has
-  // given up — the answer is dropped, not delivered late. The ledger
-  // settles before any delivery, so Stats() covers a delivered answer.
+  if (live == 0) return;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++batches_;
-    ++batch_size_counts_[live.size()];
-    for (size_t i = 0; i < live.size(); ++i) {
-      const Pending& pending = live[i];
-      if (completed >= pending.deadline) {
-        timed_out_in_flight_.fetch_add(1, kRelaxed);
-        results[i] = DeadlineExceededError("deadline expired during dispatch");
-        continue;
-      }
+    ++batch_size_counts_[live];
+  }
+
+  // Workers are the parallelism, so the batch runs in order on this
+  // thread's long-lived context, and each reply leaves as soon as its
+  // route finishes rather than when the whole batch has.
+  double route_micros = 0;
+  for (size_t i = 0; i < live; ++i) {
+    Pending& pending = batch[i];
+    const Clock::time_point routing = Clock::now();
+    StatusOr<QueryResult> result = router_.Route(pending.request, context);
+    const Clock::time_point routed = Clock::now();
+    route_micros +=
+        std::chrono::duration<double, std::micro>(routed - routing).count();
+    if (i + 1 == live) {
+      // Feed the admission-side signals one sample per batch, its mean
+      // route time, before the last reply leaves, so a caller holding
+      // that reply sees the batch in Stats(). The first sample seeds
+      // the EWMA; later ones decay at 0.9 so a load shift shows up
+      // within a few dozen batches.
+      const double sample = route_micros / static_cast<double>(live);
+      const double previous = ewma_route_micros_.load(kRelaxed);
+      ewma_route_micros_.store(
+          previous == 0 ? sample : 0.9 * previous + 0.1 * sample, kRelaxed);
+    }
+
+    // Deadline gate #2: a client whose deadline passed mid-route has
+    // given up — the answer is dropped, not delivered late. The ledger
+    // settles before delivery, so Stats() covers a delivered answer.
+    if (routed >= pending.deadline) {
+      timed_out_in_flight_.fetch_add(1, kRelaxed);
+      result = DeadlineExceededError("deadline expired during dispatch");
+    } else {
       served_.fetch_add(1, kRelaxed);
       served_by_class_[static_cast<size_t>(pending.qos)].fetch_add(1, kRelaxed);
       const size_t kind = static_cast<size_t>(pending.request.kind);
       if (kind < kNumQueryKinds) served_by_kind_[kind].fetch_add(1, kRelaxed);
-      if (results[i].ok()) {
-        if (results[i]->found) served_found_.fetch_add(1, kRelaxed);
-      } else {
+      if (!result.ok()) {
         route_errors_.fetch_add(1, kRelaxed);
+      } else if (result->found) {
+        served_found_.fetch_add(1, kRelaxed);
       }
-      latency_.Record(std::chrono::duration<double, std::micro>(
-                          completed - pending.submit)
-                          .count());
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      latency_.Record(
+          std::chrono::duration<double, std::micro>(routed - pending.submit)
+              .count());
     }
+    pending.done(std::move(result));
   }
-  for (size_t i = 0; i < live.size(); ++i) live[i].done(std::move(results[i]));
 }
 
 ServiceStats QueryService::Stats() const {
@@ -463,13 +444,6 @@ StatusOr<std::unique_ptr<QueryService>> MakeQueryService(
   if (options.num_workers < 1) {
     return InvalidArgumentError(
         "service options: num_workers must be positive");
-  }
-  // !(x >= 0) also catches NaN: a NaN default would make every
-  // defaulted Submit() bounce with kInvalidArgument at admission.
-  if (!(options.default_deadline_micros >= 0)) {
-    return InvalidArgumentError(
-        "service options: default_deadline_micros must be a non-negative "
-        "number (NaN rejected)");
   }
   if (!(options.target_queue_delay_micros >= 0) ||
       !(options.target_queue_delay_micros < 1e15)) {

@@ -805,8 +805,9 @@ TEST(FamilyValidationTest, VenueIdBindingEnforcedPerStrategy) {
   }
 }
 
-// Mixed-kind batches ride the same RouteBatch plumbing: every slot
-// answers exactly what a direct Route() call answers.
+// One context reused across a mixed-kind run of requests answers
+// exactly what a fresh context per request answers: no family leaves
+// scratch behind that the next request, of another kind, could read.
 TEST(FamilyBatchTest, MixedKindBatchMatchesSequentialRoutes) {
   FamilyWorld world = MakeWorld(42);
   auto router = ValueOrDie(MakeRouter("itg-a+", *world.graph), "itg-a+");
@@ -823,39 +824,26 @@ TEST(FamilyBatchTest, MixedKindBatchMatchesSequentialRoutes) {
     requests.insert(requests.end(), generated.begin(), generated.end());
   }
 
-  QueryContext context;
-  std::vector<StatusOr<QueryResult>> sequential;
-  for (const QueryRequest& request : requests) {
-    sequential.push_back(router->Route(request, &context));
-  }
-
-  for (int num_threads : {1, 4}) {
-    BatchOptions options;
-    options.num_threads = num_threads;
-    const auto batched = router->RouteBatch(requests, options);
-    ASSERT_EQ(batched.size(), requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const std::string where =
-          std::to_string(num_threads) + " threads slot " + std::to_string(i);
-      ASSERT_EQ(batched[i].ok(), sequential[i].ok()) << where;
-      if (!batched[i].ok()) continue;
-      EXPECT_EQ(batched[i]->found, sequential[i]->found) << where;
-      ASSERT_EQ(batched[i]->reachable.size(), sequential[i]->reachable.size())
+  QueryContext reused;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const std::string where = "slot " + std::to_string(i);
+    const StatusOr<QueryResult> shared = router->Route(requests[i], &reused);
+    QueryContext fresh;
+    const StatusOr<QueryResult> alone = router->Route(requests[i], &fresh);
+    ASSERT_EQ(shared.ok(), alone.ok()) << where;
+    if (!alone.ok()) continue;
+    EXPECT_EQ(shared->found, alone->found) << where;
+    ASSERT_EQ(shared->reachable.size(), alone->reachable.size()) << where;
+    for (size_t e = 0; e < alone->reachable.size(); ++e) {
+      EXPECT_EQ(shared->reachable[e].door, alone->reachable[e].door) << where;
+      EXPECT_EQ(shared->reachable[e].distance_m,
+                alone->reachable[e].distance_m)
           << where;
-      for (size_t e = 0; e < sequential[i]->reachable.size(); ++e) {
-        EXPECT_EQ(batched[i]->reachable[e].door,
-                  sequential[i]->reachable[e].door)
-            << where;
-        EXPECT_EQ(batched[i]->reachable[e].distance_m,
-                  sequential[i]->reachable[e].distance_m)
-            << where;
-      }
-      ASSERT_EQ(batched[i]->legs.size(), sequential[i]->legs.size()) << where;
-      for (size_t l = 0; l < sequential[i]->legs.size(); ++l) {
-        EXPECT_EQ(batched[i]->legs[l].length_m(),
-                  sequential[i]->legs[l].length_m())
-            << where;
-      }
+    }
+    ASSERT_EQ(shared->legs.size(), alone->legs.size()) << where;
+    for (size_t l = 0; l < alone->legs.size(); ++l) {
+      EXPECT_EQ(shared->legs[l].length_m(), alone->legs[l].length_m())
+          << where;
     }
   }
 }

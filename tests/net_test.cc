@@ -676,10 +676,11 @@ TEST(NetHostileTest, StalledReaderCannotPinAWorker) {
       "GenerateMultiVenueWorkload")[0];
   // The probe's latency bound comes from this build's time to route the
   // slowest kMaxBatch of flood queries. The one worker finishes the
-  // batch in flight, then routes the probe in a batch with up to
-  // kMaxBatch - 1 flood queries and delivers all of its replies at the
-  // end: two batches. A third, plus 20 ms, covers the round trip and the
-  // flood's reader thread competing for the cores (sanitizer builds).
+  // batch in flight, then takes the probe first in its next batch
+  // (interactive before batch class) and delivers its reply as soon as
+  // it is routed: one batch plus one route. A second batch, plus 20 ms,
+  // covers that route, the round trip and the flood's reader thread
+  // competing for the cores (sanitizer builds).
   QueryContext context;
   std::chrono::steady_clock::duration slowest_batch{};
   for (size_t b = 0; b < flood_queries.size(); b += kMaxBatch) {
@@ -692,7 +693,7 @@ TEST(NetHostileTest, StalledReaderCannotPinAWorker) {
     slowest_batch =
         std::max(slowest_batch, std::chrono::steady_clock::now() - begin);
   }
-  const auto probe_bound = 3 * slowest_batch + std::chrono::milliseconds(20);
+  const auto probe_bound = 2 * slowest_batch + std::chrono::milliseconds(20);
   const auto micros = [](std::chrono::steady_clock::duration d) {
     return std::to_string(
         std::chrono::duration_cast<std::chrono::microseconds>(d).count());

@@ -105,144 +105,6 @@ TEST(StrategyNameTest, TvCheckArrayListsBuiltins) {
   }
 }
 
-TEST(RouteBatchTest, AgreesWithSequentialRoute) {
-  ApiWorld world = MakeWorld();
-  const std::vector<QueryRequest> requests = MakeRequests(world);
-  for (const char* name : {"itg-s", "itg-a", "snap"}) {
-    auto router = MakeRouter(name, *world.graph);
-    ASSERT_TRUE(router.ok());
-
-    QueryContext context;
-    std::vector<StatusOr<QueryResult>> sequential;
-    for (const QueryRequest& request : requests) {
-      sequential.push_back((*router)->Route(request, &context));
-    }
-
-    BatchOptions threaded;
-    threaded.num_threads = 4;
-    const auto batched = (*router)->RouteBatch(requests, threaded);
-    ASSERT_EQ(batched.size(), requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-      ASSERT_EQ(batched[i].ok(), sequential[i].ok()) << name << " #" << i;
-      if (!batched[i].ok()) continue;
-      EXPECT_EQ(batched[i]->found, sequential[i]->found)
-          << name << " #" << i;
-      if (batched[i]->found) {
-        EXPECT_NEAR(batched[i]->path.length_m(),
-                    sequential[i]->path.length_m(), 1e-9)
-            << name << " #" << i;
-      }
-    }
-  }
-}
-
-// Regression: an empty batch must return cleanly — no worker spawn, no
-// placeholder slots — whatever the thread option says.
-TEST(RouteBatchTest, EmptyRequestVectorReturnsCleanly) {
-  ApiWorld world = MakeWorld();
-  auto router = MakeRouter("itg-s", *world.graph);
-  ASSERT_TRUE(router.ok());
-
-  const std::vector<QueryRequest> empty;
-  EXPECT_TRUE((*router)->RouteBatch(empty).empty());
-
-  BatchOptions threaded;
-  threaded.num_threads = 8;
-  EXPECT_TRUE((*router)->RouteBatch(empty, threaded).empty());
-}
-
-// Regression: more worker threads than requests — the pool must clamp
-// to the batch size and still answer every slot.
-TEST(RouteBatchTest, MoreThreadsThanRequests) {
-  ApiWorld world = MakeWorld();
-  auto router = MakeRouter("itg-s", *world.graph);
-  ASSERT_TRUE(router.ok());
-  std::vector<QueryRequest> requests(MakeRequests(world));
-  requests.resize(3);
-
-  QueryContext context;
-  std::vector<StatusOr<QueryResult>> sequential;
-  for (const QueryRequest& request : requests) {
-    sequential.push_back((*router)->Route(request, &context));
-  }
-
-  for (int num_threads : {16, 1000}) {
-    BatchOptions oversubscribed;
-    oversubscribed.num_threads = num_threads;
-    const auto results = (*router)->RouteBatch(requests, oversubscribed);
-    ASSERT_EQ(results.size(), requests.size()) << num_threads;
-    for (size_t i = 0; i < requests.size(); ++i) {
-      ASSERT_TRUE(results[i].ok()) << num_threads << " #" << i;
-      EXPECT_EQ(results[i]->found, sequential[i]->found)
-          << num_threads << " #" << i;
-      if (results[i]->found) {
-        EXPECT_NEAR(results[i]->path.length_m(),
-                    sequential[i]->path.length_m(), 1e-9)
-            << num_threads << " #" << i;
-      }
-    }
-  }
-}
-
-// The BatchOptions::context contract, pinned: the sequential path may
-// reuse the caller's context, the threaded fan-out ignores it entirely
-// (workers bring their own), and either way the answers are identical
-// and the caller's context remains usable afterwards.
-TEST(RouteBatchTest, ThreadedFanOutIgnoresCallerContext) {
-  ApiWorld world = MakeWorld();
-  auto router = MakeRouter("itg-a+", *world.graph);
-  ASSERT_TRUE(router.ok());
-  const std::vector<QueryRequest> requests = MakeRequests(world);
-
-  QueryContext context;
-  BatchOptions sequential;
-  sequential.context = &context;  // scratch-reuse path
-  const auto seq_results = (*router)->RouteBatch(requests, sequential);
-
-  BatchOptions threaded;
-  threaded.num_threads = 4;
-  threaded.context = &context;  // ignored by contract, not raced on
-  const auto thr_results = (*router)->RouteBatch(requests, threaded);
-
-  ASSERT_EQ(seq_results.size(), requests.size());
-  ASSERT_EQ(thr_results.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_EQ(thr_results[i].ok(), seq_results[i].ok()) << "#" << i;
-    if (!thr_results[i].ok()) continue;
-    EXPECT_EQ(thr_results[i]->found, seq_results[i]->found) << "#" << i;
-    if (thr_results[i]->found) {
-      EXPECT_EQ(thr_results[i]->path.length_m(),
-                seq_results[i]->path.length_m())
-          << "#" << i;
-    }
-  }
-
-  // The context survives both batches: a direct Route through it still
-  // answers, and an empty batch with a context touches nothing.
-  auto after = (*router)->Route(requests[0], &context);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->found, seq_results[0]->found);
-  BatchOptions empty_with_context;
-  empty_with_context.context = &context;
-  EXPECT_TRUE((*router)->RouteBatch({}, empty_with_context).empty());
-}
-
-TEST(RouteBatchTest, ReportsPerRequestErrors) {
-  ApiWorld world = MakeWorld();
-  auto router = MakeRouter("itg-s", *world.graph);
-  ASSERT_TRUE(router.ok());
-  std::vector<QueryRequest> requests = MakeRequests(world);
-  requests[1].source = IndoorPoint{{1e6, 1e6}, 0};  // outside the venue
-
-  BatchOptions threaded;
-  threaded.num_threads = 2;
-  const auto results = (*router)->RouteBatch(requests, threaded);
-  ASSERT_EQ(results.size(), requests.size());
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_EQ(results[1].status().code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(results[2].ok());
-}
-
 // The thread-safety claim: one shared router, many threads, per-thread
 // contexts, mixed per-request options. Run under the asan and tsan
 // presets in CI.

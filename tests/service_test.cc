@@ -80,6 +80,16 @@ std::vector<QueryRequest> MakeWorkload(const VenueCatalog& catalog,
                     "GenerateMultiVenueWorkload");
 }
 
+constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+
+// An interactive submit through the future adapter, by default with no
+// deadline.
+std::future<StatusOr<QueryResult>> SubmitInteractive(
+    QueryService& service, const QueryRequest& request,
+    double deadline_micros = kNoDeadline) {
+  return service.Submit(request, deadline_micros, QosClass::kInteractive);
+}
+
 std::unique_ptr<QueryService> MakeService(ServiceOptions options,
                                           uint64_t seed = 7) {
   return ValueOrDie(MakeQueryService(MakeCatalog(seed), options),
@@ -127,8 +137,6 @@ TEST(MakeQueryServiceTest, ValidatesCatalogAndOptions) {
   bad.back().options.queue_capacity = 0;
   bad.push_back({"zero workers", {}});
   bad.back().options.num_workers = 0;
-  bad.push_back({"negative deadline", {}});
-  bad.back().options.default_deadline_micros = -1;
   for (BadCase& c : bad) {
     auto service = MakeQueryService(MakeCatalog(), c.options);
     ASSERT_FALSE(service.ok()) << c.label;
@@ -157,7 +165,7 @@ TEST(QueryServiceReplayTest, ServedAnswersBitIdenticalToDirectRoute) {
   std::vector<std::future<StatusOr<QueryResult>>> futures;
   futures.reserve(requests.size());
   for (const QueryRequest& request : requests) {
-    futures.push_back(service->Submit(request));
+    futures.push_back(SubmitInteractive(*service, request));
   }
 
   QueryContext direct_context;
@@ -233,7 +241,7 @@ TEST(QueryServiceConcurrencyTest, EightThreadSubmitHammer) {
         // concurrent first-build races through the service too.
         request.options.use_snapshot_cache =
             ((thread_index + round) % 2) == 0;
-        futures.push_back(service->Submit(request));
+        futures.push_back(SubmitInteractive(*service, request));
       }
       for (size_t i = 0; i < futures.size(); ++i) {
         StatusOr<QueryResult> served = futures[i].get();
@@ -271,7 +279,7 @@ TEST(QueryServiceAdmissionTest, QueueFullRejectsWithResourceExhausted) {
 
   std::vector<std::future<StatusOr<QueryResult>>> futures;
   for (const QueryRequest& request : requests) {
-    futures.push_back(service->Submit(request));
+    futures.push_back(SubmitInteractive(*service, request));
   }
 
   // The fifth future bounced immediately — no worker involvement.
@@ -307,7 +315,8 @@ TEST(QueryServiceAdmissionTest, ExpiredDeadlineRejectedWithoutDispatch) {
 
   // A non-positive deadline is dead on arrival — never enqueued, never
   // dispatched.
-  std::future<StatusOr<QueryResult>> expired = service->Submit(request, 0);
+  std::future<StatusOr<QueryResult>> expired =
+      SubmitInteractive(*service, request, 0);
   ASSERT_EQ(expired.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   const StatusOr<QueryResult> result = expired.get();
@@ -332,7 +341,8 @@ TEST(QueryServiceAdmissionTest, DeadlineExpiringInQueueSkipsDispatch) {
 
   // Admitted with a 2 ms deadline, then held paused well past it: the
   // drain must reject it at the pre-dispatch gate.
-  std::future<StatusOr<QueryResult>> future = service->Submit(request, 2000);
+  std::future<StatusOr<QueryResult>> future =
+      SubmitInteractive(*service, request, 2000);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   service->Shutdown();
 
@@ -357,7 +367,7 @@ TEST(QueryServiceAdmissionTest, ShutdownDrainsThenRejectsLateSubmits) {
 
   std::vector<std::future<StatusOr<QueryResult>>> futures;
   for (const QueryRequest& request : requests) {
-    futures.push_back(service->Submit(request));
+    futures.push_back(SubmitInteractive(*service, request));
   }
 
   // Shutdown lifts the pause and drains: every admitted request is
@@ -368,7 +378,8 @@ TEST(QueryServiceAdmissionTest, ShutdownDrainsThenRejectsLateSubmits) {
   }
 
   // Late submits bounce without touching the queue.
-  std::future<StatusOr<QueryResult>> late = service->Submit(requests[0]);
+  std::future<StatusOr<QueryResult>> late =
+      SubmitInteractive(*service, requests[0]);
   ASSERT_EQ(late.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   const StatusOr<QueryResult> rejected = late.get();
@@ -396,7 +407,7 @@ TEST(QueryServiceBatchingTest, DrainCoalescesUpToMaxBatch) {
 
   std::vector<std::future<StatusOr<QueryResult>>> futures;
   for (const QueryRequest& request : requests) {
-    futures.push_back(service->Submit(request));
+    futures.push_back(SubmitInteractive(*service, request));
   }
   service->Shutdown();
   for (auto& future : futures) EXPECT_TRUE(future.get().ok());
@@ -424,7 +435,7 @@ TEST(QueryServiceBatchingTest, ResumeLiftsPausedDispatch) {
 
   std::vector<std::future<StatusOr<QueryResult>>> futures;
   for (const QueryRequest& request : requests) {
-    futures.push_back(service->Submit(request));
+    futures.push_back(SubmitInteractive(*service, request));
   }
   EXPECT_EQ(service->Stats().served, 0u);
   EXPECT_EQ(service->Stats().queue_depth, 4u);
@@ -433,9 +444,78 @@ TEST(QueryServiceBatchingTest, ResumeLiftsPausedDispatch) {
   for (auto& future : futures) EXPECT_TRUE(future.get().ok());
 
   // Still accepting after the resume-drain.
-  EXPECT_TRUE(service->Submit(requests[0]).get().ok());
+  EXPECT_TRUE(SubmitInteractive(*service, requests[0]).get().ok());
   service->Shutdown();
   EXPECT_EQ(service->Stats().served, 5u);
+}
+
+// Each reply leaves as soon as its own route finishes. One paused
+// worker takes an interactive request and kMaxBatch - 1 batch-class
+// requests as one batch and routes the interactive one first; when its
+// callback runs, it is the only request the router and the ledger have
+// seen, not the whole batch.
+TEST(QueryServiceBatchingTest, DeliversEachReplyAsSoonAsItIsRouted) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.start_paused = true;
+  std::unique_ptr<QueryService> service = MakeService(options);
+  const std::vector<QueryRequest> requests =
+      MakeWorkload(service->catalog(), kMaxBatch);
+
+  size_t routed_at_delivery = 0;
+  size_t served_at_delivery = 0;
+  service->Submit(requests[0], kNoDeadline, QosClass::kInteractive,
+                  [&](StatusOr<QueryResult> result) {
+                    EXPECT_TRUE(result.ok()) << result.status().ToString();
+                    routed_at_delivery =
+                        service->catalog().Stats().total_queries;
+                    served_at_delivery = service->Stats().served;
+                  });
+  std::atomic<size_t> delivered{0};
+  for (size_t i = 1; i < kMaxBatch; ++i) {
+    service->Submit(requests[i], kNoDeadline, QosClass::kBatch,
+                    [&delivered](StatusOr<QueryResult> result) {
+                      EXPECT_TRUE(result.ok()) << result.status().ToString();
+                      delivered.fetch_add(1);
+                    });
+  }
+  service->Resume();
+  service->Shutdown();
+
+  EXPECT_EQ(delivered.load(), kMaxBatch - 1);
+  EXPECT_EQ(routed_at_delivery, 1u);
+  EXPECT_EQ(served_at_delivery, 1u);
+  const ServiceStats stats = service->Stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.batch_size_counts[kMaxBatch], 1u);
+  EXPECT_EQ(stats.served, kMaxBatch);
+}
+
+// A request the router rejects fails alone: in one worker batch, an
+// out-of-venue request between two good ones gets kInvalidArgument and
+// counts as a route error, and its neighbours are served.
+TEST(QueryServiceBatchingTest, ReportsPerRequestErrors) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.start_paused = true;
+  std::unique_ptr<QueryService> service = MakeService(options);
+  std::vector<QueryRequest> requests = MakeWorkload(service->catalog(), 3);
+  requests[1].source = IndoorPoint{{1e6, 1e6}, 0};  // outside the venue
+
+  std::vector<std::future<StatusOr<QueryResult>>> futures;
+  for (const QueryRequest& request : requests) {
+    futures.push_back(SubmitInteractive(*service, request));
+  }
+  service->Shutdown();
+  EXPECT_TRUE(futures[0].get().ok());
+  EXPECT_EQ(futures[1].get().status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(futures[2].get().ok());
+
+  const ServiceStats stats = service->Stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.batch_size_counts[3], 1u);
+  EXPECT_EQ(stats.served, 3u);
+  EXPECT_EQ(stats.route_errors, 1u);
 }
 
 // A NaN deadline used to slip through admission as "no deadline" —
@@ -452,7 +532,7 @@ TEST(QueryServiceAdmissionTest, NanAndNegativeDeadlinesRejectedAsInvalid) {
                                   -std::numeric_limits<double>::infinity()};
   for (double deadline : bad_deadlines) {
     std::future<StatusOr<QueryResult>> future =
-        service->Submit(request, deadline);
+        SubmitInteractive(*service, request, deadline);
     ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
               std::future_status::ready)
         << deadline;
@@ -574,14 +654,16 @@ TEST(QueryServiceQosTest, InfeasibleDeadlineShedAtAdmission) {
   // Serve a little traffic to establish the EWMA (real routes take
   // hundreds of microseconds here).
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(service->Submit(requests[static_cast<size_t>(i)]).get().ok());
+    ASSERT_TRUE(SubmitInteractive(*service, requests[static_cast<size_t>(i)])
+                    .get()
+                    .ok());
   }
   ASSERT_GT(service->Stats().ewma_route_micros, 0.0);
 
   // A 1-nanosecond budget cannot survive even an empty queue at that
   // service rate — shed, not admitted-then-expired.
   std::future<StatusOr<QueryResult>> future =
-      service->Submit(requests[3], 1e-3);
+      SubmitInteractive(*service, requests[3], 1e-3);
   const StatusOr<QueryResult> result = future.get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
@@ -602,7 +684,6 @@ TEST(QueryServiceQosTest, AdaptiveQueueLimitTracksObservedRouteTime) {
   options.queue_capacity = 64;
   options.target_queue_delay_micros = 1.0;  // ~one microsecond of queue
   options.min_queue_limit = 2;
-  options.feasibility_shedding = false;  // isolate the limit mechanism
   std::unique_ptr<QueryService> service = MakeService(options);
   const std::vector<QueryRequest> requests =
       MakeWorkload(service->catalog(), 3);
@@ -611,7 +692,7 @@ TEST(QueryServiceQosTest, AdaptiveQueueLimitTracksObservedRouteTime) {
   EXPECT_EQ(service->Stats().queue_limit, 64u);
 
   for (const QueryRequest& request : requests) {
-    ASSERT_TRUE(service->Submit(request).get().ok());
+    ASSERT_TRUE(SubmitInteractive(*service, request).get().ok());
   }
   // Routes take far longer than the 1 us target, so the ideal depth
   // rounds to zero and the floor holds the limit up.
@@ -636,11 +717,6 @@ TEST(MakeQueryServiceTest, ValidatesOverloadControlOptions) {
   zero_floor.target_queue_delay_micros = 100;
   zero_floor.min_queue_limit = 0;
   EXPECT_EQ(MakeQueryService(MakeCatalog(), zero_floor).status().code(),
-            StatusCode::kInvalidArgument);
-
-  ServiceOptions nan_deadline;
-  nan_deadline.default_deadline_micros = std::nan("");
-  EXPECT_EQ(MakeQueryService(MakeCatalog(), nan_deadline).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -746,7 +822,7 @@ TEST(QueryServiceFamilyTest, PerKindLedgerBalances) {
 
   std::vector<std::future<StatusOr<QueryResult>>> futures;
   for (const QueryRequest& request : requests) {
-    futures.push_back(service->Submit(request));
+    futures.push_back(SubmitInteractive(*service, request));
   }
   for (auto& future : futures) {
     const StatusOr<QueryResult> served = future.get();
@@ -777,7 +853,7 @@ TEST(QueryServiceFamilyTest, UnknownKindRejectedAtAdmission) {
   QueryRequest bogus = requests[0];
   bogus.kind = static_cast<QueryKind>(7);
 
-  auto future = service->Submit(bogus);
+  auto future = SubmitInteractive(*service, bogus);
   const StatusOr<QueryResult> result = future.get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
@@ -797,8 +873,6 @@ TEST(QueryServiceFamilyTest, UnknownKindRejectedAtAdmission) {
 // Inline routing: an interactive request that finds the service idle
 // is routed on the submitting thread; everything else waits its turn
 // on a worker.
-
-constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
 
 /// Submits through the callback primitive and reports the thread the
 /// callback ran on (via the returned future) plus whether it had

@@ -172,35 +172,6 @@ TEST(ShardedRouterTest, RejectsUnknownVenueIds) {
             StatusCode::kNotFound);
 }
 
-TEST(ShardedRouterTest, RouteBatchFansOutAcrossShards) {
-  VenueCatalog catalog = MakeCatalog();
-  ShardedRouter sharded(catalog);
-  const std::vector<QueryRequest> requests = MakeWorkload(catalog, 48);
-
-  // Reference answers straight off the shard routers.
-  QueryContext context;
-  std::vector<StatusOr<QueryResult>> direct;
-  for (const QueryRequest& request : requests) {
-    direct.push_back(
-        catalog.router(request.venue_id).Route(request, &context));
-  }
-
-  BatchOptions threaded;
-  threaded.num_threads = 4;
-  const auto batched = sharded.RouteBatch(requests, threaded);
-  ASSERT_EQ(batched.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_EQ(batched[i].ok(), direct[i].ok()) << i;
-    if (!batched[i].ok()) continue;
-    EXPECT_EQ(batched[i]->found, direct[i]->found) << i;
-    if (batched[i]->found) {
-      EXPECT_NEAR(batched[i]->path.length_m(), direct[i]->path.length_m(),
-                  1e-9)
-          << i;
-    }
-  }
-}
-
 TEST(VenueCatalogTest, StatsCountTrafficPerShardAndAggregate) {
   VenueCatalog catalog = MakeCatalog();
   ShardedRouter sharded(catalog);

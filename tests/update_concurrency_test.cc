@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -233,7 +234,11 @@ TEST(UpdateConcurrencyTest, ServiceServesThroughoutUpdateStream) {
         const size_t q = static_cast<size_t>(s * kQueriesPerSubmitter + i) %
                          fx.workload.size();
         StatusOr<QueryResult> got =
-            service->Submit(fx.workload[q]).get();
+            service
+                ->Submit(fx.workload[q],
+                         std::numeric_limits<double>::infinity(),
+                         QosClass::kInteractive)
+                .get();
         if (!got.ok() &&
             got.status().code() == StatusCode::kResourceExhausted) {
           // Admission backpressure is a valid serving outcome, not an
