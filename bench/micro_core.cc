@@ -116,22 +116,21 @@ void BM_DistanceMatrixLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_DistanceMatrixLookup);
 
-void BM_FrontierQueue(benchmark::State& state) {
+void BM_FrontierQueue(benchmark::State& state, FrontierQueue::Kind kind) {
   // A synthetic Dijkstra-shaped workload: pushes drift upward from the
   // running pop frontier (as relaxations do), ~2 pushes per pop until
-  // the tail drains. Arg selects the discipline.
-  const FrontierQueue::Kind kind =
-      static_cast<FrontierQueue::Kind>(state.range(0));
+  // the tail drains. Each discipline is its own named row, so a diff
+  // never pairs rows of two disciplines.
   constexpr size_t kOps = 4096;
   Rng rng(17);
   std::vector<double> jitter(kOps);
   for (double& j : jitter) j = rng.UniformDouble(1.0, 32.0);
   FrontierQueue q;
   for (auto _ : state) {
-    if (kind == FrontierQueue::Kind::kBucketQueue) {
-      q.ResetBuckets(1.0);
+    if (kind == FrontierQueue::Kind::kFourAryHeap) {
+      q.ResetHeap();
     } else {
-      q.ResetHeap(kind);
+      q.ResetBuckets(1.0, kind);
     }
     q.Push(0.0, 0);
     double frontier = 0.0;
@@ -146,7 +145,11 @@ void BM_FrontierQueue(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kOps));
 }
-BENCHMARK(BM_FrontierQueue)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK_CAPTURE(BM_FrontierQueue, four_ary_heap,
+                  FrontierQueue::Kind::kFourAryHeap);
+BENCHMARK_CAPTURE(BM_FrontierQueue, dial, FrontierQueue::Kind::kBucketQueue);
+BENCHMARK_CAPTURE(BM_FrontierQueue, sorted_dial,
+                  FrontierQueue::Kind::kSortedBucketQueue);
 
 void BM_MaskedNeighborScan(benchmark::State& state) {
   // The CSR relaxation's masked scan over every door's neighbour

@@ -6,27 +6,34 @@
 //
 // Three disciplines behind one Push/Pop API:
 //
-//   kBinaryHeap   — implicit 2-ary min-heap; the reference discipline
-//                   the cross-check tests compare against.
-//   kFourAryHeap  — implicit 4-ary min-heap. Same asymptotics, ~half
-//                   the sift-down levels and 4 children per cache line,
-//                   which is what the memory-bound door search wants.
-//   kBucketQueue  — Dial's algorithm: an array of buckets of width w
-//                   indexed by floor(dist / w), drained low-to-high.
-//                   O(1) push, amortised O(span) pop. Exact for
-//                   Dijkstra only when every edge weight is >= w, so
-//                   callers gate it on the graph's minimum edge weight
-//                   (CsrAdjacency::BucketEligible).
+//   kFourAryHeap       — implicit 4-ary min-heap: half a binary heap's
+//                        sift-down levels, 4 children per cache line.
+//   kBucketQueue       — Dial's algorithm (CACM 1969, Algorithm 360):
+//                        an array of buckets of width w indexed by
+//                        floor(dist / w), drained low-to-high, each
+//                        bucket popped LIFO. O(1) push, amortised
+//                        O(span) pop. Exact for Dijkstra only when
+//                        every edge weight is >= w, so callers gate it
+//                        on the graph's minimum edge weight
+//                        (CsrAdjacency::BucketEligible).
+//   kSortedBucketQueue — the same buckets, but the drain cursor's
+//                        bucket is sorted by (dist, id) once when the
+//                        cursor reaches it and popped from its minimum;
+//                        a later push into that bucket (floating-point
+//                        slack, or a key clamped up to the cursor) is
+//                        inserted in order.
 //
-// Pops from the heaps are globally nondecreasing; bucket pops are
-// nondecreasing only at bucket granularity (PopsSorted() tells callers
-// which guarantee they have, MinBound() gives the early-exit bound that
-// is valid either way). Entries are never decrease-keyed: duplicates
-// are pushed and stale ones skipped by the caller's settled check.
+// Pops from the heap are globally nondecreasing in dist; pops from the
+// sorted buckets are the minimum (dist, id) queued, a stronger order
+// that also fixes ties. LIFO bucket pops are nondecreasing only at
+// bucket granularity (PopsSorted() tells callers which guarantee they
+// have, MinBound() gives the early-exit bound that is valid either
+// way). Entries are never decrease-keyed: duplicates are pushed and
+// stale ones skipped by the caller's settled check.
 //
 // Push rejects NaN distances (returns false and counts them) instead
 // of feeding them to a comparator: NaN breaks the strict weak ordering
-// std::push_heap requires, which silently corrupts the heap — the
+// a heap or a sort requires, which silently corrupts the queue — the
 // latent HeapEntry hazard this class retires. Rejections are counted
 // (rejected_nan()), so the bug is diagnosable in every build type.
 
@@ -42,7 +49,11 @@ namespace itspq {
 
 class FrontierQueue {
  public:
-  enum class Kind : uint8_t { kBinaryHeap, kFourAryHeap, kBucketQueue };
+  enum class Kind : uint8_t {
+    kFourAryHeap,
+    kBucketQueue,
+    kSortedBucketQueue
+  };
 
   struct Entry {
     double dist;
@@ -54,26 +65,27 @@ class FrontierQueue {
 
   FrontierQueue() = default;
 
-  /// Starts a new search under a heap discipline. Keeps the backing
-  /// vector's capacity — contexts reuse one queue across queries.
-  void ResetHeap(Kind kind = Kind::kFourAryHeap) {
-    assert(kind != Kind::kBucketQueue);
-    kind_ = kind;
+  /// Starts a new search on the 4-ary heap. Keeps the backing vector's
+  /// capacity — contexts reuse one queue across queries.
+  void ResetHeap() {
+    kind_ = Kind::kFourAryHeap;
     heap_.clear();
     size_ = 0;
     rejected_nan_ = 0;
   }
 
-  /// Starts a new search under the bucket discipline with buckets of
-  /// `bucket_width` (> 0, finite — callers gate on BucketEligible).
-  /// Bucket storage is retained across searches; only the cursor and
-  /// occupancy reset.
-  void ResetBuckets(double bucket_width) {
+  /// Starts a new search under a bucket discipline (kBucketQueue or
+  /// kSortedBucketQueue) with buckets of `bucket_width` (> 0, finite —
+  /// callers gate on BucketEligible). Bucket storage is retained across
+  /// searches; only the cursor and occupancy reset.
+  void ResetBuckets(double bucket_width, Kind kind = Kind::kBucketQueue) {
     assert(bucket_width > 0 && std::isfinite(bucket_width));
-    kind_ = Kind::kBucketQueue;
+    assert(kind != Kind::kFourAryHeap);
+    kind_ = kind;
     width_ = bucket_width;
     inv_width_ = 1.0 / bucket_width;
     cur_bucket_ = 0;
+    cur_sorted_ = false;
     if (buckets_.empty()) buckets_.resize(kInitialBuckets);
     ring_mask_ = buckets_.size() - 1;
     for (auto& b : buckets_) b.clear();
@@ -84,7 +96,7 @@ class FrontierQueue {
 
   /// Enqueues (dist, id). Returns false — rejecting the entry — when
   /// `dist` is NaN; +inf is accepted (parked in an overflow list under
-  /// the bucket discipline and popped after every finite entry).
+  /// the bucket disciplines and popped after every finite entry).
   bool Push(double dist, uint32_t id) {
     if (std::isnan(dist)) {
       // Rejected, not asserted: the regression test drives this path in
@@ -93,11 +105,15 @@ class FrontierQueue {
       ++rejected_nan_;
       return false;
     }
-    if (kind_ != Kind::kBucketQueue) {
+    if (kind_ == Kind::kFourAryHeap) {
       heap_.push_back(Entry{dist, id});
       SiftUp(heap_.size() - 1);
     } else if (!std::isfinite(dist)) {
-      overflow_.push_back(Entry{dist, id});
+      if (kind_ == Kind::kSortedBucketQueue) {
+        InsertSorted(overflow_, Entry{dist, id});
+      } else {
+        overflow_.push_back(Entry{dist, id});
+      }
     } else {
       // floor(dist / w), clamped below to the drain cursor: a push can
       // never land behind it when weights >= width, but floating-point
@@ -108,19 +124,25 @@ class FrontierQueue {
       // Ring slot by mask: the bucket count is always a power of two
       // (kInitialBuckets, doubled by Grow), and a 64-bit modulo by a
       // runtime divisor costs more than the rest of the push combined.
-      buckets_[static_cast<size_t>(b & ring_mask_)].push_back(
-          Entry{dist, id});
+      std::vector<Entry>& bucket =
+          buckets_[static_cast<size_t>(b & ring_mask_)];
+      if (cur_sorted_ && b == cur_bucket_) {
+        InsertSorted(bucket, Entry{dist, id});
+      } else {
+        bucket.push_back(Entry{dist, id});
+      }
     }
     ++size_;
     return true;
   }
 
-  /// Dequeues the minimum (heaps) or an entry of the lowest occupied
-  /// bucket (bucket queue). False when empty.
+  /// Dequeues the minimum dist (heap), the minimum (dist, id) (sorted
+  /// buckets) or the last-pushed entry of the lowest occupied bucket
+  /// (LIFO buckets). False when empty.
   bool Pop(double* dist, uint32_t* id) {
     if (size_ == 0) return false;
     --size_;
-    if (kind_ != Kind::kBucketQueue) {
+    if (kind_ == Kind::kFourAryHeap) {
       *dist = heap_[0].dist;
       *id = heap_[0].id;
       heap_[0] = heap_.back();
@@ -137,9 +159,16 @@ class FrontierQueue {
     }
     std::vector<Entry>* bucket =
         &buckets_[static_cast<size_t>(cur_bucket_ & ring_mask_)];
-    while (bucket->empty()) {
-      ++cur_bucket_;
-      bucket = &buckets_[static_cast<size_t>(cur_bucket_ & ring_mask_)];
+    if (bucket->empty()) {
+      do {
+        ++cur_bucket_;
+        bucket = &buckets_[static_cast<size_t>(cur_bucket_ & ring_mask_)];
+      } while (bucket->empty());
+      cur_sorted_ = false;
+    }
+    if (kind_ == Kind::kSortedBucketQueue && !cur_sorted_) {
+      SortDescending(*bucket);
+      cur_sorted_ = true;
     }
     *dist = bucket->back().dist;
     *id = bucket->back().id;
@@ -150,16 +179,17 @@ class FrontierQueue {
   bool Empty() const { return size_ == 0; }
   size_t size() const { return size_; }
 
-  /// True when pops are globally nondecreasing in dist. The bucket
-  /// queue only guarantees nondecreasing bucket indices, so exact
-  /// early-exit ("every later label is longer") must use MinBound().
+  /// True when pops are globally nondecreasing in dist. The LIFO
+  /// bucket queue only guarantees nondecreasing bucket indices, so
+  /// exact early-exit ("every later label is longer") must use
+  /// MinBound().
   bool PopsSorted() const { return kind_ != Kind::kBucketQueue; }
 
-  /// A lower bound on every entry still queued; +inf when empty. Heaps:
-  /// the top. Bucket queue: the drain cursor's bucket floor.
+  /// A lower bound on every entry still queued; +inf when empty. Heap:
+  /// the top. Bucket queues: the drain cursor's bucket floor.
   double MinBound() const {
     if (size_ == 0) return std::numeric_limits<double>::infinity();
-    if (kind_ != Kind::kBucketQueue) return heap_[0].dist;
+    if (kind_ == Kind::kFourAryHeap) return heap_[0].dist;
     if (size_ == overflow_.size()) {
       return std::numeric_limits<double>::infinity();
     }
@@ -182,13 +212,19 @@ class FrontierQueue {
  private:
   static constexpr size_t kInitialBuckets = 64;
 
-  size_t Arity() const { return kind_ == Kind::kBinaryHeap ? 2 : 4; }
+  static constexpr size_t kArity = 4;
+
+  // The sorted mode's two operations, out of line (frontier_queue.cc)
+  // so that Push and Pop stay small on the LIFO and heap paths. Both
+  // order by (dist, id) descending, so the minimum sits at the back.
+  static void SortDescending(std::vector<Entry>& v);
+  /// Inserts `e` into `v`, already sorted descending, keeping it so.
+  static void InsertSorted(std::vector<Entry>& v, const Entry& e);
 
   void SiftUp(size_t i) {
-    const size_t d = Arity();
     const Entry e = heap_[i];
     while (i > 0) {
-      const size_t p = (i - 1) / d;
+      const size_t p = (i - 1) / kArity;
       if (heap_[p].dist <= e.dist) break;
       heap_[i] = heap_[p];
       i = p;
@@ -197,14 +233,13 @@ class FrontierQueue {
   }
 
   void SiftDown(size_t i) {
-    const size_t d = Arity();
     const size_t n = heap_.size();
     const Entry e = heap_[i];
     for (;;) {
-      const size_t first = i * d + 1;
+      const size_t first = i * kArity + 1;
       if (first >= n) break;
       size_t best = first;
-      const size_t last = first + d < n ? first + d : n;
+      const size_t last = first + kArity < n ? first + kArity : n;
       for (size_t c = first + 1; c < last; ++c) {
         if (heap_[c].dist < heap_[best].dist) best = c;
       }
@@ -217,26 +252,9 @@ class FrontierQueue {
 
   /// Widens the ring until abs bucket `target` fits alongside the drain
   /// cursor, re-slotting occupied buckets (their abs index is recovered
-  /// from any member's dist — all of a bucket's entries share it).
-  void Grow(uint64_t target) {
-    size_t want = buckets_.size();
-    while (target - cur_bucket_ >= want) want *= 2;
-    std::vector<std::vector<Entry>> wider(want);
-    const uint64_t want_mask = want - 1;
-    for (auto& bucket : buckets_) {
-      if (bucket.empty()) continue;
-      uint64_t b = static_cast<uint64_t>(bucket.front().dist * inv_width_);
-      if (b < cur_bucket_) b = cur_bucket_;
-      std::vector<Entry>& slot = wider[static_cast<size_t>(b & want_mask)];
-      if (slot.empty()) {
-        slot = std::move(bucket);
-      } else {
-        slot.insert(slot.end(), bucket.begin(), bucket.end());
-      }
-    }
-    buckets_ = std::move(wider);
-    ring_mask_ = want_mask;
-  }
+  /// from any member's dist — all of a bucket's entries share it). The
+  /// cursor's bucket counts as unsorted afterwards.
+  void Grow(uint64_t target);
 
   Kind kind_ = Kind::kFourAryHeap;
   std::vector<Entry> heap_;
@@ -245,12 +263,15 @@ class FrontierQueue {
   // possibly-occupied bucket; ring slot = abs & ring_mask_ (the bucket
   // count stays a power of two), valid because Push grows the ring
   // before an abs index could collide with a live lower one.
+  // `cur_sorted_`: the cursor's bucket is sorted descending (sorted
+  // mode only; reset whenever the cursor moves or the ring grows).
   std::vector<std::vector<Entry>> buckets_;
   std::vector<Entry> overflow_;  // +inf entries, drained after finite ones
   double width_ = 1.0;
   double inv_width_ = 1.0;
   uint64_t cur_bucket_ = 0;
   uint64_t ring_mask_ = kInitialBuckets - 1;
+  bool cur_sorted_ = false;
 
   size_t size_ = 0;
   size_t rejected_nan_ = 0;

@@ -21,7 +21,7 @@ void DoorDijkstra(const ItGraph& graph,
   if (adj.BucketEligible()) {
     frontier.ResetBuckets(adj.min_edge_weight);
   } else {
-    frontier.ResetHeap(FrontierQueue::Kind::kFourAryHeap);
+    frontier.ResetHeap();
   }
 
   for (const auto& [door, offset] : sources) {

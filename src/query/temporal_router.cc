@@ -138,12 +138,13 @@ class IntervalCursor {
 // TV_Check policies. Usable(door, arrival) gates each relaxation;
 // OnSettle(arrival) sees each settled label's projected arrival. The
 // traits fix at compile time whether the search honours
-// partition-visited pruning, may run A*, and may take Dial's buckets.
+// partition-visited pruning, may run A*, and needs pops sorted by
+// (distance, door).
 
 // ITG/S.
 struct AtiAtArrival {
   static constexpr bool kHonoursPruning = true, kMayUseAStar = true,
-                        kMayUseBuckets = true;
+                        kNeedsSortedPops = false;
   const ItGraph& graph;
   bool Usable(DoorId door, double arrival) const {
     return graph.AtiContainsTimeOfDay(door, arrival);
@@ -152,12 +153,13 @@ struct AtiAtArrival {
 };
 
 // ITG/A: the frontier snapshot, refreshed when the popped label's
-// projected arrival crosses a checkpoint. Never A* or buckets: its
-// published semantics advance the frontier snapshot in settle order,
-// which only a distance-sorted frontier reproduces.
+// projected arrival crosses a checkpoint. Never A*, and never LIFO
+// buckets: its published semantics advance the frontier snapshot in
+// settle order, which only a distance-sorted frontier reproduces — the
+// sorted buckets when the graph is bucket-eligible, else the heap.
 struct FrontierSnapshot {
   static constexpr bool kHonoursPruning = true, kMayUseAStar = false,
-                        kMayUseBuckets = false;
+                        kNeedsSortedPops = true;
   FrontierSnapshot(SnapshotSource& source, double dep) : cursor(source) {
     cursor.At(dep);
   }
@@ -171,7 +173,7 @@ struct FrontierSnapshot {
 // ITG/A+: the snapshot of each relaxation's arrival interval.
 struct ArrivalSnapshot {
   static constexpr bool kHonoursPruning = true, kMayUseAStar = true,
-                        kMayUseBuckets = true;
+                        kNeedsSortedPops = false;
   bool Usable(DoorId door, double arrival) {
     return cursor.At(arrival).IsOpen(door);
   }
@@ -186,7 +188,7 @@ struct ArrivalSnapshot {
 // SNAP: the mask of the departure's interval, whatever the arrival.
 struct DepartureMask {
   static constexpr bool kHonoursPruning = false, kMayUseAStar = false,
-                        kMayUseBuckets = true;
+                        kNeedsSortedPops = false;
   bool Usable(DoorId door, double) const { return snapshot.IsOpen(door); }
   void OnSettle(double) {}
   const GraphSnapshot& snapshot;
@@ -195,7 +197,7 @@ struct DepartureMask {
 // NTV.
 struct AlwaysOpen {
   static constexpr bool kHonoursPruning = false, kMayUseAStar = false,
-                        kMayUseBuckets = true;
+                        kNeedsSortedPops = false;
   bool Usable(DoorId, double) const { return true; }
   void OnSettle(double) {}
 };
@@ -264,12 +266,13 @@ struct PointGoal {
 
   PopAction AtPop(double top_key, const FrontierQueue& frontier) const {
     if (top_key < best_total) return PopAction::kSettle;
-    // Sorted pops (either heap keying): every completion through a
-    // queued label costs at least its key (= d, or d plus an
-    // admissible remainder), so nothing left can win — stop. Bucket
-    // pops regress within a bucket, so stop only once the queue's
-    // lower bound clears the best answer; this label alone can't help
-    // (any completion through it is >= top_key), so skip it.
+    // Sorted pops (heap under either keying, or sorted buckets): every
+    // completion through a queued label costs at least its key (= d,
+    // or d plus an admissible remainder), so nothing left can win —
+    // stop. LIFO bucket pops regress within a bucket, so stop only
+    // once the queue's lower bound clears the best answer; this label
+    // alone can't help (any completion through it is >= top_key), so
+    // skip it.
     return frontier.PopsSorted() || frontier.MinBound() >= best_total
                ? PopAction::kStop
                : PopAction::kSkip;
@@ -312,8 +315,9 @@ struct BudgetGoal {
 // k nearest facilities, collected in pop order. Once k facilities are
 // settled, every facility tied with the k-th is still ahead at the same
 // key, so the sweep may stop at the first strictly larger pop — which
-// needs globally sorted pops. The caller's sort + truncate then applies
-// the (distance, door) tie rule over the settled candidates.
+// needs globally sorted pops: the sorted buckets when the graph is
+// bucket-eligible, else the heap. The caller's sort + truncate then
+// applies the (distance, door) tie rule over the settled candidates.
 struct FacilityGoal {
   static constexpr bool kSingleTarget = false, kNeedsSortedPops = true;
 
@@ -377,19 +381,21 @@ void Search(const ItGraph& graph, const QueryRequest& request,
   // heap — f-keys rule out Dial's bucket queue, whose exactness needs
   // per-pop key increments of at least the bucket width, and an A*
   // edge's increment w + lb(v) - lb(u) can be arbitrarily close to
-  // zero. Policies and goals that need settle-ordered pops stay on the
-  // sorted heap too; everything else takes Dial's buckets when every
-  // edge weight covers the bucket width.
+  // zero — and so does every search on a graph whose edge weights do
+  // not cover a bucket width. Otherwise a policy or goal that needs
+  // settle-ordered pops takes the sorted buckets, and everything else
+  // the LIFO buckets: pruned ITG/S and ITG/A+ answers depend on that
+  // LIFO settle order, so it is kept as it is.
   const CsrAdjacency& adj = graph.adjacency();
-  const bool bucketed = Validity::kMayUseBuckets && !Goal::kNeedsSortedPops &&
-                        !goal_directed && adj.BucketEligible();
-
   s.PrepareSearch(graph.NumDoors(), graph.venue().NumPartitions());
   goal.Begin(s, goal_directed);
-  if (bucketed) {
-    s.frontier.ResetBuckets(adj.min_edge_weight);
+  if (goal_directed || !adj.BucketEligible()) {
+    s.frontier.ResetHeap();
+  } else if (Validity::kNeedsSortedPops || Goal::kNeedsSortedPops) {
+    s.frontier.ResetBuckets(adj.min_edge_weight,
+                            FrontierQueue::Kind::kSortedBucketQueue);
   } else {
-    s.frontier.ResetHeap(FrontierQueue::Kind::kFourAryHeap);
+    s.frontier.ResetBuckets(adj.min_edge_weight);
   }
 
   auto relax = [&](DoorId door, double nd, DoorId from) {

@@ -67,7 +67,7 @@ struct FamilyWorld {
 
 // The compact single-floor mall the cross-strategy suite uses: big
 // enough for multi-door sweeps, small enough for TSan.
-FamilyWorld MakeWorld(uint64_t seed) {
+Venue MakeMall(uint64_t seed) {
   MallConfig mall_config = MallConfig::Paper();
   mall_config.floors = 1;
   mall_config.shop_rows = 3;
@@ -78,13 +78,43 @@ FamilyWorld MakeWorld(uint64_t seed) {
   AtiGenConfig ati_config;
   ati_config.checkpoint_count = 6;
   ati_config.seed = seed + 1;
+  return ValueOrDie(AssignTemporalVariations(mall, ati_config),
+                    "AssignTemporalVariations");
+}
+
+FamilyWorld MakeWorldFrom(Venue venue) {
   FamilyWorld world;
-  world.venue = std::make_unique<Venue>(ValueOrDie(
-      AssignTemporalVariations(mall, ati_config), "AssignTemporalVariations"));
+  world.venue = std::make_unique<Venue>(std::move(venue));
   world.graph = std::make_unique<ItGraph>(
       ValueOrDie(ItGraph::Build(*world.venue), "ItGraph::Build"));
   world.checkpoints =
       std::make_unique<CheckpointSet>(CheckpointSet::FromGraph(*world.graph));
+  return world;
+}
+
+FamilyWorld MakeWorld(uint64_t seed) {
+  FamilyWorld world = MakeWorldFrom(MakeMall(seed));
+  // Every edge weight covers a bucket width, so the sweeps below run on
+  // Dial's buckets (the sorted ones for ITG/A and k-nearest) and the
+  // oracles pin that frontier; MakeIneligibleWorld covers the heap.
+  EXPECT_TRUE(world.graph->adjacency().BucketEligible()) << "seed " << seed;
+  return world;
+}
+
+// MakeWorld's mall plus a twin of door 0: same position, partitions
+// and ATI. The twins are joined by a zero-weight edge, which rules out
+// Dial's buckets, so every search falls back to the 4-ary heap.
+FamilyWorld MakeIneligibleWorld(uint64_t seed) {
+  const Venue mall = MakeMall(seed);
+  const Door& door = mall.door(DoorId{0});
+  Venue::Builder builder = Venue::Builder::FromVenue(mall);
+  const DoorId twin = builder.AddDoor(door.pos, door.floor,
+                                      door.partitions[0], door.partitions[1]);
+  EXPECT_TRUE(builder.SetDoorAti(twin, door.ati_intervals).ok());
+  FamilyWorld world = MakeWorldFrom(
+      ValueOrDie(std::move(builder).Build(), "Venue::Builder::Build"));
+  EXPECT_EQ(world.graph->adjacency().min_edge_weight, 0.0) << "seed " << seed;
+  EXPECT_FALSE(world.graph->adjacency().BucketEligible()) << "seed " << seed;
   return world;
 }
 
@@ -370,6 +400,111 @@ TEST(FamilySweepPropertyTest, NearestFacilityMatchesOracleBitIdentical) {
         }
       }
     }
+  }
+}
+
+// The same oracles on a world whose zero-weight edge keeps every
+// search on the 4-ary heap: ITG/A's sweeps and every strategy's
+// k-nearest must still match bit for bit.
+TEST(FamilySweepPropertyTest, IneligibleWorldSweepsMatchOracleBitIdentical) {
+  int nonempty = 0;
+  for (uint64_t seed : {11u, 55u}) {
+    FamilyWorld world = MakeIneligibleWorld(seed);
+    auto routers = MakeAllRouters(world);
+    QueryContext context;
+
+    FamilyGenConfig reach_config;
+    reach_config.kind = QueryKind::kReachability;
+    reach_config.num_queries = 10;
+    reach_config.seed = seed + 3;
+    reach_config.min_budget_seconds = 60;
+    reach_config.max_budget_seconds = 2400;
+    FamilyGenConfig knn_config;
+    knn_config.kind = QueryKind::kNearestFacility;
+    knn_config.num_queries = 10;
+    knn_config.seed = seed + 5;
+    knn_config.min_k = 1;
+    knn_config.max_k = 5;
+    knn_config.num_facilities = 12;
+    std::vector<QueryRequest> requests =
+        ValueOrDie(GenerateFamilyQueries(*world.graph, reach_config),
+                   "GenerateFamilyQueries");
+    const std::vector<QueryRequest> knn =
+        ValueOrDie(GenerateFamilyQueries(*world.graph, knn_config),
+                   "GenerateFamilyQueries");
+    requests.insert(requests.end(), knn.begin(), knn.end());
+
+    for (size_t qi = 0; qi < requests.size(); ++qi) {
+      const QueryRequest& request = requests[qi];
+      for (const auto& router : routers) {
+        if (request.kind == QueryKind::kReachability &&
+            router->name() != "itg-a") {
+          continue;
+        }
+        const std::string where = router->name() + " seed " +
+                                  std::to_string(seed) + " query " +
+                                  std::to_string(qi);
+        auto result = router->Route(request, &context);
+        ASSERT_TRUE(result.ok()) << where << ": "
+                                 << result.status().ToString();
+        const std::vector<ReachableDoor> oracle = OracleSweep(
+            *world.graph, *world.checkpoints, request,
+            OracleModeFor(router->name()));
+        ExpectBitIdentical(*result, oracle, where);
+        if (!oracle.empty()) ++nonempty;
+      }
+    }
+  }
+  EXPECT_GE(nonempty, 30);
+}
+
+// Two facilities tie exactly at the k-th distance: every strategy keeps
+// the lower door id, whatever order the request lists them in.
+TEST(FamilySweepPropertyTest, NearestFacilityTieAtKthDistanceKeepsLowerId) {
+  Venue::Builder builder;
+  const PartitionId left = builder.AddPartition(Rect{0, 0, 10, 10}, 0);
+  const PartitionId hall = builder.AddPartition(Rect{10, 0, 30, 10}, 0);
+  const PartitionId right = builder.AddPartition(Rect{30, 0, 40, 10}, 0);
+  const PartitionId top = builder.AddPartition(Rect{10, 10, 30, 20}, 0);
+  // From (20, 5): east and west exactly 10 m away, north 5 m.
+  const DoorId east = builder.AddDoor(Point2d{30, 5}, 0, hall, right);
+  const DoorId west = builder.AddDoor(Point2d{10, 5}, 0, left, hall);
+  const DoorId north = builder.AddDoor(Point2d{20, 10}, 0, hall, top);
+  ASSERT_LT(east, west);
+  auto venue = std::move(builder).Build();
+  ASSERT_TRUE(venue.ok());
+  auto graph = ItGraph::Build(*venue);
+  ASSERT_TRUE(graph.ok());
+  const CheckpointSet cps = CheckpointSet::FromGraph(*graph);
+
+  QueryRequest knn;
+  knn.kind = QueryKind::kNearestFacility;
+  knn.source = IndoorPoint{{20, 5}, 0};
+  knn.departure = Instant::FromHMS(12);
+  QueryContext context;
+  for (const char* name : kAllStrategies) {
+    auto router = ValueOrDie(MakeRouter(name, *graph), name);
+    knn.k = 1;
+    knn.facilities = {west, east};
+    auto nearest = router->Route(knn, &context);
+    ASSERT_TRUE(nearest.ok()) << name;
+    ExpectBitIdentical(*nearest,
+                       OracleSweep(*graph, cps, knn, OracleModeFor(name)),
+                       std::string(name) + " k=1");
+    ASSERT_EQ(nearest->reachable.size(), 1u) << name;
+    EXPECT_EQ(nearest->reachable[0].door, east) << name;
+    EXPECT_EQ(nearest->reachable[0].distance_m, 10.0) << name;
+
+    knn.k = 2;
+    knn.facilities = {west, north, east};
+    nearest = router->Route(knn, &context);
+    ASSERT_TRUE(nearest.ok()) << name;
+    ExpectBitIdentical(*nearest,
+                       OracleSweep(*graph, cps, knn, OracleModeFor(name)),
+                       std::string(name) + " k=2");
+    ASSERT_EQ(nearest->reachable.size(), 2u) << name;
+    EXPECT_EQ(nearest->reachable[0].door, north) << name;
+    EXPECT_EQ(nearest->reachable[1].door, east) << name;
   }
 }
 

@@ -1,9 +1,17 @@
-// bench_diff: compares two micro_core benchmark snapshots and reports
-// the per-benchmark delta — the regression gate behind BENCH_*.json.
+// bench_diff: compares micro_core benchmark runs and reports the
+// per-benchmark delta — the regression gate CI runs against a build of
+// the parent commit.
 //
 //   bench_diff old.json new.json            # report only
 //   bench_diff --gate old.json new.json     # exit 1 on a regression
 //   bench_diff --gate --threshold=0.15 ...  # custom gate (fraction)
+//   bench_diff --gate old1.json old2.json --new new1.json new2.json
+//
+// With --new, every file before it is a run of the old side and every
+// file after it a run of the new side; each row is compared on the
+// median of its real_time over that side's runs, so alternating runs
+// of two builds on one host cancel most of the host's drift. Rows only
+// one side has are listed as "new" or "gone" and never fail the gate.
 //
 // Accepts either raw google-benchmark JSON ({"context", "benchmarks"})
 // or a wrapped BENCH_prN.json ({"micro_core": {...}, ...}); the scan is
@@ -112,14 +120,58 @@ std::string BuildType(const std::string& text) {
   return v.empty() ? "unknown" : v;
 }
 
+/// One side of the comparison: every run's rows, merged by name.
+struct Side {
+  std::vector<std::string> order;  // first-seen row order
+  std::map<std::string, std::vector<double>> times_ns;
+  std::string build_type;
+  bool mixed_build_types = false;
+};
+
+bool ReadSide(const std::vector<std::string>& paths, Side* side) {
+  for (const std::string& path : paths) {
+    std::string text;
+    if (!ReadFile(path, &text)) {
+      std::fprintf(stderr, "bench_diff: cannot read %s\n", path.c_str());
+      return false;
+    }
+    const std::vector<BenchEntry> entries = ExtractBenchmarks(text);
+    if (entries.empty()) {
+      std::fprintf(stderr, "bench_diff: no micro_core benchmarks found in %s\n",
+                   path.c_str());
+      return false;
+    }
+    const std::string build = BuildType(text);
+    if (side->build_type.empty()) side->build_type = build;
+    if (build != side->build_type) side->mixed_build_types = true;
+    for (const BenchEntry& e : entries) {
+      std::vector<double>& times = side->times_ns[e.name];
+      if (times.empty()) side->order.push_back(e.name);
+      times.push_back(e.time_ns);
+    }
+  }
+  return true;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
 int Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--gate] [--threshold=FRACTION] OLD.json NEW.json\n"
-               "  --gate            exit 1 when any benchmark regresses by\n"
-               "                    more than the threshold (default 0.10)\n"
-               "  --threshold=0.10  regression gate as a fraction of the\n"
-               "                    old time\n",
-               argv0);
+  std::fprintf(
+      stderr,
+      "usage: %s [--gate] [--threshold=FRACTION] OLD.json NEW.json\n"
+      "       %s [--gate] [--threshold=FRACTION] OLD.json... --new "
+      "NEW.json...\n"
+      "  --gate            exit 1 when any benchmark regresses by\n"
+      "                    more than the threshold (default 0.10)\n"
+      "  --threshold=0.10  regression gate as a fraction of the\n"
+      "                    old time\n"
+      "  --new             the files after it are runs of the new side;\n"
+      "                    rows compare on their median over the runs\n",
+      argv0, argv0);
   return 2;
 }
 
@@ -128,7 +180,8 @@ int Usage(const char* argv0) {
 int main(int argc, char** argv) {
   bool gate = false;
   double threshold = 0.10;
-  std::vector<std::string> paths;
+  bool split = false;
+  std::vector<std::string> old_paths, new_paths;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--gate") {
@@ -136,71 +189,64 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--threshold=", 0) == 0) {
       threshold = std::strtod(arg.c_str() + 12, nullptr);
       if (threshold <= 0) return Usage(argv[0]);
+    } else if (arg == "--new" && !split) {
+      split = true;
     } else if (arg == "--help" || arg == "-h" || arg.rfind("--", 0) == 0) {
       return Usage(argv[0]);
     } else {
-      paths.push_back(arg);
+      (split ? new_paths : old_paths).push_back(arg);
     }
   }
-  if (paths.size() != 2) return Usage(argv[0]);
+  if (!split) {
+    if (old_paths.size() != 2) return Usage(argv[0]);
+    new_paths.push_back(old_paths.back());
+    old_paths.pop_back();
+  }
+  if (old_paths.empty() || new_paths.empty()) return Usage(argv[0]);
 
-  std::string old_text, new_text;
-  if (!ReadFile(paths[0], &old_text)) {
-    std::fprintf(stderr, "bench_diff: cannot read %s\n", paths[0].c_str());
-    return 2;
-  }
-  if (!ReadFile(paths[1], &new_text)) {
-    std::fprintf(stderr, "bench_diff: cannot read %s\n", paths[1].c_str());
-    return 2;
-  }
-
-  std::map<std::string, double> old_times;
-  for (const BenchEntry& e : ExtractBenchmarks(old_text)) {
-    old_times.emplace(e.name, e.time_ns);
-  }
-  const std::vector<BenchEntry> new_entries = ExtractBenchmarks(new_text);
-  if (old_times.empty() || new_entries.empty()) {
-    std::fprintf(stderr,
-                 "bench_diff: no micro_core benchmarks found in %s\n",
-                 old_times.empty() ? paths[0].c_str() : paths[1].c_str());
+  Side old_side, new_side;
+  if (!ReadSide(old_paths, &old_side) || !ReadSide(new_paths, &new_side)) {
     return 2;
   }
 
-  const std::string old_build = BuildType(old_text);
-  const std::string new_build = BuildType(new_text);
-  std::printf("old: %s (%s build)\nnew: %s (%s build)\n\n", paths[0].c_str(),
-              old_build.c_str(), paths[1].c_str(), new_build.c_str());
-  if (old_build != new_build) {
+  std::printf("old: %zu run(s) from %s (%s build)\n", old_paths.size(),
+              old_paths[0].c_str(), old_side.build_type.c_str());
+  std::printf("new: %zu run(s) from %s (%s build)\n\n", new_paths.size(),
+              new_paths[0].c_str(), new_side.build_type.c_str());
+  if (old_side.build_type != new_side.build_type ||
+      old_side.mixed_build_types || new_side.mixed_build_types) {
     std::printf(
         "WARNING: build types differ (%s vs %s) — deltas are NOT a\n"
         "like-for-like comparison.\n\n",
-        old_build.c_str(), new_build.c_str());
+        old_side.build_type.c_str(), new_side.build_type.c_str());
   }
 
-  std::printf("%-34s %14s %14s %9s\n", "benchmark", "old (ns)", "new (ns)",
-              "delta");
+  const bool medians = old_paths.size() > 1 || new_paths.size() > 1;
+  std::printf("%-34s %14s %14s %9s\n", "benchmark",
+              medians ? "old med (ns)" : "old (ns)",
+              medians ? "new med (ns)" : "new (ns)", "delta");
   int regressions = 0;
   size_t matched = 0;
-  for (const BenchEntry& e : new_entries) {
-    const auto it = old_times.find(e.name);
-    if (it == old_times.end()) {
-      std::printf("%-34s %14s %14.1f %9s\n", e.name.c_str(), "-", e.time_ns,
+  for (const std::string& name : new_side.order) {
+    const double new_ns = Median(new_side.times_ns[name]);
+    const auto it = old_side.times_ns.find(name);
+    if (it == old_side.times_ns.end()) {
+      std::printf("%-34s %14s %14.1f %9s\n", name.c_str(), "-", new_ns,
                   "new");
       continue;
     }
     ++matched;
-    const double delta = (e.time_ns - it->second) / it->second;
+    const double old_ns = Median(it->second);
+    const double delta = (new_ns - old_ns) / old_ns;
     const bool regressed = delta > threshold;
-    std::printf("%-34s %14.1f %14.1f %+8.1f%%%s\n", e.name.c_str(),
-                it->second, e.time_ns, delta * 100.0,
-                regressed ? "  << REGRESSION" : "");
+    std::printf("%-34s %14.1f %14.1f %+8.1f%%%s\n", name.c_str(), old_ns,
+                new_ns, delta * 100.0, regressed ? "  << REGRESSION" : "");
     if (regressed) ++regressions;
   }
-  for (const auto& [name, time_ns] : old_times) {
-    if (std::none_of(new_entries.begin(), new_entries.end(),
-                     [&](const BenchEntry& e) { return e.name == name; })) {
-      std::printf("%-34s %14.1f %14s %9s\n", name.c_str(), time_ns, "-",
-                  "gone");
+  for (const std::string& name : old_side.order) {
+    if (new_side.times_ns.count(name) == 0) {
+      std::printf("%-34s %14.1f %14s %9s\n", name.c_str(),
+                  Median(old_side.times_ns[name]), "-", "gone");
     }
   }
 
