@@ -4,10 +4,10 @@
 // Packed venue artifacts: build-once/load-fast serialization of a full
 // venue world (format.h documents the on-disk layout).
 //
-// The write side compiles everything expensive exactly once — distance
-// matrices ride along from the venue, AtiSets are normalised, the
-// checkpoint ledger and flip CSR are derived, the D2D matrix optionally
-// materialised — and packs it into one flat `.itspq` file:
+// The write side compiles everything expensive exactly once — AtiSets
+// are normalised, the checkpoint ledger and flip CSR are derived, the
+// D2D matrix optionally materialised — and packs it into one flat
+// `.itspq` file:
 //
 //   ItGraph + ledger + (D2D)   EncodeVenueArtifact / WriteVenueArtifact
 //
@@ -32,7 +32,6 @@
 
 #include "common/status.h"
 #include "itgraph/ati.h"
-#include "itgraph/csr_adjacency.h"
 #include "query/router.h"
 #include "query/strategies.h"
 #include "venue/venue.h"
@@ -56,10 +55,6 @@ struct LoadedVenueWorld {
   std::unique_ptr<Venue> venue;
   /// Compiled per-door AtiSets, adopted verbatim into the ItGraph.
   std::vector<AtiSet> atis;
-  /// Compiled CSR adjacency (format v2+), adopted verbatim into the
-  /// ItGraph. Null in a hand-assembled world: BuildWorldFromArtifact
-  /// then compiles it from the venue instead.
-  std::shared_ptr<const CsrAdjacency> adjacency;
   /// The boundary ledger: checkpoint_times[i] is contributed by exactly
   /// the (ascending) doors in flip_lists[i].
   std::vector<double> checkpoint_times;

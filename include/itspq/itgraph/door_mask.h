@@ -84,8 +84,8 @@ class DoorMask {
   }
 
   /// Calls `fn(k)` for every k in [0, count) whose door ids[k] has its
-  /// bit set — the masked-neighbour scan of the CSR relaxation loop.
-  /// CSR neighbour segments are ascending and partition door ids are
+  /// bit set — the masked-neighbour scan of the relaxation loop.
+  /// Partition door lists are ascending and partition door ids are
   /// clustered, so the current 64-bit word is cached across iterations:
   /// one word load per ~64 doors of a partition instead of one per
   /// neighbour.
@@ -107,7 +107,7 @@ class DoorMask {
   /// Calls `fn(DoorId)` for every set bit in [lo, hi), ascending — a
   /// word-wise popcount/ctz sweep that skips empty words entirely
   /// (dense-range companion of ForEachSetAmong; benchmarked against the
-  /// per-bit Test loop in BM_MaskedNeighborScan).
+  /// per-bit Test loop in BM_MaskedDoorListScan).
   template <typename Fn>
   void ForEachSetInRange(size_t lo, size_t hi, Fn&& fn) const {
     if (hi > num_bits_) hi = num_bits_;

@@ -4,8 +4,9 @@
 // The IT-Graph (paper §II-C): doors as nodes, with an AtiSet per door
 // compiled from the venue's temporal variations. Intra-partition edges
 // are implicit — a door's neighbours are the other doors of its two
-// partitions, with weights read from the venue's distance matrices —
-// so the graph stays small and always consistent with the venue.
+// partitions, each at the straight-line distance between the two door
+// positions — so the graph stays small and always consistent with the
+// venue.
 //
 // The graph keeps a pointer to the venue it was built from; the venue
 // must outlive the graph.
@@ -14,10 +15,10 @@
 // checkpoint derivation, artifact encoding, and copy-on-write epoch
 // rebuilds), the graph compiles two hot-path views at build time:
 //
-//   - a CsrAdjacency (csr_adjacency.h): the implicit door graph
-//     flattened into contiguous neighbour-id/weight arrays, shared by
-//     shared_ptr across update-plane epochs (ATI edits never change
-//     geometry, which BuildFrom already enforces);
+//   - a CsrAdjacency (csr_adjacency.h): flat partition door lists and
+//     door positions the relaxation loop walks, shared by shared_ptr
+//     across update-plane epochs (ATI edits never change geometry,
+//     which BuildFrom already enforces);
 //   - flat ATI rows (offsets + start/end pools): AtiContainsTimeOfDay
 //     answers the ITG/S per-relaxation membership probe with a short
 //     linear scan over one contiguous row instead of a binary search

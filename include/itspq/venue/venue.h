@@ -23,7 +23,6 @@
 
 #include "common/status.h"
 #include "common/time.h"
-#include "venue/distance_matrix.h"
 #include "venue/geometry.h"
 
 namespace itspq {
@@ -67,11 +66,6 @@ class Venue {
     return doors_of_[static_cast<size_t>(p)];
   }
 
-  /// Intra-partition door-to-door distances for partition `p`.
-  const DistanceMatrix& distance_matrix(PartitionId p) const {
-    return distance_matrices_[static_cast<size_t>(p)];
-  }
-
   /// All partitions containing `point` (several when the point lies on a
   /// shared boundary; empty when it is outside every partition).
   std::vector<PartitionId> LocateAll(const IndoorPoint& point) const;
@@ -98,14 +92,12 @@ class Venue {
   std::vector<Partition> partitions_;
   std::vector<Door> doors_;
   std::vector<std::vector<DoorId>> doors_of_;
-  std::vector<DistanceMatrix> distance_matrices_;
   int min_floor_ = 0;
   std::vector<FloorIndex> floor_index_;  // indexed by floor - min_floor_
 };
 
 /// Accumulates partitions and doors, then validates and freezes them
-/// into a Venue (computing door lists, distance matrices, and the
-/// point-location index).
+/// into a Venue (computing door lists and the point-location index).
 class Venue::Builder {
  public:
   PartitionId AddPartition(const Rect& rect, int floor);
@@ -123,9 +115,9 @@ class Venue::Builder {
   /// Seeds the builder with a copy of an existing venue's partitions,
   /// doors, and ATIs — how the temporal-variation generator re-derives
   /// a varied venue from a frozen one. As long as no partition or door
-  /// is added afterwards, Build() carries over the source venue's
-  /// distance matrices and point-location index instead of recomputing
-  /// them (ATI edits via SetDoorAti don't change geometry).
+  /// is added afterwards, Build() carries over the source venue's door
+  /// lists and point-location index instead of recomputing them (ATI
+  /// edits via SetDoorAti don't change geometry).
   static Builder FromVenue(const Venue& venue);
 
   /// Validates the accumulated venue. Errors: a door referencing an
@@ -136,10 +128,9 @@ class Venue::Builder {
  private:
   /// Derived structures copied from the source venue by FromVenue and
   /// dropped on any geometry mutation; lets Build() skip recomputing
-  /// distance matrices and the point-location index.
+  /// the door lists and the point-location index.
   struct CarriedGeometry {
     std::vector<std::vector<DoorId>> doors_of;
-    std::vector<DistanceMatrix> distance_matrices;
     int min_floor = 0;
     std::vector<FloorIndex> floor_index;
   };

@@ -171,25 +171,19 @@ struct DoorRecord {
   int32_t partitions[2];
   uint32_t pad;
 };
-struct MatrixRecord {  // DistanceMatrices header, one per partition
-  uint64_t num_doors;
-  int32_t base_id;
-  uint32_t local_index_size;
-};
 struct GridRecord {  // FloorIndex grid header, one per floor
   double origin_x, origin_y, cell;
   int32_t cols, rows;
 };
 static_assert(sizeof(MetaRecord) == 32 && sizeof(PartitionRecord) == 40 &&
-                  sizeof(DoorRecord) == 32 && sizeof(MatrixRecord) == 16 &&
-                  sizeof(GridRecord) == 32,
+                  sizeof(DoorRecord) == 32 && sizeof(GridRecord) == 32,
               "artifact record layout is fixed");
 
 }  // namespace
 
-/// Befriended by Venue, DistanceMatrix, AtiSet, ItGraph, and
-/// VersionedGraph: encodes their private representations verbatim and
-/// re-adopts them at load time without recompiling anything.
+/// Befriended by Venue, AtiSet, ItGraph, and VersionedGraph: encodes
+/// their private representations verbatim and re-adopts them at load
+/// time without recompiling anything.
 class ArtifactCodec {
  public:
   static StatusOr<std::vector<uint8_t>> Encode(
@@ -293,6 +287,12 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
                           Below(k.meta.num_partitions))) {
            return r.Reject("door references unknown partition");
          }
+         // Edge weights are computed from door positions: a NaN or an
+         // infinity would poison the frontier.
+         if (!std::isfinite(rec.x) || !std::isfinite(rec.y)) {
+           return r.Reject("door " + std::to_string(i) +
+                           " position is not finite");
+         }
          Door& d = k.venue.doors_[i];
          d.pos = Point2d{rec.x, rec.y};
          d.floor = rec.floor;
@@ -324,53 +324,31 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
     {ArtifactSection::kDoorsOf, "DoorsOf", true,
      [](const Source& s, ByteWriter& w) { w.Csr(s.venue.doors_of_, kSelf); },
      [](ByteReader& r, Sink& k) {
-       if (!r.Csr(k.meta.num_partitions, &k.venue.doors_of_,
-                  Below(k.meta.num_doors))) {
+       std::vector<std::vector<DoorId>>& lists = k.venue.doors_of_;
+       if (!r.Csr(k.meta.num_partitions, &lists, Below(k.meta.num_doors))) {
          return r.Reject("door id out of range");
        }
-       return Status::Ok();
-     }},
-    {ArtifactSection::kDistanceMatrices, "DistanceMatrices", true,
-     [](const Source& s, ByteWriter& w) {
-       const std::vector<DistanceMatrix>& dms = s.venue.distance_matrices_;
-       for (const DistanceMatrix& dm : dms) {
-         w.Put(MatrixRecord{dm.num_doors_, dm.base_id_,
-                            static_cast<uint32_t>(dm.local_index_.size())});
-       }
-       for (const DistanceMatrix& dm : dms) w.Pod(dm.local_index_);
-       for (const DistanceMatrix& dm : dms) w.Pod(dm.matrix_);
-     },
-     [](ByteReader& r, Sink& k) {
-       std::vector<MatrixRecord> records;
-       if (!r.Pod(&records, k.meta.num_partitions)) {
-         return r.Reject("malformed");
-       }
-       std::vector<DistanceMatrix>& dms = k.venue.distance_matrices_;
-       dms.resize(records.size());
-       for (size_t p = 0; p < dms.size(); ++p) {
-         DistanceMatrix& dm = dms[p];
-         if (records[p].num_doors > k.meta.num_doors ||
-             !r.Pod(&dm.local_index_, records[p].local_index_size)) {
-           return r.Reject("malformed matrix record");
-         }
-         dm.num_doors_ = static_cast<size_t>(records[p].num_doors);
-         dm.base_id_ = records[p].base_id;
-         // DistanceUnchecked performs no bounds checks at query time, so
-         // every door on the partition's boundary must resolve to a
-         // valid local index in its matrix.
-         for (DoorId d : k.venue.doors_of_[p]) {
-           const int64_t at = int64_t{d} - dm.base_id_;
-           if (at < 0 || static_cast<size_t>(at) >= dm.local_index_.size() ||
-               !Below(dm.num_doors_)(dm.local_index_[at])) {
+       // A search scans these lists as each door's neighbours, so they
+       // must be exactly what Venue::Builder derives from the doors:
+       // ascending, each door listed once per side naming the partition.
+       size_t listed = 0;
+       for (size_t p = 0; p < lists.size(); ++p) {
+         const std::vector<DoorId>& list = lists[p];
+         for (size_t i = 0; i < list.size();) {
+           const auto& sides = k.venue.doors_[list[i]].partitions;
+           const auto here = static_cast<PartitionId>(p);
+           const size_t end = i + (sides[0] == here) + (sides[1] == here);
+           if (end == i || end > list.size() || list[end - 1] != list[i] ||
+               (end < list.size() && list[end] <= list[i])) {
              return r.Reject("partition " + std::to_string(p) +
-                             " matrix does not cover its boundary doors");
+                             " door list disagrees with the doors");
            }
+           i = end;
          }
+         listed += list.size();
        }
-       for (DistanceMatrix& dm : dms) {
-         if (!r.Pod(&dm.matrix_, uint64_t{dm.num_doors_} * dm.num_doors_)) {
-           return r.Reject("malformed");
-         }
+       if (listed != 2 * k.venue.doors_.size()) {
+         return r.Reject("a door is missing from its partitions' lists");
        }
        return Status::Ok();
      }},
@@ -445,56 +423,6 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
          k.world.atis[d].starts_ = std::move(starts[d]);
          k.world.atis[d].ends_ = std::move(ends[d]);
        }
-       return Status::Ok();
-     }},
-    {ArtifactSection::kAdjacencyCsr, "AdjacencyCsr", true,
-     // The search core's relaxation arrays, verbatim: 2 segments per door
-     // (one per partition side), each a contiguous (neighbour id, weight)
-     // run. Weight extremes are recomputed at load — cheaper than trusting
-     // two floats a corrupt file could use to demote the bucket queue.
-     [](const Source& s, ByteWriter& w) {
-       const CsrAdjacency& adj = s.graph.adjacency();
-       w.Put(uint64_t{adj.num_doors});
-       w.Pod(adj.seg_offsets);
-       w.Pod(adj.seg_partition);
-       w.Pod(adj.neighbor_ids);
-       w.Pod(adj.neighbor_weights);
-     },
-     [](ByteReader& r, Sink& k) {
-       const size_t n = k.venue.NumDoors();
-       auto adj = std::make_shared<CsrAdjacency>();
-       uint64_t num_doors = 0;
-       if (!r.Get(&num_doors) || num_doors != n) {
-         return r.Reject("door count does not match the venue");
-       }
-       adj->num_doors = n;
-       if (!r.Offsets(2 * n, &adj->seg_offsets) ||
-           !r.Pod(&adj->seg_partition, 2 * n) ||
-           !r.Pod(&adj->neighbor_ids, adj->seg_offsets.back()) ||
-           !r.Pod(&adj->neighbor_weights, adj->seg_offsets.back())) {
-         return r.Reject("malformed");
-       }
-       // Adopted verbatim — but verify the invariants the unchecked
-       // relaxation loop relies on, so a checksum-colliding corruption
-       // can never index out of bounds or poison the frontier with NaN.
-       for (size_t d = 0; d < n; ++d) {
-         const Door& door = k.venue.doors_[d];
-         if (adj->seg_partition[2 * d] != door.partitions[0] ||
-             adj->seg_partition[2 * d + 1] != door.partitions[1]) {
-           return r.Reject("segment partition disagrees with door " +
-                           std::to_string(d));
-         }
-         for (uint32_t e = adj->seg_offsets[2 * d];
-              e < adj->seg_offsets[2 * d + 2]; ++e) {
-           const uint32_t id = adj->neighbor_ids[e];
-           const double weight = adj->neighbor_weights[e];
-           if (id >= n || id == d || !std::isfinite(weight) || weight < 0) {
-             return r.Reject("corrupt edge out of door " + std::to_string(d));
-           }
-         }
-       }
-       adj->RecomputeWeightExtremes();
-       k.world.adjacency = std::move(adj);
        return Status::Ok();
      }},
     {ArtifactSection::kCheckpoints, "Checkpoints", true,
@@ -770,17 +698,12 @@ StatusOr<std::shared_ptr<const VersionedGraph>> ArtifactCodec::BuildWorld(
 
   // Adopt the compiled graph verbatim — the decode path already
   // verified the normalisation invariant, so no AtiSet::Create here.
-  // The adjacency rides along from a v2 artifact; a hand-assembled
-  // world without one pays the compile here instead.
+  // The adjacency is door lists and positions, compiled in O(doors)
+  // plus the weight-extremes pass over door pairs.
   ItGraph graph(*version->venue_);
   graph.atis_ = std::move(world.atis);
-  if (world.adjacency != nullptr &&
-      world.adjacency->num_doors == version->venue_->NumDoors()) {
-    graph.adj_ = std::move(world.adjacency);
-  } else {
-    graph.adj_ = std::make_shared<const CsrAdjacency>(
-        CsrAdjacency::Compile(*version->venue_));
-  }
+  graph.adj_ = std::make_shared<const CsrAdjacency>(
+      CsrAdjacency::Compile(*version->venue_));
   graph.CompileAtiRows();
   version->graph_ = std::make_unique<ItGraph>(std::move(graph));
 

@@ -71,7 +71,7 @@ StatusOr<Venue> GenerateMall(const MallConfig& config) {
 
   // Horizontal doors. Positions are jittered along the shared wall so
   // different seeds yield different geometry (and non-degenerate
-  // distance matrices).
+  // door-to-door distances).
   auto door_x = [&](int i) {
     return i * shop_width +
            rng.UniformDouble(0.2 * shop_width, 0.8 * shop_width);

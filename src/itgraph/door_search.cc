@@ -40,25 +40,25 @@ void DoorDijkstra(const ItGraph& graph,
     if (out->Settled(u)) continue;
     out->settled_stamp[u] = out->generation;
 
-    // Both CSR segments of u in one contiguous sweep (the per-segment
-    // partition only matters for the pruned temporal search).
-    const uint32_t begin = adj.seg_offsets[2 * u];
-    const uint32_t end = adj.seg_offsets[2 * u + 2];
-    const uint32_t* ids = adj.neighbor_ids.data() + begin;
-    const double* weights = adj.neighbor_weights.data() + begin;
-    auto relax = [&](size_t k) {
-      const size_t vi = ids[k];
-      if (out->Settled(vi)) return;
-      const double nd = top_dist + weights[k];
-      if (nd < out->Dist(vi)) {
-        out->Label(vi, nd, static_cast<DoorId>(u));
-        frontier.Push(nd, static_cast<uint32_t>(vi));
+    // The doors of u's two partitions, u itself skipped as settled.
+    const Point2d at = graph.DoorPos(static_cast<DoorId>(u));
+    for (size_t seg = 2 * u; seg < 2 * u + 2; ++seg) {
+      const CsrAdjacency::DoorList doors =
+          adj.DoorsOf(static_cast<size_t>(adj.seg_partition[seg]));
+      auto relax = [&](size_t k) {
+        const size_t vi = doors.ids[k];
+        if (out->Settled(vi)) return;
+        const double nd = top_dist + EuclideanDistance(at, doors.positions[k]);
+        if (nd < out->Dist(vi)) {
+          out->Label(vi, nd, static_cast<DoorId>(u));
+          frontier.Push(nd, static_cast<uint32_t>(vi));
+        }
+      };
+      if (open_mask != nullptr) {
+        open_mask->ForEachSetAmong(doors.ids, doors.size, relax);
+      } else {
+        for (size_t k = 0; k < doors.size; ++k) relax(k);
       }
-    };
-    if (open_mask != nullptr) {
-      open_mask->ForEachSetAmong(ids, end - begin, relax);
-    } else {
-      for (size_t k = 0; k < end - begin; ++k) relax(k);
     }
   }
 }

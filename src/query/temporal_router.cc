@@ -362,7 +362,7 @@ void Search(const ItGraph& graph, const QueryRequest& request,
                      request.options.partition_visited_pruning;
 
   // Goal-directed A* (exact mode only): every completion from door u is
-  // a chain of exact 2D Euclidean edge weights (the distance matrix)
+  // a chain of exact 2D Euclidean edge weights (door to door)
   // ending in a Euclidean tail to pt, so by the triangle inequality it
   // costs at least the straight-line distance from u to pt. Gated off
   // under Alg. 1's partition-visited pruning: the pruned answer depends
@@ -435,21 +435,26 @@ void Search(const ItGraph& graph, const QueryRequest& request,
     validity.OnSettle(dep + top_dist * kInvWalkSpeedMps);
     goal.Settle(u, top_dist, s);
 
-    // CSR relaxation: door u owns segments 2u and 2u+1, one per
-    // partition, each a contiguous run of (neighbour id, weight).
+    // Door u owns segments 2u and 2u+1, one per partition side; each
+    // scans that partition's doors, u itself (listed once per side that
+    // names the partition) skipped as settled.
+    const Point2d at = graph.DoorPos(static_cast<DoorId>(u));
+    const size_t self = adj.seg_partition[2 * u] == adj.seg_partition[2 * u + 1]
+                            ? 2
+                            : 1;
     for (size_t seg = 2 * u; seg < 2 * u + 2; ++seg) {
+      const size_t p = static_cast<size_t>(adj.seg_partition[seg]);
       if (prune) {
-        const size_t p = static_cast<size_t>(adj.seg_partition[seg]);
         if (s.partition_stamp[p] == s.generation) continue;
         s.partition_stamp[p] = s.generation;
       }
-      const uint32_t begin = adj.seg_offsets[seg];
-      const uint32_t end = adj.seg_offsets[seg + 1];
-      stats.edges_scanned += end - begin;
-      for (uint32_t k = begin; k < end; ++k) {
-        const size_t next = adj.neighbor_ids[k];
+      const CsrAdjacency::DoorList doors = adj.DoorsOf(p);
+      stats.edges_scanned += doors.size - self;
+      for (size_t k = 0; k < doors.size; ++k) {
+        const size_t next = doors.ids[k];
         if (s.Settled(next)) continue;
-        relax(static_cast<DoorId>(next), top_dist + adj.neighbor_weights[k],
+        relax(static_cast<DoorId>(next),
+              top_dist + EuclideanDistance(at, doors.positions[k]),
               static_cast<DoorId>(u));
       }
     }

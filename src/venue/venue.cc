@@ -57,7 +57,6 @@ Venue::Builder Venue::Builder::FromVenue(const Venue& venue) {
   builder.doors_ = venue.doors_;
   CarriedGeometry carried;
   carried.doors_of = venue.doors_of_;
-  carried.distance_matrices = venue.distance_matrices_;
   carried.min_floor = venue.min_floor_;
   carried.floor_index = venue.floor_index_;
   builder.carried_ = std::move(carried);
@@ -93,12 +92,11 @@ StatusOr<Venue> Venue::Builder::Build() && {
   venue.doors_ = std::move(doors_);
 
   // Geometry untouched since FromVenue: every derived structure (door
-  // lists, distance matrices, point-location grid) is a pure function
+  // lists, point-location grid) is a pure function
   // of partitions + door positions, so adopt the carried-over copies
   // instead of recomputing.
   if (carried_.has_value()) {
     venue.doors_of_ = std::move(carried_->doors_of);
-    venue.distance_matrices_ = std::move(carried_->distance_matrices);
     venue.min_floor_ = carried_->min_floor;
     venue.floor_index_ = std::move(carried_->floor_index);
     return venue;
@@ -110,15 +108,6 @@ StatusOr<Venue> Venue::Builder::Build() && {
       venue.doors_of_[static_cast<size_t>(p)].push_back(
           static_cast<DoorId>(d));
     }
-  }
-
-  venue.distance_matrices_.reserve(venue.partitions_.size());
-  std::vector<Point2d> positions;
-  for (size_t p = 0; p < venue.partitions_.size(); ++p) {
-    const std::vector<DoorId>& doors = venue.doors_of_[p];
-    positions.clear();
-    for (DoorId d : doors) positions.push_back(venue.doors_[d].pos);
-    venue.distance_matrices_.emplace_back(doors, positions);
   }
 
   venue.BuildLocationIndex();
@@ -216,9 +205,6 @@ size_t Venue::MemoryUsage() const {
   }
   for (const auto& list : doors_of_) {
     total += list.capacity() * sizeof(DoorId);
-  }
-  for (const DistanceMatrix& dm : distance_matrices_) {
-    total += dm.MemoryUsage();
   }
   for (const FloorIndex& index : floor_index_) {
     total += index.cells.capacity() * sizeof(std::vector<PartitionId>);

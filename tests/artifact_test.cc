@@ -244,8 +244,10 @@ TEST(ArtifactNegativeTest, FutureFormatVersionRejected) {
 TEST(ArtifactNegativeTest, OldFormatVersionRejected) {
   const std::string dir = TestDir("oldversion");
   std::vector<uint8_t> image = EncodeSmallVenue();
-  // A pre-AdjacencyCsr (v1) file: the layout genuinely differs, so the
-  // reader must refuse it outright instead of guessing at sections.
+  // A v2 file, which still carries the DistanceMatrices and
+  // AdjacencyCsr sections: the layout genuinely differs, so the reader
+  // must refuse it outright, naming both versions, instead of guessing
+  // at sections.
   const uint32_t old_version = kArtifactFormatVersion - 1;
   std::memcpy(image.data() + 8, &old_version, sizeof(old_version));
   WriteBytes(dir + "/a.itspq", image);
@@ -253,54 +255,6 @@ TEST(ArtifactNegativeTest, OldFormatVersionRejected) {
       dir + "/a.itspq", StatusCode::kFailedPrecondition,
       "unsupported artifact format version " + std::to_string(old_version) +
           " (supported: " + std::to_string(kArtifactFormatVersion) + ")");
-}
-
-// Structural validation behind the checksums: an AdjacencyCsr payload
-// whose bytes are corrupt but whose section and table checksums have
-// been faithfully recomputed (a hostile writer, not random bit rot)
-// must still be rejected before the unchecked relaxation loop can
-// index out of bounds.
-TEST(ArtifactNegativeTest, CorruptAdjacencyEdgeRejectedByValidation) {
-  const std::string dir = TestDir("adjcorrupt");
-  std::vector<uint8_t> image = EncodeSmallVenue();
-
-  ArtifactHeader header;
-  std::memcpy(&header, image.data(), sizeof(header));
-  std::vector<ArtifactSectionEntry> table(header.section_count);
-  std::memcpy(table.data(), image.data() + sizeof(header),
-              table.size() * sizeof(table[0]));
-  ArtifactSectionEntry* adj_entry = nullptr;
-  for (ArtifactSectionEntry& e : table) {
-    if (e.kind == static_cast<uint32_t>(ArtifactSection::kAdjacencyCsr)) {
-      adj_entry = &e;
-    }
-  }
-  ASSERT_NE(adj_entry, nullptr) << "v2 artifact must carry AdjacencyCsr";
-
-  // Payload layout: u64 num_doors | u32 seg_offsets[2n+1] |
-  // i32 seg_partition[2n] | u32 neighbor_ids[E] | f64 weights[E].
-  uint8_t* payload = image.data() + adj_entry->offset;
-  uint64_t num_doors;
-  std::memcpy(&num_doors, payload, sizeof(num_doors));
-  ASSERT_GT(num_doors, 0u);
-  const size_t ids_at =
-      8 + (2 * num_doors + 1) * sizeof(uint32_t) +
-      2 * num_doors * sizeof(int32_t);
-  ASSERT_LT(ids_at + sizeof(uint32_t), adj_entry->bytes);
-  const uint32_t bogus = 0xFFFFFFFFu;  // id far outside [0, num_doors)
-  std::memcpy(payload + ids_at, &bogus, sizeof(bogus));
-
-  // Only the structural validator stands between the bytes and UB.
-  Reseal(&image);
-
-  WriteBytes(dir + "/a.itspq", image);
-  auto loaded = LoadVenueArtifact(dir + "/a.itspq");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("AdjacencyCsr"), std::string::npos)
-      << loaded.status().ToString();
-  EXPECT_NE(loaded.status().message().find("corrupt edge"), std::string::npos)
-      << loaded.status().ToString();
 }
 
 // Little-endian field access into one section payload.
@@ -348,12 +302,52 @@ const SectionCase kSectionCases[] = {
        ASSERT_GT(Get<uint64_t>(*p, P * 8), 0u);
        Set<int32_t>(p, (P + 1) * 8, static_cast<int32_t>(n));
      }},
-    {"matrix misses its boundary doors", "DistanceMatrices",
-     "does not cover its boundary doors", false,
+    {"NaN door position", "Doors", "position is not finite", false,
+     [](Sections* s, uint64_t, uint64_t n) {
+       Set<double>(Payload(s, ArtifactSection::kDoors), (n - 1) * 32 + 8,
+                   std::nan(""));
+     }},
+    {"infinite door position", "Doors", "position is not finite", false,
+     [](Sections* s, uint64_t, uint64_t) {
+       Set<double>(Payload(s, ArtifactSection::kDoors), 0, -HUGE_VAL);
+     }},
+    {"doors-of lists a door off the partition", "DoorsOf",
+     "disagrees with the doors", false,
      [](Sections* s, uint64_t P, uint64_t) {
-       // Matrix record: u64 num_doors, i32 base_id, u32 local-index length.
-       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kDistanceMatrices);
-       for (uint64_t i = 0; i < P; ++i) Set<int32_t>(p, i * 16 + 8, INT32_MAX);
+       // u64 offsets[P + 1], i32 pool: partition 0's first door becomes
+       // door 0, which names other partitions.
+       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kDoorsOf);
+       const uint64_t listed = Get<uint64_t>(*p, 8);
+       ASSERT_GT(listed, 0u);
+       const size_t pool = (P + 1) * 8;
+       Set<int32_t>(p, pool, Get<int32_t>(*p, pool) == 0 ? 1 : 0);
+     }},
+    {"doors-of list out of order", "DoorsOf", "disagrees with the doors",
+     false,
+     [](Sections* s, uint64_t P, uint64_t) {
+       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kDoorsOf);
+       for (uint64_t i = 0; i < P; ++i) {
+         const uint64_t begin = Get<uint64_t>(*p, i * 8);
+         if (Get<uint64_t>(*p, (i + 1) * 8) - begin < 2) continue;
+         const size_t at = (P + 1) * 8 + begin * 4;
+         const int32_t first = Get<int32_t>(*p, at);
+         Set<int32_t>(p, at, Get<int32_t>(*p, at + 4));
+         Set<int32_t>(p, at + 4, first);
+         return;
+       }
+       FAIL() << "no partition lists two doors";
+     }},
+    {"doors-of list drops a door", "DoorsOf", "missing from its partitions",
+     false,
+     [](Sections* s, uint64_t P, uint64_t) {
+       // Drop the last list's last entry: offsets and pool shrink
+       // together, every list left is well formed, so only the count
+       // check can catch it.
+       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kDoorsOf);
+       const uint64_t total = Get<uint64_t>(*p, P * 8);
+       ASSERT_GT(total, 0u);
+       Set<uint64_t>(p, P * 8, total - 1);
+       p->resize(p->size() - 4);
      }},
     {"floor cell to unknown partition", "FloorIndex",
      "unknown partition", false,
@@ -515,12 +509,12 @@ TEST(ArtifactSectionRejectionTest, TrailingBytesRejectedInEverySection) {
   with_d2d.include_d2d = true;
   const Sections sections = SplitSections(ValueOrDie(
       EncodeVenueArtifact(MakeSmallVenue(), with_d2d), "EncodeVenueArtifact"));
-  ASSERT_EQ(sections.size(), 12u);
-  const char* const names[] = {"",         "Meta",         "Partitions",
-                               "Doors",    "DoorAtis",     "DoorsOf",
-                               "DistanceMatrices",         "FloorIndex",
-                               "CompiledAtis", "Checkpoints", "FlipIndex",
-                               "D2d",      "AdjacencyCsr"};
+  ASSERT_EQ(sections.size(), 10u);
+  // Indexed by section kind; kinds 6 and 12 are retired.
+  const char* const names[] = {"",          "Meta",         "Partitions",
+                               "Doors",     "DoorAtis",     "DoorsOf",
+                               "",          "FloorIndex",   "CompiledAtis",
+                               "Checkpoints", "FlipIndex",  "D2d"};
   for (size_t i = 0; i < sections.size(); ++i) {
     Sections padded = sections;
     padded[i].second.resize(padded[i].second.size() + 8, 0);
@@ -548,30 +542,31 @@ TEST(ArtifactTest, ReencodingADecodedVenueIsByteIdentical) {
   EXPECT_EQ(first, second);
 }
 
-// The loaded world carries the compiled adjacency verbatim; assembling
-// a world from it must adopt that CSR (with recomputed weight
-// extremes), not recompile it.
-TEST(ArtifactTest, AdjacencyRoundTripsAndIsAdopted) {
-  const std::string dir = TestDir("adjroundtrip");
-  Venue venue = MakeSmallVenue();
+// No edge weight is stored: a loaded world compiles its adjacency from
+// the decoded door lists and positions, and it equals the adjacency of
+// the venue the artifact was written from, weight extremes included.
+TEST(ArtifactTest, LoadedWorldCompilesTheSameAdjacency) {
+  const std::string dir = TestDir("adjacency");
+  const Venue venue = MakeSmallVenue();
   ASSERT_TRUE(WriteVenueArtifact(dir + "/a.itspq", venue).ok());
-  LoadedVenueWorld world =
-      ValueOrDie(LoadVenueArtifact(dir + "/a.itspq"), "LoadVenueArtifact");
-  ASSERT_NE(world.adjacency, nullptr);
-  EXPECT_EQ(world.adjacency->num_doors, world.venue->NumDoors());
-
-  const CsrAdjacency fresh = CsrAdjacency::Compile(*world.venue);
-  EXPECT_EQ(world.adjacency->seg_offsets, fresh.seg_offsets);
-  EXPECT_EQ(world.adjacency->seg_partition, fresh.seg_partition);
-  EXPECT_EQ(world.adjacency->neighbor_ids, fresh.neighbor_ids);
-  EXPECT_EQ(world.adjacency->neighbor_weights, fresh.neighbor_weights);
-  EXPECT_EQ(world.adjacency->min_edge_weight, fresh.min_edge_weight);
-  EXPECT_EQ(world.adjacency->max_edge_weight, fresh.max_edge_weight);
-
-  const CsrAdjacency* loaded_ptr = world.adjacency.get();
-  auto published = BuildWorldFromArtifact(std::move(world), "itg-s");
+  auto published = BuildWorldFromArtifact(
+      ValueOrDie(LoadVenueArtifact(dir + "/a.itspq"), "LoadVenueArtifact"),
+      "itg-s");
   ASSERT_TRUE(published.ok()) << published.status().ToString();
-  EXPECT_EQ((*published)->graph().adjacency_handle().get(), loaded_ptr);
+  const CsrAdjacency& loaded = (*published)->graph().adjacency();
+  const CsrAdjacency fresh = CsrAdjacency::Compile(venue);
+  EXPECT_EQ(loaded.num_doors, fresh.num_doors);
+  EXPECT_EQ(loaded.seg_partition, fresh.seg_partition);
+  EXPECT_EQ(loaded.door_offsets, fresh.door_offsets);
+  EXPECT_EQ(loaded.door_ids, fresh.door_ids);
+  ASSERT_EQ(loaded.door_positions.size(), fresh.door_positions.size());
+  for (size_t k = 0; k < fresh.door_positions.size(); ++k) {
+    EXPECT_EQ(loaded.door_positions[k].x, fresh.door_positions[k].x) << k;
+    EXPECT_EQ(loaded.door_positions[k].y, fresh.door_positions[k].y) << k;
+  }
+  EXPECT_EQ(loaded.min_edge_weight, fresh.min_edge_weight);
+  EXPECT_EQ(loaded.max_edge_weight, fresh.max_edge_weight);
+  EXPECT_TRUE(loaded.BucketEligible());
 }
 
 TEST(ArtifactNegativeTest, UnknownStrategyRejectedAtRegistration) {

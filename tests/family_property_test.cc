@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -33,6 +34,8 @@
 #include <utility>
 #include <vector>
 
+#include "artifact/artifact.h"
+#include "artifact/format.h"
 #include "common/time.h"
 #include "gen/ati_gen.h"
 #include "gen/query_gen.h"
@@ -42,6 +45,7 @@
 #include "itgraph/itgraph.h"
 #include "query/router.h"
 #include "query/strategies.h"
+#include "update/versioned_graph.h"
 #include "venue/venue.h"
 
 namespace itspq {
@@ -202,7 +206,6 @@ std::vector<ReachableDoor> OracleSweep(const ItGraph& graph,
     relax(door, offset);
   }
 
-  const CsrAdjacency& adj = graph.adjacency();
   while (!queue.empty()) {
     const auto [d, u] = queue.top();
     queue.pop();
@@ -211,13 +214,12 @@ std::vector<ReachableDoor> OracleSweep(const ItGraph& graph,
     if (mode == OracleTv::kAsync) {
       refresh_frontier(dep + d * kInvWalkSpeedMps);
     }
-    for (size_t seg = 2 * u; seg < 2 * u + 2; ++seg) {
-      const uint32_t begin = adj.seg_offsets[seg];
-      const uint32_t end = adj.seg_offsets[seg + 1];
-      for (uint32_t k = begin; k < end; ++k) {
-        const size_t next = adj.neighbor_ids[k];
-        if (settled[next]) continue;
-        relax(static_cast<DoorId>(next), d + adj.neighbor_weights[k]);
+    const DoorId from = static_cast<DoorId>(u);
+    for (PartitionId p : graph.DoorPartitions(from)) {
+      for (DoorId next : graph.venue().DoorsOf(p)) {
+        if (settled[static_cast<size_t>(next)]) continue;
+        relax(next, d + EuclideanDistance(graph.DoorPos(from),
+                                          graph.DoorPos(next)));
       }
     }
   }
@@ -984,13 +986,11 @@ TEST(FamilyBatchTest, MixedKindBatchMatchesSequentialRoutes) {
 }
 
 // ---------------------------------------------------------------------
-// SearchStats::edges_scanned: the count of adjacency entries walked.
+// SearchStats::edges_scanned: the neighbours a settled door scans, per
+// partition side, not counting the door itself.
 
-// An NTV sweep with a budget no walk exhausts settles every door of a
-// connected venue, and a settled door walks both of its CSR segments,
-// so the count is exactly the adjacency's size.
-TEST(FamilyEdgeCountTest, UnboundedNtvReachabilityScansEveryEdge) {
-  // Three rooms off one hall, with doors between neighbouring rooms.
+// Three rooms off one hall, with doors between neighbouring rooms.
+Venue MakeHallVenue() {
   Venue::Builder builder;
   const PartitionId hall = builder.AddPartition(Rect{0, 10, 30, 20}, 0);
   const PartitionId room_a = builder.AddPartition(Rect{0, 0, 10, 10}, 0);
@@ -1001,24 +1001,118 @@ TEST(FamilyEdgeCountTest, UnboundedNtvReachabilityScansEveryEdge) {
   builder.AddDoor(Point2d{25, 10}, 0, room_c, hall);
   builder.AddDoor(Point2d{10, 5}, 0, room_a, room_b);
   builder.AddDoor(Point2d{20, 5}, 0, room_b, room_c);
-  auto venue = std::move(builder).Build();
-  ASSERT_TRUE(venue.ok());
-  auto graph = ItGraph::Build(*venue);
-  ASSERT_TRUE(graph.ok());
-  auto router = ValueOrDie(MakeRouter("ntv", *graph), "ntv");
+  return ValueOrDie(std::move(builder).Build(), "Venue::Builder::Build");
+}
 
+// `venue` packed, then re-decoded with door `d`'s second side naming
+// its first partition too. Venue::Builder refuses such a door; a
+// re-sealed artifact is the one way in. The DoorsOf lists are rebuilt
+// from the edited doors so the image stays self-consistent.
+LoadedVenueWorld DecodeWithDoorNamingOnePartitionTwice(const Venue& venue,
+                                                       DoorId d) {
+  std::vector<uint8_t> image =
+      ValueOrDie(EncodeVenueArtifact(venue), "EncodeVenueArtifact");
+  ArtifactHeader header;
+  std::memcpy(&header, image.data(), sizeof(header));
+  std::vector<ArtifactSectionEntry> table(header.section_count);
+  std::memcpy(table.data(), image.data() + sizeof(header),
+              table.size() * sizeof(table[0]));
+  auto payload = [&](ArtifactSection kind) {
+    for (const ArtifactSectionEntry& e : table) {
+      if (e.kind == static_cast<uint32_t>(kind)) return image.data() + e.offset;
+    }
+    ADD_FAILURE() << "no section " << static_cast<uint32_t>(kind);
+    std::abort();
+  };
+  // Doors: 32-byte records, the partition pair at bytes 20..27.
+  uint8_t* doors = payload(ArtifactSection::kDoors);
+  std::memcpy(doors + 32 * d + 24, doors + 32 * d + 20, sizeof(int32_t));
+  // DoorsOf: u64 offsets[partitions + 1], then i32 door ids.
+  std::vector<std::vector<int32_t>> lists(venue.NumPartitions());
+  for (size_t door = 0; door < venue.NumDoors(); ++door) {
+    for (int side = 0; side < 2; ++side) {
+      int32_t p;
+      std::memcpy(&p, doors + 32 * door + 20 + 4 * side, sizeof(p));
+      lists[static_cast<size_t>(p)].push_back(static_cast<int32_t>(door));
+    }
+  }
+  uint8_t* at = payload(ArtifactSection::kDoorsOf);
+  uint64_t offset = 0;
+  std::memcpy(at, &offset, sizeof(offset));
+  for (const auto& list : lists) {
+    offset += list.size();
+    std::memcpy(at += 8, &offset, sizeof(offset));
+  }
+  at += 8;
+  for (const auto& list : lists) {
+    std::memcpy(at, list.data(), list.size() * sizeof(int32_t));
+    at += list.size() * sizeof(int32_t);
+  }
+  // Re-seal every checksum, as the writer would have.
+  for (ArtifactSectionEntry& e : table) {
+    e.checksum = ArtifactChecksum(image.data() + e.offset, e.bytes);
+  }
+  header.table_checksum =
+      ArtifactChecksum(table.data(), table.size() * sizeof(table[0]));
+  std::memcpy(image.data(), &header, sizeof(header));
+  std::memcpy(image.data() + sizeof(header), table.data(),
+              table.size() * sizeof(table[0]));
+  return ValueOrDie(DecodeVenueArtifact(image.data(), image.size()),
+                    "DecodeVenueArtifact");
+}
+
+// An NTV sweep with a budget no walk exhausts settles every door of a
+// connected venue, and a settled door scans both of its partition
+// sides, so the count is the sum, over doors and sides, of the side's
+// DoorsOf list less the door's own entries in it.
+void ExpectUnboundedSweepScansEveryEdge(const ItGraph& graph,
+                                        const Router& router,
+                                        const IndoorPoint& source,
+                                        size_t want) {
+  const Venue& venue = graph.venue();
+  size_t expected = 0;
+  for (size_t d = 0; d < venue.NumDoors(); ++d) {
+    const DoorId door = static_cast<DoorId>(d);
+    for (PartitionId p : venue.door(door).partitions) {
+      const std::vector<DoorId>& list = venue.DoorsOf(p);
+      expected += list.size() - static_cast<size_t>(std::count(
+                                    list.begin(), list.end(), door));
+    }
+  }
+  EXPECT_EQ(expected, want);
   QueryRequest reach;
   reach.kind = QueryKind::kReachability;
-  reach.source = IndoorPoint{{5, 5}, 0};
+  reach.source = source;
   reach.departure = Instant::FromHMS(12);
   reach.budget_seconds = 1e9;
   QueryContext context;
-  auto result = router->Route(reach, &context);
+  auto result = router.Route(reach, &context);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->reachable.size(), graph->NumDoors());
-  EXPECT_EQ(result->stats.doors_popped, graph->NumDoors());
-  EXPECT_EQ(result->stats.edges_scanned,
-            graph->adjacency().neighbor_ids.size());
+  EXPECT_EQ(result->reachable.size(), graph.NumDoors());
+  EXPECT_EQ(result->stats.doors_popped, graph.NumDoors());
+  EXPECT_EQ(result->stats.edges_scanned, expected);
+}
+
+TEST(FamilyEdgeCountTest, UnboundedNtvReachabilityScansEveryEdge) {
+  const Venue venue = MakeHallVenue();
+  auto graph = ItGraph::Build(venue);
+  ASSERT_TRUE(graph.ok());
+  auto router = ValueOrDie(MakeRouter("ntv", *graph), "ntv");
+  // Lists: hall {0, 1, 2}, room a {0, 3}, room b {1, 3, 4}, room c
+  // {2, 4}; doors 0..4 scan 3 + 4 + 3 + 3 + 3.
+  ExpectUnboundedSweepScansEveryEdge(*graph, *router, IndoorPoint{{5, 5}, 0},
+                                     16);
+
+  // Door 3 (room a | room b) made to name room a twice: room a lists
+  // {0, 3, 3} and room b {1, 4}, and door 3 scans room a's other door
+  // once per side; doors 0..4 scan 4 + 3 + 3 + 2 + 2.
+  auto world = ValueOrDie(
+      BuildWorldFromArtifact(
+          DecodeWithDoorNamingOnePartitionTwice(venue, DoorId{3}), "ntv"),
+      "BuildWorldFromArtifact");
+  ASSERT_EQ(world->venue().DoorsOf(PartitionId{1}).size(), 3u);
+  ExpectUnboundedSweepScansEveryEdge(world->graph(), world->router(),
+                                     IndoorPoint{{5, 5}, 0}, 14);
 }
 
 // A multi-stop query counts what its legs count, routed one at a time.

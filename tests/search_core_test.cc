@@ -1,6 +1,7 @@
 // The cache-conscious search core's compiled views, pinned to the
 // object-graph sources they replaced: CsrAdjacency vs the venue's
-// DoorsOf/DistanceMatrix walk, flat ATI rows vs AtiSet membership,
+// doors and DoorsOf lists (and its weights vs door geometry), flat ATI
+// rows vs AtiSet membership,
 // DoorMask's word-wise scan helpers vs the per-bit loop, generation-
 // stamped scratch reuse vs fresh contexts, and epoch adjacency sharing.
 
@@ -9,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -19,6 +21,7 @@
 #include "common/time.h"
 #include "gen/ati_gen.h"
 #include "gen/query_gen.h"
+#include "gen/workload_gen.h"
 #include "gen/venue_gen.h"
 #include "itgraph/csr_adjacency.h"
 #include "itgraph/door_mask.h"
@@ -87,44 +90,117 @@ CoreWorld MakeWorld(uint64_t seed) {
   return world;
 }
 
-// The CSR is exactly the venue's implicit adjacency, flattened: per
-// door, one segment per partition side, each listing that partition's
-// other doors in DoorsOf order with DistanceMatrix weights.
+// The adjacency is exactly the venue's implicit door graph, flattened:
+// per door its two partition sides, per partition its DoorsOf list in
+// order with each listed door's position.
 TEST(SearchCoreTest, CsrAdjacencyMatchesVenueWalk) {
   const CoreWorld world = MakeWorld(11);
   const Venue& venue = *world.venue;
   const CsrAdjacency& adj = world.graph->adjacency();
   const size_t n = venue.NumDoors();
   ASSERT_EQ(adj.num_doors, n);
-  ASSERT_EQ(adj.seg_offsets.size(), 2 * n + 1);
   ASSERT_EQ(adj.seg_partition.size(), 2 * n);
-
-  double min_w = std::numeric_limits<double>::infinity();
-  double max_w = 0;
+  ASSERT_EQ(adj.door_offsets.size(), venue.NumPartitions() + 1);
+  ASSERT_EQ(adj.door_positions.size(), adj.door_ids.size());
   for (size_t d = 0; d < n; ++d) {
-    const DoorId door = static_cast<DoorId>(d);
-    const auto& partitions = venue.door(door).partitions;
-    for (size_t side = 0; side < 2; ++side) {
-      const size_t seg = 2 * d + side;
-      const PartitionId p = partitions[side];
-      EXPECT_EQ(adj.seg_partition[seg], p);
-      const DistanceMatrix& dm = venue.distance_matrix(p);
-      uint32_t k = adj.seg_offsets[seg];
-      for (DoorId v : venue.DoorsOf(p)) {
-        if (v == door) continue;
-        ASSERT_LT(k, adj.seg_offsets[seg + 1]);
-        EXPECT_EQ(adj.neighbor_ids[k], static_cast<uint32_t>(v));
-        const double w = dm.DistanceUnchecked(door, v);
-        EXPECT_EQ(adj.neighbor_weights[k], w);
-        min_w = std::min(min_w, w);
-        max_w = std::max(max_w, w);
-        ++k;
-      }
-      EXPECT_EQ(k, adj.seg_offsets[seg + 1]);
+    const Door& door = venue.door(static_cast<DoorId>(d));
+    EXPECT_EQ(adj.seg_partition[2 * d], door.partitions[0]);
+    EXPECT_EQ(adj.seg_partition[2 * d + 1], door.partitions[1]);
+  }
+  for (size_t p = 0; p < venue.NumPartitions(); ++p) {
+    const CsrAdjacency::DoorList doors = adj.DoorsOf(p);
+    EXPECT_EQ(std::vector<DoorId>(doors.ids, doors.ids + doors.size),
+              venue.DoorsOf(static_cast<PartitionId>(p)))
+        << "partition " << p;
+    for (size_t k = 0; k < doors.size; ++k) {
+      const Point2d& pos = venue.door(static_cast<DoorId>(doors.ids[k])).pos;
+      EXPECT_EQ(doors.positions[k].x, pos.x) << "partition " << p;
+      EXPECT_EQ(doors.positions[k].y, pos.y) << "partition " << p;
     }
   }
-  EXPECT_EQ(adj.min_edge_weight, min_w);
-  EXPECT_EQ(adj.max_edge_weight, max_w);
+}
+
+std::vector<Venue> SmallFleet() {
+  FleetConfig config;
+  config.num_venues = 6;
+  config.seed = 3;
+  config.max_floors = 2;
+  return ValueOrDie(GenerateVenueFleet(config), "GenerateVenueFleet");
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// A search computes an edge's weight from whichever end it expands, so
+// the weight must be the same bits either way round: a - b == -(b - a)
+// exactly, and both square to the same value.
+TEST(SearchCoreTest, EdgeWeightIsBitwiseSymmetricOverAFleet) {
+  for (const Venue& venue : SmallFleet()) {
+    size_t pairs = 0, asymmetric = 0;
+    for (size_t a = 0; a < venue.NumDoors(); ++a) {
+      for (size_t b = 0; b < venue.NumDoors(); ++b) {
+        const Point2d& pa = venue.door(static_cast<DoorId>(a)).pos;
+        const Point2d& pb = venue.door(static_cast<DoorId>(b)).pos;
+        ++pairs;
+        if (Bits(EuclideanDistance(pa, pb)) != Bits(EuclideanDistance(pb, pa))) {
+          ++asymmetric;
+        }
+      }
+    }
+    EXPECT_GT(pairs, 0u);
+    EXPECT_EQ(asymmetric, 0u);
+  }
+}
+
+// The compiled weight extremes (squared distances, one sqrt) equal a
+// brute-force pass over every pair of distinct doors sharing a
+// partition.
+void ExpectExtremesMatchBruteForce(const Venue& venue,
+                                   const CsrAdjacency& adj) {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = 0;
+  for (size_t a = 0; a < venue.NumDoors(); ++a) {
+    const Door& da = venue.door(static_cast<DoorId>(a));
+    for (size_t b = 0; b < venue.NumDoors(); ++b) {
+      const Door& db = venue.door(static_cast<DoorId>(b));
+      const bool shared =
+          std::any_of(da.partitions.begin(), da.partitions.end(),
+                      [&](PartitionId p) {
+                        return p == db.partitions[0] || p == db.partitions[1];
+                      });
+      if (a == b || !shared) continue;
+      const double w = EuclideanDistance(da.pos, db.pos);
+      lo = std::min(lo, w);
+      hi = std::max(hi, w);
+    }
+  }
+  EXPECT_EQ(Bits(adj.min_edge_weight), Bits(lo));
+  EXPECT_EQ(Bits(adj.max_edge_weight), Bits(hi));
+}
+
+TEST(SearchCoreTest, WeightExtremesMatchBruteForce) {
+  const std::vector<Venue> fleet = SmallFleet();
+  for (const Venue& venue : fleet) {
+    const ItGraph graph = ValueOrDie(ItGraph::Build(venue), "ItGraph::Build");
+    ExpectExtremesMatchBruteForce(venue, graph.adjacency());
+    EXPECT_TRUE(graph.adjacency().BucketEligible());
+  }
+
+  // A twin of door 0 at the same position: a zero-weight edge, so the
+  // graph must fall back to the heap.
+  const Door& door = fleet[0].door(DoorId{0});
+  Venue::Builder builder = Venue::Builder::FromVenue(fleet[0]);
+  builder.AddDoor(door.pos, door.floor, door.partitions[0],
+                  door.partitions[1]);
+  const Venue twinned =
+      ValueOrDie(std::move(builder).Build(), "Venue::Builder::Build");
+  const ItGraph graph = ValueOrDie(ItGraph::Build(twinned), "ItGraph::Build");
+  ExpectExtremesMatchBruteForce(twinned, graph.adjacency());
+  EXPECT_EQ(graph.adjacency().min_edge_weight, 0.0);
+  EXPECT_FALSE(graph.adjacency().BucketEligible());
 }
 
 // The flat rows answer exactly as the AtiSets they were compiled from,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "venue/venue.h"
 
@@ -76,13 +77,16 @@ TEST(VenueTest, LocateAllOnSharedBoundaryReturnsBoth) {
   EXPECT_EQ(shared[1], 1);
 }
 
-TEST(VenueTest, DistanceMatrixIsEuclideanAndSymmetric) {
+// The hall's two doors, 10 m apart: the door-to-door distance a
+// search computes from their positions, either way round.
+TEST(VenueTest, DoorDistanceIsEuclideanAndSymmetric) {
   const Venue venue = MakeTinyVenue();
-  const DistanceMatrix& dm = venue.distance_matrix(2);  // hall, 2 doors
-  ASSERT_EQ(dm.NumDoors(), 2u);
-  EXPECT_DOUBLE_EQ(dm.DistanceUnchecked(0, 1), 10.0);
-  EXPECT_DOUBLE_EQ(dm.DistanceUnchecked(1, 0), 10.0);
-  EXPECT_DOUBLE_EQ(dm.DistanceUnchecked(0, 0), 0.0);
+  ASSERT_EQ(venue.DoorsOf(2), (std::vector<DoorId>{0, 1}));
+  const Point2d& d0 = venue.door(0).pos;
+  const Point2d& d1 = venue.door(1).pos;
+  EXPECT_EQ(EuclideanDistance(d0, d1), 10.0);
+  EXPECT_EQ(EuclideanDistance(d1, d0), 10.0);
+  EXPECT_EQ(EuclideanDistance(d0, d0), 0.0);
 }
 
 TEST(VenueBuilderTest, SetDoorAtiValidatesDoorId) {
@@ -101,8 +105,11 @@ TEST(VenueBuilderTest, FromVenueRoundTrips) {
   ASSERT_TRUE(copy.ok());
   EXPECT_EQ(copy->NumPartitions(), original.NumPartitions());
   EXPECT_EQ(copy->NumDoors(), original.NumDoors());
-  EXPECT_DOUBLE_EQ(copy->distance_matrix(2).DistanceUnchecked(0, 1),
-                   original.distance_matrix(2).DistanceUnchecked(0, 1));
+  for (PartitionId p = 0; p < 3; ++p) {
+    EXPECT_EQ(copy->DoorsOf(p), original.DoorsOf(p)) << "partition " << p;
+  }
+  EXPECT_EQ(copy->door(1).pos.x, original.door(1).pos.x);
+  EXPECT_EQ(copy->door(1).pos.y, original.door(1).pos.y);
 }
 
 }  // namespace
