@@ -4,7 +4,7 @@
 // Packed venue artifacts: build-once/load-fast serialization of a full
 // venue world (format.h documents the on-disk layout).
 //
-// The write side compiles everything expensive exactly once — AtiSets
+// The write side compiles everything expensive exactly once — ATIs
 // are normalised, the checkpoint ledger and flip CSR are derived, the
 // D2D matrix optionally materialised — and packs it into one flat
 // `.itspq` file:
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "itgraph/ati.h"
 #include "query/router.h"
 #include "query/strategies.h"
 #include "venue/venue.h"
@@ -53,8 +52,12 @@ struct ArtifactWriteOptions {
 /// no public default constructor.
 struct LoadedVenueWorld {
   std::unique_ptr<Venue> venue;
-  /// Compiled per-door AtiSets, adopted verbatim into the ItGraph.
-  std::vector<AtiSet> atis;
+  /// The compiled ATI rows, adopted verbatim into the ItGraph: door d's
+  /// normalised intervals are [ati_starts[i], ati_ends[i]) for i in
+  /// [ati_offsets[d], ati_offsets[d + 1]).
+  std::vector<uint32_t> ati_offsets;
+  std::vector<double> ati_starts;
+  std::vector<double> ati_ends;
   /// The boundary ledger: checkpoint_times[i] is contributed by exactly
   /// the (ascending) doors in flip_lists[i].
   std::vector<double> checkpoint_times;

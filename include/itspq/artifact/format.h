@@ -4,14 +4,15 @@
 // On-disk layout of a packed venue artifact (`.itspq`).
 //
 // An artifact is one flat, offset-based binary file holding everything a
-// shard needs to serve: the Venue (geometry, doors, ATIs, partition door
-// lists, point-location grid), the compiled IT-Graph AtiSets, the
-// CheckpointSet, the BoundaryFlipIndex CSR, and optionally the
-// materialized D2D matrix. The loader reconstructs a serving world with
-// zero re-normalisation — no AtiSet::Create, no checkpoint probe. The
-// only thing it compiles is the search adjacency (door lists and
-// positions, O(doors), plus one pass over door pairs for the weight
-// extremes); edge weights are never stored.
+// shard needs to serve: the Venue (geometry, doors, ATIs, point-location
+// grid), the compiled IT-Graph ATI rows, the CheckpointSet, the
+// BoundaryFlipIndex CSR, and optionally the materialized D2D matrix. The
+// loader reconstructs a serving world with zero re-normalisation — no
+// AtiSet::Create, no checkpoint probe. The only things it derives are
+// the partition door lists (one counting pass over the doors) and the
+// search adjacency (door lists and positions, O(doors), plus one pass
+// over door pairs for the weight extremes); edge weights are never
+// stored.
 //
 //   [ArtifactHeader | section table | section 0 | section 1 | ... ]
 //
@@ -42,24 +43,26 @@ inline constexpr char kArtifactMagic[8] = {'I', 'T', 'S', 'P',
 ///   3 — drops the DistanceMatrices and AdjacencyCsr sections: edge
 ///       weights are computed from door positions, so nothing stores
 ///       them. v2 files carry both and must be rebuilt.
-inline constexpr uint32_t kArtifactFormatVersion = 3;
+///   4 — drops the DoorsOf section: the loader derives the partition
+///       door lists from the Doors section. Every other section keeps
+///       its v3 bytes; v3 files must still be rebuilt.
+inline constexpr uint32_t kArtifactFormatVersion = 4;
 
 /// Written as 0x01020304 by a little-endian writer; a reader seeing the
 /// byte-swapped value knows the file came from the other endianness.
 inline constexpr uint32_t kArtifactEndianTag = 0x01020304u;
 
 /// Section kinds, in the order the writer emits them. Readers locate
-/// sections by kind through the table, not by position. Kinds 6
-/// (DistanceMatrices, v1-v2) and 12 (AdjacencyCsr, v2) are retired and
-/// stay reserved.
+/// sections by kind through the table, not by position. Kinds 5
+/// (DoorsOf, v1-v3), 6 (DistanceMatrices, v1-v2) and 12 (AdjacencyCsr,
+/// v2) are retired and stay reserved.
 enum class ArtifactSection : uint32_t {
   kMeta = 1,              // counts, flags, label
   kPartitions = 2,        // Rect + floor per partition
   kDoors = 3,             // position, floor, partition pair per door
   kDoorAtis = 4,          // per-door source TimeInterval CSR (pre-normalisation)
-  kDoorsOf = 5,           // partition -> door-list CSR
   kFloorIndex = 7,        // per-floor point-location grids
-  kCompiledAtis = 8,      // per-door normalised AtiSet CSR (starts/ends)
+  kCompiledAtis = 8,      // per-door normalised ATI row CSR (starts/ends)
   kCheckpoints = 9,       // sorted checkpoint times
   kFlipIndex = 10,        // per-boundary flip-list CSR (the ledger)
   kD2d = 11,              // optional n x n materialized distance matrix

@@ -4,17 +4,55 @@
 // Applicable Time Intervals (paper §II-B): the daily intervals during
 // which a door can be passed. An empty/full set means always open.
 //
-// Intervals are normalised at construction — wrapped past-midnight
-// intervals are split, overlaps merged — so membership is a binary
-// search over disjoint sorted [start, end) intervals.
+// Intervals are normalised once — wrapped past-midnight intervals are
+// split, overlaps merged — into disjoint sorted [start, end) intervals.
+// AtiSet owns one normalised set; AtiRow is a non-owning view of one,
+// which is how ItGraph hands out a door's row of its flat ATI store.
 
 #include <cstddef>
 #include <vector>
 
+#include "common/span.h"
 #include "common/status.h"
 #include "common/time.h"
 
 namespace itspq {
+
+/// A read-only view of one normalised ATI: parallel start/end bounds of
+/// disjoint sorted [start, end) intervals, none meaning always open.
+class AtiRow {
+ public:
+  AtiRow(const double* starts, const double* ends, size_t size)
+      : starts_(starts), ends_(ends), size_(size) {}
+
+  /// True when the door is passable at time-of-day `tod` (any absolute
+  /// time is accepted and wrapped into one day). Rows are a handful of
+  /// intervals, so a forward scan beats a binary search.
+  bool ContainsTimeOfDay(double tod) const {
+    if (size_ == 0) return true;  // always open
+    const double t =
+        (tod >= 0 && tod < kSecondsPerDay) ? tod : WrapTimeOfDay(tod);
+    // Last interval starting at or before t.
+    size_t last = size_;
+    for (size_t i = 0; i < size_ && starts_[i] <= t; ++i) last = i;
+    return last != size_ && t < ends_[last];
+  }
+
+  bool IsAlwaysOpen() const { return size_ == 0; }
+
+  /// Interval boundaries strictly inside the day, i.e. excluding 0 and
+  /// kSecondsPerDay — these are the temporal-variation checkpoints this
+  /// door contributes.
+  std::vector<double> InteriorBoundaries() const;
+
+  Span<double> starts() const { return {starts_, size_}; }
+  Span<double> ends() const { return {ends_, size_}; }
+
+ private:
+  const double* starts_;
+  const double* ends_;
+  size_t size_;
+};
 
 class AtiSet {
  public:
@@ -27,46 +65,31 @@ class AtiSet {
   /// zero-length intervals. An empty list yields an always-open set.
   static StatusOr<AtiSet> Create(std::vector<TimeInterval> intervals);
 
-  /// True when the door is passable at time-of-day `tod` (any absolute
-  /// time is accepted and wrapped into one day).
+  /// Create's normaliser over a caller's flat store: appends the bounds
+  /// of `intervals` to `starts`/`ends` (none when always open), untouched
+  /// on error. `scratch` is working space, never reallocated when large
+  /// enough, so a caller normalising many rows can reserve it once.
+  static Status AppendNormalised(Span<TimeInterval> intervals,
+                                 std::vector<TimeInterval>* scratch,
+                                 std::vector<double>* starts,
+                                 std::vector<double>* ends);
+
+  AtiRow row() const { return {starts_.data(), ends_.data(), starts_.size()}; }
+
   bool ContainsTimeOfDay(double tod) const {
-    if (starts_.empty()) return true;  // always open
-    const double t = (tod >= 0 && tod < kSecondsPerDay) ? tod
-                                                        : WrapTimeOfDay(tod);
-    // Last interval starting at or before t.
-    size_t lo = 0, hi = starts_.size();
-    while (lo < hi) {
-      const size_t mid = (lo + hi) / 2;
-      if (starts_[mid] <= t) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo > 0 && t < ends_[lo - 1];
+    return row().ContainsTimeOfDay(tod);
   }
-
   bool IsAlwaysOpen() const { return starts_.empty(); }
-
-  /// Interval boundaries strictly inside the day, i.e. excluding 0 and
-  /// kSecondsPerDay — these are the temporal-variation checkpoints this
-  /// door contributes.
-  std::vector<double> InteriorBoundaries() const;
-
+  std::vector<double> InteriorBoundaries() const {
+    return row().InteriorBoundaries();
+  }
   size_t NumIntervals() const { return starts_.empty() ? 1 : starts_.size(); }
 
-  /// The normalised parallel bounds (empty = always open). Read-only —
-  /// this is what ItGraph flattens into its contiguous ATI rows.
+  /// The normalised parallel bounds (empty = always open).
   const std::vector<double>& starts() const { return starts_; }
   const std::vector<double>& ends() const { return ends_; }
 
-  size_t MemoryUsage() const {
-    return (starts_.capacity() + ends_.capacity()) * sizeof(double);
-  }
-
  private:
-  friend class ArtifactCodec;  // adopts pre-normalised intervals verbatim
-
   // Parallel arrays of disjoint, sorted [start, end) intervals. Empty
   // arrays encode "always open". A set covering the whole day collapses
   // to empty during normalisation.

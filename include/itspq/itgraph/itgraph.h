@@ -1,9 +1,9 @@
 #ifndef ITSPQ_ITGRAPH_ITGRAPH_H_
 #define ITSPQ_ITGRAPH_ITGRAPH_H_
 
-// The IT-Graph (paper §II-C): doors as nodes, with an AtiSet per door
-// compiled from the venue's temporal variations. Intra-partition edges
-// are implicit — a door's neighbours are the other doors of its two
+// The IT-Graph (paper §II-C): doors as nodes, with one normalised ATI
+// per door compiled from the venue's temporal variations. Intra-partition
+// edges are implicit — a door's neighbours are the other doors of its two
 // partitions, each at the straight-line distance between the two door
 // positions — so the graph stays small and always consistent with the
 // venue.
@@ -11,18 +11,15 @@
 // The graph keeps a pointer to the venue it was built from; the venue
 // must outlive the graph.
 //
-// Alongside the per-door AtiSet objects (the source of truth for
-// checkpoint derivation, artifact encoding, and copy-on-write epoch
-// rebuilds), the graph compiles two hot-path views at build time:
+// Two flat stores hold everything a search reads:
 //
 //   - a CsrAdjacency (csr_adjacency.h): flat partition door lists and
 //     door positions the relaxation loop walks, shared by shared_ptr
 //     across update-plane epochs (ATI edits never change geometry,
 //     which BuildFrom already enforces);
-//   - flat ATI rows (offsets + start/end pools): AtiContainsTimeOfDay
-//     answers the ITG/S per-relaxation membership probe with a short
-//     linear scan over one contiguous row instead of a binary search
-//     through a heap-allocated AtiSet.
+//   - the ATI rows (offsets + start/end pools): door d's normalised
+//     intervals, one contiguous row per door. They are the only store
+//     of the compiled ATIs; Ati(d) hands out a view of one row.
 
 #include <array>
 #include <cstddef>
@@ -41,13 +38,14 @@ namespace itspq {
 class ItGraph {
  public:
   /// Compiles `venue`'s doors and per-door time intervals into an
-  /// IT-Graph. Errors when some door's intervals fail AtiSet
-  /// normalisation. `venue` must outlive the returned graph.
+  /// IT-Graph, normalising each door straight into the ATI rows. Errors
+  /// when some door's intervals fail AtiSet normalisation. `venue` must
+  /// outlive the returned graph.
   static StatusOr<ItGraph> Build(const Venue& venue);
 
-  /// Copy-on-write rebuild after a single-door ATI edit: adopts
-  /// `prev`'s compiled AtiSet rows verbatim and re-normalises only
-  /// `changed_door` from `venue` (which must hold the post-edit state
+  /// Copy-on-write rebuild after a single-door ATI edit: copies
+  /// `prev`'s ATI rows, splicing in `changed_door`'s row re-normalised
+  /// from `venue` (which must hold the post-edit state
   /// with the same door count as prev.venue(), else kInvalidArgument).
   /// The returned graph points at `venue`, not prev's venue.
   static StatusOr<ItGraph> BuildFrom(const ItGraph& prev, const Venue& venue,
@@ -56,25 +54,14 @@ class ItGraph {
   ItGraph(ItGraph&&) = default;
   ItGraph& operator=(ItGraph&&) = default;
 
-  size_t NumDoors() const { return atis_.size(); }
+  size_t NumDoors() const { return ati_offsets_.size() - 1; }
 
-  const AtiSet& Ati(DoorId d) const { return atis_[static_cast<size_t>(d)]; }
-
-  /// Hot-path equivalent of Ati(d).ContainsTimeOfDay(tod) over the
-  /// compiled flat rows: true when door `d` is passable at `tod` (any
-  /// absolute time accepted and wrapped). Rows are tiny (a handful of
-  /// disjoint sorted intervals), so a forward scan beats the AtiSet
-  /// binary search and never leaves the row's cache lines.
-  bool AtiContainsTimeOfDay(DoorId d, double tod) const {
+  /// Door `d`'s normalised ATI: a view of its row, valid while the
+  /// graph lives. Its ContainsTimeOfDay is the search's membership probe.
+  AtiRow Ati(DoorId d) const {
     const uint32_t begin = ati_offsets_[static_cast<size_t>(d)];
-    const uint32_t end = ati_offsets_[static_cast<size_t>(d) + 1];
-    if (begin == end) return true;  // always open
-    const double t =
-        (tod >= 0 && tod < kSecondsPerDay) ? tod : WrapTimeOfDay(tod);
-    // Last interval starting at or before t, as in AtiSet.
-    uint32_t last = end;
-    for (uint32_t i = begin; i < end && ati_starts_[i] <= t; ++i) last = i;
-    return last != end && t < ati_ends_[last];
+    return {ati_starts_.data() + begin, ati_ends_.data() + begin,
+            ati_offsets_[static_cast<size_t>(d) + 1] - begin};
   }
 
   /// The compiled flat adjacency every search iterates.
@@ -101,19 +88,20 @@ class ItGraph {
   size_t MemoryUsage() const;
 
  private:
-  friend class ArtifactCodec;  // adopts compiled AtiSets without re-normalising
+  friend class ArtifactCodec;  // adopts decoded ATI rows verbatim
 
   explicit ItGraph(const Venue& venue) : venue_(&venue) {}
 
-  /// Flattens atis_ into the ati_offsets_/starts_/ends_ rows. Every
-  /// construction path (Build, BuildFrom, artifact adoption) ends here.
-  void CompileAtiRows();
+  /// Fills the empty ATI rows: every door's normalised from venue_, or,
+  /// given `prev`, every door's but `changed`'s copied from it. Errors
+  /// name the door.
+  Status FillAtiRows(const ItGraph* prev, DoorId changed);
 
   const Venue* venue_;
-  std::vector<AtiSet> atis_;  // indexed by DoorId; the source of truth
-
-  // Compiled hot-path views (see file comment).
   std::shared_ptr<const CsrAdjacency> adj_;
+  // Door d's normalised intervals are [ati_starts_[i], ati_ends_[i]) for
+  // i in [ati_offsets_[d], ati_offsets_[d + 1]); an empty row is always
+  // open.
   std::vector<uint32_t> ati_offsets_;  // NumDoors() + 1
   std::vector<double> ati_starts_;
   std::vector<double> ati_ends_;

@@ -7,11 +7,12 @@
 // UpdateApplier::Apply derives the NEXT version without rebuilding the
 // world from scratch:
 //
-//   venue        — Venue::Builder::FromVenue copy; geometry (distance
-//                  matrices, point-location grid) carried, only the
-//                  door's ATI row replaced.
-//   graph        — ItGraph::BuildFrom: every compiled AtiSet adopted
-//                  verbatim except the changed door's.
+//   venue        — Venue::Builder::FromVenue copy of a fixed number of
+//                  flat arrays; geometry (door lists, point-location
+//                  grid) carried, only the door's interval row replaced.
+//   graph        — ItGraph::BuildFrom: a copy of the flat ATI rows with
+//                  the changed door's row spliced in, re-normalised; the
+//                  search adjacency is shared, not copied.
 //   checkpoints  — the boundary ledger is patched: the changed door's
 //                  old boundary contributions removed (dropping times
 //                  no other door contributes), its new ones inserted.

@@ -5,8 +5,12 @@
 // (axis-aligned rooms/corridors) connected by doors. Each door lies on
 // the boundary of exactly two partitions; vertical doors (staircases)
 // connect partitions on adjacent floors. Temporal variation is attached
-// per door as a set of applicable time intervals (empty = always open);
-// the IT-Graph layer compiles those into AtiSets.
+// per door as a list of applicable time intervals (empty = always open);
+// the IT-Graph layer normalises those into its ATI rows.
+//
+// Every per-door, per-partition and per-grid-cell list is one offsets +
+// pool pair, so a venue is a fixed number of flat arrays (two more per
+// floor) whatever its size, and copying one costs that many allocations.
 //
 // Venues are immutable once built. Construct through Venue::Builder:
 //
@@ -18,9 +22,11 @@
 
 #include <array>
 #include <cstddef>
-#include <optional>
+#include <cstdint>
+#include <map>
 #include <vector>
 
+#include "common/span.h"
 #include "common/status.h"
 #include "common/time.h"
 #include "venue/geometry.h"
@@ -40,9 +46,8 @@ struct Door {
   /// The two partitions the door connects.
   std::array<PartitionId, 2> partitions = {kInvalidPartition,
                                            kInvalidPartition};
-  /// Applicable time intervals; empty means always open.
-  std::vector<TimeInterval> ati_intervals;
 };
+static_assert(sizeof(Door) <= 32, "a door is a position, floor and two ids");
 
 class Venue {
  public:
@@ -61,9 +66,15 @@ class Venue {
   }
   const Door& door(DoorId d) const { return doors_[static_cast<size_t>(d)]; }
 
-  /// Doors on the boundary of partition `p`.
-  const std::vector<DoorId>& DoorsOf(PartitionId p) const {
-    return doors_of_[static_cast<size_t>(p)];
+  /// Doors on the boundary of partition `p`, ascending.
+  Span<DoorId> DoorsOf(PartitionId p) const {
+    return CsrList(door_offsets_, door_ids_, static_cast<size_t>(p));
+  }
+
+  /// Door `d`'s applicable time intervals as set (not normalised);
+  /// empty means always open.
+  Span<TimeInterval> DoorAti(DoorId d) const {
+    return CsrList(ati_offsets_, ati_intervals_, static_cast<size_t>(d));
   }
 
   /// All partitions containing `point` (several when the point lies on a
@@ -79,19 +90,26 @@ class Venue {
   friend class ArtifactCodec;
   Venue() = default;
 
-  // Uniform per-floor grid accelerating LocateAll.
+  // Uniform per-floor grid accelerating LocateAll: cell c (row-major)
+  // lists the partitions it overlaps, ascending, as a CSR list.
   struct FloorIndex {
     double origin_x = 0, origin_y = 0;
     double cell = 1;
     int cols = 0, rows = 0;
-    std::vector<std::vector<PartitionId>> cells;
+    std::vector<uint32_t> cell_offsets;  // cols * rows + 1
+    std::vector<PartitionId> cell_partitions;
   };
 
+  /// Derives the door lists from doors_ (one entry per door side).
+  void BuildDoorLists();
   void BuildLocationIndex();
 
   std::vector<Partition> partitions_;
   std::vector<Door> doors_;
-  std::vector<std::vector<DoorId>> doors_of_;
+  std::vector<uint32_t> door_offsets_;  // NumPartitions() + 1
+  std::vector<DoorId> door_ids_;
+  std::vector<uint32_t> ati_offsets_;  // NumDoors() + 1
+  std::vector<TimeInterval> ati_intervals_;
   int min_floor_ = 0;
   std::vector<FloorIndex> floor_index_;  // indexed by floor - min_floor_
 };
@@ -100,6 +118,8 @@ class Venue {
 /// into a Venue (computing door lists and the point-location index).
 class Venue::Builder {
  public:
+  Builder() { venue_.ati_offsets_.push_back(0); }
+
   PartitionId AddPartition(const Rect& rect, int floor);
 
   /// Adds a door at `pos` on `floor` connecting partitions `a` and `b`.
@@ -117,7 +137,8 @@ class Venue::Builder {
   /// a varied venue from a frozen one. As long as no partition or door
   /// is added afterwards, Build() carries over the source venue's door
   /// lists and point-location index instead of recomputing them (ATI
-  /// edits via SetDoorAti don't change geometry).
+  /// edits via SetDoorAti don't change geometry). Copies a fixed number
+  /// of flat arrays, never one per door or cell.
   static Builder FromVenue(const Venue& venue);
 
   /// Validates the accumulated venue. Errors: a door referencing an
@@ -126,18 +147,18 @@ class Venue::Builder {
   StatusOr<Venue> Build() &&;
 
  private:
-  /// Derived structures copied from the source venue by FromVenue and
-  /// dropped on any geometry mutation; lets Build() skip recomputing
-  /// the door lists and the point-location index.
-  struct CarriedGeometry {
-    std::vector<std::vector<DoorId>> doors_of;
-    int min_floor = 0;
-    std::vector<FloorIndex> floor_index;
-  };
+  explicit Builder(const Venue& source)
+      : venue_(source), geometry_carried_(true) {}
 
-  std::vector<Partition> partitions_;
-  std::vector<Door> doors_;
-  std::optional<CarriedGeometry> carried_;
+  /// The venue under construction, its interval rows always one per
+  /// door. After FromVenue it also holds the source's door lists and
+  /// location grid, which Build() keeps while no partition or door has
+  /// been added since.
+  Venue venue_;
+  bool geometry_carried_ = false;
+  /// SetDoorAti replacements, applied by Build(); any other door keeps
+  /// its row of venue_, or none.
+  std::map<DoorId, std::vector<TimeInterval>> ati_edits_;
 };
 
 }  // namespace itspq

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <utility>
 
@@ -24,8 +25,7 @@ Status CorruptSection(const char* section, const std::string& what) {
                               ": " + what);
 }
 
-/// CSR list projections and per-element hooks for the codecs below.
-constexpr auto kSelf = [](const auto& list) -> const auto& { return list; };
+/// Per-element hooks for the CSR codecs below.
 constexpr auto kAny = [](const auto&) { return true; };
 /// Accepts ids in [0, bound): partition and door references.
 auto Below(uint64_t bound) {
@@ -52,18 +52,11 @@ struct ByteWriter {
     static_assert(std::is_trivially_copyable_v<T>);
     Raw(v.data(), v.size() * sizeof(T));
   }
-  /// CSR offsets: 0, then the running total of each `list(x)`'s length.
-  template <typename Lists, typename List>
-  void Offsets(const Lists& lists, List list) {
-    uint64_t total = 0;
-    Put(total);
-    for (const auto& x : lists) Put(total += list(x).size());
-  }
-  /// One CSR block: the offsets, then every list's elements back to back.
-  template <typename Lists, typename List>
-  void Csr(const Lists& lists, List list) {
-    Offsets(lists, list);
-    for (const auto& x : lists) Pod(list(x));
+  /// One CSR block: the offsets, widened to u64, then the pool.
+  template <typename Offset, typename T>
+  void Csr(const std::vector<Offset>& offsets, const std::vector<T>& pool) {
+    for (Offset o : offsets) Put(uint64_t{o});
+    Pod(pool);
   }
 };
 
@@ -97,38 +90,30 @@ class ByteReader {
     return Raw(v->data(), v->size() * sizeof(T));
   }
 
-  /// CSR offsets for `count` lists: `count + 1` of them, from 0,
-  /// non-decreasing.
+  /// CSR offsets for `count` lists: `count + 1` u64s, from 0,
+  /// non-decreasing, narrowed to the in-memory `Offset`.
   template <typename Offset>
   bool Offsets(uint64_t count, std::vector<Offset>* offsets) {
-    if (!Pod(offsets, count + 1) || offsets->front() != 0 ||
-        !std::is_sorted(offsets->begin(), offsets->end())) {
-      return Fail();
+    if (count >= (size_ - pos_) / sizeof(uint64_t)) return Fail();
+    offsets->resize(static_cast<size_t>(count) + 1);
+    uint64_t last = 0;
+    for (Offset& o : *offsets) {
+      uint64_t v = 0;
+      if (!Get(&v) || v < last || v > std::numeric_limits<Offset>::max()) {
+        return Fail();
+      }
+      o = static_cast<Offset>(last = v);
     }
-    return true;
+    return offsets->front() == 0 || Fail();
   }
-  /// The pool `offsets` index, split into its lists. False when the pool
-  /// is short or an element fails the `valid` hook.
-  template <typename T, typename Valid>
-  bool Pool(const std::vector<uint64_t>& offsets,
-            std::vector<std::vector<T>>* lists, Valid valid) {
-    std::vector<T> pool;
-    if (!Pod(&pool, offsets.back()) ||
-        !std::all_of(pool.begin(), pool.end(), valid)) {
-      return false;
-    }
-    lists->resize(offsets.size() - 1);
-    for (size_t i = 0; i < lists->size(); ++i) {
-      (*lists)[i].assign(pool.begin() + offsets[i],
-                         pool.begin() + offsets[i + 1]);
-    }
-    return true;
-  }
-  /// One CSR block of `count` lists: the offsets, then the pool.
-  template <typename T, typename Valid>
-  bool Csr(uint64_t count, std::vector<std::vector<T>>* lists, Valid valid) {
-    std::vector<uint64_t> offsets;
-    return Offsets(count, &offsets) && Pool(offsets, lists, valid);
+  /// One CSR block of `count` lists: the offsets, then the pool they
+  /// index. False when the pool is short or an element fails the
+  /// `valid` hook.
+  template <typename Offset, typename T, typename Valid>
+  bool Csr(uint64_t count, std::vector<Offset>* offsets, std::vector<T>* pool,
+           Valid valid) {
+    return Offsets(count, offsets) && Pod(pool, offsets->back()) &&
+           std::all_of(pool->begin(), pool->end(), valid);
   }
 
   /// This section's rejection: `what`, or "malformed" once a read has
@@ -181,7 +166,7 @@ static_assert(sizeof(MetaRecord) == 32 && sizeof(PartitionRecord) == 40 &&
 
 }  // namespace
 
-/// Befriended by Venue, AtiSet, ItGraph, and VersionedGraph: encodes
+/// Befriended by Venue, ItGraph, and VersionedGraph: encodes
 /// their private representations verbatim and re-adopts them at load
 /// time without recompiling anything.
 class ArtifactCodec {
@@ -298,6 +283,8 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
          d.floor = rec.floor;
          d.partitions = {rec.partitions[0], rec.partitions[1]};
        }
+       // The door lists are derived, as Venue::Builder derives them.
+       k.venue.BuildDoorLists();
        return Status::Ok();
      }},
     {ArtifactSection::kDoorAtis, "DoorAtis", true,
@@ -305,50 +292,15 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
      // venue behaves identically under Builder::FromVenue / SetDoorAti —
      // the online-update path re-derives from these, not from AtiSets.
      [](const Source& s, ByteWriter& w) {
-       w.Put(uint64_t{s.venue.doors_.size() + 1});
-       w.Csr(s.venue.doors_,
-             [](const Door& d) -> const auto& { return d.ati_intervals; });
+       w.Put(uint64_t{s.venue.ati_offsets_.size()});
+       w.Csr(s.venue.ati_offsets_, s.venue.ati_intervals_);
      },
      [](ByteReader& r, Sink& k) {
        uint64_t offset_count = 0;
-       std::vector<std::vector<TimeInterval>> lists;
        if (!r.Get(&offset_count) || offset_count != k.meta.num_doors + 1 ||
-           !r.Csr(k.meta.num_doors, &lists, kAny)) {
+           !r.Csr(k.meta.num_doors, &k.venue.ati_offsets_,
+                  &k.venue.ati_intervals_, kAny)) {
          return r.Reject("malformed interval offsets");
-       }
-       for (size_t d = 0; d < lists.size(); ++d) {
-         k.venue.doors_[d].ati_intervals = std::move(lists[d]);
-       }
-       return Status::Ok();
-     }},
-    {ArtifactSection::kDoorsOf, "DoorsOf", true,
-     [](const Source& s, ByteWriter& w) { w.Csr(s.venue.doors_of_, kSelf); },
-     [](ByteReader& r, Sink& k) {
-       std::vector<std::vector<DoorId>>& lists = k.venue.doors_of_;
-       if (!r.Csr(k.meta.num_partitions, &lists, Below(k.meta.num_doors))) {
-         return r.Reject("door id out of range");
-       }
-       // A search scans these lists as each door's neighbours, so they
-       // must be exactly what Venue::Builder derives from the doors:
-       // ascending, each door listed once per side naming the partition.
-       size_t listed = 0;
-       for (size_t p = 0; p < lists.size(); ++p) {
-         const std::vector<DoorId>& list = lists[p];
-         for (size_t i = 0; i < list.size();) {
-           const auto& sides = k.venue.doors_[list[i]].partitions;
-           const auto here = static_cast<PartitionId>(p);
-           const size_t end = i + (sides[0] == here) + (sides[1] == here);
-           if (end == i || end > list.size() || list[end - 1] != list[i] ||
-               (end < list.size() && list[end] <= list[i])) {
-             return r.Reject("partition " + std::to_string(p) +
-                             " door list disagrees with the doors");
-           }
-           i = end;
-         }
-         listed += list.size();
-       }
-       if (listed != 2 * k.venue.doors_.size()) {
-         return r.Reject("a door is missing from its partitions' lists");
        }
        return Status::Ok();
      }},
@@ -358,7 +310,7 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
        w.Put(static_cast<uint32_t>(s.venue.floor_index_.size()));
        for (const Venue::FloorIndex& fi : s.venue.floor_index_) {
          w.Put(GridRecord{fi.origin_x, fi.origin_y, fi.cell, fi.cols, fi.rows});
-         w.Csr(fi.cells, kSelf);
+         w.Csr(fi.cell_offsets, fi.cell_partitions);
        }
      },
      [](ByteReader& r, Sink& k) {
@@ -381,8 +333,8 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
          fi.cell = g.cell;
          fi.cols = g.cols;
          fi.rows = g.rows;
-         if (!r.Csr(uint64_t(g.cols) * uint64_t(g.rows), &fi.cells,
-                    Below(k.meta.num_partitions))) {
+         if (!r.Csr(uint64_t(g.cols) * uint64_t(g.rows), &fi.cell_offsets,
+                    &fi.cell_partitions, Below(k.meta.num_partitions))) {
            return r.Reject("cell references unknown partition");
          }
        }
@@ -390,38 +342,32 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
      }},
     {ArtifactSection::kCompiledAtis, "CompiledAtis", true,
      [](const Source& s, ByteWriter& w) {
-       const std::vector<AtiSet>& atis = s.graph.atis_;
-       w.Offsets(atis,
-                 [](const AtiSet& a) -> const auto& { return a.starts_; });
-       for (const AtiSet& a : atis) w.Pod(a.starts_);
-       for (const AtiSet& a : atis) w.Pod(a.ends_);
+       w.Csr(s.graph.ati_offsets_, s.graph.ati_starts_);
+       w.Pod(s.graph.ati_ends_);
      },
      [](ByteReader& r, Sink& k) {
-       std::vector<uint64_t> offsets;
-       std::vector<std::vector<double>> starts, ends;
-       if (!r.Offsets(k.meta.num_doors, &offsets) ||
-           !r.Pool(offsets, &starts, kAny) || !r.Pool(offsets, &ends, kAny)) {
+       const std::vector<uint32_t>& offsets = k.world.ati_offsets;
+       const std::vector<double>& s = k.world.ati_starts;
+       const std::vector<double>& e = k.world.ati_ends;
+       if (!r.Csr(k.meta.num_doors, &k.world.ati_offsets, &k.world.ati_starts,
+                  kAny) ||
+           !r.Pod(&k.world.ati_ends, offsets.back())) {
          return r.Reject("malformed");
        }
-       k.world.atis.resize(starts.size());
-       for (size_t d = 0; d < starts.size(); ++d) {
-         // Adopted verbatim — but verify the normalisation invariant the
-         // binary-search lookup relies on (sorted, disjoint, in-range),
-         // so a corrupt-but-checksum-colliding file cannot produce
-         // silent wrong answers.
-         const std::vector<double>& s = starts[d];
-         const std::vector<double>& e = ends[d];
-         for (size_t i = 0; i < s.size(); ++i) {
+       // Adopted verbatim — but verify the normalisation invariant the
+       // membership probe relies on (sorted, disjoint, in-range), so a
+       // corrupt-but-checksum-colliding file cannot produce silent wrong
+       // answers.
+       for (size_t d = 0; d + 1 < offsets.size(); ++d) {
+         for (uint32_t i = offsets[d]; i < offsets[d + 1]; ++i) {
            const bool in_range = s[i] >= 0 && s[i] < e[i] &&
                                  e[i] <= kSecondsPerDay;
-           const bool disjoint = i + 1 == s.size() || e[i] <= s[i + 1];
+           const bool disjoint = i + 1 == offsets[d + 1] || e[i] <= s[i + 1];
            if (!in_range || !disjoint) {
              return r.Reject("door " + std::to_string(d) +
                              " intervals are not normalised");
            }
          }
-         k.world.atis[d].starts_ = std::move(starts[d]);
-         k.world.atis[d].ends_ = std::move(ends[d]);
        }
        return Status::Ok();
      }},
@@ -447,7 +393,10 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
     {ArtifactSection::kFlipIndex, "FlipIndex", true,
      [](const Source& s, ByteWriter& w) {
        w.Put(uint64_t{s.flip_lists.size()});
-       w.Csr(s.flip_lists, kSelf);
+       uint64_t total = 0;
+       w.Put(total);
+       for (const auto& list : s.flip_lists) w.Put(total += list.size());
+       for (const auto& list : s.flip_lists) w.Pod(list);
      },
      [](ByteReader& r, Sink& k) {
        std::vector<std::vector<DoorId>>& lists = k.world.flip_lists;
@@ -456,10 +405,15 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
            boundaries != k.world.checkpoint_times.size()) {
          return r.Reject("boundary count does not match the checkpoint set");
        }
-       if (!r.Csr(boundaries, &lists, Below(k.meta.num_doors))) {
+       std::vector<uint64_t> offsets;
+       std::vector<DoorId> pool;
+       if (!r.Csr(boundaries, &offsets, &pool, Below(k.meta.num_doors))) {
          return r.Reject("flip list names an unknown door");
        }
+       lists.resize(boundaries);
        for (size_t b = 0; b < lists.size(); ++b) {
+         lists[b].assign(pool.begin() + offsets[b],
+                         pool.begin() + offsets[b + 1]);
          if (lists[b].empty()) {
            return r.Reject("empty flip list for a checkpoint");
          }
@@ -684,9 +638,9 @@ StatusOr<std::shared_ptr<const VersionedGraph>> ArtifactCodec::BuildWorld(
   if (world.venue == nullptr) {
     return InvalidArgumentError("BuildWorldFromArtifact: world has no venue");
   }
-  if (world.atis.size() != world.venue->NumDoors()) {
+  if (world.ati_offsets.size() != world.venue->NumDoors() + 1) {
     return InvalidArgumentError(
-        "BuildWorldFromArtifact: compiled AtiSet count does not match the "
+        "BuildWorldFromArtifact: compiled ATI row count does not match the "
         "venue's doors");
   }
 
@@ -696,15 +650,16 @@ StatusOr<std::shared_ptr<const VersionedGraph>> ArtifactCodec::BuildWorld(
   version->options_.warm_start = nullptr;
   version->venue_ = std::move(world.venue);
 
-  // Adopt the compiled graph verbatim — the decode path already
-  // verified the normalisation invariant, so no AtiSet::Create here.
+  // Adopt the compiled ATI rows verbatim — the decode path already
+  // verified the normalisation invariant, so nothing is re-normalised.
   // The adjacency is door lists and positions, compiled in O(doors)
   // plus the weight-extremes pass over door pairs.
   ItGraph graph(*version->venue_);
-  graph.atis_ = std::move(world.atis);
+  graph.ati_offsets_ = std::move(world.ati_offsets);
+  graph.ati_starts_ = std::move(world.ati_starts);
+  graph.ati_ends_ = std::move(world.ati_ends);
   graph.adj_ = std::make_shared<const CsrAdjacency>(
       CsrAdjacency::Compile(*version->venue_));
-  graph.CompileAtiRows();
   version->graph_ = std::make_unique<ItGraph>(std::move(graph));
 
   version->boundary_times_ = std::move(world.checkpoint_times);

@@ -6,9 +6,12 @@
 
 namespace itspq {
 
-StatusOr<AtiSet> AtiSet::Create(std::vector<TimeInterval> intervals) {
-  std::vector<TimeInterval> flat;
-  flat.reserve(intervals.size() + 1);
+Status AtiSet::AppendNormalised(Span<TimeInterval> intervals,
+                                std::vector<TimeInterval>* scratch,
+                                std::vector<double>* starts,
+                                std::vector<double>* ends) {
+  std::vector<TimeInterval>& flat = *scratch;
+  flat.clear();
   for (const TimeInterval& iv : intervals) {
     if (iv.start < 0 || iv.start > kSecondsPerDay || iv.end < 0 ||
         iv.end > kSecondsPerDay) {
@@ -44,29 +47,39 @@ StatusOr<AtiSet> AtiSet::Create(std::vector<TimeInterval> intervals) {
               return a.start < b.start;
             });
 
-  AtiSet set;
+  const size_t first = starts->size();
   for (const TimeInterval& iv : flat) {
-    if (!set.starts_.empty() && iv.start <= set.ends_.back()) {
-      set.ends_.back() = std::max(set.ends_.back(), iv.end);
+    if (starts->size() > first && iv.start <= ends->back()) {
+      ends->back() = std::max(ends->back(), iv.end);
     } else {
-      set.starts_.push_back(iv.start);
-      set.ends_.push_back(iv.end);
+      starts->push_back(iv.start);
+      ends->push_back(iv.end);
     }
   }
 
   // A single interval covering the whole day is "always open".
-  if (set.starts_.size() == 1 && set.starts_[0] == 0 &&
-      set.ends_[0] == kSecondsPerDay) {
-    set.starts_.clear();
-    set.ends_.clear();
+  if (starts->size() == first + 1 && starts->back() == 0 &&
+      ends->back() == kSecondsPerDay) {
+    starts->pop_back();
+    ends->pop_back();
   }
+  return Status::Ok();
+}
+
+StatusOr<AtiSet> AtiSet::Create(std::vector<TimeInterval> intervals) {
+  AtiSet set;
+  std::vector<TimeInterval> scratch;
+  scratch.reserve(intervals.size() + 1);
+  Status status =
+      AppendNormalised(intervals, &scratch, &set.starts_, &set.ends_);
+  if (!status.ok()) return status;
   return set;
 }
 
-std::vector<double> AtiSet::InteriorBoundaries() const {
+std::vector<double> AtiRow::InteriorBoundaries() const {
   std::vector<double> out;
-  out.reserve(starts_.size() * 2);
-  for (size_t i = 0; i < starts_.size(); ++i) {
+  out.reserve(size_ * 2);
+  for (size_t i = 0; i < size_; ++i) {
     if (starts_[i] > 0) out.push_back(starts_[i]);
     if (ends_[i] < kSecondsPerDay) out.push_back(ends_[i]);
   }

@@ -13,10 +13,9 @@ GraphSnapshot BuildSnapshot(const ItGraph& graph, const CheckpointSet& cps,
   snap.open = DoorMask(n);
   const double probe = cps.IntervalMidpoint(interval_index);
   // Membership via the graph's flat ATI rows: one linear pass over two
-  // contiguous pools instead of a pointer chase into each door's
-  // AtiSet. Same normalised-interval logic, same answers.
+  // contiguous pools.
   for (size_t d = 0; d < n; ++d) {
-    if (graph.AtiContainsTimeOfDay(static_cast<DoorId>(d), probe)) {
+    if (graph.Ati(static_cast<DoorId>(d)).ContainsTimeOfDay(probe)) {
       snap.open.Set(static_cast<DoorId>(d));
       ++snap.open_door_count;
     }

@@ -147,7 +147,7 @@ struct AtiAtArrival {
                         kNeedsSortedPops = false;
   const ItGraph& graph;
   bool Usable(DoorId door, double arrival) const {
-    return graph.AtiContainsTimeOfDay(door, arrival);
+    return graph.Ati(door).ContainsTimeOfDay(arrival);
   }
   void OnSettle(double) {}
 };

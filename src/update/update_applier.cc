@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/time.h"
-#include "itgraph/ati.h"
 #include "itgraph/snapshot_store.h"
 
 namespace itspq {
@@ -15,14 +14,14 @@ namespace {
 
 /// Span of interval `index` under sorted boundary `times`:
 /// [times[index-1], times[index]) with times[-1] = 0, times[n] = 86400.
-struct Span {
+struct Bounds {
   double lo;
   double hi;
 };
 
-Span SpanOf(const std::vector<double>& times, size_t index) {
-  return Span{index == 0 ? 0.0 : times[index - 1],
-              index == times.size() ? kSecondsPerDay : times[index]};
+Bounds SpanOf(const std::vector<double>& times, size_t index) {
+  return Bounds{index == 0 ? 0.0 : times[index - 1],
+                index == times.size() ? kSecondsPerDay : times[index]};
 }
 
 }  // namespace
@@ -36,15 +35,6 @@ StatusOr<std::shared_ptr<const VersionedGraph>> UpdateApplier::Apply(
     return NotFoundError("ApplyAtiUpdate: venue has no door " +
                          std::to_string(door));
   }
-  // Normalise the replacement first: a malformed update must fail
-  // before anything is derived, leaving `current` the published world.
-  auto new_ati = AtiSet::Create(update.intervals);
-  if (!new_ati.ok()) {
-    return Status(new_ati.status().code(),
-                  "ApplyAtiUpdate: door " + std::to_string(door) + ": " +
-                      new_ati.status().message());
-  }
-
   std::shared_ptr<VersionedGraph> next(new VersionedGraph());
   next->epoch_ = current.epoch_ + 1;
   next->check_ = current.check_;
@@ -66,9 +56,15 @@ StatusOr<std::shared_ptr<const VersionedGraph>> UpdateApplier::Apply(
   if (!venue.ok()) return venue.status();
   next->venue_ = std::make_unique<Venue>(*std::move(venue));
 
+  // BuildFrom normalises the replacement: a malformed update fails
+  // here, before anything is published, leaving `current` the world.
   auto graph = ItGraph::BuildFrom(current.graph(), *next->venue_, door);
-  if (!graph.ok()) return graph.status();
+  if (!graph.ok()) {
+    return Status(graph.status().code(),
+                  "ApplyAtiUpdate: " + graph.status().message());
+  }
   next->graph_ = std::make_unique<ItGraph>(*std::move(graph));
+  const AtiRow new_ati = next->graph_->Ati(door);
 
   // Patch the boundary ledger: remove the door's old contributions
   // (dropping times no other door holds), insert its new ones. Only
@@ -90,7 +86,7 @@ StatusOr<std::shared_ptr<const VersionedGraph>> UpdateApplier::Apply(
                                   static_cast<ptrdiff_t>(b));
     }
   }
-  for (double t : new_ati->InteriorBoundaries()) {
+  for (double t : new_ati.InteriorBoundaries()) {
     const auto it = std::lower_bound(next->boundary_times_.begin(),
                                      next->boundary_times_.end(), t);
     const size_t b =
@@ -116,18 +112,18 @@ StatusOr<std::shared_ptr<const VersionedGraph>> UpdateApplier::Apply(
   const std::vector<double>& new_times = next->boundary_times_;
   std::vector<ptrdiff_t> carry_plan(new_times.size() + 1, kNoCarrySource);
   std::vector<size_t> invalidate;
-  const AtiSet& old_door_ati = current.graph().Ati(door);
+  const AtiRow old_door_ati = current.graph().Ati(door);
   for (size_t j = 0; j <= new_times.size(); ++j) {
-    const Span span = SpanOf(new_times, j);
+    const Bounds span = SpanOf(new_times, j);
     const double mid = (span.lo + span.hi) * 0.5;
     const size_t i = static_cast<size_t>(
         std::upper_bound(old_times.begin(), old_times.end(), mid) -
         old_times.begin());
-    const Span old_span = SpanOf(old_times, i);
+    const Bounds old_span = SpanOf(old_times, i);
     if (old_span.lo != span.lo || old_span.hi != span.hi) continue;
     carry_plan[j] = static_cast<ptrdiff_t>(i);
     if (old_door_ati.ContainsTimeOfDay(mid) !=
-        new_ati->ContainsTimeOfDay(mid)) {
+        new_ati.ContainsTimeOfDay(mid)) {
       invalidate.push_back(j);
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -22,58 +23,65 @@ int GridCell(double v, double origin, double cell, int count) {
   return at > 0 ? static_cast<int>(std::min(at, count - 1.0)) : 0;
 }
 
+/// Fills the CSR of `lists` lists from `for_each`, which emits (list,
+/// value) for every entry, alike on both calls: one to count, so each
+/// array is allocated once, one to fill, in emission order.
+template <typename T, typename ForEach>
+void FillCsr(size_t lists, ForEach for_each, std::vector<uint32_t>* offsets,
+             std::vector<T>* pool) {
+  std::vector<uint32_t>& at = *offsets;
+  at.assign(lists + 1, 0);
+  for_each([&at](size_t list, T) { ++at[list + 1]; });
+  for (size_t i = 1; i <= lists; ++i) at[i] += at[i - 1];
+  pool->resize(at.back());
+  // Each list's begin is its write cursor, which ends at the next's.
+  for_each([&at, pool](size_t list, T value) { (*pool)[at[list]++] = value; });
+  for (size_t i = lists; i-- > 1;) at[i] = at[i - 1];
+  at[0] = 0;
+}
+
 }  // namespace
 
 PartitionId Venue::Builder::AddPartition(const Rect& rect, int floor) {
-  carried_.reset();
-  partitions_.push_back(Partition{rect, floor});
-  return static_cast<PartitionId>(partitions_.size() - 1);
+  geometry_carried_ = false;
+  venue_.partitions_.push_back(Partition{rect, floor});
+  return static_cast<PartitionId>(venue_.partitions_.size() - 1);
 }
 
 DoorId Venue::Builder::AddDoor(const Point2d& pos, int floor, PartitionId a,
                                PartitionId b) {
-  carried_.reset();
-  Door door;
-  door.pos = pos;
-  door.floor = floor;
-  door.partitions = {a, b};
-  doors_.push_back(std::move(door));
-  return static_cast<DoorId>(doors_.size() - 1);
+  geometry_carried_ = false;
+  venue_.doors_.push_back(Door{pos, floor, {a, b}});
+  venue_.ati_offsets_.push_back(venue_.ati_offsets_.back());  // always open
+  return static_cast<DoorId>(venue_.doors_.size() - 1);
 }
 
 Status Venue::Builder::SetDoorAti(DoorId d,
                                   std::vector<TimeInterval> intervals) {
-  if (d < 0 || static_cast<size_t>(d) >= doors_.size()) {
+  if (d < 0 || static_cast<size_t>(d) >= venue_.doors_.size()) {
     return InvalidArgumentError("SetDoorAti: unknown door " +
                                 std::to_string(d));
   }
-  doors_[static_cast<size_t>(d)].ati_intervals = std::move(intervals);
+  ati_edits_[d] = std::move(intervals);
   return Status::Ok();
 }
 
 Venue::Builder Venue::Builder::FromVenue(const Venue& venue) {
-  Builder builder;
-  builder.partitions_ = venue.partitions_;
-  builder.doors_ = venue.doors_;
-  CarriedGeometry carried;
-  carried.doors_of = venue.doors_of_;
-  carried.min_floor = venue.min_floor_;
-  carried.floor_index = venue.floor_index_;
-  builder.carried_ = std::move(carried);
-  return builder;
+  return Builder(venue);
 }
 
 StatusOr<Venue> Venue::Builder::Build() && {
-  const auto num_partitions = static_cast<PartitionId>(partitions_.size());
-  for (size_t i = 0; i < partitions_.size(); ++i) {
-    const Rect& r = partitions_[i].rect;
+  Venue& venue = venue_;
+  const auto num_partitions = static_cast<PartitionId>(venue.NumPartitions());
+  for (size_t i = 0; i < venue.partitions_.size(); ++i) {
+    const Rect& r = venue.partitions_[i].rect;
     if (r.width() <= 0 || r.height() <= 0) {
       return InvalidArgumentError("partition " + std::to_string(i) +
                                   " has a degenerate rectangle");
     }
   }
-  for (size_t i = 0; i < doors_.size(); ++i) {
-    const Door& d = doors_[i];
+  for (size_t i = 0; i < venue.doors_.size(); ++i) {
+    const Door& d = venue.doors_[i];
     for (PartitionId p : d.partitions) {
       if (p < 0 || p >= num_partitions) {
         return InvalidArgumentError("door " + std::to_string(i) +
@@ -87,31 +95,49 @@ StatusOr<Venue> Venue::Builder::Build() && {
     }
   }
 
-  Venue venue;
-  venue.partitions_ = std::move(partitions_);
-  venue.doors_ = std::move(doors_);
-
-  // Geometry untouched since FromVenue: every derived structure (door
-  // lists, point-location grid) is a pure function
-  // of partitions + door positions, so adopt the carried-over copies
-  // instead of recomputing.
-  if (carried_.has_value()) {
-    venue.doors_of_ = std::move(carried_->doors_of);
-    venue.min_floor_ = carried_->min_floor;
-    venue.floor_index_ = std::move(carried_->floor_index);
-    return venue;
+  // Door d's intervals: its SetDoorAti replacement, else its row so far.
+  if (!ati_edits_.empty()) {
+    std::vector<uint32_t> offsets;
+    std::vector<TimeInterval> intervals;
+    FillCsr<TimeInterval>(
+        venue.NumDoors(),
+        [this, &venue](auto emit) {
+          for (size_t d = 0; d < venue.NumDoors(); ++d) {
+            const auto door = static_cast<DoorId>(d);
+            const auto edit = ati_edits_.find(door);
+            for (const TimeInterval& iv : edit != ati_edits_.end()
+                                              ? Span<TimeInterval>(edit->second)
+                                              : venue.DoorAti(door)) {
+              emit(d, iv);
+            }
+          }
+        },
+        &offsets, &intervals);
+    venue.ati_offsets_ = std::move(offsets);
+    venue.ati_intervals_ = std::move(intervals);
   }
 
-  venue.doors_of_.resize(venue.partitions_.size());
-  for (size_t d = 0; d < venue.doors_.size(); ++d) {
-    for (PartitionId p : venue.doors_[d].partitions) {
-      venue.doors_of_[static_cast<size_t>(p)].push_back(
-          static_cast<DoorId>(d));
-    }
+  // Geometry untouched since FromVenue: the door lists and the
+  // point-location grid are pure functions of partitions + door
+  // positions, so the carried-over copies stand.
+  if (!geometry_carried_) {
+    venue.BuildDoorLists();
+    venue.BuildLocationIndex();
   }
+  return std::move(venue);
+}
 
-  venue.BuildLocationIndex();
-  return venue;
+void Venue::BuildDoorLists() {
+  FillCsr<DoorId>(
+      partitions_.size(),
+      [this](auto emit) {
+        for (size_t d = 0; d < doors_.size(); ++d) {
+          for (PartitionId p : doors_[d].partitions) {
+            emit(static_cast<size_t>(p), static_cast<DoorId>(d));
+          }
+        }
+      },
+      &door_offsets_, &door_ids_);
 }
 
 void Venue::BuildLocationIndex() {
@@ -125,58 +151,53 @@ void Venue::BuildLocationIndex() {
   min_floor_ = min_floor;
   floor_index_.assign(static_cast<size_t>(max_floor - min_floor) + 1, {});
 
-  // Per-floor bounding box.
   for (size_t f = 0; f < floor_index_.size(); ++f) {
     const int floor = min_floor_ + static_cast<int>(f);
-    double min_x = 0, min_y = 0, max_x = 0, max_y = 0;
-    bool any = false;
+    // Per-floor bounding box; inverted when the floor is empty.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    Rect box{kInf, kInf, -kInf, -kInf};
     for (const Partition& p : partitions_) {
       if (p.floor != floor) continue;
-      if (!any) {
-        min_x = p.rect.min_x;
-        min_y = p.rect.min_y;
-        max_x = p.rect.max_x;
-        max_y = p.rect.max_y;
-        any = true;
-      } else {
-        min_x = std::min(min_x, p.rect.min_x);
-        min_y = std::min(min_y, p.rect.min_y);
-        max_x = std::max(max_x, p.rect.max_x);
-        max_y = std::max(max_y, p.rect.max_y);
-      }
+      box = Rect{std::min(box.min_x, p.rect.min_x),
+                 std::min(box.min_y, p.rect.min_y),
+                 std::max(box.max_x, p.rect.max_x),
+                 std::max(box.max_y, p.rect.max_y)};
     }
+    const bool any = box.min_x <= box.max_x;
+    auto cells = [any](double extent) {
+      return any ? std::max(1, static_cast<int>(
+                                   std::ceil(extent / kLocateCellMetres)))
+                 : 0;
+    };
     FloorIndex& index = floor_index_[f];
-    index.origin_x = min_x;
-    index.origin_y = min_y;
+    index.origin_x = any ? box.min_x : 0;
+    index.origin_y = any ? box.min_y : 0;
     index.cell = kLocateCellMetres;
-    index.cols =
-        any ? std::max(1, static_cast<int>(
-                              std::ceil((max_x - min_x) / index.cell)))
-            : 0;
-    index.rows =
-        any ? std::max(1, static_cast<int>(
-                              std::ceil((max_y - min_y) / index.cell)))
-            : 0;
-    index.cells.assign(static_cast<size_t>(index.cols) * index.rows, {});
-  }
-
-  for (size_t pid = 0; pid < partitions_.size(); ++pid) {
-    const Partition& p = partitions_[pid];
-    FloorIndex& index = floor_index_[static_cast<size_t>(p.floor - min_floor_)];
-    const int c0 =
-        GridCell(p.rect.min_x, index.origin_x, index.cell, index.cols);
-    const int c1 =
-        GridCell(p.rect.max_x, index.origin_x, index.cell, index.cols);
-    const int r0 =
-        GridCell(p.rect.min_y, index.origin_y, index.cell, index.rows);
-    const int r1 =
-        GridCell(p.rect.max_y, index.origin_y, index.cell, index.rows);
-    for (int r = r0; r <= r1; ++r) {
-      for (int c = c0; c <= c1; ++c) {
-        index.cells[static_cast<size_t>(r) * index.cols + c].push_back(
-            static_cast<PartitionId>(pid));
-      }
-    }
+    index.cols = cells(box.max_x - box.min_x);
+    index.rows = cells(box.max_y - box.min_y);
+    FillCsr<PartitionId>(
+        static_cast<size_t>(index.cols) * index.rows,
+        [this, &index, floor](auto emit) {
+          for (size_t pid = 0; pid < partitions_.size(); ++pid) {
+            const Partition& p = partitions_[pid];
+            if (p.floor != floor) continue;
+            const int c0 =
+                GridCell(p.rect.min_x, index.origin_x, index.cell, index.cols);
+            const int c1 =
+                GridCell(p.rect.max_x, index.origin_x, index.cell, index.cols);
+            const int r0 =
+                GridCell(p.rect.min_y, index.origin_y, index.cell, index.rows);
+            const int r1 =
+                GridCell(p.rect.max_y, index.origin_y, index.cell, index.rows);
+            for (int r = r0; r <= r1; ++r) {
+              for (int c = c0; c <= c1; ++c) {
+                emit(static_cast<size_t>(r) * index.cols + c,
+                     static_cast<PartitionId>(pid));
+              }
+            }
+          }
+        },
+        &index.cell_offsets, &index.cell_partitions);
   }
 }
 
@@ -188,8 +209,8 @@ std::vector<PartitionId> Venue::LocateAll(const IndoorPoint& point) const {
   if (index.cols == 0 || index.rows == 0) return out;
   const int c = GridCell(point.p.x, index.origin_x, index.cell, index.cols);
   const int r = GridCell(point.p.y, index.origin_y, index.cell, index.rows);
-  for (PartitionId pid :
-       index.cells[static_cast<size_t>(r) * index.cols + c]) {
+  for (PartitionId pid : CsrList(index.cell_offsets, index.cell_partitions,
+                                 static_cast<size_t>(r) * index.cols + c)) {
     if (partitions_[static_cast<size_t>(pid)].rect.Contains(point.p)) {
       out.push_back(pid);
     }
@@ -199,18 +220,15 @@ std::vector<PartitionId> Venue::LocateAll(const IndoorPoint& point) const {
 
 size_t Venue::MemoryUsage() const {
   size_t total = partitions_.capacity() * sizeof(Partition) +
-                 doors_.capacity() * sizeof(Door);
-  for (const Door& d : doors_) {
-    total += d.ati_intervals.capacity() * sizeof(TimeInterval);
-  }
-  for (const auto& list : doors_of_) {
-    total += list.capacity() * sizeof(DoorId);
-  }
+                 doors_.capacity() * sizeof(Door) +
+                 (door_offsets_.capacity() + ati_offsets_.capacity()) *
+                     sizeof(uint32_t) +
+                 door_ids_.capacity() * sizeof(DoorId) +
+                 ati_intervals_.capacity() * sizeof(TimeInterval) +
+                 floor_index_.capacity() * sizeof(FloorIndex);
   for (const FloorIndex& index : floor_index_) {
-    total += index.cells.capacity() * sizeof(std::vector<PartitionId>);
-    for (const auto& cell : index.cells) {
-      total += cell.capacity() * sizeof(PartitionId);
-    }
+    total += index.cell_offsets.capacity() * sizeof(uint32_t) +
+             index.cell_partitions.capacity() * sizeof(PartitionId);
   }
   return total;
 }

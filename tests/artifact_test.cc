@@ -243,18 +243,20 @@ TEST(ArtifactNegativeTest, FutureFormatVersionRejected) {
 
 TEST(ArtifactNegativeTest, OldFormatVersionRejected) {
   const std::string dir = TestDir("oldversion");
-  std::vector<uint8_t> image = EncodeSmallVenue();
-  // A v2 file, which still carries the DistanceMatrices and
-  // AdjacencyCsr sections: the layout genuinely differs, so the reader
-  // must refuse it outright, naming both versions, instead of guessing
-  // at sections.
-  const uint32_t old_version = kArtifactFormatVersion - 1;
-  std::memcpy(image.data() + 8, &old_version, sizeof(old_version));
-  WriteBytes(dir + "/a.itspq", image);
-  ExpectRegistrationRejected(
-      dir + "/a.itspq", StatusCode::kFailedPrecondition,
-      "unsupported artifact format version " + std::to_string(old_version) +
-          " (supported: " + std::to_string(kArtifactFormatVersion) + ")");
+  // A v3 file still carries the DoorsOf section, and a v2 file the
+  // DistanceMatrices and AdjacencyCsr sections too: the layout
+  // genuinely differs, so the reader must refuse each outright, naming
+  // both versions, instead of guessing at sections.
+  for (const uint32_t old_version :
+       {kArtifactFormatVersion - 1, kArtifactFormatVersion - 2}) {
+    std::vector<uint8_t> image = EncodeSmallVenue();
+    std::memcpy(image.data() + 8, &old_version, sizeof(old_version));
+    WriteBytes(dir + "/a.itspq", image);
+    ExpectRegistrationRejected(
+        dir + "/a.itspq", StatusCode::kFailedPrecondition,
+        "unsupported artifact format version " + std::to_string(old_version) +
+            " (supported: " + std::to_string(kArtifactFormatVersion) + ")");
+  }
 }
 
 // Little-endian field access into one section payload.
@@ -296,12 +298,6 @@ const SectionCase kSectionCases[] = {
        Set<int32_t>(Payload(s, ArtifactSection::kDoors), 20,
                     static_cast<int32_t>(P));
      }},
-    {"doors-of id out of range", "DoorsOf", "door id out of range", false,
-     [](Sections* s, uint64_t P, uint64_t n) {
-       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kDoorsOf);
-       ASSERT_GT(Get<uint64_t>(*p, P * 8), 0u);
-       Set<int32_t>(p, (P + 1) * 8, static_cast<int32_t>(n));
-     }},
     {"NaN door position", "Doors", "position is not finite", false,
      [](Sections* s, uint64_t, uint64_t n) {
        Set<double>(Payload(s, ArtifactSection::kDoors), (n - 1) * 32 + 8,
@@ -310,44 +306,6 @@ const SectionCase kSectionCases[] = {
     {"infinite door position", "Doors", "position is not finite", false,
      [](Sections* s, uint64_t, uint64_t) {
        Set<double>(Payload(s, ArtifactSection::kDoors), 0, -HUGE_VAL);
-     }},
-    {"doors-of lists a door off the partition", "DoorsOf",
-     "disagrees with the doors", false,
-     [](Sections* s, uint64_t P, uint64_t) {
-       // u64 offsets[P + 1], i32 pool: partition 0's first door becomes
-       // door 0, which names other partitions.
-       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kDoorsOf);
-       const uint64_t listed = Get<uint64_t>(*p, 8);
-       ASSERT_GT(listed, 0u);
-       const size_t pool = (P + 1) * 8;
-       Set<int32_t>(p, pool, Get<int32_t>(*p, pool) == 0 ? 1 : 0);
-     }},
-    {"doors-of list out of order", "DoorsOf", "disagrees with the doors",
-     false,
-     [](Sections* s, uint64_t P, uint64_t) {
-       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kDoorsOf);
-       for (uint64_t i = 0; i < P; ++i) {
-         const uint64_t begin = Get<uint64_t>(*p, i * 8);
-         if (Get<uint64_t>(*p, (i + 1) * 8) - begin < 2) continue;
-         const size_t at = (P + 1) * 8 + begin * 4;
-         const int32_t first = Get<int32_t>(*p, at);
-         Set<int32_t>(p, at, Get<int32_t>(*p, at + 4));
-         Set<int32_t>(p, at + 4, first);
-         return;
-       }
-       FAIL() << "no partition lists two doors";
-     }},
-    {"doors-of list drops a door", "DoorsOf", "missing from its partitions",
-     false,
-     [](Sections* s, uint64_t P, uint64_t) {
-       // Drop the last list's last entry: offsets and pool shrink
-       // together, every list left is well formed, so only the count
-       // check can catch it.
-       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kDoorsOf);
-       const uint64_t total = Get<uint64_t>(*p, P * 8);
-       ASSERT_GT(total, 0u);
-       Set<uint64_t>(p, P * 8, total - 1);
-       p->resize(p->size() - 4);
      }},
     {"floor cell to unknown partition", "FloorIndex",
      "unknown partition", false,
@@ -509,10 +467,10 @@ TEST(ArtifactSectionRejectionTest, TrailingBytesRejectedInEverySection) {
   with_d2d.include_d2d = true;
   const Sections sections = SplitSections(ValueOrDie(
       EncodeVenueArtifact(MakeSmallVenue(), with_d2d), "EncodeVenueArtifact"));
-  ASSERT_EQ(sections.size(), 10u);
-  // Indexed by section kind; kinds 6 and 12 are retired.
+  ASSERT_EQ(sections.size(), 9u);
+  // Indexed by section kind; kinds 5, 6 and 12 are retired.
   const char* const names[] = {"",          "Meta",         "Partitions",
-                               "Doors",     "DoorAtis",     "DoorsOf",
+                               "Doors",     "DoorAtis",     "",
                                "",          "FloorIndex",   "CompiledAtis",
                                "Checkpoints", "FlipIndex",  "D2d"};
   for (size_t i = 0; i < sections.size(); ++i) {

@@ -114,7 +114,8 @@ FamilyWorld MakeIneligibleWorld(uint64_t seed) {
   Venue::Builder builder = Venue::Builder::FromVenue(mall);
   const DoorId twin = builder.AddDoor(door.pos, door.floor,
                                       door.partitions[0], door.partitions[1]);
-  EXPECT_TRUE(builder.SetDoorAti(twin, door.ati_intervals).ok());
+  const Span<TimeInterval> ati = mall.DoorAti(DoorId{0});
+  EXPECT_TRUE(builder.SetDoorAti(twin, {ati.begin(), ati.end()}).ok());
   FamilyWorld world = MakeWorldFrom(
       ValueOrDie(std::move(builder).Build(), "Venue::Builder::Build"));
   EXPECT_EQ(world.graph->adjacency().min_edge_weight, 0.0) << "seed " << seed;
@@ -179,11 +180,11 @@ std::vector<ReachableDoor> OracleSweep(const ItGraph& graph,
       case OracleTv::kStrict:
         // ITG/A+'s arrival-interval snapshot answers exactly what the
         // ATI answers at the arrival (state is interval-constant).
-        return graph.AtiContainsTimeOfDay(door, arrival_abs);
+        return graph.Ati(door).ContainsTimeOfDay(arrival_abs);
       case OracleTv::kAsync:
-        return graph.AtiContainsTimeOfDay(door, frontier_probe);
+        return graph.Ati(door).ContainsTimeOfDay(frontier_probe);
       case OracleTv::kSnap:
-        return graph.AtiContainsTimeOfDay(door, dep);
+        return graph.Ati(door).ContainsTimeOfDay(dep);
       case OracleTv::kNtv:
         return true;
     }
@@ -1006,8 +1007,8 @@ Venue MakeHallVenue() {
 
 // `venue` packed, then re-decoded with door `d`'s second side naming
 // its first partition too. Venue::Builder refuses such a door; a
-// re-sealed artifact is the one way in. The DoorsOf lists are rebuilt
-// from the edited doors so the image stays self-consistent.
+// re-sealed artifact is the one way in. The decoder derives the door
+// lists from the edited doors.
 LoadedVenueWorld DecodeWithDoorNamingOnePartitionTwice(const Venue& venue,
                                                        DoorId d) {
   std::vector<uint8_t> image =
@@ -1027,27 +1028,6 @@ LoadedVenueWorld DecodeWithDoorNamingOnePartitionTwice(const Venue& venue,
   // Doors: 32-byte records, the partition pair at bytes 20..27.
   uint8_t* doors = payload(ArtifactSection::kDoors);
   std::memcpy(doors + 32 * d + 24, doors + 32 * d + 20, sizeof(int32_t));
-  // DoorsOf: u64 offsets[partitions + 1], then i32 door ids.
-  std::vector<std::vector<int32_t>> lists(venue.NumPartitions());
-  for (size_t door = 0; door < venue.NumDoors(); ++door) {
-    for (int side = 0; side < 2; ++side) {
-      int32_t p;
-      std::memcpy(&p, doors + 32 * door + 20 + 4 * side, sizeof(p));
-      lists[static_cast<size_t>(p)].push_back(static_cast<int32_t>(door));
-    }
-  }
-  uint8_t* at = payload(ArtifactSection::kDoorsOf);
-  uint64_t offset = 0;
-  std::memcpy(at, &offset, sizeof(offset));
-  for (const auto& list : lists) {
-    offset += list.size();
-    std::memcpy(at += 8, &offset, sizeof(offset));
-  }
-  at += 8;
-  for (const auto& list : lists) {
-    std::memcpy(at, list.data(), list.size() * sizeof(int32_t));
-    at += list.size() * sizeof(int32_t);
-  }
   // Re-seal every checksum, as the writer would have.
   for (ArtifactSectionEntry& e : table) {
     e.checksum = ArtifactChecksum(image.data() + e.offset, e.bytes);
@@ -1074,7 +1054,7 @@ void ExpectUnboundedSweepScansEveryEdge(const ItGraph& graph,
   for (size_t d = 0; d < venue.NumDoors(); ++d) {
     const DoorId door = static_cast<DoorId>(d);
     for (PartitionId p : venue.door(door).partitions) {
-      const std::vector<DoorId>& list = venue.DoorsOf(p);
+      const Span<DoorId> list = venue.DoorsOf(p);
       expected += list.size() - static_cast<size_t>(std::count(
                                     list.begin(), list.end(), door));
     }

@@ -95,7 +95,7 @@ TEST(AtiGenTest, ShopHoursShapeAndRejects) {
   // All-horizontal mall (1 floor): every door varies, open at noon,
   // closed at 3 am.
   for (size_t d = 0; d < graph->NumDoors(); ++d) {
-    const AtiSet& ati = graph->Ati(static_cast<DoorId>(d));
+    const AtiRow ati = graph->Ati(static_cast<DoorId>(d));
     EXPECT_FALSE(ati.IsAlwaysOpen());
     EXPECT_TRUE(ati.ContainsTimeOfDay(Instant::FromHMS(12).seconds()));
     EXPECT_FALSE(ati.ContainsTimeOfDay(Instant::FromHMS(3).seconds()));
@@ -120,7 +120,7 @@ TEST(AtiGenTest, StairDoorsStayAlwaysOpen) {
     const int fb = varied->partition(door.partitions[1]).floor;
     if (fa != fb) {
       ++vertical;
-      EXPECT_TRUE(door.ati_intervals.empty());
+      EXPECT_TRUE(varied->DoorAti(static_cast<DoorId>(d)).empty());
     }
   }
   EXPECT_EQ(vertical, 2u);  // two staircases, one floor gap

@@ -203,18 +203,21 @@ TEST(SearchCoreTest, WeightExtremesMatchBruteForce) {
   EXPECT_FALSE(graph.adjacency().BucketEligible());
 }
 
-// The flat rows answer exactly as the AtiSets they were compiled from,
-// including boundaries, empty (always-open) rows, and wrapped times.
+// The flat rows answer exactly as the AtiSets normalised from the same
+// intervals, including boundaries, empty (always-open) rows, and
+// wrapped times.
 TEST(SearchCoreTest, FlatAtiRowsMatchAtiSets) {
   const CoreWorld world = MakeWorld(23);
   const ItGraph& graph = *world.graph;
   Rng rng(5);
   for (size_t d = 0; d < graph.NumDoors(); ++d) {
     const DoorId door = static_cast<DoorId>(d);
-    const AtiSet& ati = graph.Ati(door);
+    const Span<TimeInterval> intervals = world.venue->DoorAti(door);
+    const AtiSet ati = ValueOrDie(
+        AtiSet::Create({intervals.begin(), intervals.end()}), "AtiSet");
     for (int probe = 0; probe < 64; ++probe) {
       const double t = rng.UniformDouble(0, kSecondsPerDay);
-      EXPECT_EQ(graph.AtiContainsTimeOfDay(door, t),
+      EXPECT_EQ(graph.Ati(door).ContainsTimeOfDay(t),
                 ati.ContainsTimeOfDay(t))
           << "door " << d << " t " << t;
     }
@@ -223,13 +226,13 @@ TEST(SearchCoreTest, FlatAtiRowsMatchAtiSets) {
     for (size_t i = 0; i < ati.NumIntervals(); ++i) {
       for (double t : {ati.starts()[i], ati.ends()[i]}) {
         if (t >= kSecondsPerDay) continue;
-        EXPECT_EQ(graph.AtiContainsTimeOfDay(door, t),
+        EXPECT_EQ(graph.Ati(door).ContainsTimeOfDay(t),
                   ati.ContainsTimeOfDay(t))
             << "door " << d << " boundary " << t;
       }
     }
     // Projected arrivals past midnight arrive unwrapped.
-    EXPECT_EQ(graph.AtiContainsTimeOfDay(door, kSecondsPerDay + 3600),
+    EXPECT_EQ(graph.Ati(door).ContainsTimeOfDay(kSecondsPerDay + 3600),
               ati.ContainsTimeOfDay(WrapTimeOfDay(kSecondsPerDay + 3600)));
   }
 }
@@ -410,8 +413,8 @@ TEST(SearchCoreTest, BuildFromSharesTheAdjacencyHandle) {
       ItGraph::BuildFrom(*world.graph, edited, changed), "BuildFrom");
   EXPECT_EQ(next.adjacency_handle().get(),
             world.graph->adjacency_handle().get());
-  EXPECT_TRUE(next.AtiContainsTimeOfDay(changed, 10 * 3600.0));
-  EXPECT_FALSE(next.AtiContainsTimeOfDay(changed, 18 * 3600.0));
+  EXPECT_TRUE(next.Ati(changed).ContainsTimeOfDay(10 * 3600.0));
+  EXPECT_FALSE(next.Ati(changed).ContainsTimeOfDay(18 * 3600.0));
 }
 
 }  // namespace

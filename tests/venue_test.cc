@@ -95,8 +95,8 @@ TEST(VenueBuilderTest, SetDoorAtiValidatesDoorId) {
   EXPECT_FALSE(builder.SetDoorAti(99, {}).ok());
   auto venue = std::move(builder).Build();
   ASSERT_TRUE(venue.ok());
-  EXPECT_EQ(venue->door(0).ati_intervals.size(), 1u);
-  EXPECT_TRUE(venue->door(1).ati_intervals.empty());
+  EXPECT_EQ(venue->DoorAti(0).size(), 1u);
+  EXPECT_TRUE(venue->DoorAti(1).empty());
 }
 
 TEST(VenueBuilderTest, FromVenueRoundTrips) {

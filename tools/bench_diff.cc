@@ -10,8 +10,12 @@
 // With --new, every file before it is a run of the old side and every
 // file after it a run of the new side; each row is compared on the
 // median of its real_time over that side's runs, so alternating runs
-// of two builds on one host cancel most of the host's drift. Rows only
-// one side has are listed as "new" or "gone" and never fail the gate.
+// of two builds on one host cancel most of the host's drift. A run made
+// with --benchmark_repetitions lists each row once per repetition: all
+// of them join the row's pool, and the aggregate rows the library adds
+// ("run_type": "aggregate": _mean, _median, _stddev, _cv) are skipped,
+// so a spread is never compared as if it were a time. Rows only one
+// side has are listed as "new" or "gone" and never fail the gate.
 //
 // Accepts either raw google-benchmark JSON ({"context", "benchmarks"})
 // or a wrapped BENCH_prN.json ({"micro_core": {...}, ...}); the scan is
@@ -82,9 +86,10 @@ double UnitToNs(const std::string& unit) {
   return 1.0;
 }
 
-/// All (name, real_time in ns) pairs of the benchmarks array. When the
-/// file wraps the run under "micro_core", the scan is narrowed to it so
-/// sibling sections can never contribute phantom entries.
+/// All (name, real_time in ns) pairs of the benchmarks array, aggregate
+/// rows left out. When the file wraps the run under "micro_core", the
+/// scan is narrowed to it so sibling sections can never contribute
+/// phantom entries.
 std::vector<BenchEntry> ExtractBenchmarks(const std::string& full_text) {
   std::string text = full_text;
   const size_t wrapped = full_text.find("\"micro_core\"");
@@ -100,6 +105,12 @@ std::vector<BenchEntry> ExtractBenchmarks(const std::string& full_text) {
     const size_t next_name = text.find("\"name\"", name_at + 1);
     const size_t limit =
         next_name == std::string::npos ? text.size() : next_name;
+    const size_t run_type_at = text.find("\"run_type\"", name_at);
+    if (run_type_at < limit &&
+        StringAfter(text, "run_type", run_type_at) == "aggregate") {
+      at = limit;
+      continue;
+    }
     BenchEntry e;
     e.name = StringAfter(text, "name", name_at);
     bool ok = false;
@@ -221,7 +232,12 @@ int main(int argc, char** argv) {
         old_side.build_type.c_str(), new_side.build_type.c_str());
   }
 
-  const bool medians = old_paths.size() > 1 || new_paths.size() > 1;
+  bool medians = false;
+  for (const Side* side : {&old_side, &new_side}) {
+    for (const auto& [name, times] : side->times_ns) {
+      medians = medians || times.size() > 1;
+    }
+  }
   std::printf("%-34s %14s %14s %9s\n", "benchmark",
               medians ? "old med (ns)" : "old (ns)",
               medians ? "new med (ns)" : "new (ns)", "delta");
