@@ -27,10 +27,14 @@ const World& SharedWorld() {
   return *world;
 }
 
-void BM_AtiContains(benchmark::State& state) {
-  const AtiSet atis = *AtiSet::Create(
+// The row scan the search runs (AtiRow::ContainsTimeOfDay). Named apart
+// from BM_AtiContains, a binary-search row of earlier builds, so
+// bench_diff never pairs the two disciplines.
+void BM_AtiRowScan(benchmark::State& state) {
+  const AtiSet set = *AtiSet::Create(
       {MakeInterval(8, 0, 12, 0), MakeInterval(13, 0, 18, 0),
        MakeInterval(19, 0, 23, 0)});
+  const AtiRow atis = set.row();
   double tod = 0;
   for (auto _ : state) {
     for (int k = 0; k < kBatch; ++k) {
@@ -41,7 +45,7 @@ void BM_AtiContains(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
-BENCHMARK(BM_AtiContains)->Arg(kBatch)->ArgName("batch");
+BENCHMARK(BM_AtiRowScan)->Arg(kBatch)->ArgName("batch");
 
 void BM_CheckpointLookup(benchmark::State& state) {
   std::vector<double> times;

@@ -54,6 +54,7 @@ class AtiRow {
   size_t size_;
 };
 
+/// Owns one normalised ATI; read it through row().
 class AtiSet {
  public:
   /// An always-open set (no temporal variation).
@@ -74,20 +75,8 @@ class AtiSet {
                                  std::vector<double>* starts,
                                  std::vector<double>* ends);
 
+  /// The normalised set, read through the same view as a graph's rows.
   AtiRow row() const { return {starts_.data(), ends_.data(), starts_.size()}; }
-
-  bool ContainsTimeOfDay(double tod) const {
-    return row().ContainsTimeOfDay(tod);
-  }
-  bool IsAlwaysOpen() const { return starts_.empty(); }
-  std::vector<double> InteriorBoundaries() const {
-    return row().InteriorBoundaries();
-  }
-  size_t NumIntervals() const { return starts_.empty() ? 1 : starts_.size(); }
-
-  /// The normalised parallel bounds (empty = always open).
-  const std::vector<double>& starts() const { return starts_; }
-  const std::vector<double>& ends() const { return ends_; }
 
  private:
   // Parallel arrays of disjoint, sorted [start, end) intervals. Empty

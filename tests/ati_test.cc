@@ -7,7 +7,8 @@ namespace itspq {
 namespace {
 
 TEST(AtiSetTest, HalfOpenBoundaries) {
-  const AtiSet ati = *AtiSet::Create({MakeInterval(8, 0, 12, 0)});
+  const AtiSet ati_set = *AtiSet::Create({MakeInterval(8, 0, 12, 0)});
+  const AtiRow ati = ati_set.row();
   // [start, end): the opening instant is in, the closing instant is out.
   EXPECT_TRUE(ati.ContainsTimeOfDay(Instant::FromHMS(8).seconds()));
   EXPECT_TRUE(ati.ContainsTimeOfDay(Instant::FromHMS(11, 59, 59).seconds()));
@@ -16,8 +17,9 @@ TEST(AtiSetTest, HalfOpenBoundaries) {
 }
 
 TEST(AtiSetTest, MultipleIntervalsWithGap) {
-  const AtiSet ati = *AtiSet::Create(
+  const AtiSet ati_set = *AtiSet::Create(
       {MakeInterval(8, 0, 12, 0), MakeInterval(13, 0, 18, 0)});
+  const AtiRow ati = ati_set.row();
   EXPECT_TRUE(ati.ContainsTimeOfDay(Instant::FromHMS(9).seconds()));
   EXPECT_FALSE(ati.ContainsTimeOfDay(Instant::FromHMS(12, 30).seconds()));
   EXPECT_TRUE(ati.ContainsTimeOfDay(Instant::FromHMS(13).seconds()));
@@ -26,7 +28,8 @@ TEST(AtiSetTest, MultipleIntervalsWithGap) {
 
 TEST(AtiSetTest, MidnightWrapSplits) {
   // A bar open 22:00 -> 02:00 wraps past midnight.
-  const AtiSet ati = *AtiSet::Create({MakeInterval(22, 0, 2, 0)});
+  const AtiSet ati_set = *AtiSet::Create({MakeInterval(22, 0, 2, 0)});
+  const AtiRow ati = ati_set.row();
   EXPECT_TRUE(ati.ContainsTimeOfDay(Instant::FromHMS(23).seconds()));
   EXPECT_TRUE(ati.ContainsTimeOfDay(0.0));
   EXPECT_TRUE(ati.ContainsTimeOfDay(Instant::FromHMS(1, 59, 59).seconds()));
@@ -38,7 +41,8 @@ TEST(AtiSetTest, MidnightWrapSplits) {
 }
 
 TEST(AtiSetTest, AbsoluteTimesWrapIntoTheDay) {
-  const AtiSet ati = *AtiSet::Create({MakeInterval(8, 0, 12, 0)});
+  const AtiSet ati_set = *AtiSet::Create({MakeInterval(8, 0, 12, 0)});
+  const AtiRow ati = ati_set.row();
   // Tomorrow 09:00, projected from a long walk.
   EXPECT_TRUE(ati.ContainsTimeOfDay(kSecondsPerDay +
                                     Instant::FromHMS(9).seconds()));
@@ -47,27 +51,31 @@ TEST(AtiSetTest, AbsoluteTimesWrapIntoTheDay) {
 }
 
 TEST(AtiSetTest, OverlappingIntervalsMerge) {
-  const AtiSet ati = *AtiSet::Create(
+  const AtiSet ati_set = *AtiSet::Create(
       {MakeInterval(8, 0, 12, 0), MakeInterval(11, 0, 14, 0)});
-  EXPECT_EQ(ati.NumIntervals(), 1u);
+  const AtiRow ati = ati_set.row();
+  EXPECT_EQ(ati.starts().size(), 1u);
   EXPECT_TRUE(ati.ContainsTimeOfDay(Instant::FromHMS(12).seconds()));
   EXPECT_FALSE(ati.ContainsTimeOfDay(Instant::FromHMS(14).seconds()));
 }
 
 TEST(AtiSetTest, EmptyAndFullDayAreAlwaysOpen) {
-  const AtiSet empty = *AtiSet::Create({});
+  const AtiSet empty_set = *AtiSet::Create({});
+  const AtiRow empty = empty_set.row();
   EXPECT_TRUE(empty.IsAlwaysOpen());
   EXPECT_TRUE(empty.ContainsTimeOfDay(Instant::FromHMS(3).seconds()));
 
-  const AtiSet full = *AtiSet::Create({TimeInterval{0, kSecondsPerDay}});
+  const AtiSet full_set = *AtiSet::Create({TimeInterval{0, kSecondsPerDay}});
+  const AtiRow full = full_set.row();
   EXPECT_TRUE(full.IsAlwaysOpen());
   EXPECT_TRUE(full.InteriorBoundaries().empty());
 }
 
 TEST(AtiSetTest, StartAtDayEndNormalisesToMidnight) {
   // [24:00, 01:00) is [00:00, 01:00); no phantom 86400 boundary.
-  const AtiSet ati =
+  const AtiSet ati_set =
       *AtiSet::Create({TimeInterval{kSecondsPerDay, 3600.0}});
+  const AtiRow ati = ati_set.row();
   EXPECT_TRUE(ati.ContainsTimeOfDay(0.0));
   EXPECT_TRUE(ati.ContainsTimeOfDay(3599.0));
   EXPECT_FALSE(ati.ContainsTimeOfDay(3600.0));
@@ -85,7 +93,8 @@ TEST(AtiSetTest, RejectsMalformedIntervals) {
 }
 
 TEST(AtiSetTest, InteriorBoundariesExcludeDayEdges) {
-  const AtiSet ati = *AtiSet::Create({MakeInterval(22, 0, 2, 0)});
+  const AtiSet ati_set = *AtiSet::Create({MakeInterval(22, 0, 2, 0)});
+  const AtiRow ati = ati_set.row();
   // Split into [0, 2:00) and [22:00, 24:00); boundaries at 0 and 86400
   // are not checkpoints.
   const std::vector<double> boundaries = ati.InteriorBoundaries();

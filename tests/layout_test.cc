@@ -119,8 +119,9 @@ void ExpectRowsMatchAtiSets(const Venue& venue, const ItGraph& graph) {
   for (size_t d = 0; d < venue.NumDoors(); ++d) {
     const DoorId door = static_cast<DoorId>(d);
     const Span<TimeInterval> intervals = venue.DoorAti(door);
-    const AtiSet want = ValueOrDie(
+    const AtiSet want_set = ValueOrDie(
         AtiSet::Create({intervals.begin(), intervals.end()}), "AtiSet");
+    const AtiRow want = want_set.row();
     const AtiRow row = graph.Ati(door);
     ASSERT_EQ(row.starts(), want.starts()) << "door " << d;
     ASSERT_EQ(row.ends(), want.ends()) << "door " << d;

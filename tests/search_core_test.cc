@@ -203,9 +203,27 @@ TEST(SearchCoreTest, WeightExtremesMatchBruteForce) {
   EXPECT_FALSE(graph.adjacency().BucketEligible());
 }
 
-// The flat rows answer exactly as the AtiSets normalised from the same
-// intervals, including boundaries, empty (always-open) rows, and
-// wrapped times.
+// The membership reference for the flat rows: a binary search for the
+// last interval starting at or before the wrapped time, independent of
+// AtiRow::ContainsTimeOfDay's forward scan.
+bool ContainsByBinarySearch(const AtiRow& ati, double tod) {
+  if (ati.IsAlwaysOpen()) return true;
+  const double t = WrapTimeOfDay(tod);
+  size_t lo = 0, hi = ati.starts().size();
+  while (lo < hi) {
+    const size_t mid = (lo + hi) / 2;
+    if (ati.starts()[mid] <= t) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo > 0 && t < ati.ends()[lo - 1];
+}
+
+// The flat rows answer exactly as a binary search over the AtiSets
+// normalised from the same intervals, including boundaries, empty
+// (always-open) rows, and wrapped times.
 TEST(SearchCoreTest, FlatAtiRowsMatchAtiSets) {
   const CoreWorld world = MakeWorld(23);
   const ItGraph& graph = *world.graph;
@@ -213,27 +231,29 @@ TEST(SearchCoreTest, FlatAtiRowsMatchAtiSets) {
   for (size_t d = 0; d < graph.NumDoors(); ++d) {
     const DoorId door = static_cast<DoorId>(d);
     const Span<TimeInterval> intervals = world.venue->DoorAti(door);
-    const AtiSet ati = ValueOrDie(
+    const AtiSet set = ValueOrDie(
         AtiSet::Create({intervals.begin(), intervals.end()}), "AtiSet");
+    const AtiRow ati = set.row();
     for (int probe = 0; probe < 64; ++probe) {
       const double t = rng.UniformDouble(0, kSecondsPerDay);
       EXPECT_EQ(graph.Ati(door).ContainsTimeOfDay(t),
-                ati.ContainsTimeOfDay(t))
+                ContainsByBinarySearch(ati, t))
           << "door " << d << " t " << t;
     }
     // Interval boundaries: start is inside a [start, end) interval,
     // end is outside; the exactly-at-checkpoint cases.
-    for (size_t i = 0; i < ati.NumIntervals(); ++i) {
+    for (size_t i = 0; i < ati.starts().size(); ++i) {
       for (double t : {ati.starts()[i], ati.ends()[i]}) {
         if (t >= kSecondsPerDay) continue;
         EXPECT_EQ(graph.Ati(door).ContainsTimeOfDay(t),
-                  ati.ContainsTimeOfDay(t))
+                  ContainsByBinarySearch(ati, t))
             << "door " << d << " boundary " << t;
       }
     }
     // Projected arrivals past midnight arrive unwrapped.
     EXPECT_EQ(graph.Ati(door).ContainsTimeOfDay(kSecondsPerDay + 3600),
-              ati.ContainsTimeOfDay(WrapTimeOfDay(kSecondsPerDay + 3600)));
+              ContainsByBinarySearch(ati,
+                                     WrapTimeOfDay(kSecondsPerDay + 3600)));
   }
 }
 
