@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives underneath
 // the ITSPQ search: ATI membership, checkpoint lookup, reduced-graph
 // derivation, point location, frontier disciplines, masked neighbour
-// scans, and end-to-end queries.
+// scans, a venue's compile, and end-to-end queries.
 //
 // A primitive that takes a few nanoseconds is timed over a batch of
 // kBatch calls per iteration: a row of a few ns moved by more than the
@@ -15,6 +15,7 @@
 #include "itgraph/csr_adjacency.h"
 #include "itgraph/frontier_queue.h"
 #include "itgraph/graph_update.h"
+#include "update/versioned_graph.h"
 
 namespace itspq {
 namespace bench {
@@ -166,13 +167,13 @@ void BM_MaskedDoorListScan(benchmark::State& state) {
   const bool word_wise = state.range(0) == 1;
   for (auto _ : state) {
     double acc = 0;
-    for (size_t d = 0; d < adj.num_doors; ++d) {
+    for (size_t d = 0; d < world.graph->NumDoors(); ++d) {
       const Point2d at = world.graph->DoorPos(static_cast<DoorId>(d));
-      for (size_t seg = 2 * d; seg < 2 * d + 2; ++seg) {
-        const CsrAdjacency::DoorList doors =
-            adj.DoorsOf(static_cast<size_t>(adj.seg_partition[seg]));
+      for (PartitionId side :
+           world.graph->DoorPartitions(static_cast<DoorId>(d))) {
+        const CsrAdjacency::DoorList doors = adj.DoorsOf(*world.venue, side);
         auto add = [&](size_t k) {
-          if (doors.ids[k] != d) {
+          if (static_cast<size_t>(doors.ids[k]) != d) {
             acc += EuclideanDistance(at, doors.positions[k]);
           }
         };
@@ -180,7 +181,7 @@ void BM_MaskedDoorListScan(benchmark::State& state) {
           open.ForEachSetAmong(doors.ids, doors.size, add);
         } else {
           for (size_t k = 0; k < doors.size; ++k) {
-            if (open.Test(static_cast<DoorId>(doors.ids[k]))) add(k);
+            if (open.Test(doors.ids[k])) add(k);
           }
         }
       }
@@ -189,6 +190,23 @@ void BM_MaskedDoorListScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaskedDoorListScan)->Arg(0)->Arg(1);
+
+// Compiling one epoch of a paper-size mall (five floors, 1,128 doors):
+// the ATI rows, the adjacency and its weight extremes, the boundary
+// ledger and the router, as every catalog build pays it per venue. The
+// venue copy Build consumes is made outside the timed region.
+void BM_VenueCompile(benchmark::State& state) {
+  static const World* world = new World(BuildWorld(kDefaultT, /*floors=*/5));
+  for (auto _ : state) {
+    state.PauseTiming();
+    Venue copy(*world->venue);
+    state.ResumeTiming();
+    auto version = VersionedGraph::Build(std::move(copy),
+                                         TvCheck::kAsynchronousStrict);
+    benchmark::DoNotOptimize(version);
+  }
+}
+BENCHMARK(BM_VenueCompile);
 
 void BM_QueryEndToEnd(benchmark::State& state) {
   const World& world = SharedWorld();

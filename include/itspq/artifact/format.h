@@ -10,9 +10,9 @@
 // loader reconstructs a serving world with zero re-normalisation — no
 // AtiSet::Create, no checkpoint probe. The only things it derives are
 // the partition door lists (one counting pass over the doors) and the
-// search adjacency (door lists and positions, O(doors), plus one pass
-// over door pairs for the weight extremes); edge weights are never
-// stored.
+// search adjacency (door positions aligned with those lists, plus an
+// x-ordered sweep of each partition's doors for the weight extremes);
+// edge weights are never stored.
 //
 //   [ArtifactHeader | section table | section 0 | section 1 | ... ]
 //

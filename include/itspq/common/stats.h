@@ -43,8 +43,8 @@ struct SearchStats {
   size_t peak_memory_bytes = 0;
   size_t doors_popped = 0;
   /// Neighbours in the partition door lists the search walked, per
-  /// segment, not counting the expanding door itself and whether or
-  /// not the neighbour was already settled.
+  /// partition side, not counting the expanding door itself and whether
+  /// or not the neighbour was already settled.
   size_t edges_scanned = 0;
   /// Number of Graph_Update reduced-graph (re)builds this query.
   size_t graph_updates = 0;

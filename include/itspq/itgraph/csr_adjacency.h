@@ -10,22 +10,17 @@
 // partition's door list and computes each weight from two positions,
 // so the adjacency is O(doors) instead of O(edges).
 //
-// Layout, all flat:
+// The door lists are the venue's own (Venue::DoorsOf, one entry per
+// door side) and a door's sides its Door::partitions. The adjacency adds
+// door_positions, aligned with those lists so that a scan reads each
+// neighbour's position from the next bytes, not from the door array.
 //
-//   seg_partition  : door d owns segments 2d and 2d+1, one per entry of
-//                    DoorPartitions(d) in order (also the pruning key)
-//   door_offsets   : partition p's doors are door_ids[door_offsets[p] ..
-//   door_ids       :   door_offsets[p + 1]), in Venue::DoorsOf order
-//   door_positions : aligned with door_ids, so a scan reads each
-//                    neighbour's position from the next bytes instead of
-//                    gathering it from a per-door array
-//
-// A segment's neighbours are its partition's doors other than d itself
-// (listed once per side of d naming the partition); a search skips d
-// through its settled check, as d is settled while its segments are
-// scanned. The weight EuclideanDistance(pos(u), pos(v)) is bitwise
-// symmetric: a - b == -(b - a) exactly, and both square to the same
-// value, so either end computes the same bits.
+// A partition's neighbours are its doors other than d itself (listed
+// once per side of d naming the partition); a search skips d through
+// its settled check, as d is settled while its partitions are scanned.
+// The weight EuclideanDistance(pos(u), pos(v)) is bitwise symmetric:
+// a - b == -(b - a) exactly, and both square to the same value, so
+// either end computes the same bits.
 //
 // min/max edge weight ride along for the frontier selection rule: the
 // bucket queue (frontier_queue.h) is exact only when every edge weight
@@ -34,28 +29,23 @@
 // otherwise grow with the ratio).
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "venue/geometry.h"
+#include "venue/venue.h"
 
 namespace itspq {
 
-class Venue;
-
 struct CsrAdjacency {
-  /// One partition's doors: views into door_ids and door_positions.
+  /// One partition's doors: the venue's list and its positions.
   struct DoorList {
-    const uint32_t* ids;
+    const DoorId* ids;
     const Point2d* positions;
     size_t size;
   };
 
-  std::vector<PartitionId> seg_partition;  // size 2 * num_doors
-  std::vector<uint32_t> door_offsets;      // size num_partitions + 1
-  std::vector<uint32_t> door_ids;          // one entry per door side
-  std::vector<Point2d> door_positions;     // aligned with door_ids
+  std::vector<Point2d> door_positions;  // aligned with the venue's lists
 
   /// Extremes over every edge weight (a door pair sharing a partition,
   /// parallel edges included); min is +inf and max 0 on an edgeless
@@ -63,18 +53,18 @@ struct CsrAdjacency {
   /// disqualifies the bucket queue.
   double min_edge_weight = std::numeric_limits<double>::infinity();
   double max_edge_weight = 0;
-  size_t num_doors = 0;
 
-  /// Compiles the venue's implicit adjacency. Geometry-only: ATIs play
-  /// no part, which is why one compiled adjacency is shared across all
-  /// update-plane epochs of a venue.
+  /// Compiles the venue's implicit adjacency, O(k log k) per partition
+  /// of k doors. Geometry-only: ATIs play no part, which is why one
+  /// compiled adjacency is shared across all update-plane epochs.
   static CsrAdjacency Compile(const Venue& venue);
 
-  /// The doors of partition `p`, in Venue::DoorsOf order.
-  DoorList DoorsOf(size_t p) const {
-    const uint32_t begin = door_offsets[p];
-    return {door_ids.data() + begin, door_positions.data() + begin,
-            door_offsets[p + 1] - begin};
+  /// The doors of partition `p` in `venue`, the compiled venue or any
+  /// epoch of it (ATI edits keep the door lists).
+  DoorList DoorsOf(const Venue& venue, PartitionId p) const {
+    const Span<DoorId> ids = venue.DoorsOf(p);
+    return {ids.begin(), door_positions.data() + venue.DoorListOffset(p),
+            ids.size()};
   }
 
   /// Max bucket-ring span the frontier selection rule tolerates before
@@ -90,9 +80,7 @@ struct CsrAdjacency {
   }
 
   size_t MemoryUsage() const {
-    return seg_partition.capacity() * sizeof(PartitionId) +
-           (door_offsets.capacity() + door_ids.capacity()) * sizeof(uint32_t) +
-           door_positions.capacity() * sizeof(Point2d);
+    return door_positions.capacity() * sizeof(Point2d);
   }
 };
 

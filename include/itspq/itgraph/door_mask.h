@@ -90,11 +90,11 @@ class DoorMask {
   /// one word load per ~64 doors of a partition instead of one per
   /// neighbour.
   template <typename Fn>
-  void ForEachSetAmong(const uint32_t* ids, size_t count, Fn&& fn) const {
+  void ForEachSetAmong(const DoorId* ids, size_t count, Fn&& fn) const {
     size_t cached = static_cast<size_t>(-1);
     uint64_t word = 0;
     for (size_t k = 0; k < count; ++k) {
-      const size_t i = ids[k];
+      const auto i = static_cast<size_t>(ids[k]);
       const size_t w = i >> 6;
       if (w != cached) {
         cached = w;

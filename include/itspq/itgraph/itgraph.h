@@ -13,10 +13,10 @@
 //
 // Two flat stores hold everything a search reads:
 //
-//   - a CsrAdjacency (csr_adjacency.h): flat partition door lists and
-//     door positions the relaxation loop walks, shared by shared_ptr
-//     across update-plane epochs (ATI edits never change geometry,
-//     which BuildFrom already enforces);
+//   - a CsrAdjacency (csr_adjacency.h): door positions aligned with the
+//     venue's partition door lists, which the relaxation loop walks,
+//     shared by shared_ptr across update-plane epochs (ATI edits never
+//     change geometry, which BuildFrom already enforces);
 //   - the ATI rows (offsets + start/end pools): door d's normalised
 //     intervals, one contiguous row per door. They are the only store
 //     of the compiled ATIs; Ati(d) hands out a view of one row.

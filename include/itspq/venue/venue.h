@@ -71,6 +71,11 @@ class Venue {
     return CsrList(door_offsets_, door_ids_, static_cast<size_t>(p));
   }
 
+  /// Where DoorsOf(p) starts in the flat door-side order of all lists.
+  size_t DoorListOffset(PartitionId p) const {
+    return door_offsets_[static_cast<size_t>(p)];
+  }
+
   /// Door `d`'s applicable time intervals as set (not normalised);
   /// empty means always open.
   Span<TimeInterval> DoorAti(DoorId d) const {

@@ -652,8 +652,9 @@ StatusOr<std::shared_ptr<const VersionedGraph>> ArtifactCodec::BuildWorld(
 
   // Adopt the compiled ATI rows verbatim — the decode path already
   // verified the normalisation invariant, so nothing is re-normalised.
-  // The adjacency is door lists and positions, compiled in O(doors)
-  // plus the weight-extremes pass over door pairs.
+  // The adjacency is the door positions aligned with the venue's door
+  // lists, plus the weight extremes: O(sum of k log k) over partitions
+  // of k doors.
   ItGraph graph(*version->venue_);
   graph.ati_offsets_ = std::move(world.ati_offsets);
   graph.ati_starts_ = std::move(world.ati_starts);

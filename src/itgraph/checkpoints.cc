@@ -9,6 +9,45 @@
 
 namespace itspq {
 
+namespace {
+
+/// fn(d, t) for each AtiRow::InteriorBoundaries() t of each door d, in order.
+template <typename Fn>
+void ForEachInteriorBoundary(const ItGraph& graph, Fn fn) {
+  for (size_t d = 0; d < graph.NumDoors(); ++d) {
+    const AtiRow row = graph.Ati(static_cast<DoorId>(d));
+    for (size_t i = 0; i < row.starts().size(); ++i) {
+      if (row.starts()[i] > 0) fn(d, row.starts()[i]);
+      if (row.ends()[i] < kSecondsPerDay) fn(d, row.ends()[i]);
+    }
+  }
+}
+
+/// The distinct interior ATI boundaries of `graph`, ascending. Most are
+/// found in the short sorted prefix of `seen`; the rest queue behind it
+/// until they outnumber it, then fold in, keeping the worst case O(P log P).
+std::vector<double> DistinctInteriorBoundaries(const ItGraph& graph) {
+  size_t total = 0;
+  ForEachInteriorBoundary(graph, [&total](size_t, double) { ++total; });
+  std::vector<double> seen;
+  seen.reserve(total);
+  size_t sorted = 0;
+  auto fold = [&seen, &sorted] {
+    std::sort(seen.begin(), seen.end());
+    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
+    sorted = seen.size();
+  };
+  ForEachInteriorBoundary(graph, [&](size_t, double t) {
+    if (std::binary_search(seen.begin(), seen.begin() + sorted, t)) return;
+    seen.push_back(t);
+    if (seen.size() > 2 * sorted + 16) fold();
+  });
+  fold();
+  return {seen.begin(), seen.end()};
+}
+
+}  // namespace
+
 StatusOr<CheckpointSet> CheckpointSet::FromTimes(std::vector<double> times) {
   for (double t : times) {
     if (t <= 0 || t >= kSecondsPerDay) {
@@ -24,17 +63,8 @@ StatusOr<CheckpointSet> CheckpointSet::FromTimes(std::vector<double> times) {
 }
 
 CheckpointSet CheckpointSet::FromGraph(const ItGraph& graph) {
-  std::vector<double> times;
-  const size_t n = graph.NumDoors();
-  for (size_t d = 0; d < n; ++d) {
-    const std::vector<double> boundaries =
-        graph.Ati(static_cast<DoorId>(d)).InteriorBoundaries();
-    times.insert(times.end(), boundaries.begin(), boundaries.end());
-  }
-  std::sort(times.begin(), times.end());
-  times.erase(std::unique(times.begin(), times.end()), times.end());
   CheckpointSet set;
-  set.times_ = std::move(times);
+  set.times_ = DistinctInteriorBoundaries(graph);
   return set;
 }
 
@@ -76,26 +106,21 @@ BoundaryFlipIndex BoundaryFlipIndex::FromLists(
 
 void BuildBoundaryLedger(const ItGraph& graph, std::vector<double>* times,
                          std::vector<std::vector<DoorId>>* doors) {
-  // Collect (time, door) contributions of every door, then group by
-  // time. Sorting on the pair key leaves each per-boundary door list
-  // ascending — BoundaryFlipIndex::Build's emission order.
-  std::vector<std::pair<double, DoorId>> contributions;
-  const size_t n = graph.NumDoors();
-  for (size_t d = 0; d < n; ++d) {
-    for (double t : graph.Ati(static_cast<DoorId>(d)).InteriorBoundaries()) {
-      contributions.emplace_back(t, static_cast<DoorId>(d));
-    }
-  }
-  std::sort(contributions.begin(), contributions.end());
-  times->clear();
+  // Every door is filed under its times in id order, so each list comes
+  // out ascending (BoundaryFlipIndex::Build's order), reserved ahead.
+  *times = DistinctInteriorBoundaries(graph);
+  auto slot = [times](double t) {
+    return static_cast<size_t>(
+        std::lower_bound(times->begin(), times->end(), t) - times->begin());
+  };
+  std::vector<size_t> counts(times->size());
+  ForEachInteriorBoundary(graph, [&](size_t, double t) { ++counts[slot(t)]; });
   doors->clear();
-  for (const auto& [t, d] : contributions) {
-    if (times->empty() || times->back() != t) {
-      times->push_back(t);
-      doors->emplace_back();
-    }
-    doors->back().push_back(d);
-  }
+  doors->resize(times->size());
+  for (size_t b = 0; b < counts.size(); ++b) (*doors)[b].reserve(counts[b]);
+  ForEachInteriorBoundary(graph, [&](size_t d, double t) {
+    (*doors)[slot(t)].push_back(static_cast<DoorId>(d));
+  });
 }
 
 }  // namespace itspq

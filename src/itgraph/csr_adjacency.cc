@@ -1,52 +1,75 @@
 #include "itgraph/csr_adjacency.h"
 
+#include <algorithm>
 #include <cmath>
-
-#include "venue/venue.h"
 
 namespace itspq {
 
 CsrAdjacency CsrAdjacency::Compile(const Venue& venue) {
   CsrAdjacency adj;
-  const size_t n = venue.NumDoors();
-  adj.num_doors = n;
-  adj.seg_partition.reserve(2 * n);
-  for (size_t d = 0; d < n; ++d) {
-    const auto& sides = venue.door(static_cast<DoorId>(d)).partitions;
-    adj.seg_partition.insert(adj.seg_partition.end(), sides.begin(),
-                             sides.end());
+  adj.door_positions.reserve(2 * venue.NumDoors());  // one per door side
+  size_t widest = 0;
+  for (size_t p = 0; p < venue.NumPartitions(); ++p) {
+    widest = std::max(widest,
+                      venue.DoorsOf(static_cast<PartitionId>(p)).size());
   }
+  struct SweepDoor {
+    double x, y;
+    DoorId id;
+  };
+  std::vector<SweepDoor> row;
+  row.reserve(widest);
 
-  // The weight extremes over every door pair of every partition. Taken
-  // over squared distances with one sqrt at the end: sqrt is monotone,
-  // so the result is exactly the extreme of the EuclideanDistance
-  // values a search computes.
+  // The weight extremes over every door pair of every partition, taken
+  // over squared distances with one sqrt at the end (sqrt is monotone).
+  // Doors are swept in x order, and every cut is exact: rounding is
+  // monotone, so fl(dx*dx + dy*dy) is at least fl(dx*dx) and at most the
+  // same sum over the doors' bounding box. A door naming the partition
+  // twice never pairs with itself; one at a NaN x has no weight.
   double min_sq = std::numeric_limits<double>::infinity();
   double max_sq = 0;
-  adj.door_offsets.reserve(venue.NumPartitions() + 1);
-  adj.door_offsets.push_back(0);
-  adj.door_ids.reserve(2 * n);
-  adj.door_positions.reserve(2 * n);
   for (size_t p = 0; p < venue.NumPartitions(); ++p) {
-    const size_t first = adj.door_ids.size();
+    row.clear();
     for (DoorId d : venue.DoorsOf(static_cast<PartitionId>(p))) {
-      adj.door_ids.push_back(static_cast<uint32_t>(d));
-      adj.door_positions.push_back(venue.door(d).pos);
+      const Point2d& pos = venue.door(d).pos;
+      adj.door_positions.push_back(pos);
+      if (!std::isnan(pos.x)) row.push_back({pos.x, pos.y, d});
     }
-    const size_t last = adj.door_ids.size();
-    for (size_t i = first; i < last; ++i) {
-      const Point2d& a = adj.door_positions[i];
-      for (size_t j = i + 1; j < last; ++j) {
-        if (adj.door_ids[j] == adj.door_ids[i]) continue;  // names p twice
-        const Point2d& b = adj.door_positions[j];
-        const double dx = a.x - b.x;
-        const double dy = a.y - b.y;
-        const double sq = dx * dx + dy * dy;
-        if (sq < min_sq) min_sq = sq;
-        if (sq > max_sq) max_sq = sq;
+    if (row.size() < 2) continue;
+    std::sort(row.begin(), row.end(),
+              [](const SweepDoor& a, const SweepDoor& b) { return a.x < b.x; });
+    auto pair_sq = [&row](size_t i, size_t j) {
+      const double dx = row[j].x - row[i].x;
+      const double dy = row[j].y - row[i].y;
+      return dx * dx + dy * dy;
+    };
+    // Min: a row ends at the first door whose dx alone reaches min_sq.
+    for (size_t i = 0; i + 1 < row.size(); ++i) {
+      for (size_t j = i + 1; j < row.size(); ++j) {
+        const double dx = row[j].x - row[i].x;
+        if (dx * dx >= min_sq) break;
+        if (row[j].id != row[i].id) min_sq = std::min(min_sq, pair_sq(i, j));
       }
     }
-    adj.door_offsets.push_back(static_cast<uint32_t>(last));
+    // Max: seeded with the two x-extreme doors; a row walks inward from
+    // the far x end while dx and the row's widest |dy| could still beat
+    // max_sq, and the whole partition is skipped when its box cannot.
+    const size_t last = row.size() - 1;
+    if (row[0].id != row[last].id) max_sq = std::max(max_sq, pair_sq(0, last));
+    const auto [lo, hi] = std::minmax_element(
+        row.begin(), row.end(),
+        [](const SweepDoor& a, const SweepDoor& b) { return a.y < b.y; });
+    const double width = row[last].x - row[0].x, height = hi->y - lo->y;
+    if (width * width + height * height <= max_sq) continue;
+    for (size_t i = 0; i < last; ++i) {
+      const double dy = std::max(row[i].y - lo->y, hi->y - row[i].y);
+      const double dy_sq = dy * dy;
+      for (size_t j = last; j > i; --j) {
+        const double dx = row[j].x - row[i].x;
+        if (dx * dx + dy_sq <= max_sq) break;
+        if (row[j].id != row[i].id) max_sq = std::max(max_sq, pair_sq(i, j));
+      }
+    }
   }
   adj.min_edge_weight = std::sqrt(min_sq);
   adj.max_edge_weight = std::sqrt(max_sq);

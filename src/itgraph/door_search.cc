@@ -42,11 +42,10 @@ void DoorDijkstra(const ItGraph& graph,
 
     // The doors of u's two partitions, u itself skipped as settled.
     const Point2d at = graph.DoorPos(static_cast<DoorId>(u));
-    for (size_t seg = 2 * u; seg < 2 * u + 2; ++seg) {
-      const CsrAdjacency::DoorList doors =
-          adj.DoorsOf(static_cast<size_t>(adj.seg_partition[seg]));
+    for (PartitionId side : graph.DoorPartitions(static_cast<DoorId>(u))) {
+      const CsrAdjacency::DoorList doors = adj.DoorsOf(graph.venue(), side);
       auto relax = [&](size_t k) {
-        const size_t vi = doors.ids[k];
+        const auto vi = static_cast<size_t>(doors.ids[k]);
         if (out->Settled(vi)) return;
         const double nd = top_dist + EuclideanDistance(at, doors.positions[k]);
         if (nd < out->Dist(vi)) {

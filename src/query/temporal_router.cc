@@ -7,6 +7,7 @@
 // `dep + nd * kInvWalkSpeedMps` — so the property suites can pin the
 // output bit-identically to brute-force oracles.
 
+#include <array>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -387,7 +388,8 @@ void Search(const ItGraph& graph, const QueryRequest& request,
   // the LIFO buckets: pruned ITG/S and ITG/A+ answers depend on that
   // LIFO settle order, so it is kept as it is.
   const CsrAdjacency& adj = graph.adjacency();
-  s.PrepareSearch(graph.NumDoors(), graph.venue().NumPartitions());
+  const Venue& venue = graph.venue();
+  s.PrepareSearch(graph.NumDoors(), venue.NumPartitions());
   goal.Begin(s, goal_directed);
   if (goal_directed || !adj.BucketEligible()) {
     s.frontier.ResetHeap();
@@ -435,23 +437,24 @@ void Search(const ItGraph& graph, const QueryRequest& request,
     validity.OnSettle(dep + top_dist * kInvWalkSpeedMps);
     goal.Settle(u, top_dist, s);
 
-    // Door u owns segments 2u and 2u+1, one per partition side; each
-    // scans that partition's doors, u itself (listed once per side that
-    // names the partition) skipped as settled.
-    const Point2d at = graph.DoorPos(static_cast<DoorId>(u));
-    const size_t self = adj.seg_partition[2 * u] == adj.seg_partition[2 * u + 1]
-                            ? 2
-                            : 1;
-    for (size_t seg = 2 * u; seg < 2 * u + 2; ++seg) {
-      const size_t p = static_cast<size_t>(adj.seg_partition[seg]);
+    // Each of u's two partition sides scans that partition's doors, u
+    // itself (listed once per side that names the partition) skipped as
+    // settled. Position and sides are copied out of the door record so
+    // they stay in registers across the relaxations' stores.
+    const Door& door = venue.door(static_cast<DoorId>(u));
+    const Point2d at = door.pos;
+    const std::array<PartitionId, 2> sides = door.partitions;
+    const size_t self = sides[0] == sides[1] ? 2 : 1;
+    for (PartitionId side : sides) {
+      const size_t p = static_cast<size_t>(side);
       if (prune) {
         if (s.partition_stamp[p] == s.generation) continue;
         s.partition_stamp[p] = s.generation;
       }
-      const CsrAdjacency::DoorList doors = adj.DoorsOf(p);
+      const CsrAdjacency::DoorList doors = adj.DoorsOf(venue, side);
       stats.edges_scanned += doors.size - self;
       for (size_t k = 0; k < doors.size; ++k) {
-        const size_t next = doors.ids[k];
+        const auto next = static_cast<size_t>(doors.ids[k]);
         if (s.Settled(next)) continue;
         relax(static_cast<DoorId>(next),
               top_dist + EuclideanDistance(at, doors.positions[k]),

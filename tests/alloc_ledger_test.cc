@@ -2,10 +2,12 @@
 // operator new/delete with counting ones (every other test binary keeps
 // the default allocator) and pins two properties of the flat layout:
 //
-//   - copying a Venue, ItGraph::Build, and one ATI update (FromVenue ->
-//     SetDoorAti -> Build, then ItGraph::BuildFrom) each make a fixed
-//     number of allocations, the same for a small mall as for one with
-//     twice the doors: nothing is allocated per door, partition or cell;
+//   - copying a Venue, ItGraph::Build, one ATI update (FromVenue ->
+//     SetDoorAti -> Build, then ItGraph::BuildFrom) and compiling a whole
+//     epoch (VersionedGraph::Build, under every strategy) each make a
+//     fixed number of allocations, the same for a small mall as for one
+//     with twice the doors: nothing is allocated per door, partition or
+//     cell;
 //   - Venue::MemoryUsage() + ItGraph::MemoryUsage() covers every byte
 //     the two hold on the heap, so residency budgets never undercount.
 
@@ -17,10 +19,13 @@
 #include <cstdlib>
 #include <new>
 #include <utility>
+#include <vector>
 
 #include "gen/ati_gen.h"
 #include "gen/venue_gen.h"
 #include "itgraph/itgraph.h"
+#include "query/strategies.h"
+#include "update/versioned_graph.h"
 #include "venue/venue.h"
 
 namespace {
@@ -90,6 +95,7 @@ struct Ledger {
   uint64_t copy_venue = 0;
   uint64_t build_graph = 0;
   uint64_t update = 0;
+  std::vector<uint64_t> build_version;  // one per strategy, kTvChecks order
 };
 
 Ledger Measure(const Venue& venue) {
@@ -107,6 +113,13 @@ Ledger Measure(const Venue& venue) {
     const Venue next = ValueOrDie(std::move(builder).Build(), "Build");
     ValueOrDie(ItGraph::BuildFrom(graph, next, door), "BuildFrom");
   });
+  for (TvCheck check : kTvChecks) {
+    Venue copy(venue);
+    ledger.build_version.push_back(CountAllocations([&copy, check] {
+      ValueOrDie(VersionedGraph::Build(std::move(copy), check),
+                 "VersionedGraph::Build");
+    }));
+  }
   return ledger;
 }
 
@@ -120,6 +133,7 @@ TEST(AllocationLedgerTest, VenueWorldAllocationsDoNotGrowWithTheVenue) {
   EXPECT_EQ(small.copy_venue, large.copy_venue);
   EXPECT_EQ(small.build_graph, large.build_graph);
   EXPECT_EQ(small.update, large.update);
+  EXPECT_EQ(small.build_version, large.build_version);
 }
 
 TEST(AllocationLedgerTest, MemoryUsageCoversTheLiveBytes) {

@@ -40,6 +40,7 @@
 #include "gen/ati_gen.h"
 #include "gen/query_gen.h"
 #include "gen/venue_gen.h"
+#include "hall_venue.h"
 #include "itgraph/checkpoints.h"
 #include "itgraph/door_search.h"
 #include "itgraph/itgraph.h"
@@ -989,57 +990,6 @@ TEST(FamilyBatchTest, MixedKindBatchMatchesSequentialRoutes) {
 // ---------------------------------------------------------------------
 // SearchStats::edges_scanned: the neighbours a settled door scans, per
 // partition side, not counting the door itself.
-
-// Three rooms off one hall, with doors between neighbouring rooms.
-Venue MakeHallVenue() {
-  Venue::Builder builder;
-  const PartitionId hall = builder.AddPartition(Rect{0, 10, 30, 20}, 0);
-  const PartitionId room_a = builder.AddPartition(Rect{0, 0, 10, 10}, 0);
-  const PartitionId room_b = builder.AddPartition(Rect{10, 0, 20, 10}, 0);
-  const PartitionId room_c = builder.AddPartition(Rect{20, 0, 30, 10}, 0);
-  builder.AddDoor(Point2d{5, 10}, 0, room_a, hall);
-  builder.AddDoor(Point2d{15, 10}, 0, room_b, hall);
-  builder.AddDoor(Point2d{25, 10}, 0, room_c, hall);
-  builder.AddDoor(Point2d{10, 5}, 0, room_a, room_b);
-  builder.AddDoor(Point2d{20, 5}, 0, room_b, room_c);
-  return ValueOrDie(std::move(builder).Build(), "Venue::Builder::Build");
-}
-
-// `venue` packed, then re-decoded with door `d`'s second side naming
-// its first partition too. Venue::Builder refuses such a door; a
-// re-sealed artifact is the one way in. The decoder derives the door
-// lists from the edited doors.
-LoadedVenueWorld DecodeWithDoorNamingOnePartitionTwice(const Venue& venue,
-                                                       DoorId d) {
-  std::vector<uint8_t> image =
-      ValueOrDie(EncodeVenueArtifact(venue), "EncodeVenueArtifact");
-  ArtifactHeader header;
-  std::memcpy(&header, image.data(), sizeof(header));
-  std::vector<ArtifactSectionEntry> table(header.section_count);
-  std::memcpy(table.data(), image.data() + sizeof(header),
-              table.size() * sizeof(table[0]));
-  auto payload = [&](ArtifactSection kind) {
-    for (const ArtifactSectionEntry& e : table) {
-      if (e.kind == static_cast<uint32_t>(kind)) return image.data() + e.offset;
-    }
-    ADD_FAILURE() << "no section " << static_cast<uint32_t>(kind);
-    std::abort();
-  };
-  // Doors: 32-byte records, the partition pair at bytes 20..27.
-  uint8_t* doors = payload(ArtifactSection::kDoors);
-  std::memcpy(doors + 32 * d + 24, doors + 32 * d + 20, sizeof(int32_t));
-  // Re-seal every checksum, as the writer would have.
-  for (ArtifactSectionEntry& e : table) {
-    e.checksum = ArtifactChecksum(image.data() + e.offset, e.bytes);
-  }
-  header.table_checksum =
-      ArtifactChecksum(table.data(), table.size() * sizeof(table[0]));
-  std::memcpy(image.data(), &header, sizeof(header));
-  std::memcpy(image.data() + sizeof(header), table.data(),
-              table.size() * sizeof(table[0]));
-  return ValueOrDie(DecodeVenueArtifact(image.data(), image.size()),
-                    "DecodeVenueArtifact");
-}
 
 // An NTV sweep with a budget no walk exhausts settles every door of a
 // connected venue, and a settled door scans both of its partition

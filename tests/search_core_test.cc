@@ -23,11 +23,15 @@
 #include "gen/query_gen.h"
 #include "gen/workload_gen.h"
 #include "gen/venue_gen.h"
+#include "hall_venue.h"
+#include "itgraph/checkpoints.h"
 #include "itgraph/csr_adjacency.h"
 #include "itgraph/door_mask.h"
 #include "itgraph/itgraph.h"
 #include "query/router.h"
 #include "query/strategies.h"
+#include "query/venue_catalog.h"
+#include "update/versioned_graph.h"
 #include "venue/venue.h"
 
 namespace itspq {
@@ -91,29 +95,28 @@ CoreWorld MakeWorld(uint64_t seed) {
 }
 
 // The adjacency is exactly the venue's implicit door graph, flattened:
-// per door its two partition sides, per partition its DoorsOf list in
-// order with each listed door's position.
+// per partition its DoorsOf list in order, each listed door's position
+// read from the positions aligned with the venue's lists.
 TEST(SearchCoreTest, CsrAdjacencyMatchesVenueWalk) {
   const CoreWorld world = MakeWorld(11);
   const Venue& venue = *world.venue;
   const CsrAdjacency& adj = world.graph->adjacency();
-  const size_t n = venue.NumDoors();
-  ASSERT_EQ(adj.num_doors, n);
-  ASSERT_EQ(adj.seg_partition.size(), 2 * n);
-  ASSERT_EQ(adj.door_offsets.size(), venue.NumPartitions() + 1);
-  ASSERT_EQ(adj.door_positions.size(), adj.door_ids.size());
-  for (size_t d = 0; d < n; ++d) {
-    const Door& door = venue.door(static_cast<DoorId>(d));
-    EXPECT_EQ(adj.seg_partition[2 * d], door.partitions[0]);
-    EXPECT_EQ(adj.seg_partition[2 * d + 1], door.partitions[1]);
-  }
+  size_t sides = 0;
   for (size_t p = 0; p < venue.NumPartitions(); ++p) {
-    const CsrAdjacency::DoorList doors = adj.DoorsOf(p);
+    const auto partition = static_cast<PartitionId>(p);
+    EXPECT_EQ(venue.DoorListOffset(partition), sides) << "partition " << p;
+    sides += venue.DoorsOf(partition).size();
+  }
+  ASSERT_EQ(sides, 2 * venue.NumDoors());
+  ASSERT_EQ(adj.door_positions.size(), sides);
+  for (size_t p = 0; p < venue.NumPartitions(); ++p) {
+    const auto partition = static_cast<PartitionId>(p);
+    const CsrAdjacency::DoorList doors = adj.DoorsOf(venue, partition);
     EXPECT_EQ(std::vector<DoorId>(doors.ids, doors.ids + doors.size),
-              venue.DoorsOf(static_cast<PartitionId>(p)))
+              venue.DoorsOf(partition))
         << "partition " << p;
     for (size_t k = 0; k < doors.size; ++k) {
-      const Point2d& pos = venue.door(static_cast<DoorId>(doors.ids[k])).pos;
+      const Point2d& pos = venue.door(doors.ids[k]).pos;
       EXPECT_EQ(doors.positions[k].x, pos.x) << "partition " << p;
       EXPECT_EQ(doors.positions[k].y, pos.y) << "partition " << p;
     }
@@ -157,28 +160,52 @@ TEST(SearchCoreTest, EdgeWeightIsBitwiseSymmetricOverAFleet) {
 
 // The compiled weight extremes (squared distances, one sqrt) equal a
 // brute-force pass over every pair of distinct doors sharing a
-// partition.
+// partition, each partition's doors gathered from the doors' own sides.
 void ExpectExtremesMatchBruteForce(const Venue& venue,
                                    const CsrAdjacency& adj) {
+  std::vector<std::vector<DoorId>> members(venue.NumPartitions());
+  for (size_t d = 0; d < venue.NumDoors(); ++d) {
+    const auto door = static_cast<DoorId>(d);
+    for (PartitionId p : venue.door(door).partitions) {
+      std::vector<DoorId>& list = members[static_cast<size_t>(p)];
+      if (list.empty() || list.back() != door) list.push_back(door);
+    }
+  }
   double lo = std::numeric_limits<double>::infinity();
   double hi = 0;
-  for (size_t a = 0; a < venue.NumDoors(); ++a) {
-    const Door& da = venue.door(static_cast<DoorId>(a));
-    for (size_t b = 0; b < venue.NumDoors(); ++b) {
-      const Door& db = venue.door(static_cast<DoorId>(b));
-      const bool shared =
-          std::any_of(da.partitions.begin(), da.partitions.end(),
-                      [&](PartitionId p) {
-                        return p == db.partitions[0] || p == db.partitions[1];
-                      });
-      if (a == b || !shared) continue;
-      const double w = EuclideanDistance(da.pos, db.pos);
-      lo = std::min(lo, w);
-      hi = std::max(hi, w);
+  for (const std::vector<DoorId>& list : members) {
+    for (size_t a = 0; a < list.size(); ++a) {
+      for (size_t b = a + 1; b < list.size(); ++b) {
+        const double w = EuclideanDistance(venue.door(list[a]).pos,
+                                           venue.door(list[b]).pos);
+        lo = std::min(lo, w);
+        hi = std::max(hi, w);
+      }
     }
   }
   EXPECT_EQ(Bits(adj.min_edge_weight), Bits(lo));
   EXPECT_EQ(Bits(adj.max_edge_weight), Bits(hi));
+}
+
+// The generated fleet shapes the benchmark serves, per seed: 384
+// interactive malls of one to three floors and two to four shop rows,
+// and 16 paper-size malls of five floors of four shop rows.
+std::vector<std::vector<Venue>> SeededFleets(uint64_t seed) {
+  FleetConfig interactive;
+  interactive.seed = seed;
+  interactive.num_venues = 384;
+  interactive.min_floors = 1;
+  interactive.max_floors = 3;
+  FleetConfig paper = interactive;
+  paper.num_venues = 16;
+  paper.min_floors = paper.max_floors = 5;
+  paper.min_shop_rows = paper.max_shop_rows = 4;
+  std::vector<std::vector<Venue>> fleets;
+  for (const FleetConfig& config : {interactive, paper}) {
+    fleets.push_back(
+        ValueOrDie(GenerateVenueFleet(config), "GenerateVenueFleet"));
+  }
+  return fleets;
 }
 
 TEST(SearchCoreTest, WeightExtremesMatchBruteForce) {
@@ -187,6 +214,17 @@ TEST(SearchCoreTest, WeightExtremesMatchBruteForce) {
     const ItGraph graph = ValueOrDie(ItGraph::Build(venue), "ItGraph::Build");
     ExpectExtremesMatchBruteForce(venue, graph.adjacency());
     EXPECT_TRUE(graph.adjacency().BucketEligible());
+  }
+  for (uint64_t seed : {1, 2}) {
+    for (const std::vector<Venue>& seeded : SeededFleets(seed)) {
+      for (size_t v = 0; v < seeded.size(); ++v) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " venue " +
+                     std::to_string(v) + " of " +
+                     std::to_string(seeded.size()));
+        ExpectExtremesMatchBruteForce(seeded[v],
+                                      CsrAdjacency::Compile(seeded[v]));
+      }
+    }
   }
 
   // A twin of door 0 at the same position: a zero-weight edge, so the
@@ -201,6 +239,229 @@ TEST(SearchCoreTest, WeightExtremesMatchBruteForce) {
   ExpectExtremesMatchBruteForce(twinned, graph.adjacency());
   EXPECT_EQ(graph.adjacency().min_edge_weight, 0.0);
   EXPECT_FALSE(graph.adjacency().BucketEligible());
+}
+
+/// A venue of one partition holding `walls` doors, each leading to a
+/// room of its own (which holds that door alone).
+Venue MakeOneHallVenue(const std::vector<Point2d>& doors) {
+  Venue::Builder builder;
+  const PartitionId hall = builder.AddPartition(Rect{0, 0, 100, 100}, 0);
+  for (const Point2d& pos : doors) {
+    const PartitionId room = builder.AddPartition(Rect{0, 0, 1, 1}, 0);
+    builder.AddDoor(pos, 0, hall, room);
+  }
+  return ValueOrDie(std::move(builder).Build(), "Venue::Builder::Build");
+}
+
+void ExpectExtremes(const Venue& venue, double min, double max) {
+  const CsrAdjacency adj = CsrAdjacency::Compile(venue);
+  ExpectExtremesMatchBruteForce(venue, adj);
+  EXPECT_EQ(Bits(adj.min_edge_weight), Bits(min));
+  EXPECT_EQ(Bits(adj.max_edge_weight), Bits(max));
+}
+
+// The x-ordered sweep at its edge cases, bitwise against brute force
+// and against weights worked out by hand.
+TEST(SearchCoreTest, WeightExtremesOfHandBuiltPartitions) {
+  const double inf = std::numeric_limits<double>::infinity();
+  {
+    SCOPED_TRACE("colinear doors on one horizontal wall");
+    ExpectExtremes(MakeOneHallVenue({{3, 10}, {10, 10}, {10.5, 10},
+                                     {40, 10}, {97, 10}}),
+                   0.5, 94);
+  }
+  {
+    SCOPED_TRACE("colinear doors on one vertical wall, all at equal x");
+    ExpectExtremes(MakeOneHallVenue({{0, 80}, {0, 5}, {0, 12.25}, {0, 12}}),
+                   0.25, 75);
+  }
+  {
+    SCOPED_TRACE("doors at equal x on both walls");
+    ExpectExtremes(MakeOneHallVenue({{5, 0}, {45, 10}, {20, 10}, {5, 10},
+                                     {45, 0}, {20, 0}}),
+                   10, EuclideanDistance({5, 0}, {45, 10}));
+  }
+  {
+    // Seeded with the x-extreme pair (0, 5)-(10, 10), the sweep must
+    // still reach the wider (1, 0)-(10, 10) pair from its second row.
+    SCOPED_TRACE("the widest pair is not the x-extreme pair");
+    ExpectExtremes(MakeOneHallVenue({{0, 5}, {1, 0}, {2, 5}, {10, 10}}), 2,
+                   EuclideanDistance({1, 0}, {10, 10}));
+  }
+  {
+    SCOPED_TRACE("coincident doors");
+    const Venue venue = MakeOneHallVenue({{7, 3}, {30, 3}, {7, 3}, {60, 9}});
+    ExpectExtremes(venue, 0, EuclideanDistance({7, 3}, {60, 9}));
+    EXPECT_FALSE(CsrAdjacency::Compile(venue).BucketEligible());
+  }
+  {
+    SCOPED_TRACE("single-door partitions only");
+    Venue::Builder builder;
+    for (int pair = 0; pair < 3; ++pair) {
+      const double x = 20.0 * pair;
+      const PartitionId a = builder.AddPartition(Rect{x, 0, x + 10, 10}, 0);
+      const PartitionId b =
+          builder.AddPartition(Rect{x + 10, 0, x + 20, 10}, 0);
+      builder.AddDoor(Point2d{x + 10, 5}, 0, a, b);
+    }
+    const Venue venue =
+        ValueOrDie(std::move(builder).Build(), "Venue::Builder::Build");
+    ExpectExtremes(venue, inf, 0);
+    EXPECT_FALSE(CsrAdjacency::Compile(venue).BucketEligible());
+  }
+  {
+    // Door 3 (room a | room b at (10, 5)) made to name room a twice:
+    // room a lists it twice beside door 0 at (5, 10), and neither entry
+    // pairs with the other.
+    SCOPED_TRACE("a door naming one partition twice");
+    const LoadedVenueWorld loaded =
+        DecodeWithDoorNamingOnePartitionTwice(MakeHallVenue(), DoorId{3});
+    ASSERT_EQ(loaded.venue->DoorsOf(PartitionId{1}).size(), 3u);
+    ExpectExtremes(*loaded.venue, EuclideanDistance({5, 10}, {10, 5}), 20);
+  }
+  {
+    SCOPED_TRACE("a partition holding only a door naming it twice");
+    Venue::Builder builder;
+    const PartitionId a = builder.AddPartition(Rect{0, 0, 10, 10}, 0);
+    const PartitionId b = builder.AddPartition(Rect{10, 0, 20, 10}, 0);
+    builder.AddDoor(Point2d{10, 5}, 0, a, b);
+    const Venue venue =
+        ValueOrDie(std::move(builder).Build(), "Venue::Builder::Build");
+    const LoadedVenueWorld loaded =
+        DecodeWithDoorNamingOnePartitionTwice(venue, DoorId{0});
+    ASSERT_EQ(loaded.venue->DoorsOf(a).size(), 2u);
+    ExpectExtremes(*loaded.venue, inf, 0);
+  }
+}
+
+// The pair-sort boundary ledger BuildBoundaryLedger replaced: every
+// (time, door) contribution of every door, sorted, grouped by time.
+void PairSortLedger(const ItGraph& graph, std::vector<double>* times,
+                    std::vector<std::vector<DoorId>>* doors) {
+  std::vector<std::pair<double, DoorId>> contributions;
+  for (size_t d = 0; d < graph.NumDoors(); ++d) {
+    for (double t : graph.Ati(static_cast<DoorId>(d)).InteriorBoundaries()) {
+      contributions.emplace_back(t, static_cast<DoorId>(d));
+    }
+  }
+  std::sort(contributions.begin(), contributions.end());
+  times->clear();
+  doors->clear();
+  for (const auto& [t, d] : contributions) {
+    if (times->empty() || times->back() != t) {
+      times->push_back(t);
+      doors->emplace_back();
+    }
+    doors->back().push_back(d);
+  }
+}
+
+void ExpectLedgerMatchesPairSort(const ItGraph& graph) {
+  std::vector<double> times, want_times;
+  std::vector<std::vector<DoorId>> doors, want_doors;
+  BuildBoundaryLedger(graph, &times, &doors);
+  PairSortLedger(graph, &want_times, &want_doors);
+  EXPECT_EQ(times, want_times);
+  EXPECT_EQ(doors, want_doors);
+  EXPECT_EQ(CheckpointSet::FromGraph(graph).times(), want_times);
+}
+
+/// `venue` with door d's intervals replaced by atis[d].
+Venue WithAtis(const Venue& venue,
+               const std::vector<std::vector<TimeInterval>>& atis) {
+  Venue::Builder builder = Venue::Builder::FromVenue(venue);
+  for (size_t d = 0; d < atis.size(); ++d) {
+    EXPECT_TRUE(builder.SetDoorAti(static_cast<DoorId>(d), atis[d]).ok());
+  }
+  return ValueOrDie(std::move(builder).Build(), "Venue::Builder::Build");
+}
+
+// Hand-set ATIs: a few shared times arriving out of order (fewer than
+// the distinct-time search ever folds before its last pass), and many
+// distinct times arriving in descending order, folded several times.
+TEST(SearchCoreTest, BoundaryLedgerOfHandBuiltAtis) {
+  const Venue few = WithAtis(
+      MakeHallVenue(),
+      {{MakeInterval(8, 0, 12, 0), MakeInterval(13, 0, 18, 0)},
+       {},
+       {MakeInterval(22, 0, 6, 0)},
+       {MakeInterval(9, 0, 17, 0)},
+       {MakeInterval(9, 0, 17, 0)}});
+  const ItGraph few_graph = ValueOrDie(ItGraph::Build(few), "ItGraph::Build");
+  std::vector<double> times;
+  std::vector<std::vector<DoorId>> doors;
+  BuildBoundaryLedger(few_graph, &times, &doors);
+  const double h = 3600;
+  EXPECT_EQ(times, (std::vector<double>{6 * h, 8 * h, 9 * h, 12 * h, 13 * h,
+                                        17 * h, 18 * h, 22 * h}));
+  EXPECT_EQ(doors, (std::vector<std::vector<DoorId>>{
+                       {2}, {0}, {3, 4}, {0}, {0}, {3, 4}, {0}, {2}}));
+  ExpectLedgerMatchesPairSort(few_graph);
+
+  std::vector<Point2d> positions;
+  std::vector<std::vector<TimeInterval>> atis;
+  for (int d = 0; d < 40; ++d) {
+    positions.push_back({2.0 * d, 0});
+    const double open = 80000 - 1000.0 * d;
+    atis.push_back({{open, open + 60}});
+  }
+  const Venue many = WithAtis(MakeOneHallVenue(positions), atis);
+  const ItGraph many_graph =
+      ValueOrDie(ItGraph::Build(many), "ItGraph::Build");
+  BuildBoundaryLedger(many_graph, &times, &doors);
+  EXPECT_EQ(times.size(), 80u);
+  ExpectLedgerMatchesPairSort(many_graph);
+}
+
+TEST(SearchCoreTest, BoundaryLedgerMatchesPairSortOverSeededFleets) {
+  for (uint64_t seed : {1, 2}) {
+    for (const std::vector<Venue>& seeded : SeededFleets(seed)) {
+      for (size_t v = 0; v < seeded.size(); ++v) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " venue " +
+                     std::to_string(v) + " of " +
+                     std::to_string(seeded.size()));
+        ExpectLedgerMatchesPairSort(
+            ValueOrDie(ItGraph::Build(seeded[v]), "ItGraph::Build"));
+      }
+    }
+  }
+}
+
+// The update plane patches an epoch's ledger door by door; after every
+// update of a seeded stream, the published checkpoints and flip lists
+// equal the ledger compiled from scratch for the new graph.
+TEST(SearchCoreTest, IncrementalLedgerMatchesRebuildAcrossAnUpdateStream) {
+  std::vector<std::vector<Venue>> fleets = SeededFleets(1);
+  VenueCatalog catalog;
+  for (Venue& venue : fleets[1]) {
+    ValueOrDie(catalog.AddVenue(std::move(venue), "itg-s"), "AddVenue");
+  }
+  UpdateStreamConfig config;
+  config.num_updates = 160;
+  config.seed = 29;
+  config.wrap_fraction = 0.25;
+  config.always_open_fraction = 0.25;
+  for (const TimedAtiUpdate& timed : ValueOrDie(
+           GenerateUpdateStream(catalog, config), "GenerateUpdateStream")) {
+    const AtiUpdate& update = timed.update;
+    SCOPED_TRACE("venue " + std::to_string(update.venue_id) + " door " +
+                 std::to_string(update.door_id));
+    ValueOrDie(catalog.ApplyAtiUpdate(update), "ApplyAtiUpdate");
+    const std::shared_ptr<const VersionedGraph> world =
+        catalog.world(update.venue_id);
+    ExpectLedgerMatchesPairSort(world->graph());
+    std::vector<double> times;
+    std::vector<std::vector<DoorId>> doors;
+    BuildBoundaryLedger(world->graph(), &times, &doors);
+    EXPECT_EQ(world->checkpoints().times(), times);
+    const BoundaryFlipIndex& flips = world->flip_index();
+    ASSERT_EQ(flips.NumBoundaries(), doors.size());
+    for (size_t b = 0; b < doors.size(); ++b) {
+      EXPECT_EQ(std::vector<DoorId>(flips.FlipsBegin(b), flips.FlipsEnd(b)),
+                doors[b])
+          << "boundary " << b;
+    }
+  }
 }
 
 // The membership reference for the flat rows: a binary search for the
@@ -266,16 +527,16 @@ TEST(SearchCoreTest, DoorMaskScanHelpersMatchPerBitLoop) {
     }
 
     // ForEachSetAmong over a random (sorted, CSR-like) id list.
-    std::vector<uint32_t> ids;
+    std::vector<DoorId> ids;
     for (size_t i = 0; i < n; ++i) {
-      if (rng.UniformIndex(2) == 0) ids.push_back(static_cast<uint32_t>(i));
+      if (rng.UniformIndex(2) == 0) ids.push_back(static_cast<DoorId>(i));
     }
     std::vector<size_t> got;
     mask.ForEachSetAmong(ids.data(), ids.size(),
                          [&](size_t k) { got.push_back(k); });
     std::vector<size_t> want;
     for (size_t k = 0; k < ids.size(); ++k) {
-      if (mask.Test(static_cast<DoorId>(ids[k]))) want.push_back(k);
+      if (mask.Test(ids[k])) want.push_back(k);
     }
     EXPECT_EQ(got, want) << "n=" << n;
 
