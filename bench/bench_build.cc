@@ -1,11 +1,10 @@
 // Construction cost: venue generation, temporal-variation assignment,
 // IT-Graph build, and checkpoint derivation, as the mall grows from one to
-// five floors — plus the PR-7 fleet cold-start experiment: booting a
-// city-scale catalog of full venue worlds (geometry + compiled graph +
-// checkpoint ledger + materialised D2D index, the world an artifact
-// packs) from `.itspq` files versus generate+build-at-boot, and serving
-// a Zipf workload through a residency-budgeted lazy catalog versus a
-// fully resident one.
+// five floors — plus the fleet cold-start experiment: booting a
+// city-scale catalog of serving worlds (geometry + compiled graph +
+// checkpoint ledger) from `.itspq` files versus generate+build-at-boot,
+// and serving a Zipf workload through a residency-budgeted lazy catalog
+// versus a fully resident one.
 //
 // Flags:
 //   --seed=S          fleet + workload seed (default 7)
@@ -31,7 +30,6 @@
 #include "bench/bench_common.h"
 #include "common/memory_tracker.h"
 #include "common/stats.h"
-#include "itgraph/d2d_index.h"
 #include "query/sharded_router.h"
 #include "query/venue_catalog.h"
 #include "update/versioned_graph.h"
@@ -81,9 +79,8 @@ struct FleetResult {
   uint64_t seed = 0;
   double generate_ms = 0;       // fleet generation alone
   double eager_graph_ms = 0;    // graph compile + router build, all shards
-  double eager_d2d_ms = 0;      // D2D Dijkstra sweep, all shards
   double eager_boot_ms = 0;     // generate + build the full world in-process
-  double artifact_build_ms = 0; // offline: compile + D2D + encode + write
+  double artifact_build_ms = 0; // offline: generate + encode + write
   double artifact_boot_ms = 0;  // load the full world from disk
   double cold_start_speedup = 0;
   size_t artifact_bytes = 0;
@@ -113,12 +110,10 @@ FleetResult RunFleetColdStart(size_t fleet_size, uint64_t seed,
   config.num_venues = static_cast<int>(fleet_size);
   config.seed = seed;
 
-  // Eager boot: what a server pays today to assemble the full venue
-  // world in-process — generate the fleet, build every shard (graph
-  // compile, checkpoint ledger, router), then run the D2D Dijkstra
-  // sweep per venue. The D2D index is part of the world an artifact
-  // packs (it is the expensive piece the offline builder amortises), so
-  // both sides of the comparison produce it.
+  // Eager boot: what a server pays to assemble the serving world
+  // in-process — generate the fleet, then build every shard (graph
+  // compile, checkpoint ledger, router). Both sides of the comparison
+  // end with the same published worlds.
   Timer eager_timer;
   auto fleet = GenerateVenueFleet(config);
   if (!fleet.ok()) {
@@ -135,27 +130,12 @@ FleetResult RunFleetColdStart(size_t fleet_size, uint64_t seed,
       return result;
     }
   }
-  result.eager_graph_ms = eager_timer.ElapsedMillis() - result.generate_ms;
-  std::vector<D2dIndex> eager_d2d;
-  eager_d2d.reserve(eager.NumVenues());
-  size_t eager_d2d_bytes = 0;
-  for (size_t i = 0; i < eager.NumVenues(); ++i) {
-    auto d2d = D2dIndex::Build(eager.graph(static_cast<VenueId>(i)));
-    if (!d2d.ok()) {
-      std::printf("D2dIndex::Build failed: %s\n",
-                  d2d.status().ToString().c_str());
-      return result;
-    }
-    eager_d2d_bytes += d2d->MemoryUsage();
-    eager_d2d.push_back(*std::move(d2d));
-  }
   result.eager_boot_ms = eager_timer.ElapsedMillis();
-  result.eager_d2d_ms =
-      result.eager_boot_ms - result.generate_ms - result.eager_graph_ms;
+  result.eager_graph_ms = result.eager_boot_ms - result.generate_ms;
 
   // Offline build: regenerate (artifacts must not depend on the eager
-  // catalog's state) and pack with the D2D matrix embedded. This is the
-  // cost itspq_build pays once per format version, not the serving boot.
+  // catalog's state) and pack. This is the cost itspq_build pays once
+  // per format version, not the serving boot.
   (void)std::system(("mkdir -p " + artifacts_dir).c_str());
   Timer build_timer;
   auto source = GenerateVenueFleet(config);
@@ -165,9 +145,7 @@ FleetResult RunFleetColdStart(size_t fleet_size, uint64_t seed,
     char name[64];
     std::snprintf(name, sizeof(name), "/venue_%04zu.itspq", i);
     paths.push_back(artifacts_dir + name);
-    ArtifactWriteOptions options;
-    options.include_d2d = true;
-    Status written = WriteVenueArtifact(paths.back(), (*source)[i], options);
+    Status written = WriteVenueArtifact(paths.back(), (*source)[i]);
     if (!written.ok()) {
       std::printf("WriteVenueArtifact failed: %s\n",
                   written.ToString().c_str());
@@ -176,14 +154,11 @@ FleetResult RunFleetColdStart(size_t fleet_size, uint64_t seed,
   }
   result.artifact_build_ms = build_timer.ElapsedMillis();
 
-  // Artifact boot: reconstruct the same full worlds from disk — decode,
-  // adopt the packed D2D matrix, publish epoch 0. This is the path the
-  // ≥10x claim is about.
+  // Artifact boot: reconstruct the same worlds from disk — decode,
+  // compile the ATI rows, adopt the stored ledger, publish epoch 0.
   Timer boot_timer;
   std::vector<std::shared_ptr<const VersionedGraph>> worlds;
-  std::vector<std::vector<double>> loaded_d2d;
   worlds.reserve(paths.size());
-  loaded_d2d.reserve(paths.size());
   for (const std::string& path : paths) {
     auto decoded = LoadVenueArtifact(path);
     if (!decoded.ok()) {
@@ -191,7 +166,6 @@ FleetResult RunFleetColdStart(size_t fleet_size, uint64_t seed,
                   decoded.status().ToString().c_str());
       return result;
     }
-    loaded_d2d.push_back(std::move(decoded->d2d_matrix));
     auto world = BuildWorldFromArtifact(*std::move(decoded), kFleetStrategy);
     if (!world.ok()) {
       std::printf("BuildWorldFromArtifact failed: %s\n",
@@ -205,10 +179,8 @@ FleetResult RunFleetColdStart(size_t fleet_size, uint64_t seed,
       result.artifact_boot_ms > 0
           ? result.eager_boot_ms / result.artifact_boot_ms
           : 0;
-  size_t loaded_d2d_bytes = 0;
-  for (size_t i = 0; i < worlds.size(); ++i) {
-    result.resident_bytes_full += worlds[i]->MemoryUsage();
-    loaded_d2d_bytes += loaded_d2d[i].size() * sizeof(double);
+  for (const auto& world : worlds) {
+    result.resident_bytes_full += world->MemoryUsage();
   }
   for (const std::string& path : paths) {
     std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -218,31 +190,23 @@ FleetResult RunFleetColdStart(size_t fleet_size, uint64_t seed,
       std::fclose(f);
     }
   }
-  if (loaded_d2d_bytes != eager_d2d_bytes) {
-    std::printf("warning: loaded D2D bytes (%zu) != eager D2D bytes (%zu)\n",
-                loaded_d2d_bytes, eager_d2d_bytes);
-  }
 
   std::printf("%-34s %12s\n", "phase", "wall ms");
   std::printf("%-34s %12.1f\n", "generate fleet", result.generate_ms);
   std::printf("%-34s %12.1f\n", "eager: graph+router build",
               result.eager_graph_ms);
-  std::printf("%-34s %12.1f\n", "eager: D2D sweep", result.eager_d2d_ms);
-  std::printf("%-34s %12.1f\n", "eager boot total (gen+build+D2D)",
+  std::printf("%-34s %12.1f\n", "eager boot total (gen+build)",
               result.eager_boot_ms);
-  std::printf("%-34s %12.1f\n", "offline pack (once, with D2D)",
+  std::printf("%-34s %12.1f\n", "offline pack (once)",
               result.artifact_build_ms);
   std::printf("%-34s %12.1f\n", "artifact boot (load full world)",
               result.artifact_boot_ms);
-  std::printf("cold-start speedup: %.1fx (artifacts %s on disk, %s graphs "
-              "+ %s D2D resident)\n",
+  std::printf("cold-start speedup: %.1fx (artifacts %s on disk, %s "
+              "resident)\n",
               result.cold_start_speedup,
               FormatBytes(result.artifact_bytes).c_str(),
-              FormatBytes(result.resident_bytes_full).c_str(),
-              FormatBytes(loaded_d2d_bytes).c_str());
+              FormatBytes(result.resident_bytes_full).c_str());
   worlds.clear();
-  loaded_d2d.clear();
-  eager_d2d.clear();
 
   // Lazy serve: a fresh lazy catalog under a budget of ~25% of the
   // fully resident fleet, against the eager catalog as ground truth.
@@ -341,7 +305,6 @@ void WriteJson(const FleetResult& r, const std::string& path) {
                "  \"strategy\": \"%s\",\n"
                "  \"generate_ms\": %.3f,\n"
                "  \"eager_graph_ms\": %.3f,\n"
-               "  \"eager_d2d_ms\": %.3f,\n"
                "  \"eager_boot_ms\": %.3f,\n"
                "  \"artifact_build_ms\": %.3f,\n"
                "  \"artifact_boot_ms\": %.3f,\n"
@@ -360,7 +323,7 @@ void WriteJson(const FleetResult& r, const std::string& path) {
                "}\n",
                r.fleet_size, static_cast<unsigned long long>(r.seed),
                kFleetStrategy, r.generate_ms, r.eager_graph_ms,
-               r.eager_d2d_ms, r.eager_boot_ms,
+               r.eager_boot_ms,
                r.artifact_build_ms, r.artifact_boot_ms, r.cold_start_speedup,
                r.artifact_bytes, r.resident_bytes_full,
                r.residency_budget_bytes, r.max_resident_lazy_bytes,

@@ -4,17 +4,16 @@
 // Packed venue artifacts: build-once/load-fast serialization of a full
 // venue world (format.h documents the on-disk layout).
 //
-// The write side compiles everything expensive exactly once — ATIs
-// are normalised, the checkpoint ledger and flip CSR are derived, the
-// D2D matrix optionally materialised — and packs it into one flat
-// `.itspq` file:
+// The write side packs the venue and its boundary ledger (checkpoint
+// times + flip lists, derived once here) into one flat `.itspq` file:
 //
-//   ItGraph + ledger + (D2D)   EncodeVenueArtifact / WriteVenueArtifact
+//   Venue + ledger   EncodeVenueArtifact / WriteVenueArtifact
 //
-// The load side is O(file size): every section is checksummed, bounds-
-// checked, and adopted verbatim — no AtiSet::Create, no Dijkstra, no
-// checkpoint probe. BuildWorldFromArtifact then publishes the decoded
-// world as a `VersionedGraph` epoch 0, so lazy shards compose with the
+// The load side checksums and bounds-checks every section and adopts
+// the venue and the ledger as stored. BuildWorldFromArtifact then
+// compiles the ATI rows and the adjacency with ItGraph::Build, as
+// VersionedGraph::Build does, and publishes the world as a
+// `VersionedGraph` epoch 0, so lazy shards compose with the
 // online-update plane unchanged:
 //
 //   LoadVenueArtifact(path) -> LoadedVenueWorld
@@ -40,36 +39,23 @@ namespace itspq {
 class VersionedGraph;
 
 struct ArtifactWriteOptions {
-  /// Materialise and embed the n x n D2D matrix (one static Dijkstra
-  /// per door at encode time — the whole point is paying it offline).
-  bool include_d2d = false;
   /// Human-readable shard label carried in the Meta section.
   std::string label;
 };
 
-/// A decoded artifact: everything needed to assemble a serving world
-/// with zero re-normalisation. `venue` is heap-held because Venue has
-/// no public default constructor.
+/// A decoded artifact: the venue and its boundary ledger. `venue` is
+/// heap-held because Venue has no public default constructor.
 struct LoadedVenueWorld {
   std::unique_ptr<Venue> venue;
-  /// The compiled ATI rows, adopted verbatim into the ItGraph: door d's
-  /// normalised intervals are [ati_starts[i], ati_ends[i]) for i in
-  /// [ati_offsets[d], ati_offsets[d + 1]).
-  std::vector<uint32_t> ati_offsets;
-  std::vector<double> ati_starts;
-  std::vector<double> ati_ends;
   /// The boundary ledger: checkpoint_times[i] is contributed by exactly
   /// the (ascending) doors in flip_lists[i].
   std::vector<double> checkpoint_times;
   std::vector<std::vector<DoorId>> flip_lists;
-  /// Row-major n x n materialised distances; empty when the artifact
-  /// was written without --d2d.
-  std::vector<double> d2d_matrix;
   std::string label;
 };
 
-/// Compiles `venue` into a packed artifact image. Errors when the
-/// venue's ATIs fail graph compilation.
+/// Packs `venue` and its boundary ledger into an artifact image. Errors
+/// when the venue's ATIs fail graph compilation.
 StatusOr<std::vector<uint8_t>> EncodeVenueArtifact(
     const Venue& venue,
     const ArtifactWriteOptions& options = ArtifactWriteOptions());
@@ -86,7 +72,7 @@ Status WriteVenueArtifact(const std::string& path, const Venue& venue,
 StatusOr<LoadedVenueWorld> DecodeVenueArtifact(const uint8_t* data,
                                                size_t size);
 
-/// Reads `path` into memory and decodes it. O(file size).
+/// Reads `path` into memory and decodes it.
 StatusOr<LoadedVenueWorld> LoadVenueArtifact(const std::string& path);
 
 /// Cheap registration-time check: reads only the header + section table
@@ -102,8 +88,9 @@ StatusOr<std::vector<std::string>> ReadFleetManifest(const std::string& path);
 
 /// Assembles a serving world from a decoded artifact and publishes it
 /// as a `VersionedGraph` epoch 0 under strategy `check` — the lazy-load
-/// equivalent of VersionedGraph::Build(venue, ...), minus all the
-/// compilation that build performs (the artifact already carries it).
+/// equivalent of VersionedGraph::Build(venue, ...), which it matches
+/// but for the boundary ledger, adopted from the file instead of
+/// derived.
 StatusOr<std::shared_ptr<const VersionedGraph>> BuildWorldFromArtifact(
     LoadedVenueWorld world, TvCheck check,
     const RouterBuildOptions& options = RouterBuildOptions());

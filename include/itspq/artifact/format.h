@@ -3,16 +3,12 @@
 
 // On-disk layout of a packed venue artifact (`.itspq`).
 //
-// An artifact is one flat, offset-based binary file holding everything a
-// shard needs to serve: the Venue (geometry, doors, ATIs, point-location
-// grid), the compiled IT-Graph ATI rows, the CheckpointSet, the
-// BoundaryFlipIndex CSR, and optionally the materialized D2D matrix. The
-// loader reconstructs a serving world with zero re-normalisation — no
-// AtiSet::Create, no checkpoint probe. The only things it derives are
-// the partition door lists (one counting pass over the doors) and the
-// search adjacency (door positions aligned with those lists, plus an
-// x-ordered sweep of each partition's doors for the weight extremes);
-// edge weights are never stored.
+// An artifact is one flat, offset-based binary file holding what a shard
+// reads to serve: the Venue (geometry, doors, source ATIs, point-location
+// grid) and the boundary ledger (checkpoint times + flip lists). The
+// loader derives the rest as VersionedGraph::Build does: the partition
+// door lists, the ATI rows and the search adjacency. Edge weights are
+// never stored.
 //
 //   [ArtifactHeader | section table | section 0 | section 1 | ... ]
 //
@@ -46,26 +42,29 @@ inline constexpr char kArtifactMagic[8] = {'I', 'T', 'S', 'P',
 ///   4 — drops the DoorsOf section: the loader derives the partition
 ///       door lists from the Doors section. Every other section keeps
 ///       its v3 bytes; v3 files must still be rebuilt.
-inline constexpr uint32_t kArtifactFormatVersion = 4;
+///   5 — drops the CompiledAtis and D2d sections (the loader compiles
+///       the ATI rows from DoorAtis), and merges Checkpoints and
+///       FlipIndex into one Ledger section. Meta loses its flags field
+///       and DoorAtis its leading offset count. v4 files must be rebuilt.
+inline constexpr uint32_t kArtifactFormatVersion = 5;
 
 /// Written as 0x01020304 by a little-endian writer; a reader seeing the
 /// byte-swapped value knows the file came from the other endianness.
 inline constexpr uint32_t kArtifactEndianTag = 0x01020304u;
 
-/// Section kinds, in the order the writer emits them. Readers locate
-/// sections by kind through the table, not by position. Kinds 5
-/// (DoorsOf, v1-v3), 6 (DistanceMatrices, v1-v2) and 12 (AdjacencyCsr,
-/// v2) are retired and stay reserved.
+/// Section kinds, in the order the writer emits them; every one is
+/// required. Readers locate sections by kind through the table, not by
+/// position. Retired kinds stay reserved: 5 (DoorsOf, v1-v3),
+/// 6 (DistanceMatrices, v1-v2), 8 (CompiledAtis, v1-v4), 9 (Checkpoints,
+/// v1-v4), 10 (FlipIndex, v1-v4), 11 (D2d, v1-v4) and 12 (AdjacencyCsr,
+/// v2).
 enum class ArtifactSection : uint32_t {
-  kMeta = 1,              // counts, flags, label
-  kPartitions = 2,        // Rect + floor per partition
-  kDoors = 3,             // position, floor, partition pair per door
-  kDoorAtis = 4,          // per-door source TimeInterval CSR (pre-normalisation)
-  kFloorIndex = 7,        // per-floor point-location grids
-  kCompiledAtis = 8,      // per-door normalised ATI row CSR (starts/ends)
-  kCheckpoints = 9,       // sorted checkpoint times
-  kFlipIndex = 10,        // per-boundary flip-list CSR (the ledger)
-  kD2d = 11,              // optional n x n materialized distance matrix
+  kMeta = 1,        // partition and door counts, label
+  kPartitions = 2,  // Rect + floor per partition
+  kDoors = 3,       // position, floor, partition pair per door
+  kDoorAtis = 4,    // per-door source TimeInterval CSR (pre-normalisation)
+  kFloorIndex = 7,  // per-floor point-location grids
+  kLedger = 13,     // checkpoint times, then the per-boundary flip-list CSR
 };
 
 /// Fixed 40-byte file header. `table_checksum` covers the raw bytes of

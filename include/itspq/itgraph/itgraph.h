@@ -88,8 +88,6 @@ class ItGraph {
   size_t MemoryUsage() const;
 
  private:
-  friend class ArtifactCodec;  // adopts decoded ATI rows verbatim
-
   explicit ItGraph(const Venue& venue) : venue_(&venue) {}
 
   /// Fills the empty ATI rows: every door's normalised from venue_, or,

@@ -65,8 +65,8 @@ class VersionedGraph {
  private:
   friend class UpdateApplier;
   /// The artifact loader (artifact/artifact.h) assembles epoch 0 from a
-  /// decoded file: it fills the ledger directly and calls FinishBuild,
-  /// skipping the graph compilation Build() performs.
+  /// decoded file: it compiles the graph as Build() does, adopts the
+  /// stored ledger instead of deriving it, and calls FinishBuild.
   friend class ArtifactCodec;
 
   VersionedGraph() = default;

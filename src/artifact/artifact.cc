@@ -13,7 +13,6 @@
 #include "artifact/format.h"
 #include "common/time.h"
 #include "itgraph/checkpoints.h"
-#include "itgraph/d2d_index.h"
 #include "itgraph/itgraph.h"
 #include "update/versioned_graph.h"
 
@@ -136,13 +135,10 @@ class ByteReader {
   bool failed_ = false;
 };
 
-constexpr uint64_t kFlagHasD2d = 1;
-
 // Fixed-size records, laid out exactly as on disk.
 struct MetaRecord {  // followed by the label bytes
   uint64_t num_partitions;
   uint64_t num_doors;
-  uint64_t flags;
   uint64_t label_bytes;
 };
 struct PartitionRecord {
@@ -160,15 +156,16 @@ struct GridRecord {  // FloorIndex grid header, one per floor
   double origin_x, origin_y, cell;
   int32_t cols, rows;
 };
-static_assert(sizeof(MetaRecord) == 32 && sizeof(PartitionRecord) == 40 &&
+static_assert(sizeof(MetaRecord) == 24 && sizeof(PartitionRecord) == 40 &&
                   sizeof(DoorRecord) == 32 && sizeof(GridRecord) == 32,
               "artifact record layout is fixed");
 
 }  // namespace
 
-/// Befriended by Venue, ItGraph, and VersionedGraph: encodes
-/// their private representations verbatim and re-adopts them at load
-/// time without recompiling anything.
+/// Befriended by Venue and VersionedGraph: encodes the venue's private
+/// representation verbatim, and at load time adopts it and the stored
+/// boundary ledger, compiling the ATI rows as VersionedGraph::Build
+/// does.
 class ArtifactCodec {
  public:
   static StatusOr<std::vector<uint8_t>> Encode(
@@ -178,15 +175,13 @@ class ArtifactCodec {
       LoadedVenueWorld world, TvCheck check,
       const RouterBuildOptions& options);
 
-  /// What the section encoders read: the venue and everything compiled
-  /// from it once, at encode time.
+  /// What the section encoders read: the venue and its boundary
+  /// ledger, derived once, at encode time.
   struct Source {
     const Venue& venue;
-    const ItGraph& graph;
     const ArtifactWriteOptions& options;
     std::vector<double> times;
     std::vector<std::vector<DoorId>> flip_lists;
-    std::unique_ptr<D2dIndex> d2d;
   };
   /// What the section decoders fill, in table order: each decoder may
   /// rely on every section before it.
@@ -196,12 +191,10 @@ class ArtifactCodec {
     LoadedVenueWorld world;
   };
   /// One row of the section table: the section's layout, written and
-  /// read. An optional section (D2d) is present exactly when Meta's
-  /// kFlagHasD2d is set.
+  /// read. Every section is required.
   struct Section {
     ArtifactSection kind;
     const char* name;
-    bool required;
     void (*encode)(const Source&, ByteWriter&);
     Status (*decode)(ByteReader&, Sink&);
   };
@@ -212,11 +205,10 @@ class ArtifactCodec {
 // holds only its section's semantic invariants: the decode loop checks
 // presence, duplicates and trailing bytes once for every row.
 const ArtifactCodec::Section ArtifactCodec::kSections[] = {
-    {ArtifactSection::kMeta, "Meta", true,
+    {ArtifactSection::kMeta, "Meta",
      [](const Source& s, ByteWriter& w) {
        const std::string& label = s.options.label;
        w.Put(MetaRecord{s.venue.partitions_.size(), s.venue.doors_.size(),
-                        s.options.include_d2d ? kFlagHasD2d : 0,
                         label.size()});
        w.Raw(label.data(), label.size());
      },
@@ -234,7 +226,7 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
        }
        return Status::Ok();
      }},
-    {ArtifactSection::kPartitions, "Partitions", true,
+    {ArtifactSection::kPartitions, "Partitions",
      [](const Source& s, ByteWriter& w) {
        for (const Partition& p : s.venue.partitions_) {
          w.Put(PartitionRecord{p.rect.min_x, p.rect.min_y, p.rect.max_x,
@@ -255,7 +247,7 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
        }
        return Status::Ok();
      }},
-    {ArtifactSection::kDoors, "Doors", true,
+    {ArtifactSection::kDoors, "Doors",
      [](const Source& s, ByteWriter& w) {
        for (const Door& d : s.venue.doors_) {
          w.Put(DoorRecord{d.pos.x, d.pos.y, d.floor,
@@ -287,24 +279,32 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
        k.venue.BuildDoorLists();
        return Status::Ok();
      }},
-    {ArtifactSection::kDoorAtis, "DoorAtis", true,
-     // The SOURCE intervals (pre-normalisation) ride along so a loaded
-     // venue behaves identically under Builder::FromVenue / SetDoorAti —
-     // the online-update path re-derives from these, not from AtiSets.
+    {ArtifactSection::kDoorAtis, "DoorAtis",
+     // The source intervals: the loader normalises them into the ATI
+     // rows, and the update path re-derives a door's row from them.
      [](const Source& s, ByteWriter& w) {
-       w.Put(uint64_t{s.venue.ati_offsets_.size()});
        w.Csr(s.venue.ati_offsets_, s.venue.ati_intervals_);
      },
      [](ByteReader& r, Sink& k) {
-       uint64_t offset_count = 0;
-       if (!r.Get(&offset_count) || offset_count != k.meta.num_doors + 1 ||
-           !r.Csr(k.meta.num_doors, &k.venue.ati_offsets_,
+       if (!r.Csr(k.meta.num_doors, &k.venue.ati_offsets_,
                   &k.venue.ati_intervals_, kAny)) {
          return r.Reject("malformed interval offsets");
        }
+       // The loader sorts these bounds while normalising them, so they
+       // pass AtiSet's own check first (a NaN has no order).
+       for (size_t d = 0; d < k.meta.num_doors; ++d) {
+         const auto door = static_cast<DoorId>(d);
+         for (const TimeInterval& iv : k.venue.DoorAti(door)) {
+           Status status = AtiSet::CheckInterval(iv);
+           if (!status.ok()) {
+             return r.Reject("door " + std::to_string(d) + ": " +
+                             status.message());
+           }
+         }
+       }
        return Status::Ok();
      }},
-    {ArtifactSection::kFloorIndex, "FloorIndex", true,
+    {ArtifactSection::kFloorIndex, "FloorIndex",
      [](const Source& s, ByteWriter& w) {
        w.Put(int32_t{s.venue.min_floor_});
        w.Put(static_cast<uint32_t>(s.venue.floor_index_.size()));
@@ -340,46 +340,21 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
        }
        return Status::Ok();
      }},
-    {ArtifactSection::kCompiledAtis, "CompiledAtis", true,
-     [](const Source& s, ByteWriter& w) {
-       w.Csr(s.graph.ati_offsets_, s.graph.ati_starts_);
-       w.Pod(s.graph.ati_ends_);
-     },
-     [](ByteReader& r, Sink& k) {
-       const std::vector<uint32_t>& offsets = k.world.ati_offsets;
-       const std::vector<double>& s = k.world.ati_starts;
-       const std::vector<double>& e = k.world.ati_ends;
-       if (!r.Csr(k.meta.num_doors, &k.world.ati_offsets, &k.world.ati_starts,
-                  kAny) ||
-           !r.Pod(&k.world.ati_ends, offsets.back())) {
-         return r.Reject("malformed");
-       }
-       // Adopted verbatim — but verify the normalisation invariant the
-       // membership probe relies on (sorted, disjoint, in-range), so a
-       // corrupt-but-checksum-colliding file cannot produce silent wrong
-       // answers.
-       for (size_t d = 0; d + 1 < offsets.size(); ++d) {
-         for (uint32_t i = offsets[d]; i < offsets[d + 1]; ++i) {
-           const bool in_range = s[i] >= 0 && s[i] < e[i] &&
-                                 e[i] <= kSecondsPerDay;
-           const bool disjoint = i + 1 == offsets[d + 1] || e[i] <= s[i + 1];
-           if (!in_range || !disjoint) {
-             return r.Reject("door " + std::to_string(d) +
-                             " intervals are not normalised");
-           }
-         }
-       }
-       return Status::Ok();
-     }},
-    {ArtifactSection::kCheckpoints, "Checkpoints", true,
+    {ArtifactSection::kLedger, "Ledger",
+     // The boundary ledger: the count, the checkpoint times, then the
+     // flip-list CSR naming the doors behind each time.
      [](const Source& s, ByteWriter& w) {
        w.Put(uint64_t{s.times.size()});
        w.Pod(s.times);
+       uint64_t total = 0;
+       w.Put(total);
+       for (const auto& list : s.flip_lists) w.Put(total += list.size());
+       for (const auto& list : s.flip_lists) w.Pod(list);
      },
      [](ByteReader& r, Sink& k) {
        std::vector<double>& times = k.world.checkpoint_times;
-       uint64_t count = 0;
-       if (!r.Get(&count) || !r.Pod(&times, count)) {
+       uint64_t boundaries = 0;
+       if (!r.Get(&boundaries) || !r.Pod(&times, boundaries)) {
          return r.Reject("malformed");
        }
        for (size_t i = 0; i < times.size(); ++i) {
@@ -388,28 +363,12 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
            return r.Reject("times not strictly increasing in (0, 86400)");
          }
        }
-       return Status::Ok();
-     }},
-    {ArtifactSection::kFlipIndex, "FlipIndex", true,
-     [](const Source& s, ByteWriter& w) {
-       w.Put(uint64_t{s.flip_lists.size()});
-       uint64_t total = 0;
-       w.Put(total);
-       for (const auto& list : s.flip_lists) w.Put(total += list.size());
-       for (const auto& list : s.flip_lists) w.Pod(list);
-     },
-     [](ByteReader& r, Sink& k) {
-       std::vector<std::vector<DoorId>>& lists = k.world.flip_lists;
-       uint64_t boundaries = 0;
-       if (!r.Get(&boundaries) ||
-           boundaries != k.world.checkpoint_times.size()) {
-         return r.Reject("boundary count does not match the checkpoint set");
-       }
        std::vector<uint64_t> offsets;
        std::vector<DoorId> pool;
        if (!r.Csr(boundaries, &offsets, &pool, Below(k.meta.num_doors))) {
          return r.Reject("flip list names an unknown door");
        }
+       std::vector<std::vector<DoorId>>& lists = k.world.flip_lists;
        lists.resize(boundaries);
        for (size_t b = 0; b < lists.size(); ++b) {
          lists[b].assign(pool.begin() + offsets[b],
@@ -422,22 +381,6 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
            return r.Reject("flip list corrupt at boundary " +
                            std::to_string(b));
          }
-       }
-       return Status::Ok();
-     }},
-    {ArtifactSection::kD2d, "D2d", false,
-     [](const Source& s, ByteWriter& w) {
-       const DoorId n = static_cast<DoorId>(s.graph.NumDoors());
-       w.Put(uint64_t{s.graph.NumDoors()});
-       for (DoorId from = 0; from < n; ++from) {
-         for (DoorId to = 0; to < n; ++to) w.Put(s.d2d->DoorDistance(from, to));
-       }
-     },
-     [](ByteReader& r, Sink& k) {
-       uint64_t n = 0;
-       if (!r.Get(&n) || n != k.meta.num_doors ||
-           !r.Pod(&k.world.d2d_matrix, n * n)) {
-         return r.Reject("malformed");
        }
        return Status::Ok();
      }},
@@ -460,23 +403,16 @@ const char* SectionName(uint32_t kind) {
 
 StatusOr<std::vector<uint8_t>> ArtifactCodec::Encode(
     const Venue& venue, const ArtifactWriteOptions& options) {
-  // Pay the whole build pipeline once, here: graph compilation
-  // (AtiSet normalisation), the checkpoint ledger, and optionally the
-  // n^2 Dijkstra sweep for the D2D matrix.
+  // The boundary ledger is the one compiled structure the file stores.
+  // Compiling its graph also rejects a venue a load would reject.
   auto graph = ItGraph::Build(venue);
   if (!graph.ok()) return graph.status();
-  Source source{venue, *graph, options, {}, {}, nullptr};
+  Source source{venue, options, {}, {}};
   BuildBoundaryLedger(*graph, &source.times, &source.flip_lists);
-  if (options.include_d2d) {
-    auto d2d = D2dIndex::Build(*graph);
-    if (!d2d.ok()) return d2d.status();
-    source.d2d = std::make_unique<D2dIndex>(*std::move(d2d));
-  }
 
   std::vector<ArtifactSectionEntry> table;
   std::vector<ByteWriter> payloads;
   for (const Section& s : kSections) {
-    if (!s.required && !options.include_d2d) continue;
     ByteWriter& w = payloads.emplace_back();
     s.encode(source, w);
     table.push_back({static_cast<uint32_t>(s.kind), 0, 0, w.out.size(),
@@ -613,14 +549,11 @@ StatusOr<LoadedVenueWorld> ArtifactCodec::Decode(const uint8_t* data,
   Sink sink;
   for (const Section& s : kSections) {
     const auto it = readers.find(static_cast<uint32_t>(s.kind));
-    const bool expected = s.required || (sink.meta.flags & kFlagHasD2d) != 0;
     if (it == readers.end()) {
-      if (!expected) continue;
       return InvalidArgumentError(
           std::string("artifact is missing required section ") + s.name);
     }
     ByteReader& r = it->second;
-    if (!expected) return r.Reject("present but not declared in Meta flags");
     Status status = s.decode(r, sink);
     if (!status.ok()) return status;
     if (!r.Exhausted()) return r.Reject("trailing bytes");
@@ -638,11 +571,6 @@ StatusOr<std::shared_ptr<const VersionedGraph>> ArtifactCodec::BuildWorld(
   if (world.venue == nullptr) {
     return InvalidArgumentError("BuildWorldFromArtifact: world has no venue");
   }
-  if (world.ati_offsets.size() != world.venue->NumDoors() + 1) {
-    return InvalidArgumentError(
-        "BuildWorldFromArtifact: compiled ATI row count does not match the "
-        "venue's doors");
-  }
 
   std::shared_ptr<VersionedGraph> version(new VersionedGraph());
   version->check_ = check;
@@ -650,19 +578,11 @@ StatusOr<std::shared_ptr<const VersionedGraph>> ArtifactCodec::BuildWorld(
   version->options_.warm_start = nullptr;
   version->venue_ = std::move(world.venue);
 
-  // Adopt the compiled ATI rows verbatim — the decode path already
-  // verified the normalisation invariant, so nothing is re-normalised.
-  // The adjacency is the door positions aligned with the venue's door
-  // lists, plus the weight extremes: O(sum of k log k) over partitions
-  // of k doors.
-  ItGraph graph(*version->venue_);
-  graph.ati_offsets_ = std::move(world.ati_offsets);
-  graph.ati_starts_ = std::move(world.ati_starts);
-  graph.ati_ends_ = std::move(world.ati_ends);
-  graph.adj_ = std::make_shared<const CsrAdjacency>(
-      CsrAdjacency::Compile(*version->venue_));
-  version->graph_ = std::make_unique<ItGraph>(std::move(graph));
-
+  // The graph compiles as VersionedGraph::Build compiles it; only the
+  // boundary ledger is adopted as stored.
+  auto graph = ItGraph::Build(*version->venue_);
+  if (!graph.ok()) return graph.status();
+  version->graph_ = std::make_unique<ItGraph>(*std::move(graph));
   version->boundary_times_ = std::move(world.checkpoint_times);
   version->boundary_doors_ = std::move(world.flip_lists);
 

@@ -13,26 +13,12 @@ Status AtiSet::AppendNormalised(Span<TimeInterval> intervals,
   std::vector<TimeInterval>& flat = *scratch;
   flat.clear();
   for (const TimeInterval& iv : intervals) {
-    if (iv.start < 0 || iv.start > kSecondsPerDay || iv.end < 0 ||
-        iv.end > kSecondsPerDay) {
-      return InvalidArgumentError(
-          "ATI interval outside [0, 86400]: [" + std::to_string(iv.start) +
-          ", " + std::to_string(iv.end) + ")");
-    }
-    if (iv.start == iv.end) {
-      return InvalidArgumentError("zero-length ATI interval at " +
-                                  std::to_string(iv.start));
-    }
+    Status status = CheckInterval(iv);
+    if (!status.ok()) return status;
     // A start at 24:00 is the same instant as 00:00; normalising it here
     // keeps the wrap branch from emitting a degenerate [86400, 86400)
-    // piece whose boundary would leak into the checkpoint set. The
-    // zero-length check must repeat on the normalised value: {86400, 0}
-    // is the same empty instant as {0, 0}.
+    // piece whose boundary would leak into the checkpoint set.
     const double start = iv.start == kSecondsPerDay ? 0.0 : iv.start;
-    if (start == iv.end) {
-      return InvalidArgumentError("zero-length ATI interval at " +
-                                  std::to_string(start));
-    }
     if (iv.end > start) {
       flat.push_back(TimeInterval{start, iv.end});
     } else {
@@ -62,6 +48,23 @@ Status AtiSet::AppendNormalised(Span<TimeInterval> intervals,
       ends->back() == kSecondsPerDay) {
     starts->pop_back();
     ends->pop_back();
+  }
+  return Status::Ok();
+}
+
+Status AtiSet::CheckInterval(const TimeInterval& iv) {
+  // Written so that NaN fails: every comparison with NaN is false.
+  const auto in_day = [](double x) { return x >= 0 && x <= kSecondsPerDay; };
+  if (!in_day(iv.start) || !in_day(iv.end)) {
+    return InvalidArgumentError(
+        "ATI interval outside [0, 86400]: [" + std::to_string(iv.start) +
+        ", " + std::to_string(iv.end) + ")");
+  }
+  // {86400, 0} is the same empty instant as {0, 0}.
+  const double start = iv.start == kSecondsPerDay ? 0.0 : iv.start;
+  if (iv.start == iv.end || start == iv.end) {
+    return InvalidArgumentError("zero-length ATI interval at " +
+                                std::to_string(iv.end));
   }
   return Status::Ok();
 }

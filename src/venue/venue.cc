@@ -93,6 +93,12 @@ StatusOr<Venue> Venue::Builder::Build() && {
       return InvalidArgumentError("door " + std::to_string(i) +
                                   " connects a partition to itself");
     }
+    // Edge weights are computed from door positions: a NaN or an
+    // infinity would poison the frontier.
+    if (!std::isfinite(d.pos.x) || !std::isfinite(d.pos.y)) {
+      return InvalidArgumentError("door " + std::to_string(i) +
+                                  " position is not finite");
+    }
   }
 
   // Door d's intervals: its SetDoorAti replacement, else its row so far.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/time.h"
 #include "itgraph/ati.h"
 
@@ -90,6 +92,14 @@ TEST(AtiSetTest, RejectsMalformedIntervals) {
   EXPECT_FALSE(AtiSet::Create({TimeInterval{300, 300}}).ok());
   // [24:00, 00:00) is the same empty instant as [00:00, 00:00).
   EXPECT_FALSE(AtiSet::Create({TimeInterval{kSecondsPerDay, 0}}).ok());
+  // Every comparison with NaN is false: a NaN bound must fail the range
+  // check before the sort sees it.
+  const double nan = std::nan("");
+  for (const TimeInterval& iv : {TimeInterval{nan, 3600},
+                                 TimeInterval{3600, nan}}) {
+    EXPECT_EQ(AtiSet::Create({TimeInterval{0, 60}, iv}).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(AtiSetTest, InteriorBoundariesExcludeDayEdges) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -252,12 +253,19 @@ TEST(UpdateApplierTest, ErrorsLeaveCatalogOnCurrentEpoch) {
   EXPECT_EQ(catalog.ApplyAtiUpdate(zero_length).status().code(),
             StatusCode::kInvalidArgument);
 
+  // A NaN bound fails the ATI check before any sort sees it.
+  AtiUpdate nan_bound;
+  nan_bound.door_id = 0;
+  nan_bound.intervals = {TimeInterval{std::nan(""), 3600}};
+  EXPECT_EQ(catalog.ApplyAtiUpdate(nan_bound).status().code(),
+            StatusCode::kInvalidArgument);
+
   EXPECT_EQ(catalog.epoch(0), 0u);
   const CatalogStats stats = catalog.Stats();
   EXPECT_EQ(stats.total_updates_applied, 0u);
-  // The unknown-venue rejection has no shard to charge; only the two
+  // The unknown-venue rejection has no shard to charge; only the three
   // that reached shard 0 count.
-  EXPECT_EQ(stats.total_updates_rejected, 2u);
+  EXPECT_EQ(stats.total_updates_rejected, 3u);
 
   AtiUpdate good;
   good.door_id = 0;

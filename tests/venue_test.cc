@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -54,6 +56,17 @@ TEST(VenueBuilderTest, RejectsBadInput) {
     const PartitionId a = builder.AddPartition(Rect{0, 0, 10, 10}, 0);
     builder.AddDoor(Point2d{5, 5}, 0, a, 7);  // unknown partition
     EXPECT_FALSE(std::move(builder).Build().ok());
+  }
+  for (const Point2d& pos : {Point2d{std::nan(""), 5}, Point2d{5, HUGE_VAL}}) {
+    Venue::Builder builder;
+    const PartitionId a = builder.AddPartition(Rect{0, 0, 10, 10}, 0);
+    const PartitionId b = builder.AddPartition(Rect{10, 0, 20, 10}, 0);
+    builder.AddDoor(pos, 0, a, b);  // edge weights would be NaN
+    const auto built = std::move(builder).Build();
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(built.status().message().find("not finite"), std::string::npos)
+        << built.status().ToString();
   }
 }
 

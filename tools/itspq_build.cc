@@ -1,13 +1,12 @@
 // itspq_build — the offline artifact builder.
 //
 // One pass from fleet-generator parameters to a directory of packed
-// `.itspq` artifacts plus a fleet manifest: generation, graph
-// compilation, checkpoint-ledger derivation, and (optionally) the D2D
-// Dijkstra sweep all happen here, once, so serving boots load the
-// result in O(file size).
+// `.itspq` artifacts plus a fleet manifest: generation and
+// checkpoint-ledger derivation happen here, once, so a serving boot only
+// decodes each venue and compiles its ATI rows.
 //
 //   itspq_build --out=fleet_dir [--venues=12] [--seed=7]
-//               [--min-floors=1] [--max-floors=3] [--d2d]
+//               [--min-floors=1] [--max-floors=3]
 //               [--label-prefix=venue]
 //
 // Output: fleet_dir/venue_0000.itspq ... and fleet_dir/fleet.manifest
@@ -97,7 +96,6 @@ int main(int argc, char** argv) {
   std::string label_prefix = "venue";
   itspq::FleetConfig fleet;
   fleet.num_venues = 12;
-  bool include_d2d = false;
 
   for (int i = 1; i < argc; ++i) {
     std::string value;
@@ -117,12 +115,10 @@ int main(int argc, char** argv) {
       fleet.max_floors = static_cast<int>(ParseLong(value, "--max-floors"));
     } else if (ParseFlag(argv[i], "--label-prefix", &value)) {
       label_prefix = value;
-    } else if (std::strcmp(argv[i], "--d2d") == 0) {
-      include_d2d = true;
     } else {
       Die(std::string("unknown flag ") + argv[i] +
           " (flags: --out=DIR --venues=N --seed=S --min-floors=F "
-          "--max-floors=F --label-prefix=P --d2d | --load=MANIFEST "
+          "--max-floors=F --label-prefix=P | --load=MANIFEST "
           "--strategy=NAME)");
     }
   }
@@ -143,11 +139,10 @@ int main(int argc, char** argv) {
   if (!venues.ok()) Die("fleet generation: " + venues.status().ToString());
   const double gen_ms = gen_timer.ElapsedMillis();
 
-  std::printf("itspq_build: %d venues, seed %llu, format v%u%s -> %s\n",
+  std::printf("itspq_build: %d venues, seed %llu, format v%u -> %s\n",
               fleet.num_venues,
               static_cast<unsigned long long>(fleet.seed),
-              itspq::kArtifactFormatVersion, include_d2d ? ", with D2D" : "",
-              out_dir.c_str());
+              itspq::kArtifactFormatVersion, out_dir.c_str());
   std::printf("%-18s %10s %10s %12s\n", "artifact", "doors", "encode_ms",
               "bytes");
 
@@ -158,7 +153,6 @@ int main(int argc, char** argv) {
     char name[64];
     std::snprintf(name, sizeof(name), "venue_%04zu.itspq", i);
     itspq::ArtifactWriteOptions options;
-    options.include_d2d = include_d2d;
     options.label = label_prefix + "-" + std::to_string(i);
 
     itspq::Timer venue_timer;
@@ -189,7 +183,7 @@ int main(int argc, char** argv) {
     manifest << "# itspq fleet manifest\n"
              << "# format_version " << itspq::kArtifactFormatVersion << "\n"
              << "# venues " << fleet.num_venues << " seed " << fleet.seed
-             << (include_d2d ? " d2d" : "") << "\n";
+             << "\n";
     for (const std::string& name : names) manifest << name << "\n";
   }
 
