@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives underneath
 // the ITSPQ search: ATI membership, checkpoint lookup, reduced-graph
 // derivation, point location, frontier disciplines, masked neighbour
-// scans, a venue's compile, and end-to-end queries.
+// scans, a venue's boundary ledger and whole compile, and end-to-end
+// queries.
 //
 // A primitive that takes a few nanoseconds is timed over a batch of
 // kBatch calls per iteration: a row of a few ns moved by more than the
@@ -190,6 +191,26 @@ void BM_MaskedDoorListScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaskedDoorListScan)->Arg(0)->Arg(1);
+
+// The boundary ledger alone (BoundaryLedger::Build): the checkpoint set
+// and flip index of an interactive-size venue (two floors of three shop
+// rows, 338 doors) and of the paper-size mall (five floors of four,
+// 1,128 doors). BM_VenueCompile times it as one part of a compile.
+void BM_BoundaryLedger(benchmark::State& state, int floors, int shop_rows) {
+  MallConfig mc = MallConfig::Paper();
+  mc.floors = floors;
+  mc.shop_rows = shop_rows;
+  AtiGenConfig ac;
+  ac.checkpoint_count = kDefaultT;
+  const Venue venue = *AssignTemporalVariations(*GenerateMall(mc), ac);
+  const ItGraph graph = *ItGraph::Build(venue);
+  for (auto _ : state) {
+    BoundaryLedger ledger = BoundaryLedger::Build(graph);
+    benchmark::DoNotOptimize(ledger);
+  }
+}
+BENCHMARK_CAPTURE(BM_BoundaryLedger, doors_338, 2, 3);
+BENCHMARK_CAPTURE(BM_BoundaryLedger, doors_1128, 5, 4);
 
 // Compiling one epoch of a paper-size mall (five floors, 1,128 doors):
 // the ATI rows, the adjacency and its weight extremes, the boundary

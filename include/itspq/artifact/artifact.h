@@ -12,9 +12,9 @@
 // The load side checksums and bounds-checks every section and adopts
 // the venue and the ledger as stored. BuildWorldFromArtifact then
 // compiles the ATI rows and the adjacency with ItGraph::Build, as
-// VersionedGraph::Build does, and publishes the world as a
-// `VersionedGraph` epoch 0, so lazy shards compose with the
-// online-update plane unchanged:
+// VersionedGraph::Build does, checks the stored ledger against those
+// rows, and publishes the world as a `VersionedGraph` epoch 0, so lazy
+// shards compose with the online-update plane unchanged:
 //
 //   LoadVenueArtifact(path) -> LoadedVenueWorld
 //     -> BuildWorldFromArtifact(world, "itg-a+") -> shared_ptr<const VersionedGraph>
@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "itgraph/checkpoints.h"
 #include "query/router.h"
 #include "query/strategies.h"
 #include "venue/venue.h"
@@ -47,10 +48,10 @@ struct ArtifactWriteOptions {
 /// heap-held because Venue has no public default constructor.
 struct LoadedVenueWorld {
   std::unique_ptr<Venue> venue;
-  /// The boundary ledger: checkpoint_times[i] is contributed by exactly
-  /// the (ascending) doors in flip_lists[i].
+  /// The boundary ledger as stored: checkpoint_times[i] is contributed
+  /// by exactly the (ascending) doors in flip_lists[i].
   std::vector<double> checkpoint_times;
-  std::vector<std::vector<DoorId>> flip_lists;
+  BoundaryFlipIndex flip_lists;
   std::string label;
 };
 
@@ -90,7 +91,8 @@ StatusOr<std::vector<std::string>> ReadFleetManifest(const std::string& path);
 /// as a `VersionedGraph` epoch 0 under strategy `check` — the lazy-load
 /// equivalent of VersionedGraph::Build(venue, ...), which it matches
 /// but for the boundary ledger, adopted from the file instead of
-/// derived.
+/// derived. kInvalidArgument naming the Ledger section when the stored
+/// ledger is not the one the compiled ATI rows imply.
 StatusOr<std::shared_ptr<const VersionedGraph>> BuildWorldFromArtifact(
     LoadedVenueWorld world, TvCheck check,
     const RouterBuildOptions& options = RouterBuildOptions());

@@ -11,11 +11,15 @@
 // WHICH doors flip there. Adjacent intervals differ in exactly those
 // doors, which is what lets BuildSnapshotDelta derive interval k from
 // interval k∓1 by touching |flips| doors instead of all of them.
+// BoundaryLedger::Build compiles both views of a graph at once.
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
+#include "common/span.h"
 #include "common/status.h"
 #include "common/time.h"
 #include "venue/geometry.h"
@@ -33,8 +37,8 @@ class CheckpointSet {
   /// (0, kSecondsPerDay)). Errors on out-of-range values.
   static StatusOr<CheckpointSet> FromTimes(std::vector<double> times);
 
-  /// Collects the ATI boundaries of every door in `graph`. Cannot fail:
-  /// graph ATIs are normalised by construction.
+  /// BoundaryLedger::Build's checkpoints. Cannot fail: graph ATIs are
+  /// normalised by construction.
   static CheckpointSet FromGraph(const ItGraph& graph);
 
   /// The first checkpoint strictly after time-of-day `tod`, or
@@ -78,36 +82,38 @@ class CheckpointSet {
   const std::vector<double>& times() const { return times_; }
 
  private:
+  // Both fill times_ sorted and unique, without FromTimes' sort.
+  friend struct BoundaryLedger;
+  friend class ArtifactCodec;
+
   std::vector<double> times_;  // sorted, unique, all in (0, 86400)
 };
 
 /// For each checkpoint boundary b — the shared edge between intervals b
 /// and b+1, at times()[b] — the doors whose applicability differs across
 /// it. Computed once per (graph, checkpoint set) pair; CSR layout so a
-/// venue-wide index is two flat vectors. Immutable after Build, safe to
+/// venue-wide index is two flat vectors. Immutable once built, safe to
 /// share across threads.
 class BoundaryFlipIndex {
  public:
   BoundaryFlipIndex() = default;
 
+  /// Probes every door at every interval midpoint and diffs adjacent
+  /// intervals: the reference BoundaryLedger::Build is tested against.
   /// `cps` must be the checkpoint set of `graph` (every ATI boundary a
   /// checkpoint); under that invariant every door's applicability is
   /// constant inside an interval and the midpoint probe is exact.
   static BoundaryFlipIndex Build(const ItGraph& graph,
                                  const CheckpointSet& cps);
 
-  /// Builds the CSR directly from per-boundary flip lists — the update
-  /// plane's incremental path, which maintains a time → contributing
-  /// doors ledger instead of re-probing every (interval, door) pair.
-  /// For a graph of normalised AtiSets every interior ATI boundary is a
-  /// genuine applicability flip, so `per_boundary[b]` (sorted ascending
-  /// by door) must equal Build()'s list for boundary b; callers assert
-  /// that equivalence in tests.
-  static BoundaryFlipIndex FromLists(
-      const std::vector<std::vector<DoorId>>& per_boundary);
-
   size_t NumBoundaries() const {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  size_t size() const { return NumBoundaries(); }
+
+  /// The doors flipping at boundary `b`, ascending.
+  Span<DoorId> operator[](size_t b) const {
+    return CsrList(offsets_, doors_, b);
   }
 
   /// Doors flipping at boundary `b`, as a [begin, end) range into the
@@ -127,18 +133,44 @@ class BoundaryFlipIndex {
   }
 
  private:
+  // Both write the CSR in place.
+  friend struct BoundaryLedger;
+  friend class ArtifactCodec;
+
   std::vector<size_t> offsets_;  // NumBoundaries() + 1 entries
   std::vector<DoorId> doors_;    // concatenated per-boundary flip lists
 };
 
-/// The boundary ledger of `graph`: `times` gets every distinct interior
-/// ATI boundary, ascending, and `doors[i]` the ascending doors whose
-/// ATIs contribute times[i]. For normalised AtiSets every interior
-/// boundary is a genuine applicability flip, so `times` equals
-/// CheckpointSet::FromGraph's and `doors` BoundaryFlipIndex::Build's
-/// per-boundary lists — derived without a probe.
-void BuildBoundaryLedger(const ItGraph& graph, std::vector<double>* times,
-                         std::vector<std::vector<DoorId>>* doors);
+/// A graph's checkpoint set, and per checkpoint the ascending doors
+/// whose ATI row has that time as an interior boundary. For normalised
+/// rows every interior boundary is a genuine applicability flip, so
+/// `flips` equals BoundaryFlipIndex::Build(graph, checkpoints).
+struct BoundaryLedger {
+  CheckpointSet checkpoints;
+  BoundaryFlipIndex flips;
+
+  /// Two walks over the rows, O(P) for P interior boundaries: the first
+  /// files and counts each under its time in a small open-addressed
+  /// table, the few distinct times are sorted, and the second writes
+  /// each door straight into its CSR slot. Past kLedgerMaxDistinct
+  /// times or kLedgerMaxProbe probes it sorts the P (time, door) pairs
+  /// instead, so the worst case is O(P log P) on any rows.
+  static BoundaryLedger Build(const ItGraph& graph);
+};
+
+/// The ledger table: 2^kLedgerSlotBits slots, at most half filled.
+inline constexpr int kLedgerSlotBits = 7;
+inline constexpr size_t kLedgerSlots = size_t{1} << kLedgerSlotBits;
+inline constexpr size_t kLedgerMaxDistinct = kLedgerSlots / 2;
+inline constexpr size_t kLedgerMaxProbe = 8;
+
+/// A time's home slot: the top bits of a multiplicative hash of its bit
+/// pattern, which depend on every bit. Public so tests can collide it.
+inline size_t LedgerHomeSlot(double t) {
+  uint64_t bits;
+  std::memcpy(&bits, &t, sizeof(bits));
+  return (bits * 0x9E3779B97F4A7C15ull) >> (64 - kLedgerSlotBits);
+}
 
 }  // namespace itspq
 

@@ -64,6 +64,18 @@ class ItGraph {
             ati_offsets_[static_cast<size_t>(d) + 1] - begin};
   }
 
+  /// fn(d, t) for each interior boundary t (strictly inside the day)
+  /// of each door d's row: door by door, each row in order.
+  template <typename Fn>
+  void ForEachInteriorBoundary(Fn fn) const {
+    for (DoorId d = 0; static_cast<size_t>(d) < NumDoors(); ++d) {
+      for (uint32_t i = ati_offsets_[d]; i < ati_offsets_[d + 1]; ++i) {
+        if (ati_starts_[i] > 0) fn(d, ati_starts_[i]);
+        if (ati_ends_[i] < kSecondsPerDay) fn(d, ati_ends_[i]);
+      }
+    }
+  }
+
   /// The compiled flat adjacency every search iterates.
   const CsrAdjacency& adjacency() const { return *adj_; }
 

@@ -20,7 +20,6 @@
 // their QueryContext so the lock is taken once per (query, interval),
 // not per relaxation.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -77,17 +76,18 @@ class SnapshotStore;
 /// Marks a new interval with no carry source in SnapshotWarmStart's plan.
 inline constexpr ptrdiff_t kNoCarrySource = -1;
 
-/// Warm-start state for rebuilding a store (and its router) after an
-/// online ATI update — produced by UpdateApplier (update/update_applier.h)
-/// from the venue's previous VersionedGraph. All pointers are borrowed:
-/// flip_index must outlive the store, the rest only its construction.
+/// Warm-start state for building a store (and its router) from a
+/// VersionedGraph's ledger, and after an online ATI update for carrying
+/// the previous version's snapshots (UpdateApplier,
+/// update/update_applier.h). All pointers are borrowed: flip_index must
+/// outlive the store, the rest only its construction.
 struct SnapshotWarmStart {
-  /// The new graph's checkpoint set, derived incrementally by the update
-  /// plane. Router adopts it verbatim instead of re-deriving FromGraph.
+  /// The graph's checkpoint set, from the version's BoundaryLedger.
+  /// Router adopts it verbatim instead of re-deriving FromGraph.
   const CheckpointSet* checkpoints = nullptr;
-  /// Flip index of (new graph, checkpoints), patched incrementally.
-  /// The store reads it in place, so the first delta build never pays
-  /// the O(intervals x doors) probe; it must outlive the store.
+  /// Flip index of (graph, checkpoints), from the same ledger. The
+  /// store reads it in place, so the first delta build never pays the
+  /// O(intervals x doors) probe; it must outlive the store.
   const BoundaryFlipIndex* flip_index = nullptr;
   /// The previous version's store; resident snapshots carry across.
   const SnapshotStore* carry_from = nullptr;
@@ -146,10 +146,12 @@ struct CacheStatsSnapshot {
 
 class SnapshotStore {
  public:
-  /// `graph` and `cps` must outlive the store. A non-null `warm` seeds
-  /// the store from a previous version: the flip index is borrowed and
-  /// resident snapshots are carried per warm->carry_plan (skipping
-  /// warm->invalidate) — see SnapshotWarmStart.
+  /// `graph` and `cps` must outlive the store, and `cps` must be the
+  /// graph's checkpoint set. A non-null `warm` seeds the store from a
+  /// version's ledger: the flip index is borrowed and resident
+  /// snapshots are carried per warm->carry_plan (skipping
+  /// warm->invalidate) — see SnapshotWarmStart. Without one the store
+  /// derives its flip index with BoundaryLedger::Build.
   SnapshotStore(const ItGraph& graph, const CheckpointSet& cps,
                 SnapshotStoreOptions options = SnapshotStoreOptions(),
                 const SnapshotWarmStart* warm = nullptr);
@@ -193,10 +195,8 @@ class SnapshotStore {
   /// store owns it (a borrowed warm-start index is its owner's).
   size_t MemoryUsage() const;
 
-  /// The per-boundary flip lists delta builds apply: the warm start's,
-  /// or built at most once, on the first Get (or this call), so stores
-  /// that are never read pay nothing.
-  const BoundaryFlipIndex& flip_index() const { return EnsureFlips(); }
+  /// The per-boundary flip lists delta builds apply.
+  const BoundaryFlipIndex& flip_index() const { return *flips_; }
 
  private:
   /// Evicts least-recently-used slots under `mu_` until the resident
@@ -204,21 +204,13 @@ class SnapshotStore {
   /// `protect`.
   void EvictToFitLocked(size_t protect) const;
 
-  /// Returns the borrowed index, or builds flips_ at most once, OUTSIDE
-  /// mu_ — the O(intervals x doors) build must never stall concurrent
-  /// readers of resident snapshots.
-  const BoundaryFlipIndex& EnsureFlips() const;
-
   const ItGraph* graph_;
   const CheckpointSet* cps_;
   const uint64_t id_;
-  /// The warm start's flip index, or null when the store builds its own.
-  const BoundaryFlipIndex* const borrowed_flips_;
-  mutable std::once_flag flips_once_;
-  /// Set (release) after flips_ is built; lets MemoryUsage read the
-  /// index size without forcing a build.
-  mutable std::atomic<bool> flips_built_{false};
-  mutable BoundaryFlipIndex flips_;
+  /// Empty when the warm start lends the flip index.
+  const BoundaryFlipIndex owned_flips_;
+  /// The warm start's flip index, or owned_flips_.
+  const BoundaryFlipIndex* const flips_;
 
   mutable std::mutex mu_;
   /// One slot per interval; null when not resident. Guarded by mu_.

@@ -19,8 +19,10 @@
 // The completing thread fills the slot and writes the ready head slots
 // in order, with MSG_DONTWAIT; bytes the socket refuses wait in an
 // outbox the reader flushes, and a peer whose outbox has not drained
-// within recv_timeout_seconds is dropped. Both ends set TCP_NODELAY; a
-// departed peer's connection is reaped on the next accept.
+// within recv_timeout_seconds is dropped. A reader owed replies polls
+// its socket and an eventfd the writer of the last owed reply signals.
+// Both ends set TCP_NODELAY; a departed peer's connection is reaped on
+// the next accept.
 //
 // Hostile input never takes the server down: a malformed frame earns a
 // best-effort kError reply with the precise decode Status and the

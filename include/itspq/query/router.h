@@ -84,13 +84,13 @@ struct QueryOptions {
 /// settings.
 struct RouterBuildOptions {
   SnapshotStoreOptions snapshot_cache;
-  /// Non-null only on the update plane's epoch-transition path
-  /// (update/update_applier.h): the router adopts the precomputed
+  /// Non-null when a VersionedGraph builds the router
+  /// (update/versioned_graph.h): the router adopts the version's
   /// checkpoint set and flip index instead of re-deriving them from the
-  /// graph, and its snapshot store carries resident snapshots from the
-  /// previous version. Borrowed for construction only — never stored —
-  /// except its flip index, which the store reads in place and which
-  /// must outlive the router.
+  /// graph, and on an update its snapshot store carries resident
+  /// snapshots from the previous version. Borrowed for construction
+  /// only — never stored — except its flip index, which the store reads
+  /// in place and which must outlive the router.
   const SnapshotWarmStart* warm_start = nullptr;
   /// The VenueId this router answers for. Route() accepts requests
   /// whose venue_id is 0 (unaddressed) or equals the bound id, and
@@ -220,8 +220,8 @@ class Router {
 
  protected:
   /// A non-null `precomputed` checkpoint set is copied instead of
-  /// derived via CheckpointSet::FromGraph — the update plane passes the
-  /// incrementally maintained set through RouterBuildOptions::warm_start.
+  /// derived via CheckpointSet::FromGraph — a VersionedGraph passes the
+  /// set of its ledger through RouterBuildOptions::warm_start.
   Router(std::string name, const ItGraph& graph,
          const CheckpointSet* precomputed = nullptr);
   /// Composite routers: no single backing graph, empty checkpoints.

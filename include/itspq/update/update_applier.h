@@ -1,11 +1,10 @@
 #ifndef ITSPQ_UPDATE_UPDATE_APPLIER_H_
 #define ITSPQ_UPDATE_UPDATE_APPLIER_H_
 
-// The incremental epoch transition (the tentpole of the update plane).
+// The epoch transition (the tentpole of the update plane).
 //
 // Given a shard's current VersionedGraph and one AtiUpdate,
-// UpdateApplier::Apply derives the NEXT version without rebuilding the
-// world from scratch:
+// UpdateApplier::Apply derives the NEXT version next to it:
 //
 //   venue        — Venue::Builder::FromVenue copy of a fixed number of
 //                  flat arrays; geometry (door lists, point-location
@@ -13,11 +12,9 @@
 //   graph        — ItGraph::BuildFrom: a copy of the flat ATI rows with
 //                  the changed door's row spliced in, re-normalised; the
 //                  search adjacency is shared, not copied.
-//   checkpoints  — the boundary ledger is patched: the changed door's
-//                  old boundary contributions removed (dropping times
-//                  no other door contributes), its new ones inserted.
-//   flip index   — BoundaryFlipIndex::FromLists over the patched
-//                  ledger; no (interval x door) re-probe.
+//   ledger       — BoundaryLedger::Build over the new rows: the
+//                  checkpoint set and the flip index in two walks, no
+//                  (interval x door) re-probe.
 //   snapshots    — a carry plan maps each new interval to the old
 //                  interval spanning the identical time range; resident
 //                  snapshots carry their shared_ptr slots across unless
@@ -26,8 +23,9 @@
 //
 // Apply never touches `current` beyond const reads of its store (one
 // mutex hold to lift resident slots): published versions are immutable.
-// Cost is O(|old ATI| + |new ATI| + |T| + carry work), independent of
-// door count — the paper's Graph_Update economics extended to writes.
+// Cost is O(doors + P) for P interior ATI boundaries — the venue and
+// graph copies are flat arrays, and the ledger walks every row — plus
+// O(|T| log |T|) for the carry plan and the carry work itself.
 
 #include <memory>
 

@@ -8,23 +8,19 @@
 // flip index, and the strategy Router (whose SnapshotStore memoises
 // reduced graphs) — under a single epoch number. It is immutable after
 // Build: the update plane (update_applier.h) never mutates a published
-// version, it derives the NEXT version incrementally and VenueCatalog
+// version, it derives the NEXT version next to it and VenueCatalog
 // swaps the shard's shared_ptr<const VersionedGraph> RCU-style. Readers
 // that pinned the old epoch finish on it bit-identically; the old
 // version is destroyed when the last pin drops.
 //
-// Internally the checkpoint structure is kept as a "boundary ledger":
-// per checkpoint time, the sorted list of doors contributing that time
-// as an interior ATI boundary. For normalised AtiSets every interior
-// boundary is a genuine applicability flip, so the ledger IS the flip
-// index (CSR-ified via BoundaryFlipIndex::FromLists) — and a
-// single-door update edits only that door's ledger entries instead of
-// re-probing every (interval, door) pair.
+// The checkpoint set and flip index are one BoundaryLedger
+// (itgraph/checkpoints.h), compiled from the ATI rows in two walks —
+// never by re-probing every (interval, door) pair — and compiled afresh
+// for each update's next version.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -40,9 +36,9 @@ class UpdateApplier;
 
 class VersionedGraph {
  public:
-  /// Builds epoch 0 for `venue` under strategy `check`. The ledger and
-  /// flip index are derived from the compiled graph; the router adopts
-  /// them via a warm start so nothing is computed twice.
+  /// Builds epoch 0 for `venue` under strategy `check`. The ledger is
+  /// derived from the compiled graph; the router adopts it via a warm
+  /// start so nothing is computed twice.
   /// `options.warm_start` is ignored (the version builds its own).
   static StatusOr<std::shared_ptr<const VersionedGraph>> Build(
       Venue venue, TvCheck check,
@@ -55,10 +51,10 @@ class VersionedGraph {
   const Venue& venue() const { return *venue_; }
   const ItGraph& graph() const { return *graph_; }
   const Router& router() const { return *router_; }
-  const CheckpointSet& checkpoints() const { return router_->checkpoints(); }
-  const BoundaryFlipIndex& flip_index() const { return flips_; }
+  const CheckpointSet& checkpoints() const { return ledger_.checkpoints; }
+  const BoundaryFlipIndex& flip_index() const { return ledger_.flips; }
 
-  /// Venue + graph + router shared state + flip index, bytes. The flip
+  /// Venue + graph + router shared state + ledger, bytes. The flip
   /// index is counted once: the router's store borrows it.
   size_t MemoryUsage() const;
 
@@ -66,17 +62,16 @@ class VersionedGraph {
   friend class UpdateApplier;
   /// The artifact loader (artifact/artifact.h) assembles epoch 0 from a
   /// decoded file: it compiles the graph as Build() does, adopts the
-  /// stored ledger instead of deriving it, and calls FinishBuild.
+  /// stored ledger once it matches the rows, and calls FinishBuild.
   friend class ArtifactCodec;
 
   VersionedGraph() = default;
 
-  /// Compiles the checkpoint set + flip index from the boundary ledger
-  /// and builds router_ with a warm start. Every construction path
-  /// fills the ledger, then ends here.
-  Status FinishBuild(const SnapshotStore* carry_from,
-                     std::vector<ptrdiff_t> carry_plan,
-                     std::vector<size_t> invalidate);
+  /// Builds router_ with a warm start from ledger_. Every construction
+  /// path fills the ledger, then ends here.
+  void FinishBuild(const SnapshotStore* carry_from,
+                   std::vector<ptrdiff_t> carry_plan,
+                   std::vector<size_t> invalidate);
 
   uint64_t epoch_ = 0;
   TvCheck check_ = TvCheck::kSynchronous;
@@ -87,15 +82,10 @@ class VersionedGraph {
 
   // Destruction order (reverse of declaration) matters: graph_ points
   // into venue_, router_ into graph_ (it copies the checkpoint set) and
-  // its snapshot store reads flips_ in place.
+  // its snapshot store reads ledger_.flips in place.
   std::unique_ptr<Venue> venue_;
   std::unique_ptr<ItGraph> graph_;
-  /// The boundary ledger: boundary_times_[i] is contributed by exactly
-  /// the doors in boundary_doors_[i] (sorted ascending). times are the
-  /// checkpoint set; doors are the flip lists.
-  std::vector<double> boundary_times_;
-  std::vector<std::vector<DoorId>> boundary_doors_;
-  BoundaryFlipIndex flips_;
+  BoundaryLedger ledger_;
   std::unique_ptr<Router> router_;
 };
 

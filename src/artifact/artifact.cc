@@ -162,10 +162,10 @@ static_assert(sizeof(MetaRecord) == 24 && sizeof(PartitionRecord) == 40 &&
 
 }  // namespace
 
-/// Befriended by Venue and VersionedGraph: encodes the venue's private
-/// representation verbatim, and at load time adopts it and the stored
-/// boundary ledger, compiling the ATI rows as VersionedGraph::Build
-/// does.
+/// Befriended by Venue, VersionedGraph and the ledger's two halves:
+/// encodes the venue's private representation and the ledger's CSR
+/// verbatim, and at load time adopts both, compiling the ATI rows as
+/// VersionedGraph::Build does and checking the ledger against them.
 class ArtifactCodec {
  public:
   static StatusOr<std::vector<uint8_t>> Encode(
@@ -180,8 +180,7 @@ class ArtifactCodec {
   struct Source {
     const Venue& venue;
     const ArtifactWriteOptions& options;
-    std::vector<double> times;
-    std::vector<std::vector<DoorId>> flip_lists;
+    BoundaryLedger ledger;
   };
   /// What the section decoders fill, in table order: each decoder may
   /// rely on every section before it.
@@ -344,12 +343,10 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
      // The boundary ledger: the count, the checkpoint times, then the
      // flip-list CSR naming the doors behind each time.
      [](const Source& s, ByteWriter& w) {
-       w.Put(uint64_t{s.times.size()});
-       w.Pod(s.times);
-       uint64_t total = 0;
-       w.Put(total);
-       for (const auto& list : s.flip_lists) w.Put(total += list.size());
-       for (const auto& list : s.flip_lists) w.Pod(list);
+       const std::vector<double>& times = s.ledger.checkpoints.times();
+       w.Put(uint64_t{times.size()});
+       w.Pod(times);
+       w.Csr(s.ledger.flips.offsets_, s.ledger.flips.doors_);
      },
      [](ByteReader& r, Sink& k) {
        std::vector<double>& times = k.world.checkpoint_times;
@@ -363,21 +360,16 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
            return r.Reject("times not strictly increasing in (0, 86400)");
          }
        }
-       std::vector<uint64_t> offsets;
-       std::vector<DoorId> pool;
-       if (!r.Csr(boundaries, &offsets, &pool, Below(k.meta.num_doors))) {
+       BoundaryFlipIndex& flips = k.world.flip_lists;
+       if (!r.Csr(boundaries, &flips.offsets_, &flips.doors_,
+                  Below(k.meta.num_doors))) {
          return r.Reject("flip list names an unknown door");
        }
-       std::vector<std::vector<DoorId>>& lists = k.world.flip_lists;
-       lists.resize(boundaries);
-       for (size_t b = 0; b < lists.size(); ++b) {
-         lists[b].assign(pool.begin() + offsets[b],
-                         pool.begin() + offsets[b + 1]);
-         if (lists[b].empty()) {
-           return r.Reject("empty flip list for a checkpoint");
-         }
-         if (std::adjacent_find(lists[b].begin(), lists[b].end(),
-                                std::greater_equal<>()) != lists[b].end()) {
+       for (size_t b = 0; b < flips.size(); ++b) {
+         const Span<DoorId> list = flips[b];
+         if (list.empty()) return r.Reject("empty flip list for a checkpoint");
+         if (std::adjacent_find(list.begin(), list.end(),
+                                std::greater_equal<>()) != list.end()) {
            return r.Reject("flip list corrupt at boundary " +
                            std::to_string(b));
          }
@@ -407,8 +399,7 @@ StatusOr<std::vector<uint8_t>> ArtifactCodec::Encode(
   // Compiling its graph also rejects a venue a load would reject.
   auto graph = ItGraph::Build(venue);
   if (!graph.ok()) return graph.status();
-  Source source{venue, options, {}, {}};
-  BuildBoundaryLedger(*graph, &source.times, &source.flip_lists);
+  const Source source{venue, options, BoundaryLedger::Build(*graph)};
 
   std::vector<ArtifactSectionEntry> table;
   std::vector<ByteWriter> payloads;
@@ -566,6 +557,43 @@ StatusOr<LoadedVenueWorld> ArtifactCodec::Decode(const uint8_t* data,
 // World assembly
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Past the decoder's shape checks, each entry (b, d) must be an interior
+/// boundary of door d's row at times[b], and the entries must number the
+/// rows' interior boundaries: then, rows being strictly increasing, the
+/// ledger is the one BoundaryLedger::Build derives.
+Status CheckLedgerAgainstRows(const ItGraph& graph,
+                              const BoundaryLedger& ledger) {
+  const std::vector<double>& times = ledger.checkpoints.times();
+  for (size_t b = 0; b < times.size(); ++b) {
+    for (const DoorId d : ledger.flips[b]) {
+      const AtiRow row = graph.Ati(d);
+      if (!std::binary_search(row.starts().begin(), row.starts().end(),
+                              times[b]) &&
+          !std::binary_search(row.ends().begin(), row.ends().end(),
+                              times[b])) {
+        return CorruptSection(
+            "Ledger", "checkpoint " + std::to_string(b) + " lists door " +
+                          std::to_string(d) + ", whose row has no boundary "
+                          "there");
+      }
+    }
+  }
+  size_t boundaries = 0;
+  graph.ForEachInteriorBoundary([&](DoorId, double) { ++boundaries; });
+  if (ledger.flips.TotalFlips() != boundaries) {
+    return CorruptSection(
+        "Ledger", "flip lists hold " +
+                      std::to_string(ledger.flips.TotalFlips()) +
+                      " entries but the ATI rows have " +
+                      std::to_string(boundaries) + " interior boundaries");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 StatusOr<std::shared_ptr<const VersionedGraph>> ArtifactCodec::BuildWorld(
     LoadedVenueWorld world, TvCheck check, const RouterBuildOptions& options) {
   if (world.venue == nullptr) {
@@ -579,15 +607,17 @@ StatusOr<std::shared_ptr<const VersionedGraph>> ArtifactCodec::BuildWorld(
   version->venue_ = std::move(world.venue);
 
   // The graph compiles as VersionedGraph::Build compiles it; only the
-  // boundary ledger is adopted as stored.
+  // boundary ledger is adopted as stored, once it matches the rows.
   auto graph = ItGraph::Build(*version->venue_);
   if (!graph.ok()) return graph.status();
   version->graph_ = std::make_unique<ItGraph>(*std::move(graph));
-  version->boundary_times_ = std::move(world.checkpoint_times);
-  version->boundary_doors_ = std::move(world.flip_lists);
+  BoundaryLedger& ledger = version->ledger_;
+  ledger.checkpoints.times_ = std::move(world.checkpoint_times);
+  ledger.flips = std::move(world.flip_lists);
+  Status matches = CheckLedgerAgainstRows(*version->graph_, ledger);
+  if (!matches.ok()) return matches;
 
-  Status status = version->FinishBuild(/*carry_from=*/nullptr, {}, {});
-  if (!status.ok()) return status;
+  version->FinishBuild(/*carry_from=*/nullptr, {}, {});
   return std::shared_ptr<const VersionedGraph>(std::move(version));
 }
 

@@ -11,39 +11,23 @@ namespace itspq {
 
 namespace {
 
-/// fn(d, t) for each AtiRow::InteriorBoundaries() t of each door d, in order.
-template <typename Fn>
-void ForEachInteriorBoundary(const ItGraph& graph, Fn fn) {
-  for (size_t d = 0; d < graph.NumDoors(); ++d) {
-    const AtiRow row = graph.Ati(static_cast<DoorId>(d));
-    for (size_t i = 0; i < row.starts().size(); ++i) {
-      if (row.starts()[i] > 0) fn(d, row.starts()[i]);
-      if (row.ends()[i] < kSecondsPerDay) fn(d, row.ends()[i]);
-    }
-  }
-}
+/// One slot of the ledger table: a distinct time (0, never an interior
+/// boundary, marks an empty slot) and its entry count, which becomes
+/// its CSR write cursor.
+struct LedgerSlot {
+  double time;
+  size_t entries;
+};
 
-/// The distinct interior ATI boundaries of `graph`, ascending. Most are
-/// found in the short sorted prefix of `seen`; the rest queue behind it
-/// until they outnumber it, then fold in, keeping the worst case O(P log P).
-std::vector<double> DistinctInteriorBoundaries(const ItGraph& graph) {
-  size_t total = 0;
-  ForEachInteriorBoundary(graph, [&total](size_t, double) { ++total; });
-  std::vector<double> seen;
-  seen.reserve(total);
-  size_t sorted = 0;
-  auto fold = [&seen, &sorted] {
-    std::sort(seen.begin(), seen.end());
-    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-    sorted = seen.size();
-  };
-  ForEachInteriorBoundary(graph, [&](size_t, double t) {
-    if (std::binary_search(seen.begin(), seen.begin() + sorted, t)) return;
-    seen.push_back(t);
-    if (seen.size() > 2 * sorted + 16) fold();
-  });
-  fold();
-  return {seen.begin(), seen.end()};
+/// The slot holding `t`, or the empty slot that should; null when
+/// neither lies within kLedgerMaxProbe steps of the home slot.
+LedgerSlot* Probe(LedgerSlot* table, double t) {
+  size_t at = LedgerHomeSlot(t);
+  for (size_t step = 0; step < kLedgerMaxProbe; ++step) {
+    if (table[at].time == t || table[at].time == 0) return &table[at];
+    at = (at + 1) & (kLedgerSlots - 1);
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -63,9 +47,7 @@ StatusOr<CheckpointSet> CheckpointSet::FromTimes(std::vector<double> times) {
 }
 
 CheckpointSet CheckpointSet::FromGraph(const ItGraph& graph) {
-  CheckpointSet set;
-  set.times_ = DistinctInteriorBoundaries(graph);
-  return set;
+  return BoundaryLedger::Build(graph).checkpoints;
 }
 
 BoundaryFlipIndex BoundaryFlipIndex::Build(const ItGraph& graph,
@@ -74,10 +56,6 @@ BoundaryFlipIndex BoundaryFlipIndex::Build(const ItGraph& graph,
   const size_t boundaries = cps.NumCheckpoints();
   index.offsets_.assign(boundaries + 1, 0);
 
-  // One from-G0 mask per interval — a single ATI probe per (door,
-  // interval) — then each boundary's flip list is the XOR diff of its
-  // two masks, emitted in ascending door order. Paid once per router
-  // instead of per query.
   GraphSnapshot prev = BuildSnapshot(graph, cps, 0);
   for (size_t b = 0; b < boundaries; ++b) {
     GraphSnapshot next = BuildSnapshot(graph, cps, b + 1);
@@ -89,38 +67,70 @@ BoundaryFlipIndex BoundaryFlipIndex::Build(const ItGraph& graph,
   return index;
 }
 
-BoundaryFlipIndex BoundaryFlipIndex::FromLists(
-    const std::vector<std::vector<DoorId>>& per_boundary) {
-  BoundaryFlipIndex index;
-  index.offsets_.assign(per_boundary.size() + 1, 0);
-  size_t total = 0;
-  for (const auto& list : per_boundary) total += list.size();
-  index.doors_.reserve(total);
-  for (size_t b = 0; b < per_boundary.size(); ++b) {
-    index.doors_.insert(index.doors_.end(), per_boundary[b].begin(),
-                        per_boundary[b].end());
-    index.offsets_[b + 1] = index.doors_.size();
-  }
-  return index;
-}
+BoundaryLedger BoundaryLedger::Build(const ItGraph& graph) {
+  BoundaryLedger ledger;
+  std::vector<double>& times = ledger.checkpoints.times_;
+  std::vector<size_t>& offsets = ledger.flips.offsets_;
+  std::vector<DoorId>& doors = ledger.flips.doors_;
 
-void BuildBoundaryLedger(const ItGraph& graph, std::vector<double>* times,
-                         std::vector<std::vector<DoorId>>* doors) {
-  // Every door is filed under its times in id order, so each list comes
-  // out ascending (BoundaryFlipIndex::Build's order), reserved ahead.
-  *times = DistinctInteriorBoundaries(graph);
-  auto slot = [times](double t) {
-    return static_cast<size_t>(
-        std::lower_bound(times->begin(), times->end(), t) - times->begin());
-  };
-  std::vector<size_t> counts(times->size());
-  ForEachInteriorBoundary(graph, [&](size_t, double t) { ++counts[slot(t)]; });
-  doors->clear();
-  doors->resize(times->size());
-  for (size_t b = 0; b < counts.size(); ++b) (*doors)[b].reserve(counts[b]);
-  ForEachInteriorBoundary(graph, [&](size_t d, double t) {
-    (*doors)[slot(t)].push_back(static_cast<DoorId>(d));
+  // First walk: file and count every boundary under its time.
+  LedgerSlot table[kLedgerSlots] = {};
+  size_t distinct = 0;
+  size_t total = 0;
+  bool fits = true;
+  graph.ForEachInteriorBoundary([&](DoorId, double t) {
+    ++total;
+    LedgerSlot* slot = fits ? Probe(table, t) : nullptr;
+    if (slot != nullptr && slot->time == 0 && distinct < kLedgerMaxDistinct) {
+      slot->time = t;
+      ++distinct;
+    }
+    fits = slot != nullptr && slot->time == t;
+    if (fits) ++slot->entries;
   });
+
+  if (!fits) {
+    // Too many distinct times, or too clustered a table: sort the
+    // (time, door) pairs, which also orders each time's doors.
+    std::vector<std::pair<double, DoorId>> pairs;
+    pairs.reserve(total);
+    graph.ForEachInteriorBoundary([&pairs](DoorId d, double t) {
+      pairs.emplace_back(t, d);
+    });
+    std::sort(pairs.begin(), pairs.end());
+    doors.reserve(total);
+    for (const auto& [t, d] : pairs) {
+      if (times.empty() || times.back() != t) {
+        times.push_back(t);
+        offsets.push_back(doors.size());
+      }
+      doors.push_back(d);
+    }
+    offsets.push_back(doors.size());
+    return ledger;
+  }
+
+  LedgerSlot* order[kLedgerMaxDistinct];
+  size_t used = 0;
+  for (LedgerSlot& slot : table) {
+    if (slot.time != 0) order[used++] = &slot;
+  }
+  std::sort(order, order + used, [](const LedgerSlot* a, const LedgerSlot* b) {
+    return a->time < b->time;
+  });
+  times.resize(used);
+  offsets.assign(used + 1, 0);
+  for (size_t i = 0; i < used; ++i) {
+    times[i] = order[i]->time;
+    offsets[i + 1] = offsets[i] + order[i]->entries;
+    order[i]->entries = offsets[i];
+  }
+  // Second walk: each door into its time's next CSR slot.
+  doors.resize(total);
+  graph.ForEachInteriorBoundary([&](DoorId d, double t) {
+    doors[Probe(table, t)->entries++] = d;
+  });
+  return ledger;
 }
 
 }  // namespace itspq

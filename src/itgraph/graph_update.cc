@@ -48,10 +48,8 @@ GraphSnapshot BuildSnapshotDelta(const ItGraph& graph,
   snap.interval_index = to_interval;
   snap.open = from.open;
   snap.open_door_count = from.open_door_count;
-  const DoorId* it = flips.FlipsBegin(boundary);
-  const DoorId* end = flips.FlipsEnd(boundary);
-  for (; it != end; ++it) {
-    if (snap.open.Flip(*it)) {
+  for (const DoorId door : flips[boundary]) {
+    if (snap.open.Flip(door)) {
       ++snap.open_door_count;
     } else {
       --snap.open_door_count;

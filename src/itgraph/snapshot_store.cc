@@ -1,6 +1,7 @@
 #include "itgraph/snapshot_store.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 namespace itspq {
@@ -34,7 +35,9 @@ SnapshotStore::SnapshotStore(const ItGraph& graph, const CheckpointSet& cps,
     : graph_(&graph),
       cps_(&cps),
       id_(g_next_store_id.fetch_add(1, std::memory_order_relaxed)),
-      borrowed_flips_(warm != nullptr ? warm->flip_index : nullptr),
+      owned_flips_(warm != nullptr ? BoundaryFlipIndex()
+                                   : BoundaryLedger::Build(graph).flips),
+      flips_(warm != nullptr ? warm->flip_index : &owned_flips_),
       slots_(cps.NumIntervals()),
       budget_bytes_(options.budget_bytes) {
   if (warm == nullptr || warm->carry_from == nullptr ||
@@ -81,21 +84,9 @@ SnapshotStore::SnapshotStore(const ItGraph& graph, const CheckpointSet& cps,
   EvictToFitLocked(slots_.size());
 }
 
-const BoundaryFlipIndex& SnapshotStore::EnsureFlips() const {
-  if (borrowed_flips_ != nullptr) return *borrowed_flips_;
-  std::call_once(flips_once_, [this] {
-    flips_ = BoundaryFlipIndex::Build(*graph_, *cps_);
-    flips_built_.store(true, std::memory_order_release);
-  });
-  return flips_;
-}
-
 std::shared_ptr<const GraphSnapshot> SnapshotStore::Get(
     size_t interval_index, bool* built_now) const {
   if (built_now != nullptr) *built_now = false;
-  // Resolve the flip index before taking the mutex: the one-time
-  // O(intervals x doors) build must not block concurrent readers.
-  const BoundaryFlipIndex& flips = EnsureFlips();
   std::lock_guard<std::mutex> lock(mu_);
   std::shared_ptr<const GraphSnapshot>& slot = slots_[interval_index];
   if (slot != nullptr) {
@@ -117,7 +108,7 @@ std::shared_ptr<const GraphSnapshot> SnapshotStore::Get(
   if (neighbour != nullptr) {
     size_t touched = 0;
     snap = std::make_shared<GraphSnapshot>(BuildSnapshotDelta(
-        *graph_, *cps_, flips, *neighbour, interval_index, &touched));
+        *graph_, *cps_, *flips_, *neighbour, interval_index, &touched));
     ++delta_builds_;
     delta_door_touches_ += touched;
   } else {
@@ -196,12 +187,9 @@ CacheStatsSnapshot SnapshotStore::Stats() const {
 }
 
 size_t SnapshotStore::MemoryUsage() const {
-  const size_t flips_bytes = flips_built_.load(std::memory_order_acquire)
-                                 ? flips_.MemoryUsage()
-                                 : 0;
   std::lock_guard<std::mutex> lock(mu_);
   return slots_.capacity() * sizeof(slots_[0]) + resident_bytes_ +
-         flips_bytes;
+         owned_flips_.MemoryUsage();
 }
 
 }  // namespace itspq

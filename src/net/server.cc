@@ -3,6 +3,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 
 #include <algorithm>
@@ -21,7 +22,7 @@ using Clock = std::chrono::steady_clock;
 /// Above this many unsent reply bytes the reader takes no new frames.
 constexpr size_t kMaxOutboxBytes = 256 * 1024;
 /// A reader owed replies re-checks the outbox this often: a completing
-/// thread that leaves bytes there cannot wake it out of poll.
+/// thread wakes it out of poll only once every owed reply is written.
 constexpr int kOutboxTickMillis = 10;
 /// An idle reader whose peer sent its last frame within this long of
 /// the reader going idle polls this long for the next one before it
@@ -52,6 +53,10 @@ struct NetServer::Connection {
   explicit Connection(std::atomic<size_t>& sent) : frames_sent(sent) {}
 
   ScopedFd fd;
+  /// Signalled when a writer empties the reply queue while the reader
+  /// polls, so it goes idle (and spins) at once. When invalid, poll
+  /// skips it and the tick stands in.
+  ScopedFd wake;
   std::thread reader;
   std::atomic<bool> done{false};  // the reader's last touch; reapable
   std::atomic<size_t>& frames_sent;
@@ -64,6 +69,7 @@ struct NetServer::Connection {
   std::string outbox;          // guarded by mu
   bool writing = false;        // guarded by mu
   bool dead = false;  // guarded by mu; peer gone, replies discarded
+  bool parked = false;  // guarded by mu; the reader is in poll
 
   bool Owed() const { return !slots.empty() || !outbox.empty() || writing; }
 
@@ -110,6 +116,7 @@ struct NetServer::Connection {
       break;
     }
     writing = false;
+    if (parked && !Owed()) (void)eventfd_write(wake.get(), 1);
     cv.notify_all();
   }
 };
@@ -135,6 +142,7 @@ void NetServer::AcceptLoop() {
     }
     auto conn = std::make_unique<Connection>(frames_sent_);
     conn->fd.Reset(raw);
+    conn->wake.Reset(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
     if (options_.recv_timeout_seconds > 0) {
       (void)SetRecvTimeout(raw, options_.recv_timeout_seconds);
     }
@@ -202,20 +210,27 @@ void NetServer::ReaderLoop(Connection* conn) {
       conn->cv.wait(lock);  // replies still computing or being written
       continue;
     }
-    // Wait for the next frame (unless the outbox is over its cap) and,
-    // with bytes in the outbox, for room to send them.
-    pollfd ready = {fd, 0, 0};
+    // Wait for the next frame (unless the outbox is over its cap), with
+    // bytes in the outbox for room to send them, and for the wake-up of
+    // the thread that writes the last owed reply.
+    pollfd ready[2] = {{fd, 0, 0}, {conn->wake.get(), POLLIN, 0}};
     if (reading && conn->outbox.size() <= kMaxOutboxBytes) {
-      ready.events = POLLIN;
+      ready[0].events = POLLIN;
     }
-    if (!conn->outbox.empty()) ready.events |= POLLOUT;
+    if (!conn->outbox.empty()) ready[0].events |= POLLOUT;
+    conn->parked = true;
     lock.unlock();
-    (void)::poll(&ready, 1, kOutboxTickMillis);
-    if ((ready.events & POLLIN) &&
-        (ready.revents & (POLLIN | POLLHUP | POLLERR))) {
+    (void)::poll(ready, 2, kOutboxTickMillis);
+    if (ready[1].revents & POLLIN) {
+      eventfd_t count;
+      (void)eventfd_read(conn->wake.get(), &count);
+    }
+    if ((ready[0].events & POLLIN) &&
+        (ready[0].revents & (POLLIN | POLLHUP | POLLERR))) {
       reading = ReadOne(conn, &payload);
     }
     lock.lock();
+    conn->parked = false;
     conn->Flush(lock);
   }
   // Every reserved reply is written, or the peer is gone: FIN.

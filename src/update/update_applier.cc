@@ -1,30 +1,14 @@
 #include "update/update_applier.h"
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/time.h"
 #include "itgraph/snapshot_store.h"
 
 namespace itspq {
-
-namespace {
-
-/// Span of interval `index` under sorted boundary `times`:
-/// [times[index-1], times[index]) with times[-1] = 0, times[n] = 86400.
-struct Bounds {
-  double lo;
-  double hi;
-};
-
-Bounds SpanOf(const std::vector<double>& times, size_t index) {
-  return Bounds{index == 0 ? 0.0 : times[index - 1],
-                index == times.size() ? kSecondsPerDay : times[index]};
-}
-
-}  // namespace
 
 StatusOr<std::shared_ptr<const VersionedGraph>> UpdateApplier::Apply(
     const VersionedGraph& current, const AtiUpdate& update,
@@ -64,43 +48,7 @@ StatusOr<std::shared_ptr<const VersionedGraph>> UpdateApplier::Apply(
                   "ApplyAtiUpdate: " + graph.status().message());
   }
   next->graph_ = std::make_unique<ItGraph>(*std::move(graph));
-  const AtiRow new_ati = next->graph_->Ati(door);
-
-  // Patch the boundary ledger: remove the door's old contributions
-  // (dropping times no other door holds), insert its new ones. Only
-  // this door's ledger entries move — O(|T| + |old ATI| + |new ATI|).
-  next->boundary_times_ = current.boundary_times_;
-  next->boundary_doors_ = current.boundary_doors_;
-  const std::vector<double> old_bounds =
-      current.graph().Ati(door).InteriorBoundaries();
-  for (double t : old_bounds) {
-    const auto it = std::lower_bound(next->boundary_times_.begin(),
-                                     next->boundary_times_.end(), t);
-    const size_t b =
-        static_cast<size_t>(it - next->boundary_times_.begin());
-    std::vector<DoorId>& doors = next->boundary_doors_[b];
-    doors.erase(std::remove(doors.begin(), doors.end(), door), doors.end());
-    if (doors.empty()) {
-      next->boundary_times_.erase(it);
-      next->boundary_doors_.erase(next->boundary_doors_.begin() +
-                                  static_cast<ptrdiff_t>(b));
-    }
-  }
-  for (double t : new_ati.InteriorBoundaries()) {
-    const auto it = std::lower_bound(next->boundary_times_.begin(),
-                                     next->boundary_times_.end(), t);
-    const size_t b =
-        static_cast<size_t>(it - next->boundary_times_.begin());
-    if (it == next->boundary_times_.end() || *it != t) {
-      next->boundary_times_.insert(it, t);
-      next->boundary_doors_.insert(
-          next->boundary_doors_.begin() + static_cast<ptrdiff_t>(b),
-          std::vector<DoorId>{door});
-    } else {
-      std::vector<DoorId>& doors = next->boundary_doors_[b];
-      doors.insert(std::lower_bound(doors.begin(), doors.end(), door), door);
-    }
-  }
+  next->ledger_ = BoundaryLedger::Build(*next->graph_);
 
   // Carry plan: new interval j carries from old interval i iff their
   // spans are the SAME [lo, hi) — unchanged boundary times are
@@ -108,46 +56,41 @@ StatusOr<std::shared_ptr<const VersionedGraph>> UpdateApplier::Apply(
   // span contains no checkpoint of either world, hence both the old and
   // the new door ATI are constant across it and one midpoint probe
   // decides whether the open-door set changed there (-> invalidate).
-  const std::vector<double>& old_times = current.boundary_times_;
-  const std::vector<double>& new_times = next->boundary_times_;
-  std::vector<ptrdiff_t> carry_plan(new_times.size() + 1, kNoCarrySource);
+  const CheckpointSet& old_cps = current.checkpoints();
+  const CheckpointSet& new_cps = next->checkpoints();
+  std::vector<ptrdiff_t> carry_plan(new_cps.NumIntervals(), kNoCarrySource);
   std::vector<size_t> invalidate;
-  const AtiRow old_door_ati = current.graph().Ati(door);
-  for (size_t j = 0; j <= new_times.size(); ++j) {
-    const Bounds span = SpanOf(new_times, j);
-    const double mid = (span.lo + span.hi) * 0.5;
-    const size_t i = static_cast<size_t>(
-        std::upper_bound(old_times.begin(), old_times.end(), mid) -
-        old_times.begin());
-    const Bounds old_span = SpanOf(old_times, i);
-    if (old_span.lo != span.lo || old_span.hi != span.hi) continue;
+  const AtiRow old_ati = current.graph().Ati(door);
+  const AtiRow new_ati = next->graph_->Ati(door);
+  for (size_t j = 0; j < new_cps.NumIntervals(); ++j) {
+    const double mid = new_cps.IntervalMidpoint(j);
+    const size_t i = old_cps.IntervalIndexOf(mid);
+    if (old_cps.IntervalStart(i) != new_cps.IntervalStart(j) ||
+        old_cps.IntervalEnd(i) != new_cps.IntervalEnd(j)) {
+      continue;
+    }
     carry_plan[j] = static_cast<ptrdiff_t>(i);
-    if (old_door_ati.ContainsTimeOfDay(mid) !=
-        new_ati.ContainsTimeOfDay(mid)) {
+    if (old_ati.ContainsTimeOfDay(mid) != new_ati.ContainsTimeOfDay(mid)) {
       invalidate.push_back(j);
     }
   }
 
   if (outcome != nullptr) {
+    const std::vector<double>& old_times = old_cps.times();
+    const std::vector<double>& new_times = new_cps.times();
     *outcome = UpdateOutcome();
     outcome->epoch = next->epoch_;
-    outcome->intervals_before = old_times.size() + 1;
-    outcome->intervals_after = new_times.size() + 1;
-    for (double t : old_times) {
-      if (!std::binary_search(new_times.begin(), new_times.end(), t)) {
-        ++outcome->checkpoints_removed;
-      }
-    }
-    for (double t : new_times) {
-      if (!std::binary_search(old_times.begin(), old_times.end(), t)) {
-        ++outcome->checkpoints_added;
-      }
-    }
+    outcome->intervals_before = old_cps.NumIntervals();
+    outcome->intervals_after = new_cps.NumIntervals();
+    std::vector<double> kept;
+    std::set_intersection(old_times.begin(), old_times.end(),
+                          new_times.begin(), new_times.end(),
+                          std::back_inserter(kept));
+    outcome->checkpoints_removed = old_times.size() - kept.size();
+    outcome->checkpoints_added = new_times.size() - kept.size();
   }
 
-  Status status = next->FinishBuild(old_store, std::move(carry_plan),
-                                    std::move(invalidate));
-  if (!status.ok()) return status;
+  next->FinishBuild(old_store, std::move(carry_plan), std::move(invalidate));
 
   if (outcome != nullptr && next->router_->snapshot_store() != nullptr) {
     const CacheStatsSnapshot stats = next->router_->snapshot_store()->Stats();

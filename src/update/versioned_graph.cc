@@ -17,24 +17,17 @@ StatusOr<std::shared_ptr<const VersionedGraph>> VersionedGraph::Build(
   auto graph = ItGraph::Build(*version->venue_);
   if (!graph.ok()) return graph.status();
   version->graph_ = std::make_unique<ItGraph>(*std::move(graph));
-  BuildBoundaryLedger(*version->graph_, &version->boundary_times_,
-                      &version->boundary_doors_);
-
-  Status status = version->FinishBuild(/*carry_from=*/nullptr, {}, {});
-  if (!status.ok()) return status;
+  version->ledger_ = BoundaryLedger::Build(*version->graph_);
+  version->FinishBuild(/*carry_from=*/nullptr, {}, {});
   return std::shared_ptr<const VersionedGraph>(std::move(version));
 }
 
-Status VersionedGraph::FinishBuild(const SnapshotStore* carry_from,
-                                   std::vector<ptrdiff_t> carry_plan,
-                                   std::vector<size_t> invalidate) {
-  auto cps = CheckpointSet::FromTimes(boundary_times_);
-  if (!cps.ok()) return cps.status();
-  flips_ = BoundaryFlipIndex::FromLists(boundary_doors_);
-
+void VersionedGraph::FinishBuild(const SnapshotStore* carry_from,
+                                 std::vector<ptrdiff_t> carry_plan,
+                                 std::vector<size_t> invalidate) {
   SnapshotWarmStart warm;
-  warm.checkpoints = &*cps;
-  warm.flip_index = &flips_;
+  warm.checkpoints = &ledger_.checkpoints;
+  warm.flip_index = &ledger_.flips;
   warm.carry_from = carry_from;
   warm.carry_plan = std::move(carry_plan);
   warm.invalidate = std::move(invalidate);
@@ -42,17 +35,12 @@ Status VersionedGraph::FinishBuild(const SnapshotStore* carry_from,
   RouterBuildOptions build = options_;
   build.warm_start = &warm;
   router_ = std::make_unique<TemporalRouter>(*graph_, check_, build);
-  return Status::Ok();
 }
 
 size_t VersionedGraph::MemoryUsage() const {
-  size_t ledger = boundary_times_.capacity() * sizeof(double) +
-                  boundary_doors_.capacity() * sizeof(std::vector<DoorId>);
-  for (const auto& doors : boundary_doors_) {
-    ledger += doors.capacity() * sizeof(DoorId);
-  }
-  return venue_->MemoryUsage() + graph_->MemoryUsage() + ledger +
-         flips_.MemoryUsage() + router_->MemoryUsage();
+  return venue_->MemoryUsage() + graph_->MemoryUsage() +
+         checkpoints().times().capacity() * sizeof(double) +
+         flip_index().MemoryUsage() + router_->MemoryUsage();
 }
 
 }  // namespace itspq

@@ -373,6 +373,48 @@ const SectionCase kSectionCases[] = {
        }
        FAIL() << "no boundary flips two doors";
      }},
+    {"first checkpoint moved 600 s earlier", "Ledger", "no boundary there",
+     [](Sections* s, uint64_t, uint64_t) {
+       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kLedger);
+       ASSERT_GE(Get<uint64_t>(*p, 0), 1u);
+       ASSERT_GT(Get<double>(*p, 8), 600.0);
+       Set<double>(p, 8, Get<double>(*p, 8) - 600);
+     }},
+    {"flip list names a door without that boundary", "Ledger",
+     "no boundary there",
+     [](Sections* s, uint64_t, uint64_t) {
+       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kLedger);
+       const uint64_t boundaries = Get<uint64_t>(*p, 0);
+       const size_t offsets = (boundaries + 1) * 8;
+       const size_t pool = offsets + (boundaries + 1) * 8;
+       for (uint64_t b = 0; b < boundaries; ++b) {
+         const size_t at = pool + Get<uint64_t>(*p, offsets + b * 8) * 4;
+         if (Get<int32_t>(*p, at) == 0) continue;
+         // Door 0 is in no list it does not head: the list stays sorted.
+         Set<int32_t>(p, at, 0);
+         return;
+       }
+       FAIL() << "door 0 heads every flip list";
+     }},
+    {"door dropped from a flip list", "Ledger", "interior boundaries",
+     [](Sections* s, uint64_t, uint64_t) {
+       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kLedger);
+       const uint64_t boundaries = Get<uint64_t>(*p, 0);
+       const size_t offsets = (boundaries + 1) * 8;
+       const size_t pool = offsets + (boundaries + 1) * 8;
+       for (uint64_t b = 0; b < boundaries; ++b) {
+         const uint64_t begin = Get<uint64_t>(*p, offsets + b * 8);
+         if (Get<uint64_t>(*p, offsets + (b + 1) * 8) - begin < 2) continue;
+         for (uint64_t later = b + 1; later <= boundaries; ++later) {
+           const size_t at = offsets + later * 8;
+           Set<uint64_t>(p, at, Get<uint64_t>(*p, at) - 1);
+         }
+         const auto first = p->begin() + static_cast<ptrdiff_t>(pool + begin * 4);
+         p->erase(first, first + 4);
+         return;
+       }
+       FAIL() << "no boundary flips two doors";
+     }},
     {"duplicate section", "Ledger", "duplicate section",
      [](Sections* s, uint64_t, uint64_t) {
        s->emplace_back(static_cast<uint32_t>(ArtifactSection::kLedger),
@@ -415,13 +457,18 @@ const SectionCase kNonFiniteGridCases[] = {
      }},
 };
 
-std::string DecodeError(const Sections& sections) {
+// The rejection of `sections` on load: decoding, then building the world,
+// which checks the stored ledger against the compiled ATI rows.
+std::string LoadError(const Sections& sections) {
   const std::vector<uint8_t> image = Assemble(sections);
   auto decoded = DecodeVenueArtifact(image.data(), image.size());
-  if (decoded.ok()) return "decoded";
-  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
-      << decoded.status().ToString();
-  return decoded.status().message();
+  Status status = decoded.status();
+  if (decoded.ok()) {
+    status = BuildWorldFromArtifact(*std::move(decoded), "itg-s").status();
+  }
+  if (status.ok()) return "loaded";
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  return status.message();
 }
 
 // Applies each case to a fresh split of the small venue's image and
@@ -440,7 +487,7 @@ void ExpectEachRejected(const SectionCase (&cases)[N]) {
     SCOPED_TRACE(c.name);
     Sections sections = SplitSections(image);
     c.corrupt(&sections, partitions, doors);
-    const std::string message = DecodeError(sections);
+    const std::string message = LoadError(sections);
     EXPECT_NE(message.find(c.section), std::string::npos) << message;
     EXPECT_NE(message.find(c.fragment), std::string::npos) << message;
   }
@@ -470,7 +517,7 @@ TEST(ArtifactSectionRejectionTest, TrailingBytesRejectedInEverySection) {
     padded[i].second.resize(padded[i].second.size() + 8, 0);
     const char* name = names[padded[i].first];
     SCOPED_TRACE(name);
-    const std::string message = DecodeError(padded);
+    const std::string message = LoadError(padded);
     EXPECT_NE(message.find(std::string("section ") + name), std::string::npos)
         << message;
   }

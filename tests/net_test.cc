@@ -833,6 +833,39 @@ TEST(NetSpinTest, SpacedRequestsParkTheReaderAndAllReplyInOrder) {
   EXPECT_EQ(server->Stats().decode_errors, 0u);
 }
 
+// A reader owed a reply keeps reading: with dispatch paused the first
+// query stays owed, yet a second one sent behind it is admitted before
+// Resume(), and both replies then come back in order.
+TEST(NetSpinTest, FrameBehindAnOwedReplyIsAdmittedAtOnce) {
+  ServiceOptions opts;
+  opts.start_paused = true;
+  auto server = MakeTestServer(opts);
+  QueryService& service = server->service();
+  auto client =
+      ValueOrDie(NetClient::Connect(server->port()), "NetClient::Connect");
+  MultiVenueWorkloadConfig config;
+  config.num_requests = 2;
+  config.seed = 37;
+  std::vector<QueryRequest> workload =
+      ValueOrDie(GenerateMultiVenueWorkload(service.catalog(), config),
+                 "GenerateMultiVenueWorkload");
+  std::vector<uint64_t> ids;
+  ids.push_back(ValueOrDie(
+      client->Send(workload[0], kInf, QosClass::kInteractive), "Send"));
+  ASSERT_TRUE(WaitFor([&] { return service.Stats().submitted == 1; }));
+  ids.push_back(ValueOrDie(
+      client->Send(workload[1], kInf, QosClass::kInteractive), "Send"));
+  EXPECT_TRUE(WaitFor([&] { return service.Stats().submitted == 2; }));
+  EXPECT_EQ(service.Stats().served, 0u);
+  service.Resume();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const WireReply reply = ValueOrDie(client->ReceiveReply(), "ReceiveReply");
+    EXPECT_EQ(reply.request_id, ids[i]) << "reply " << i;
+    EXPECT_EQ(reply.code, StatusCode::kOk) << "reply " << i;
+  }
+  EXPECT_EQ(server->Stats().decode_errors, 0u);
+}
+
 // Each client that hangs up is reaped on a later accept: 32 sequential
 // connect/close cycles leave the process holding only a small constant
 // number of extra fds, not one per departed client.

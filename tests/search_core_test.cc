@@ -356,6 +356,19 @@ void PairSortLedger(const ItGraph& graph, std::vector<double>* times,
   }
 }
 
+// BoundaryLedger::Build in the list shape the pair sort produces:
+// times[b], and flip list b as a vector.
+void BuildBoundaryLedger(const ItGraph& graph, std::vector<double>* times,
+                         std::vector<std::vector<DoorId>>* doors) {
+  const BoundaryLedger ledger = BoundaryLedger::Build(graph);
+  *times = ledger.checkpoints.times();
+  ASSERT_EQ(ledger.flips.NumBoundaries(), times->size());
+  doors->clear();
+  for (size_t b = 0; b < ledger.flips.NumBoundaries(); ++b) {
+    doors->emplace_back(ledger.flips.FlipsBegin(b), ledger.flips.FlipsEnd(b));
+  }
+}
+
 void ExpectLedgerMatchesPairSort(const ItGraph& graph) {
   std::vector<double> times, want_times;
   std::vector<std::vector<DoorId>> doors, want_doors;
@@ -427,9 +440,83 @@ TEST(SearchCoreTest, BoundaryLedgerMatchesPairSortOverSeededFleets) {
   }
 }
 
-// The update plane patches an epoch's ledger door by door; after every
-// update of a seeded stream, the published checkpoints and flip lists
-// equal the ledger compiled from scratch for the new graph.
+/// The graph of a one-hall venue whose door d is open over atis[d].
+ItGraph HallGraphWithAtis(const std::vector<std::vector<TimeInterval>>& atis) {
+  std::vector<Point2d> positions;
+  for (size_t d = 0; d < atis.size(); ++d) {
+    positions.push_back({2.0 * static_cast<double>(d % 50),
+                         2.0 * static_cast<double>(d / 50)});
+  }
+  return ValueOrDie(ItGraph::Build(WithAtis(MakeOneHallVenue(positions), atis)),
+                    "ItGraph::Build");
+}
+
+/// `count` ascending times in (0, 86400) whose bit patterns share one
+/// home slot of the ledger table. The hash reads every bit, so a shared
+/// slot is the most any two distinct times can agree in.
+std::vector<double> CollidingTimes(size_t count) {
+  const size_t home = LedgerHomeSlot(3600.0);
+  std::vector<double> times;
+  for (double t = 3600; times.size() < count; t += 0.25) {
+    if (LedgerHomeSlot(t) == home) times.push_back(t);
+  }
+  return times;
+}
+
+/// One door per consecutive pair of the ascending `times`, open from the
+/// first to the second; the last pair goes to door 0, so the doors file
+/// their times in descending order.
+std::vector<std::vector<TimeInterval>> PairedAtis(
+    const std::vector<double>& times) {
+  std::vector<std::vector<TimeInterval>> atis;
+  for (size_t i = times.size(); i >= 2; i -= 2) {
+    atis.push_back({{times[i - 2], times[i - 1]}});
+  }
+  return atis;
+}
+
+// Rows built against BoundaryLedger::Build's table: more distinct times
+// than it holds, times that all probe from one slot (within and past the
+// longest probe), and adjacent doubles, none filed in time order. Each
+// matches the pair sort.
+TEST(SearchCoreTest, BoundaryLedgerOfHostileTimes) {
+  {
+    SCOPED_TRACE("1,200 distinct times");
+    std::vector<std::vector<TimeInterval>> atis;
+    for (int d = 0; d < 600; ++d) {
+      const double open = 1000 + 70.5 * (7 * d % 600);
+      atis.push_back({{open, open + 60}});
+    }
+    const ItGraph graph = HallGraphWithAtis(atis);
+    EXPECT_EQ(CheckpointSet::FromGraph(graph).NumCheckpoints(), 1200u);
+    ExpectLedgerMatchesPairSort(graph);
+  }
+  for (const size_t count : {kLedgerMaxProbe, 4 * kLedgerMaxProbe}) {
+    SCOPED_TRACE(std::to_string(count) + " times sharing one home slot");
+    const std::vector<double> times = CollidingTimes(count);
+    const ItGraph graph = HallGraphWithAtis(PairedAtis(times));
+    EXPECT_EQ(CheckpointSet::FromGraph(graph).times(), times);
+    ExpectLedgerMatchesPairSort(graph);
+  }
+  {
+    SCOPED_TRACE("adjacent doubles");
+    std::vector<std::vector<TimeInterval>> atis;
+    double open = 12 * 3600.0;
+    double close = 13 * 3600.0;
+    for (int d = 0; d < 24; ++d) {
+      atis.push_back({{open, close}});
+      open = std::nextafter(open, kSecondsPerDay);
+      if (d % 2 == 1) close = std::nextafter(close, 0.0);
+    }
+    const ItGraph graph = HallGraphWithAtis(atis);
+    EXPECT_EQ(CheckpointSet::FromGraph(graph).NumCheckpoints(), 36u);
+    ExpectLedgerMatchesPairSort(graph);
+  }
+}
+
+// The update plane rebuilds an epoch's ledger from the new rows; after
+// every update of a seeded stream, the published checkpoints and flip
+// lists equal the ledger compiled from scratch for the new graph.
 TEST(SearchCoreTest, IncrementalLedgerMatchesRebuildAcrossAnUpdateStream) {
   std::vector<std::vector<Venue>> fleets = SeededFleets(1);
   VenueCatalog catalog;
