@@ -154,8 +154,8 @@ FleetResult RunFleetColdStart(size_t fleet_size, uint64_t seed,
   }
   result.artifact_build_ms = build_timer.ElapsedMillis();
 
-  // Artifact boot: reconstruct the same worlds from disk — decode,
-  // compile the ATI rows, adopt the stored ledger, publish epoch 0.
+  // Artifact boot: reconstruct the same worlds from disk — decode, then
+  // compile the ATI rows and the ledger and publish epoch 0.
   Timer boot_timer;
   std::vector<std::shared_ptr<const VersionedGraph>> worlds;
   worlds.reserve(paths.size());

@@ -4,17 +4,16 @@
 // Packed venue artifacts: build-once/load-fast serialization of a full
 // venue world (format.h documents the on-disk layout).
 //
-// The write side packs the venue and its boundary ledger (checkpoint
-// times + flip lists, derived once here) into one flat `.itspq` file:
+// The write side packs the venue into one flat `.itspq` file:
 //
-//   Venue + ledger   EncodeVenueArtifact / WriteVenueArtifact
+//   Venue   EncodeVenueArtifact / WriteVenueArtifact
 //
-// The load side checksums and bounds-checks every section and adopts
-// the venue and the ledger as stored. BuildWorldFromArtifact then
-// compiles the ATI rows and the adjacency with ItGraph::Build, as
-// VersionedGraph::Build does, checks the stored ledger against those
-// rows, and publishes the world as a `VersionedGraph` epoch 0, so lazy
-// shards compose with the online-update plane unchanged:
+// The load side checksums and bounds-checks every section and decodes
+// the venue straight into its flat arrays. BuildWorldFromArtifact then
+// hands it to VersionedGraph::Build, the one construction path of an
+// in-memory shard too: it compiles the ATI rows, the adjacency and the
+// boundary ledger, and publishes the world as epoch 0, so lazy shards
+// compose with the online-update plane unchanged:
 //
 //   LoadVenueArtifact(path) -> LoadedVenueWorld
 //     -> BuildWorldFromArtifact(world, "itg-a+") -> shared_ptr<const VersionedGraph>
@@ -30,7 +29,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "itgraph/checkpoints.h"
 #include "query/router.h"
 #include "query/strategies.h"
 #include "venue/venue.h"
@@ -44,19 +42,15 @@ struct ArtifactWriteOptions {
   std::string label;
 };
 
-/// A decoded artifact: the venue and its boundary ledger. `venue` is
-/// heap-held because Venue has no public default constructor.
+/// A decoded artifact: the venue and its label. `venue` is heap-held
+/// because Venue has no public default constructor.
 struct LoadedVenueWorld {
   std::unique_ptr<Venue> venue;
-  /// The boundary ledger as stored: checkpoint_times[i] is contributed
-  /// by exactly the (ascending) doors in flip_lists[i].
-  std::vector<double> checkpoint_times;
-  BoundaryFlipIndex flip_lists;
   std::string label;
 };
 
-/// Packs `venue` and its boundary ledger into an artifact image. Errors
-/// when the venue's ATIs fail graph compilation.
+/// Packs `venue` into an artifact image. Errors when the venue's ATIs
+/// fail graph compilation.
 StatusOr<std::vector<uint8_t>> EncodeVenueArtifact(
     const Venue& venue,
     const ArtifactWriteOptions& options = ArtifactWriteOptions());
@@ -77,9 +71,10 @@ StatusOr<LoadedVenueWorld> DecodeVenueArtifact(const uint8_t* data,
 StatusOr<LoadedVenueWorld> LoadVenueArtifact(const std::string& path);
 
 /// Cheap registration-time check: reads only the header + section table
-/// and validates magic/version/endianness/sizes/table checksum without
-/// touching section payloads. A file passing this can still fail
-/// LoadVenueArtifact on a payload checksum.
+/// and validates magic/version/endianness/sizes/table checksum, and that
+/// the table lists each section the format defines exactly once with a
+/// zero reserved word, without touching section payloads. A file passing
+/// this can still fail LoadVenueArtifact on a payload checksum.
 Status ValidateArtifactHeader(const std::string& path);
 
 /// Reads a fleet manifest: one artifact filename per line, blank lines
@@ -87,12 +82,9 @@ Status ValidateArtifactHeader(const std::string& path);
 /// directory.
 StatusOr<std::vector<std::string>> ReadFleetManifest(const std::string& path);
 
-/// Assembles a serving world from a decoded artifact and publishes it
-/// as a `VersionedGraph` epoch 0 under strategy `check` — the lazy-load
-/// equivalent of VersionedGraph::Build(venue, ...), which it matches
-/// but for the boundary ledger, adopted from the file instead of
-/// derived. kInvalidArgument naming the Ledger section when the stored
-/// ledger is not the one the compiled ATI rows imply.
+/// Publishes a decoded artifact's venue as a `VersionedGraph` epoch 0
+/// under strategy `check`: VersionedGraph::Build(venue, check, options).
+/// kInvalidArgument when `world` holds no venue.
 StatusOr<std::shared_ptr<const VersionedGraph>> BuildWorldFromArtifact(
     LoadedVenueWorld world, TvCheck check,
     const RouterBuildOptions& options = RouterBuildOptions());

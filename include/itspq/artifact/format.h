@@ -5,10 +5,9 @@
 //
 // An artifact is one flat, offset-based binary file holding what a shard
 // reads to serve: the Venue (geometry, doors, source ATIs, point-location
-// grid) and the boundary ledger (checkpoint times + flip lists). The
-// loader derives the rest as VersionedGraph::Build does: the partition
-// door lists, the ATI rows and the search adjacency. Edge weights are
-// never stored.
+// grid). The loader derives the partition door lists, and
+// VersionedGraph::Build the rest: the ATI rows, the search adjacency and
+// the boundary ledger. Edge weights are never stored.
 //
 //   [ArtifactHeader | section table | section 0 | section 1 | ... ]
 //
@@ -46,25 +45,27 @@ inline constexpr char kArtifactMagic[8] = {'I', 'T', 'S', 'P',
 ///       the ATI rows from DoorAtis), and merges Checkpoints and
 ///       FlipIndex into one Ledger section. Meta loses its flags field
 ///       and DoorAtis its leading offset count. v4 files must be rebuilt.
-inline constexpr uint32_t kArtifactFormatVersion = 5;
+///   6 — drops the Ledger section: the loader derives the checkpoint
+///       times and flip lists from the ATI rows. Every other section
+///       keeps its v5 bytes; v5 files must still be rebuilt.
+inline constexpr uint32_t kArtifactFormatVersion = 6;
 
 /// Written as 0x01020304 by a little-endian writer; a reader seeing the
 /// byte-swapped value knows the file came from the other endianness.
 inline constexpr uint32_t kArtifactEndianTag = 0x01020304u;
 
 /// Section kinds, in the order the writer emits them; every one is
-/// required. Readers locate sections by kind through the table, not by
-/// position. Retired kinds stay reserved: 5 (DoorsOf, v1-v3),
-/// 6 (DistanceMatrices, v1-v2), 8 (CompiledAtis, v1-v4), 9 (Checkpoints,
-/// v1-v4), 10 (FlipIndex, v1-v4), 11 (D2d, v1-v4) and 12 (AdjacencyCsr,
-/// v2).
+/// required, once. Readers locate sections by kind through the table,
+/// not by position, and refuse a table listing any other kind. Retired
+/// kinds stay reserved: 5 (DoorsOf, v1-v3), 6 (DistanceMatrices, v1-v2),
+/// 8 (CompiledAtis, v1-v4), 9 (Checkpoints, v1-v4), 10 (FlipIndex,
+/// v1-v4), 11 (D2d, v1-v4), 12 (AdjacencyCsr, v2) and 13 (Ledger, v5).
 enum class ArtifactSection : uint32_t {
   kMeta = 1,        // partition and door counts, label
   kPartitions = 2,  // Rect + floor per partition
   kDoors = 3,       // position, floor, partition pair per door
   kDoorAtis = 4,    // per-door source TimeInterval CSR (pre-normalisation)
   kFloorIndex = 7,  // per-floor point-location grids
-  kLedger = 13,     // checkpoint times, then the per-boundary flip-list CSR
 };
 
 /// Fixed 40-byte file header. `table_checksum` covers the raw bytes of

@@ -82,9 +82,8 @@ class CheckpointSet {
   const std::vector<double>& times() const { return times_; }
 
  private:
-  // Both fill times_ sorted and unique, without FromTimes' sort.
+  // Fills times_ sorted and unique, without FromTimes' sort.
   friend struct BoundaryLedger;
-  friend class ArtifactCodec;
 
   std::vector<double> times_;  // sorted, unique, all in (0, 86400)
 };
@@ -133,9 +132,8 @@ class BoundaryFlipIndex {
   }
 
  private:
-  // Both write the CSR in place.
+  // Writes the CSR in place.
   friend struct BoundaryLedger;
-  friend class ArtifactCodec;
 
   std::vector<size_t> offsets_;  // NumBoundaries() + 1 entries
   std::vector<DoorId> doors_;    // concatenated per-boundary flip lists

@@ -16,7 +16,9 @@
 // The checkpoint set and flip index are one BoundaryLedger
 // (itgraph/checkpoints.h), compiled from the ATI rows in two walks —
 // never by re-probing every (interval, door) pair — and compiled afresh
-// for each update's next version.
+// for each update's next version. Build is the one way to epoch 0, for
+// a venue built in memory and for one loaded from an `.itspq` file
+// (artifact/artifact.h) alike.
 
 #include <cstddef>
 #include <cstdint>
@@ -60,10 +62,6 @@ class VersionedGraph {
 
  private:
   friend class UpdateApplier;
-  /// The artifact loader (artifact/artifact.h) assembles epoch 0 from a
-  /// decoded file: it compiles the graph as Build() does, adopts the
-  /// stored ledger once it matches the rows, and calls FinishBuild.
-  friend class ArtifactCodec;
 
   VersionedGraph() = default;
 

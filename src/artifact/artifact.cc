@@ -1,18 +1,15 @@
 #include "artifact/artifact.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
-#include <limits>
-#include <map>
 #include <utility>
 
 #include "artifact/format.h"
-#include "common/time.h"
-#include "itgraph/checkpoints.h"
+#include "common/byte_codec.h"
 #include "itgraph/itgraph.h"
 #include "update/versioned_graph.h"
 
@@ -33,107 +30,8 @@ auto Below(uint64_t bound) {
   };
 }
 
-/// Little-endian append-only buffer for one section payload.
-struct ByteWriter {
-  std::vector<uint8_t> out;
-
-  void Raw(const void* p, size_t n) {
-    const auto* b = static_cast<const uint8_t*>(p);
-    out.insert(out.end(), b, b + n);
-  }
-  template <typename T>
-  void Put(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    Raw(&v, sizeof(v));
-  }
-  template <typename T>
-  void Pod(const std::vector<T>& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    Raw(v.data(), v.size() * sizeof(T));
-  }
-  /// One CSR block: the offsets, widened to u64, then the pool.
-  template <typename Offset, typename T>
-  void Csr(const std::vector<Offset>& offsets, const std::vector<T>& pool) {
-    for (Offset o : offsets) Put(uint64_t{o});
-    Pod(pool);
-  }
-};
-
-/// Bounds-checked cursor over one section payload. Every read either
-/// succeeds or trips the fail flag; nothing ever reads past `size_`.
-class ByteReader {
- public:
-  ByteReader(const char* section, const uint8_t* data, size_t size)
-      : section_(section), data_(data), size_(size) {}
-
-  bool Raw(void* p, size_t n) {
-    if (n > size_ - pos_) return Fail();
-    if (n == 0) return true;  // an empty vector's data() may be null
-    std::memcpy(p, data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  template <typename T>
-  bool Get(T* v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return Raw(v, sizeof(*v));
-  }
-
-  /// Reads `count` trivially-copyable elements, guarding the resize
-  /// against hostile counts (never allocates more than remains).
-  template <typename T>
-  bool Pod(std::vector<T>* v, uint64_t count) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (count > (size_ - pos_) / sizeof(T)) return Fail();
-    v->resize(static_cast<size_t>(count));
-    return Raw(v->data(), v->size() * sizeof(T));
-  }
-
-  /// CSR offsets for `count` lists: `count + 1` u64s, from 0,
-  /// non-decreasing, narrowed to the in-memory `Offset`.
-  template <typename Offset>
-  bool Offsets(uint64_t count, std::vector<Offset>* offsets) {
-    if (count >= (size_ - pos_) / sizeof(uint64_t)) return Fail();
-    offsets->resize(static_cast<size_t>(count) + 1);
-    uint64_t last = 0;
-    for (Offset& o : *offsets) {
-      uint64_t v = 0;
-      if (!Get(&v) || v < last || v > std::numeric_limits<Offset>::max()) {
-        return Fail();
-      }
-      o = static_cast<Offset>(last = v);
-    }
-    return offsets->front() == 0 || Fail();
-  }
-  /// One CSR block of `count` lists: the offsets, then the pool they
-  /// index. False when the pool is short or an element fails the
-  /// `valid` hook.
-  template <typename Offset, typename T, typename Valid>
-  bool Csr(uint64_t count, std::vector<Offset>* offsets, std::vector<T>* pool,
-           Valid valid) {
-    return Offsets(count, offsets) && Pod(pool, offsets->back()) &&
-           std::all_of(pool->begin(), pool->end(), valid);
-  }
-
-  /// This section's rejection: `what`, or "malformed" once a read has
-  /// failed (a check after a short read saw no real data).
-  Status Reject(const std::string& what) const {
-    return CorruptSection(section_, failed_ ? "malformed" : what);
-  }
-  bool Exhausted() const { return !failed_ && pos_ == size_; }
-
- private:
-  bool Fail() {
-    failed_ = true;
-    return false;
-  }
-
-  const char* section_;
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-};
+/// Meta, Partitions, Doors, DoorAtis and FloorIndex.
+constexpr size_t kNumSections = 5;
 
 // Fixed-size records, laid out exactly as on disk.
 struct MetaRecord {  // followed by the label bytes
@@ -162,48 +60,45 @@ static_assert(sizeof(MetaRecord) == 24 && sizeof(PartitionRecord) == 40 &&
 
 }  // namespace
 
-/// Befriended by Venue, VersionedGraph and the ledger's two halves:
-/// encodes the venue's private representation and the ledger's CSR
-/// verbatim, and at load time adopts both, compiling the ATI rows as
-/// VersionedGraph::Build does and checking the ledger against them.
+/// Befriended by Venue: encodes the venue's private representation
+/// verbatim and decodes straight into it.
 class ArtifactCodec {
  public:
   static StatusOr<std::vector<uint8_t>> Encode(
       const Venue& venue, const ArtifactWriteOptions& options);
   static StatusOr<LoadedVenueWorld> Decode(const uint8_t* data, size_t size);
-  static StatusOr<std::shared_ptr<const VersionedGraph>> BuildWorld(
-      LoadedVenueWorld world, TvCheck check,
-      const RouterBuildOptions& options);
 
-  /// What the section encoders read: the venue and its boundary
-  /// ledger, derived once, at encode time.
+  /// What the section encoders read.
   struct Source {
     const Venue& venue;
     const ArtifactWriteOptions& options;
-    BoundaryLedger ledger;
   };
   /// What the section decoders fill, in table order: each decoder may
   /// rely on every section before it.
   struct Sink {
     MetaRecord meta = {};
     Venue venue;
-    LoadedVenueWorld world;
+    std::string label;
   };
   /// One row of the section table: the section's layout, written and
-  /// read. Every section is required.
+  /// read. Every section is required. A reader rejects what it read with
+  /// kInvalidArgument saying what is wrong; the decode loop names the
+  /// section, and says "malformed" instead once a read has failed (a
+  /// check after a short read saw no real data).
   struct Section {
     ArtifactSection kind;
     const char* name;
     void (*encode)(const Source&, ByteWriter&);
     Status (*decode)(ByteReader&, Sink&);
   };
-  static const Section kSections[];
+  static const Section kSections[kNumSections];
 };
 
 // The section table, in the order the writer emits it. Each decoder
-// holds only its section's semantic invariants: the decode loop checks
-// presence, duplicates and trailing bytes once for every row.
-const ArtifactCodec::Section ArtifactCodec::kSections[] = {
+// holds only its section's semantic invariants: the table check refuses
+// missing, duplicate and undefined sections, and the decode loop
+// trailing bytes, once for every row.
+const ArtifactCodec::Section ArtifactCodec::kSections[kNumSections] = {
     {ArtifactSection::kMeta, "Meta",
      [](const Source& s, ByteWriter& w) {
        const std::string& label = s.options.label;
@@ -214,14 +109,14 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
      [](ByteReader& r, Sink& k) {
        std::vector<char> label;
        if (!r.Get(&k.meta) || !r.Pod(&label, k.meta.label_bytes)) {
-         return r.Reject("malformed");
+         return InvalidArgumentError("malformed");
        }
-       k.world.label.assign(label.begin(), label.end());
+       k.label.assign(label.begin(), label.end());
        // The in-memory structures index partitions and doors with int32
        // ids.
        if (k.meta.num_partitions > uint64_t{1} << 30 ||
            k.meta.num_doors > uint64_t{1} << 30) {
-         return r.Reject("implausible partition/door count");
+         return InvalidArgumentError("implausible partition/door count");
        }
        return Status::Ok();
      }},
@@ -235,7 +130,7 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
      [](ByteReader& r, Sink& k) {
        std::vector<PartitionRecord> records;
        if (!r.Pod(&records, k.meta.num_partitions)) {
-         return r.Reject("malformed");
+         return InvalidArgumentError("malformed");
        }
        k.venue.partitions_.resize(records.size());
        for (size_t i = 0; i < records.size(); ++i) {
@@ -255,19 +150,21 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
      },
      [](ByteReader& r, Sink& k) {
        std::vector<DoorRecord> records;
-       if (!r.Pod(&records, k.meta.num_doors)) return r.Reject("malformed");
+       if (!r.Pod(&records, k.meta.num_doors)) {
+         return InvalidArgumentError("malformed");
+       }
        k.venue.doors_.resize(records.size());
        for (size_t i = 0; i < records.size(); ++i) {
          const DoorRecord& rec = records[i];
          if (!std::all_of(rec.partitions, rec.partitions + 2,
                           Below(k.meta.num_partitions))) {
-           return r.Reject("door references unknown partition");
+           return InvalidArgumentError("door references unknown partition");
          }
          // Edge weights are computed from door positions: a NaN or an
          // infinity would poison the frontier.
          if (!std::isfinite(rec.x) || !std::isfinite(rec.y)) {
-           return r.Reject("door " + std::to_string(i) +
-                           " position is not finite");
+           return InvalidArgumentError("door " + std::to_string(i) +
+                                       " position is not finite");
          }
          Door& d = k.venue.doors_[i];
          d.pos = Point2d{rec.x, rec.y};
@@ -287,7 +184,7 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
      [](ByteReader& r, Sink& k) {
        if (!r.Csr(k.meta.num_doors, &k.venue.ati_offsets_,
                   &k.venue.ati_intervals_, kAny)) {
-         return r.Reject("malformed interval offsets");
+         return InvalidArgumentError("malformed interval offsets");
        }
        // The loader sorts these bounds while normalising them, so they
        // pass AtiSet's own check first (a NaN has no order).
@@ -296,8 +193,8 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
          for (const TimeInterval& iv : k.venue.DoorAti(door)) {
            Status status = AtiSet::CheckInterval(iv);
            if (!status.ok()) {
-             return r.Reject("door " + std::to_string(d) + ": " +
-                             status.message());
+             return InvalidArgumentError("door " + std::to_string(d) +
+                                         ": " + status.message());
            }
          }
        }
@@ -315,7 +212,7 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
      [](ByteReader& r, Sink& k) {
        uint32_t floors = 0;
        if (!r.Get(&k.venue.min_floor_) || !r.Get(&floors) || floors > 4096) {
-         return r.Reject("malformed floor header");
+         return InvalidArgumentError("malformed floor header");
        }
        k.venue.floor_index_.resize(floors);
        for (Venue::FloorIndex& fi : k.venue.floor_index_) {
@@ -325,7 +222,7 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
          if (!r.Get(&g) || g.cols < 0 || g.rows < 0 ||
              !std::isfinite(g.origin_x) || !std::isfinite(g.origin_y) ||
              !std::isfinite(g.cell) || !(g.cell > 0)) {
-           return r.Reject("malformed grid header");
+           return InvalidArgumentError("malformed grid header");
          }
          fi.origin_x = g.origin_x;
          fi.origin_y = g.origin_y;
@@ -334,44 +231,7 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
          fi.rows = g.rows;
          if (!r.Csr(uint64_t(g.cols) * uint64_t(g.rows), &fi.cell_offsets,
                     &fi.cell_partitions, Below(k.meta.num_partitions))) {
-           return r.Reject("cell references unknown partition");
-         }
-       }
-       return Status::Ok();
-     }},
-    {ArtifactSection::kLedger, "Ledger",
-     // The boundary ledger: the count, the checkpoint times, then the
-     // flip-list CSR naming the doors behind each time.
-     [](const Source& s, ByteWriter& w) {
-       const std::vector<double>& times = s.ledger.checkpoints.times();
-       w.Put(uint64_t{times.size()});
-       w.Pod(times);
-       w.Csr(s.ledger.flips.offsets_, s.ledger.flips.doors_);
-     },
-     [](ByteReader& r, Sink& k) {
-       std::vector<double>& times = k.world.checkpoint_times;
-       uint64_t boundaries = 0;
-       if (!r.Get(&boundaries) || !r.Pod(&times, boundaries)) {
-         return r.Reject("malformed");
-       }
-       for (size_t i = 0; i < times.size(); ++i) {
-         if (!(times[i] > 0) || !(times[i] < kSecondsPerDay) ||
-             (i > 0 && !(times[i - 1] < times[i]))) {
-           return r.Reject("times not strictly increasing in (0, 86400)");
-         }
-       }
-       BoundaryFlipIndex& flips = k.world.flip_lists;
-       if (!r.Csr(boundaries, &flips.offsets_, &flips.doors_,
-                  Below(k.meta.num_doors))) {
-         return r.Reject("flip list names an unknown door");
-       }
-       for (size_t b = 0; b < flips.size(); ++b) {
-         const Span<DoorId> list = flips[b];
-         if (list.empty()) return r.Reject("empty flip list for a checkpoint");
-         if (std::adjacent_find(list.begin(), list.end(),
-                                std::greater_equal<>()) != list.end()) {
-           return r.Reject("flip list corrupt at boundary " +
-                           std::to_string(b));
+           return InvalidArgumentError("cell references unknown partition");
          }
        }
        return Status::Ok();
@@ -380,11 +240,15 @@ const ArtifactCodec::Section ArtifactCodec::kSections[] = {
 
 namespace {
 
-const char* SectionName(uint32_t kind) {
-  for (const ArtifactCodec::Section& s : ArtifactCodec::kSections) {
-    if (static_cast<uint32_t>(s.kind) == kind) return s.name;
+/// The kSections row of a table entry's kind, or kNumSections for a
+/// kind the format does not define: never written, or retired.
+size_t SectionIndex(uint32_t kind) {
+  size_t i = 0;
+  while (i < kNumSections &&
+         static_cast<uint32_t>(ArtifactCodec::kSections[i].kind) != kind) {
+    ++i;
   }
-  return "?";
+  return i;
 }
 
 }  // namespace
@@ -395,19 +259,18 @@ const char* SectionName(uint32_t kind) {
 
 StatusOr<std::vector<uint8_t>> ArtifactCodec::Encode(
     const Venue& venue, const ArtifactWriteOptions& options) {
-  // The boundary ledger is the one compiled structure the file stores.
-  // Compiling its graph also rejects a venue a load would reject.
+  // A venue whose ATIs fail to compile would fail every load.
   auto graph = ItGraph::Build(venue);
   if (!graph.ok()) return graph.status();
-  const Source source{venue, options, BoundaryLedger::Build(*graph)};
+  const Source source{venue, options};
 
   std::vector<ArtifactSectionEntry> table;
   std::vector<ByteWriter> payloads;
   for (const Section& s : kSections) {
     ByteWriter& w = payloads.emplace_back();
     s.encode(source, w);
-    table.push_back({static_cast<uint32_t>(s.kind), 0, 0, w.out.size(),
-                     ArtifactChecksum(w.out.data(), w.out.size())});
+    table.push_back({static_cast<uint32_t>(s.kind), 0, 0, w.size(),
+                     ArtifactChecksum(w.data(), w.size())});
   }
 
   // Assemble: header | table | payloads, offsets laid out in order.
@@ -427,16 +290,11 @@ StatusOr<std::vector<uint8_t>> ArtifactCodec::Encode(
   header.table_checksum =
       ArtifactChecksum(table.data(), table.size() * sizeof(table[0]));
 
-  std::vector<uint8_t> image;
-  image.reserve(offset);
-  const auto* hp = reinterpret_cast<const uint8_t*>(&header);
-  image.insert(image.end(), hp, hp + sizeof(header));
-  const auto* tp = reinterpret_cast<const uint8_t*>(table.data());
-  image.insert(image.end(), tp, tp + table.size() * sizeof(table[0]));
-  for (const ByteWriter& w : payloads) {
-    image.insert(image.end(), w.out.begin(), w.out.end());
-  }
-  return image;
+  ByteWriter image(offset);
+  image.Put(header);
+  image.Pod(table);
+  for (const ByteWriter& w : payloads) image.Raw(w.data(), w.size());
+  return std::vector<uint8_t>(image.data(), image.data() + image.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -445,10 +303,14 @@ StatusOr<std::vector<uint8_t>> ArtifactCodec::Encode(
 
 namespace {
 
-/// Validates the header + section table against `size` actual bytes.
-/// On success fills `table` with the verified entries.
+/// One verified table entry per kSections row, in row order.
+using SectionTable = std::array<ArtifactSectionEntry, kNumSections>;
+
+/// Validates the header + section table against `size` actual bytes: the
+/// table lists each section the format defines exactly once, and nothing
+/// else. On success fills `table` with the verified entries.
 Status CheckHeaderAndTable(const uint8_t* data, size_t size,
-                           std::vector<ArtifactSectionEntry>* table) {
+                           SectionTable* table) {
   if (size < sizeof(ArtifactHeader)) {
     return InvalidArgumentError(
         "artifact truncated: " + std::to_string(size) +
@@ -504,13 +366,37 @@ Status CheckHeaderAndTable(const uint8_t* data, size_t size,
         "artifact section table checksum mismatch (corrupt file)");
   }
 
-  table->resize(header.section_count);
-  std::memcpy(table->data(), table_start, table_bytes);
   const uint64_t payload_start = sizeof(ArtifactHeader) + table_bytes;
-  for (const ArtifactSectionEntry& e : *table) {
-    if (e.offset < payload_start || e.bytes > size || e.offset > size - e.bytes) {
-      return CorruptSection(SectionName(e.kind),
-                            "extends past the end of the file");
+  bool listed[kNumSections] = {};
+  for (uint32_t i = 0; i < header.section_count; ++i) {
+    ArtifactSectionEntry e;
+    std::memcpy(&e, table_start + i * sizeof(e), sizeof(e));
+    const size_t row = SectionIndex(e.kind);
+    if (row == kNumSections) {
+      return InvalidArgumentError(
+          "artifact section table lists kind " + std::to_string(e.kind) +
+          ", which format version " + std::to_string(kArtifactFormatVersion) +
+          " does not define");
+    }
+    const char* name = ArtifactCodec::kSections[row].name;
+    if (e.reserved != 0) {
+      return CorruptSection(name, "reserved table word is " +
+                                      std::to_string(e.reserved) +
+                                      ", not zero");
+    }
+    if (listed[row]) return CorruptSection(name, "duplicate section");
+    if (e.offset < payload_start || e.bytes > size ||
+        e.offset > size - e.bytes) {
+      return CorruptSection(name, "extends past the end of the file");
+    }
+    listed[row] = true;
+    (*table)[row] = e;
+  }
+  for (size_t row = 0; row < kNumSections; ++row) {
+    if (!listed[row]) {
+      return InvalidArgumentError(
+          std::string("artifact is missing required section ") +
+          ArtifactCodec::kSections[row].name);
     }
   }
   return Status::Ok();
@@ -520,105 +406,36 @@ Status CheckHeaderAndTable(const uint8_t* data, size_t size,
 
 StatusOr<LoadedVenueWorld> ArtifactCodec::Decode(const uint8_t* data,
                                                  size_t size) {
-  std::vector<ArtifactSectionEntry> table;
+  SectionTable table;
   Status header_ok = CheckHeaderAndTable(data, size, &table);
   if (!header_ok.ok()) return header_ok;
 
   // Verify every payload checksum before interpreting a single byte.
-  std::map<uint32_t, ByteReader> readers;
-  for (const ArtifactSectionEntry& e : table) {
-    const char* name = SectionName(e.kind);
+  for (size_t row = 0; row < kNumSections; ++row) {
+    const ArtifactSectionEntry& e = table[row];
     if (ArtifactChecksum(data + e.offset, e.bytes) != e.checksum) {
-      return CorruptSection(name, "checksum mismatch (corrupt artifact)");
-    }
-    if (!readers.emplace(e.kind, ByteReader(name, data + e.offset, e.bytes))
-             .second) {
-      return CorruptSection(name, "duplicate section");
+      return CorruptSection(kSections[row].name,
+                            "checksum mismatch (corrupt artifact)");
     }
   }
 
   Sink sink;
-  for (const Section& s : kSections) {
-    const auto it = readers.find(static_cast<uint32_t>(s.kind));
-    if (it == readers.end()) {
-      return InvalidArgumentError(
-          std::string("artifact is missing required section ") + s.name);
+  for (size_t row = 0; row < kNumSections; ++row) {
+    const ArtifactSectionEntry& e = table[row];
+    ByteReader r(data + e.offset, e.bytes);
+    Status status = kSections[row].decode(r, sink);
+    if (status.ok() && (r.failed() || r.Remaining() != 0)) {
+      status = InvalidArgumentError("trailing bytes");
     }
-    ByteReader& r = it->second;
-    Status status = s.decode(r, sink);
-    if (!status.ok()) return status;
-    if (!r.Exhausted()) return r.Reject("trailing bytes");
-  }
-  sink.world.venue = std::make_unique<Venue>(std::move(sink.venue));
-  return std::move(sink.world);
-}
-
-// ---------------------------------------------------------------------------
-// World assembly
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Past the decoder's shape checks, each entry (b, d) must be an interior
-/// boundary of door d's row at times[b], and the entries must number the
-/// rows' interior boundaries: then, rows being strictly increasing, the
-/// ledger is the one BoundaryLedger::Build derives.
-Status CheckLedgerAgainstRows(const ItGraph& graph,
-                              const BoundaryLedger& ledger) {
-  const std::vector<double>& times = ledger.checkpoints.times();
-  for (size_t b = 0; b < times.size(); ++b) {
-    for (const DoorId d : ledger.flips[b]) {
-      const AtiRow row = graph.Ati(d);
-      if (!std::binary_search(row.starts().begin(), row.starts().end(),
-                              times[b]) &&
-          !std::binary_search(row.ends().begin(), row.ends().end(),
-                              times[b])) {
-        return CorruptSection(
-            "Ledger", "checkpoint " + std::to_string(b) + " lists door " +
-                          std::to_string(d) + ", whose row has no boundary "
-                          "there");
-      }
+    if (!status.ok()) {
+      return CorruptSection(kSections[row].name,
+                            r.failed() ? "malformed" : status.message());
     }
   }
-  size_t boundaries = 0;
-  graph.ForEachInteriorBoundary([&](DoorId, double) { ++boundaries; });
-  if (ledger.flips.TotalFlips() != boundaries) {
-    return CorruptSection(
-        "Ledger", "flip lists hold " +
-                      std::to_string(ledger.flips.TotalFlips()) +
-                      " entries but the ATI rows have " +
-                      std::to_string(boundaries) + " interior boundaries");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-StatusOr<std::shared_ptr<const VersionedGraph>> ArtifactCodec::BuildWorld(
-    LoadedVenueWorld world, TvCheck check, const RouterBuildOptions& options) {
-  if (world.venue == nullptr) {
-    return InvalidArgumentError("BuildWorldFromArtifact: world has no venue");
-  }
-
-  std::shared_ptr<VersionedGraph> version(new VersionedGraph());
-  version->check_ = check;
-  version->options_ = options;
-  version->options_.warm_start = nullptr;
-  version->venue_ = std::move(world.venue);
-
-  // The graph compiles as VersionedGraph::Build compiles it; only the
-  // boundary ledger is adopted as stored, once it matches the rows.
-  auto graph = ItGraph::Build(*version->venue_);
-  if (!graph.ok()) return graph.status();
-  version->graph_ = std::make_unique<ItGraph>(*std::move(graph));
-  BoundaryLedger& ledger = version->ledger_;
-  ledger.checkpoints.times_ = std::move(world.checkpoint_times);
-  ledger.flips = std::move(world.flip_lists);
-  Status matches = CheckLedgerAgainstRows(*version->graph_, ledger);
-  if (!matches.ok()) return matches;
-
-  version->FinishBuild(/*carry_from=*/nullptr, {}, {});
-  return std::shared_ptr<const VersionedGraph>(std::move(version));
+  LoadedVenueWorld world;
+  world.venue = std::make_unique<Venue>(std::move(sink.venue));
+  world.label = std::move(sink.label);
+  return world;
 }
 
 // ---------------------------------------------------------------------------
@@ -710,7 +527,6 @@ Status ValidateArtifactHeader(const std::string& path) {
       !in.read(reinterpret_cast<char*>(prefix.data()), prefix.size())) {
     return InternalError("short read from " + path);
   }
-  std::vector<ArtifactSectionEntry> table;
   if (prefix.size() == sizeof(ArtifactHeader)) {
     // The header is intact enough to size the table; pull it in too.
     // A bogus section_count is clamped to the file — CheckHeaderAndTable
@@ -730,6 +546,7 @@ Status ValidateArtifactHeader(const std::string& path) {
       return InternalError("short read from " + path);
     }
   }
+  SectionTable table;
   return Annotate(CheckHeaderAndTable(prefix.data(), file_bytes, &table),
                   path);
 }
@@ -761,7 +578,10 @@ StatusOr<std::vector<std::string>> ReadFleetManifest(const std::string& path) {
 
 StatusOr<std::shared_ptr<const VersionedGraph>> BuildWorldFromArtifact(
     LoadedVenueWorld world, TvCheck check, const RouterBuildOptions& options) {
-  return ArtifactCodec::BuildWorld(std::move(world), check, options);
+  if (world.venue == nullptr) {
+    return InvalidArgumentError("BuildWorldFromArtifact: world has no venue");
+  }
+  return VersionedGraph::Build(std::move(*world.venue), check, options);
 }
 
 }  // namespace itspq

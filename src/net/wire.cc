@@ -4,96 +4,64 @@
 #include <cstring>
 #include <utility>
 
+#include "common/byte_codec.h"
+
 namespace itspq {
 namespace net {
 namespace {
 
-// ---------------------------------------------------------------------
-// Little-endian primitive writers over a growing string buffer.
+/// A frame's writer: room for the length prefix Frame() seals, then
+/// the message type byte. 128 bytes hold a query frame and a short
+/// reply without regrowing.
+ByteWriter StartFrame(MsgType type) {
+  ByteWriter w(128);
+  w.Put(uint32_t{0});
+  w.Put(static_cast<uint8_t>(type));
+  return w;
+}
 
-class WireWriter {
- public:
-  void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
+/// Seals the frame: writes the payload's length into its prefix.
+std::string Frame(ByteWriter&& w) {
+  std::string frame = std::move(w).Take();
+  const auto len = static_cast<uint32_t>(frame.size() - sizeof(uint32_t));
+  std::memcpy(frame.data(), &len, sizeof(len));
+  return frame;
+}
 
-  void PutU32(uint32_t v) { PutRaw(&v, sizeof v); }
-  void PutU64(uint64_t v) { PutRaw(&v, sizeof v); }
-  void PutI32(int32_t v) { PutRaw(&v, sizeof v); }
-  void PutF64(double v) { PutRaw(&v, sizeof v); }
+Status Truncated(const std::string& what) {
+  return InvalidArgumentError("truncated frame: " + what);
+}
 
-  void PutString(std::string_view s) {
-    if (s.size() > kMaxWireString) s = s.substr(0, kMaxWireString);
-    PutU32(static_cast<uint32_t>(s.size()));
-    buf_.append(s.data(), s.size());
+/// GetCount's rejection of `count`, kept out of the decoders' hot path.
+Status CountError(const char* frame, const char* items, size_t limit,
+                  uint32_t count) {
+  if (count > limit) {
+    return InvalidArgumentError(std::string(frame) + " claims " +
+                                std::to_string(count) + " " + items +
+                                " (limit " + std::to_string(limit) + ")");
   }
+  return Truncated(std::string(frame) + " " + items);
+}
 
-  /// Seals the frame: prefixes the accumulated payload with its length.
-  std::string Frame() && {
-    const uint32_t len = static_cast<uint32_t>(buf_.size());
-    std::string frame;
-    frame.reserve(sizeof len + buf_.size());
-    frame.append(reinterpret_cast<const char*>(&len), sizeof len);
-    frame += buf_;
-    return frame;
+/// Reads the u32 count of a list of `items` whose elements take `each`
+/// bytes on the wire. A count past `limit` is refused and one past what
+/// the body still holds is truncation, both before the caller reserves
+/// room for it, so a short hostile frame cannot make the decoder
+/// allocate for elements it never sent.
+Status GetCount(ByteReader& r, const char* frame, const char* items,
+                size_t limit, size_t each, uint32_t* count) {
+  *count = 0;
+  if (r.Get(count) && *count <= limit && r.Fits(*count, each)) {
+    return Status::Ok();
   }
-
- private:
-  void PutRaw(const void* p, size_t n) {
-    buf_.append(reinterpret_cast<const char*>(p), n);
-  }
-
-  std::string buf_;
-};
-
-// ---------------------------------------------------------------------
-// Bounds-checked little-endian readers over a frame body. Every getter
-// returns false once the body runs short; the caller converts that into
-// one precise truncation Status so a hostile frame can never read past
-// the buffer.
-
-class WireReader {
- public:
-  explicit WireReader(std::string_view body) : rest_(body) {}
-
-  bool GetU8(uint8_t* v) { return GetRaw(v, sizeof *v); }
-  bool GetU32(uint32_t* v) { return GetRaw(v, sizeof *v); }
-  bool GetU64(uint64_t* v) { return GetRaw(v, sizeof *v); }
-  bool GetI32(int32_t* v) { return GetRaw(v, sizeof *v); }
-  bool GetF64(double* v) { return GetRaw(v, sizeof *v); }
-
-  /// False on a truncated count, a count beyond kMaxWireString, or
-  /// fewer bytes remaining than the count claims.
-  bool GetString(std::string* s) {
-    uint32_t n = 0;
-    if (!GetU32(&n)) return false;
-    if (n > kMaxWireString || n > rest_.size()) return false;
-    s->assign(rest_.data(), n);
-    rest_.remove_prefix(n);
-    return true;
-  }
-
-  bool Empty() const { return rest_.empty(); }
-  size_t Remaining() const { return rest_.size(); }
-
- private:
-  bool GetRaw(void* v, size_t n) {
-    if (rest_.size() < n) return false;
-    std::memcpy(v, rest_.data(), n);
-    rest_.remove_prefix(n);
-    return true;
-  }
-
-  std::string_view rest_;
-};
-
-Status Truncated(const char* what) {
-  return InvalidArgumentError(std::string("truncated frame: ") + what);
+  return CountError(frame, items, limit, *count);
 }
 
 /// Decoded frames must consume their body exactly — trailing bytes mean
 /// the peer speaks a different (newer? hostile?) layout, and silently
 /// ignoring them would mask the skew.
-Status CheckDrained(const WireReader& reader, const char* what) {
-  if (reader.Empty()) return Status::Ok();
+Status CheckDrained(const ByteReader& reader, const char* what) {
+  if (reader.Remaining() == 0) return Status::Ok();
   return InvalidArgumentError(std::string(what) + ": " +
                               std::to_string(reader.Remaining()) +
                               " trailing bytes after body");
@@ -195,58 +163,58 @@ WireStats MakeWireStats(const ServiceStats& stats) {
 
 namespace {
 
-void PutQueryCommon(WireWriter& w, const WireQuery& query) {
-  w.PutU64(query.request_id);
-  w.PutI32(query.venue_id);
-  w.PutU8(static_cast<uint8_t>(query.qos));
+void PutQueryCommon(ByteWriter& w, const WireQuery& query) {
+  w.Put<uint64_t>(query.request_id);
+  w.Put<int32_t>(query.venue_id);
+  w.Put<uint8_t>(static_cast<uint8_t>(query.qos));
   uint8_t flags = 0;
   if (query.use_snapshot_cache) flags |= 1u;
   if (query.partition_visited_pruning) flags |= 2u;
-  w.PutU8(flags);
-  w.PutF64(query.deadline_micros);
-  w.PutF64(query.source_x);
-  w.PutF64(query.source_y);
-  w.PutI32(query.source_floor);
-  w.PutF64(query.target_x);
-  w.PutF64(query.target_y);
-  w.PutI32(query.target_floor);
-  w.PutF64(query.departure_seconds);
+  w.Put<uint8_t>(flags);
+  w.Put<double>(query.deadline_micros);
+  w.Put<double>(query.source_x);
+  w.Put<double>(query.source_y);
+  w.Put<int32_t>(query.source_floor);
+  w.Put<double>(query.target_x);
+  w.Put<double>(query.target_y);
+  w.Put<int32_t>(query.target_floor);
+  w.Put<double>(query.departure_seconds);
 }
 
-Status GetQueryCommon(WireReader& r, WireQuery* query) {
+Status GetQueryCommon(ByteReader& r, WireQuery* query) {
   uint8_t qos_byte = 0;
   uint8_t flags = 0;
-  if (!r.GetU64(&query->request_id)) return Truncated("query request_id");
-  if (!r.GetI32(&query->venue_id)) return Truncated("query venue_id");
-  if (!r.GetU8(&qos_byte)) return Truncated("query qos");
+  if (!r.Get(&query->request_id)) return Truncated("query request_id");
+  if (!r.Get(&query->venue_id)) return Truncated("query venue_id");
+  if (!r.Get(&qos_byte)) return Truncated("query qos");
   if (qos_byte >= kNumQosClasses) {
     return InvalidArgumentError("unknown QoS class byte " +
                                 std::to_string(qos_byte));
   }
   query->qos = static_cast<QosClass>(qos_byte);
-  if (!r.GetU8(&flags)) return Truncated("query flags");
+  if (!r.Get(&flags)) return Truncated("query flags");
   query->use_snapshot_cache = (flags & 1u) != 0;
   query->partition_visited_pruning = (flags & 2u) != 0;
-  if (!r.GetF64(&query->deadline_micros)) return Truncated("query deadline");
+  if (!r.Get(&query->deadline_micros)) return Truncated("query deadline");
   // NaN would read as "no deadline" in every admission comparison and a
   // negative budget is meaningless; both are peer bugs, stopped at the
   // edge before they can reach Submit.
   if (std::isnan(query->deadline_micros) || query->deadline_micros < 0) {
     return InvalidArgumentError("query deadline_micros is NaN or negative");
   }
-  if (!r.GetF64(&query->source_x) || !r.GetF64(&query->source_y) ||
-      !r.GetI32(&query->source_floor)) {
+  if (!r.Get(&query->source_x) || !r.Get(&query->source_y) ||
+      !r.Get(&query->source_floor)) {
     return Truncated("query source point");
   }
-  if (!r.GetF64(&query->target_x) || !r.GetF64(&query->target_y) ||
-      !r.GetI32(&query->target_floor)) {
+  if (!r.Get(&query->target_x) || !r.Get(&query->target_y) ||
+      !r.Get(&query->target_floor)) {
     return Truncated("query target point");
   }
   if (!std::isfinite(query->source_x) || !std::isfinite(query->source_y) ||
       !std::isfinite(query->target_x) || !std::isfinite(query->target_y)) {
     return InvalidArgumentError("query endpoint coordinates are not finite");
   }
-  if (!r.GetF64(&query->departure_seconds)) return Truncated("query departure");
+  if (!r.Get(&query->departure_seconds)) return Truncated("query departure");
   // A NaN/inf departure is the same class of peer bug as a NaN
   // deadline: it would sail through WrapTimeOfDay into the search and
   // come back as a silent found == false. Stopped at the edge so the
@@ -260,49 +228,47 @@ Status GetQueryCommon(WireReader& r, WireQuery* query) {
 }  // namespace
 
 std::string EncodeQueryFrame(const WireQuery& query) {
-  WireWriter w;
-  w.PutU8(static_cast<uint8_t>(MsgType::kQuery));
+  ByteWriter w = StartFrame(MsgType::kQuery);
   PutQueryCommon(w, query);
-  return std::move(w).Frame();
+  return Frame(std::move(w));
 }
 
 Status DecodeQueryBody(std::string_view body, WireQuery* query) {
-  WireReader r(body);
+  ByteReader r(body);
   Status common = GetQueryCommon(r, query);
   if (!common.ok()) return common;
   return CheckDrained(r, "query");
 }
 
 std::string EncodeTemporalQueryFrame(const WireQuery& query) {
-  WireWriter w;
-  w.PutU8(static_cast<uint8_t>(MsgType::kTemporalQuery));
+  ByteWriter w = StartFrame(MsgType::kTemporalQuery);
   PutQueryCommon(w, query);
-  w.PutU8(static_cast<uint8_t>(query.kind));
-  w.PutF64(query.budget_seconds);
-  w.PutU32(query.k);
-  w.PutU32(static_cast<uint32_t>(query.facilities.size()));
-  for (DoorId door : query.facilities) w.PutI32(door);
-  w.PutU32(static_cast<uint32_t>(query.waypoints.size()));
+  w.Put<uint8_t>(static_cast<uint8_t>(query.kind));
+  w.Put<double>(query.budget_seconds);
+  w.Put<uint32_t>(query.k);
+  w.Put<uint32_t>(static_cast<uint32_t>(query.facilities.size()));
+  w.Pod(query.facilities);
+  w.Put<uint32_t>(static_cast<uint32_t>(query.waypoints.size()));
   for (const IndoorPoint& p : query.waypoints) {
-    w.PutF64(p.p.x);
-    w.PutF64(p.p.y);
-    w.PutI32(p.floor);
+    w.Put<double>(p.p.x);
+    w.Put<double>(p.p.y);
+    w.Put<int32_t>(p.floor);
   }
-  return std::move(w).Frame();
+  return Frame(std::move(w));
 }
 
 Status DecodeTemporalQueryBody(std::string_view body, WireQuery* query) {
-  WireReader r(body);
+  ByteReader r(body);
   Status common = GetQueryCommon(r, query);
   if (!common.ok()) return common;
   uint8_t kind_byte = 0;
-  if (!r.GetU8(&kind_byte)) return Truncated("temporal query kind");
+  if (!r.Get(&kind_byte)) return Truncated("temporal query kind");
   if (kind_byte >= kNumQueryKinds) {
     return InvalidArgumentError("unknown query kind byte " +
                                 std::to_string(kind_byte));
   }
   query->kind = static_cast<QueryKind>(kind_byte);
-  if (!r.GetF64(&query->budget_seconds)) {
+  if (!r.Get(&query->budget_seconds)) {
     return Truncated("temporal query budget");
   }
   // Structural sanity only — semantic checks (k >= 1, doors in range)
@@ -314,42 +280,22 @@ Status DecodeTemporalQueryBody(std::string_view body, WireQuery* query) {
     return InvalidArgumentError(
         "temporal query budget_seconds is not finite");
   }
-  if (!r.GetU32(&query->k)) return Truncated("temporal query k");
+  if (!r.Get(&query->k)) return Truncated("temporal query k");
   uint32_t num_facilities = 0;
-  if (!r.GetU32(&num_facilities)) return Truncated("temporal facility count");
-  if (num_facilities > kMaxWireFacilities) {
-    return InvalidArgumentError(
-        "temporal query claims " + std::to_string(num_facilities) +
-        " facilities (limit " + std::to_string(kMaxWireFacilities) + ")");
-  }
-  // 4 bytes per facility door id; bound before the reserve so a short
-  // hostile frame cannot trigger a large allocation.
-  if (r.Remaining() < static_cast<size_t>(num_facilities) * 4) {
-    return Truncated("temporal facility doors");
-  }
-  query->facilities.clear();
-  query->facilities.reserve(num_facilities);
-  for (uint32_t i = 0; i < num_facilities; ++i) {
-    DoorId door = 0;
-    if (!r.GetI32(&door)) return Truncated("temporal facility door");
-    query->facilities.push_back(door);
-  }
-  uint32_t num_waypoints = 0;
-  if (!r.GetU32(&num_waypoints)) return Truncated("temporal waypoint count");
-  if (num_waypoints > kMaxWireWaypoints) {
-    return InvalidArgumentError(
-        "temporal query claims " + std::to_string(num_waypoints) +
-        " waypoints (limit " + std::to_string(kMaxWireWaypoints) + ")");
-  }
+  Status count = GetCount(r, "temporal query", "facilities",
+                          kMaxWireFacilities, sizeof(DoorId), &num_facilities);
+  if (!count.ok()) return count;
+  r.Pod(&query->facilities, num_facilities);  // fits: GetCount checked
   // 20 bytes per waypoint (x, y, floor).
-  if (r.Remaining() < static_cast<size_t>(num_waypoints) * 20) {
-    return Truncated("temporal waypoints");
-  }
+  uint32_t num_waypoints = 0;
+  count = GetCount(r, "temporal query", "waypoints", kMaxWireWaypoints, 20,
+                   &num_waypoints);
+  if (!count.ok()) return count;
   query->waypoints.clear();
   query->waypoints.reserve(num_waypoints);
   for (uint32_t i = 0; i < num_waypoints; ++i) {
     IndoorPoint p;
-    if (!r.GetF64(&p.p.x) || !r.GetF64(&p.p.y) || !r.GetI32(&p.floor)) {
+    if (!r.Get(&p.p.x) || !r.Get(&p.p.y) || !r.Get(&p.floor)) {
       return Truncated("temporal waypoint");
     }
     if (!std::isfinite(p.p.x) || !std::isfinite(p.p.y)) {
@@ -362,142 +308,122 @@ Status DecodeTemporalQueryBody(std::string_view body, WireQuery* query) {
 
 namespace {
 
-void PutSteps(WireWriter& w, const std::vector<PathStep>& steps) {
-  w.PutU32(static_cast<uint32_t>(steps.size()));
+void PutSteps(ByteWriter& w, const std::vector<PathStep>& steps) {
+  w.Put<uint32_t>(static_cast<uint32_t>(steps.size()));
   for (const PathStep& step : steps) {
-    w.PutI32(step.door);
-    w.PutF64(step.cumulative_m);
-    w.PutF64(step.arrival_seconds);
+    w.Put<int32_t>(step.door);
+    w.Put<double>(step.cumulative_m);
+    w.Put<double>(step.arrival_seconds);
   }
 }
 
-Status GetSteps(WireReader& r, std::vector<PathStep>* steps,
-                const char* what) {
+/// `items` names the list: "path steps" or "leg steps".
+Status GetSteps(ByteReader& r, std::vector<PathStep>* steps,
+                const char* items) {
+  // 20 bytes per step (door, cumulative metres, arrival).
   uint32_t num_steps = 0;
-  if (!r.GetU32(&num_steps)) return Truncated(what);
-  if (num_steps > kMaxWireSteps) {
-    return InvalidArgumentError("reply claims " + std::to_string(num_steps) +
-                                " path steps (limit " +
-                                std::to_string(kMaxWireSteps) + ")");
-  }
-  // Each step is 20 bytes on the wire; a count exceeding the remaining
-  // bytes is caught here, before the reserve, so a short hostile frame
-  // cannot make the decoder allocate for steps it never sent.
-  if (r.Remaining() < static_cast<size_t>(num_steps) * 20) {
-    return Truncated(what);
-  }
+  Status count = GetCount(r, "reply", items, kMaxWireSteps, 20, &num_steps);
+  if (!count.ok()) return count;
   steps->clear();
   steps->reserve(num_steps);
   for (uint32_t i = 0; i < num_steps; ++i) {
     PathStep step;
-    if (!r.GetI32(&step.door) || !r.GetF64(&step.cumulative_m) ||
-        !r.GetF64(&step.arrival_seconds)) {
-      return Truncated(what);
+    if (!r.Get(&step.door) || !r.Get(&step.cumulative_m) ||
+        !r.Get(&step.arrival_seconds)) {
+      return Truncated(std::string("reply ") + items);
     }
     steps->push_back(step);
   }
   return Status::Ok();
 }
 
-Status GetReplyCommon(WireReader& r, WireReply* reply) {
+Status GetReplyCommon(ByteReader& r, WireReply* reply) {
   uint8_t code_byte = 0;
   uint8_t found_byte = 0;
-  if (!r.GetU64(&reply->request_id)) return Truncated("reply request_id");
-  if (!r.GetU8(&code_byte)) return Truncated("reply status code");
+  if (!r.Get(&reply->request_id)) return Truncated("reply request_id");
+  if (!r.Get(&code_byte)) return Truncated("reply status code");
   if (!StatusCodeFromWire(code_byte, &reply->code)) {
     return InvalidArgumentError("unknown status code byte " +
                                 std::to_string(code_byte));
   }
-  if (!r.GetString(&reply->message)) return Truncated("reply message");
-  if (!r.GetU8(&found_byte)) return Truncated("reply found flag");
+  if (!r.String(&reply->message, kMaxWireString)) {
+    return Truncated("reply message");
+  }
+  if (!r.Get(&found_byte)) return Truncated("reply found flag");
   reply->found = found_byte != 0;
-  if (!r.GetF64(&reply->length_m)) return Truncated("reply length");
-  if (!r.GetF64(&reply->departure_seconds)) return Truncated("reply departure");
-  return GetSteps(r, &reply->steps, "reply path steps");
+  if (!r.Get(&reply->length_m)) return Truncated("reply length");
+  if (!r.Get(&reply->departure_seconds)) return Truncated("reply departure");
+  return GetSteps(r, &reply->steps, "path steps");
 }
 
 }  // namespace
 
 std::string EncodeReplyFrame(const WireReply& reply, MsgType type) {
-  WireWriter w;
-  w.PutU8(static_cast<uint8_t>(type));
-  w.PutU64(reply.request_id);
-  w.PutU8(StatusCodeToWire(reply.code));
-  w.PutString(reply.message);
-  w.PutU8(reply.found ? 1 : 0);
-  w.PutF64(reply.length_m);
-  w.PutF64(reply.departure_seconds);
+  ByteWriter w = StartFrame(type);
+  w.Put<uint64_t>(reply.request_id);
+  w.Put<uint8_t>(StatusCodeToWire(reply.code));
+  w.String(std::string_view(reply.message).substr(0, kMaxWireString));
+  w.Put<uint8_t>(reply.found ? 1 : 0);
+  w.Put<double>(reply.length_m);
+  w.Put<double>(reply.departure_seconds);
   PutSteps(w, reply.steps);
   if (type == MsgType::kTemporalReply) {
-    w.PutU32(static_cast<uint32_t>(reply.reachable.size()));
+    w.Put<uint32_t>(static_cast<uint32_t>(reply.reachable.size()));
     for (const ReachableDoor& door : reply.reachable) {
-      w.PutI32(door.door);
-      w.PutF64(door.distance_m);
-      w.PutF64(door.arrival_seconds);
+      w.Put<int32_t>(door.door);
+      w.Put<double>(door.distance_m);
+      w.Put<double>(door.arrival_seconds);
     }
-    w.PutU32(static_cast<uint32_t>(reply.legs.size()));
+    w.Put<uint32_t>(static_cast<uint32_t>(reply.legs.size()));
     for (const WireLeg& leg : reply.legs) {
-      w.PutF64(leg.length_m);
-      w.PutF64(leg.departure_seconds);
+      w.Put<double>(leg.length_m);
+      w.Put<double>(leg.departure_seconds);
       PutSteps(w, leg.steps);
     }
   }
-  return std::move(w).Frame();
+  return Frame(std::move(w));
 }
 
 Status DecodeReplyBody(std::string_view body, WireReply* reply) {
-  WireReader r(body);
+  ByteReader r(body);
   Status common = GetReplyCommon(r, reply);
   if (!common.ok()) return common;
   return CheckDrained(r, "reply");
 }
 
 Status DecodeTemporalReplyBody(std::string_view body, WireReply* reply) {
-  WireReader r(body);
+  ByteReader r(body);
   Status common = GetReplyCommon(r, reply);
   if (!common.ok()) return common;
-  uint32_t num_reachable = 0;
-  if (!r.GetU32(&num_reachable)) return Truncated("reply reachable count");
-  if (num_reachable > kMaxWireReachable) {
-    return InvalidArgumentError(
-        "reply claims " + std::to_string(num_reachable) +
-        " reachable doors (limit " + std::to_string(kMaxWireReachable) + ")");
-  }
   // 20 bytes per reachable entry (door, distance, arrival).
-  if (r.Remaining() < static_cast<size_t>(num_reachable) * 20) {
-    return Truncated("reply reachable doors");
-  }
+  uint32_t num_reachable = 0;
+  Status count = GetCount(r, "reply", "reachable doors", kMaxWireReachable,
+                          20, &num_reachable);
+  if (!count.ok()) return count;
   reply->reachable.clear();
   reply->reachable.reserve(num_reachable);
   for (uint32_t i = 0; i < num_reachable; ++i) {
     ReachableDoor door;
-    if (!r.GetI32(&door.door) || !r.GetF64(&door.distance_m) ||
-        !r.GetF64(&door.arrival_seconds)) {
+    if (!r.Get(&door.door) || !r.Get(&door.distance_m) ||
+        !r.Get(&door.arrival_seconds)) {
       return Truncated("reply reachable door");
     }
     reply->reachable.push_back(door);
   }
-  uint32_t num_legs = 0;
-  if (!r.GetU32(&num_legs)) return Truncated("reply leg count");
-  if (num_legs > kMaxWireLegs) {
-    return InvalidArgumentError("reply claims " + std::to_string(num_legs) +
-                                " legs (limit " +
-                                std::to_string(kMaxWireLegs) + ")");
-  }
   // A leg is at least 20 bytes (length, departure, empty step count);
   // the per-leg step decode re-checks its own count against what
   // actually remains.
-  if (r.Remaining() < static_cast<size_t>(num_legs) * 20) {
-    return Truncated("reply legs");
-  }
+  uint32_t num_legs = 0;
+  count = GetCount(r, "reply", "legs", kMaxWireLegs, 20, &num_legs);
+  if (!count.ok()) return count;
   reply->legs.clear();
   reply->legs.reserve(num_legs);
   for (uint32_t i = 0; i < num_legs; ++i) {
     WireLeg leg;
-    if (!r.GetF64(&leg.length_m) || !r.GetF64(&leg.departure_seconds)) {
+    if (!r.Get(&leg.length_m) || !r.Get(&leg.departure_seconds)) {
       return Truncated("reply leg");
     }
-    Status steps = GetSteps(r, &leg.steps, "reply leg steps");
+    Status steps = GetSteps(r, &leg.steps, "leg steps");
     if (!steps.ok()) return steps;
     reply->legs.push_back(std::move(leg));
   }
@@ -505,51 +431,39 @@ Status DecodeTemporalReplyBody(std::string_view body, WireReply* reply) {
 }
 
 std::string EncodeStatsReplyFrame(const WireStats& stats) {
-  WireWriter w;
-  w.PutU8(static_cast<uint8_t>(MsgType::kStatsReply));
-  w.PutU64(stats.submitted);
-  w.PutU64(stats.served);
-  w.PutU64(stats.shed);
-  w.PutU64(stats.rejected);
-  w.PutU64(stats.timed_out);
-  for (size_t i = 0; i < kNumQosClasses; ++i) {
-    w.PutU64(stats.served_by_class[i]);
-  }
-  for (size_t i = 0; i < kNumQosClasses; ++i) {
-    w.PutU64(stats.shed_by_class[i]);
-  }
-  w.PutF64(stats.p50_micros);
-  w.PutF64(stats.p99_micros);
-  return std::move(w).Frame();
+  ByteWriter w = StartFrame(MsgType::kStatsReply);
+  w.Put<uint64_t>(stats.submitted);
+  w.Put<uint64_t>(stats.served);
+  w.Put<uint64_t>(stats.shed);
+  w.Put<uint64_t>(stats.rejected);
+  w.Put<uint64_t>(stats.timed_out);
+  w.Put(stats.served_by_class);  // kNumQosClasses u64s each
+  w.Put(stats.shed_by_class);
+  w.Put<double>(stats.p50_micros);
+  w.Put<double>(stats.p99_micros);
+  return Frame(std::move(w));
 }
 
 Status DecodeStatsReplyBody(std::string_view body, WireStats* stats) {
-  WireReader r(body);
-  if (!r.GetU64(&stats->submitted) || !r.GetU64(&stats->served) ||
-      !r.GetU64(&stats->shed) || !r.GetU64(&stats->rejected) ||
-      !r.GetU64(&stats->timed_out)) {
+  ByteReader r(body);
+  if (!r.Get(&stats->submitted) || !r.Get(&stats->served) ||
+      !r.Get(&stats->shed) || !r.Get(&stats->rejected) ||
+      !r.Get(&stats->timed_out)) {
     return Truncated("stats totals");
   }
-  for (size_t i = 0; i < kNumQosClasses; ++i) {
-    if (!r.GetU64(&stats->served_by_class[i])) {
-      return Truncated("stats served_by_class");
-    }
+  if (!r.Get(&stats->served_by_class)) {
+    return Truncated("stats served_by_class");
   }
-  for (size_t i = 0; i < kNumQosClasses; ++i) {
-    if (!r.GetU64(&stats->shed_by_class[i])) {
-      return Truncated("stats shed_by_class");
-    }
-  }
-  if (!r.GetF64(&stats->p50_micros) || !r.GetF64(&stats->p99_micros)) {
+  if (!r.Get(&stats->shed_by_class)) return Truncated("stats shed_by_class");
+  if (!r.Get(&stats->p50_micros) || !r.Get(&stats->p99_micros)) {
     return Truncated("stats percentiles");
   }
   return CheckDrained(r, "stats");
 }
 
 std::string EncodeEmptyFrame(MsgType type) {
-  WireWriter w;
-  w.PutU8(static_cast<uint8_t>(type));
-  return std::move(w).Frame();
+  ByteWriter w = StartFrame(type);
+  return Frame(std::move(w));
 }
 
 Status DecodeFrameHeader(std::string_view payload, MsgType* type,

@@ -3,11 +3,12 @@
 // the default allocator) and pins two properties of the flat layout:
 //
 //   - copying a Venue, ItGraph::Build, one ATI update (FromVenue ->
-//     SetDoorAti -> Build, then ItGraph::BuildFrom) and compiling a whole
-//     epoch (VersionedGraph::Build, under every strategy) each make a
-//     fixed number of allocations, the same for a small mall as for one
-//     with twice the doors: nothing is allocated per door, partition or
-//     cell;
+//     SetDoorAti -> Build, then ItGraph::BuildFrom), compiling a whole
+//     epoch (VersionedGraph::Build, under every strategy) and a cold
+//     load (DecodeVenueArtifact + BuildWorldFromArtifact of an in-memory
+//     image) each make a fixed number of allocations, the same for a
+//     small mall as for one with twice the doors: nothing is allocated
+//     per door, partition or cell;
 //   - Venue::MemoryUsage() + ItGraph::MemoryUsage() covers every byte
 //     the two hold on the heap, so residency budgets never undercount.
 
@@ -21,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "artifact/artifact.h"
 #include "gen/ati_gen.h"
 #include "gen/venue_gen.h"
 #include "itgraph/itgraph.h"
@@ -96,6 +98,7 @@ struct Ledger {
   uint64_t build_graph = 0;
   uint64_t update = 0;
   std::vector<uint64_t> build_version;  // one per strategy, kTvChecks order
+  uint64_t cold_load = 0;
 };
 
 Ledger Measure(const Venue& venue) {
@@ -120,6 +123,15 @@ Ledger Measure(const Venue& venue) {
                  "VersionedGraph::Build");
     }));
   }
+  const std::vector<uint8_t> image =
+      ValueOrDie(EncodeVenueArtifact(venue), "EncodeVenueArtifact");
+  ledger.cold_load = CountAllocations([&image] {
+    ValueOrDie(BuildWorldFromArtifact(
+                   ValueOrDie(DecodeVenueArtifact(image.data(), image.size()),
+                              "DecodeVenueArtifact"),
+                   TvCheck::kSynchronous),
+               "BuildWorldFromArtifact");
+  });
   return ledger;
 }
 
@@ -130,10 +142,12 @@ TEST(AllocationLedgerTest, VenueWorldAllocationsDoNotGrowWithTheVenue) {
   RecordProperty("copy_venue", static_cast<int>(large.copy_venue));
   RecordProperty("build_graph", static_cast<int>(large.build_graph));
   RecordProperty("update", static_cast<int>(large.update));
+  RecordProperty("cold_load", static_cast<int>(large.cold_load));
   EXPECT_EQ(small.copy_venue, large.copy_venue);
   EXPECT_EQ(small.build_graph, large.build_graph);
   EXPECT_EQ(small.update, large.update);
   EXPECT_EQ(small.build_version, large.build_version);
+  EXPECT_EQ(small.cold_load, large.cold_load);
 }
 
 TEST(AllocationLedgerTest, MemoryUsageCoversTheLiveBytes) {

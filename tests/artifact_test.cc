@@ -343,90 +343,18 @@ const SectionCase kSectionCases[] = {
      [](Sections* s, uint64_t, uint64_t n) {
        BreakFirstInterval(s, n, TimeInterval{3600, 3600});
      }},
-    {"checkpoints not increasing", "Ledger", "strictly increasing",
+    {"duplicate section", "FloorIndex", "duplicate section",
      [](Sections* s, uint64_t, uint64_t) {
-       // u64 boundaries, f64 times[boundaries], u64 offsets[boundaries +
-       // 1], i32 pool.
-       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kLedger);
-       ASSERT_GE(Get<uint64_t>(*p, 0), 2u);
-       Set<double>(p, 16, Get<double>(*p, 8));
+       s->emplace_back(static_cast<uint32_t>(ArtifactSection::kFloorIndex),
+                       *Payload(s, ArtifactSection::kFloorIndex));
      }},
-    {"empty flip list", "Ledger", "empty flip list",
-     [](Sections* s, uint64_t, uint64_t) {
-       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kLedger);
-       Set<uint64_t>(p, 16 + Get<uint64_t>(*p, 0) * 8, 0);
-     }},
-    {"unsorted flip list", "Ledger", "flip list corrupt",
-     [](Sections* s, uint64_t, uint64_t) {
-       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kLedger);
-       const uint64_t boundaries = Get<uint64_t>(*p, 0);
-       const size_t offsets = (boundaries + 1) * 8;
-       const size_t pool = offsets + (boundaries + 1) * 8;
-       for (uint64_t b = 0; b < boundaries; ++b) {
-         const uint64_t begin = Get<uint64_t>(*p, offsets + b * 8);
-         if (Get<uint64_t>(*p, offsets + (b + 1) * 8) - begin < 2) continue;
-         const size_t at = pool + begin * 4;
-         const int32_t first = Get<int32_t>(*p, at);
-         Set<int32_t>(p, at, Get<int32_t>(*p, at + 4));
-         Set<int32_t>(p, at + 4, first);
-         return;
-       }
-       FAIL() << "no boundary flips two doors";
-     }},
-    {"first checkpoint moved 600 s earlier", "Ledger", "no boundary there",
-     [](Sections* s, uint64_t, uint64_t) {
-       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kLedger);
-       ASSERT_GE(Get<uint64_t>(*p, 0), 1u);
-       ASSERT_GT(Get<double>(*p, 8), 600.0);
-       Set<double>(p, 8, Get<double>(*p, 8) - 600);
-     }},
-    {"flip list names a door without that boundary", "Ledger",
-     "no boundary there",
-     [](Sections* s, uint64_t, uint64_t) {
-       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kLedger);
-       const uint64_t boundaries = Get<uint64_t>(*p, 0);
-       const size_t offsets = (boundaries + 1) * 8;
-       const size_t pool = offsets + (boundaries + 1) * 8;
-       for (uint64_t b = 0; b < boundaries; ++b) {
-         const size_t at = pool + Get<uint64_t>(*p, offsets + b * 8) * 4;
-         if (Get<int32_t>(*p, at) == 0) continue;
-         // Door 0 is in no list it does not head: the list stays sorted.
-         Set<int32_t>(p, at, 0);
-         return;
-       }
-       FAIL() << "door 0 heads every flip list";
-     }},
-    {"door dropped from a flip list", "Ledger", "interior boundaries",
-     [](Sections* s, uint64_t, uint64_t) {
-       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kLedger);
-       const uint64_t boundaries = Get<uint64_t>(*p, 0);
-       const size_t offsets = (boundaries + 1) * 8;
-       const size_t pool = offsets + (boundaries + 1) * 8;
-       for (uint64_t b = 0; b < boundaries; ++b) {
-         const uint64_t begin = Get<uint64_t>(*p, offsets + b * 8);
-         if (Get<uint64_t>(*p, offsets + (b + 1) * 8) - begin < 2) continue;
-         for (uint64_t later = b + 1; later <= boundaries; ++later) {
-           const size_t at = offsets + later * 8;
-           Set<uint64_t>(p, at, Get<uint64_t>(*p, at) - 1);
-         }
-         const auto first = p->begin() + static_cast<ptrdiff_t>(pool + begin * 4);
-         p->erase(first, first + 4);
-         return;
-       }
-       FAIL() << "no boundary flips two doors";
-     }},
-    {"duplicate section", "Ledger", "duplicate section",
-     [](Sections* s, uint64_t, uint64_t) {
-       s->emplace_back(static_cast<uint32_t>(ArtifactSection::kLedger),
-                       *Payload(s, ArtifactSection::kLedger));
-     }},
-    {"missing required section", "Ledger", "missing required section",
+    {"missing required section", "FloorIndex", "missing required section",
      [](Sections* s, uint64_t, uint64_t) {
        s->erase(std::remove_if(s->begin(), s->end(),
                                [](const auto& section) {
                                  return section.first ==
                                         static_cast<uint32_t>(
-                                            ArtifactSection::kLedger);
+                                            ArtifactSection::kFloorIndex);
                                }),
                 s->end());
      }},
@@ -457,10 +385,8 @@ const SectionCase kNonFiniteGridCases[] = {
      }},
 };
 
-// The rejection of `sections` on load: decoding, then building the world,
-// which checks the stored ledger against the compiled ATI rows.
-std::string LoadError(const Sections& sections) {
-  const std::vector<uint8_t> image = Assemble(sections);
+// The rejection of `image` on load: decoding, then building the world.
+std::string LoadError(const std::vector<uint8_t>& image) {
   auto decoded = DecodeVenueArtifact(image.data(), image.size());
   Status status = decoded.status();
   if (decoded.ok()) {
@@ -469,6 +395,9 @@ std::string LoadError(const Sections& sections) {
   if (status.ok()) return "loaded";
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
   return status.message();
+}
+std::string LoadError(const Sections& sections) {
+  return LoadError(Assemble(sections));
 }
 
 // Applies each case to a fresh split of the small venue's image and
@@ -507,11 +436,10 @@ TEST(ArtifactSectionRejectionTest, NonFiniteFloorGridRejected) {
 // that section's name.
 TEST(ArtifactSectionRejectionTest, TrailingBytesRejectedInEverySection) {
   const Sections sections = SplitSections(EncodeSmallVenue());
-  ASSERT_EQ(sections.size(), 6u);
-  // Indexed by section kind; kinds 5, 6 and 8-12 are retired.
-  const char* const names[] = {"", "Meta", "Partitions", "Doors", "DoorAtis",
-                               "", "", "FloorIndex", "", "", "", "", "",
-                               "Ledger"};
+  ASSERT_EQ(sections.size(), 5u);
+  // Indexed by section kind; kinds 5 and 6 are retired.
+  const char* const names[] = {"",         "Meta", "Partitions", "Doors",
+                               "DoorAtis", "",     "",           "FloorIndex"};
   for (size_t i = 0; i < sections.size(); ++i) {
     Sections padded = sections;
     padded[i].second.resize(padded[i].second.size() + 8, 0);
@@ -520,6 +448,45 @@ TEST(ArtifactSectionRejectionTest, TrailingBytesRejectedInEverySection) {
     const std::string message = LoadError(padded);
     EXPECT_NE(message.find(std::string("section ") + name), std::string::npos)
         << message;
+  }
+}
+
+// The section table lists each section the format defines exactly once
+// and nothing else: an undefined kind, a retired one (13 is v5's Ledger)
+// or a non-zero reserved word is refused on load and at registration.
+TEST(ArtifactSectionRejectionTest, UndefinedTableEntriesRejected) {
+  const std::string dir = TestDir("table");
+  const std::vector<uint8_t> image = EncodeSmallVenue();
+  struct Case {
+    std::vector<uint8_t> image;
+    std::string fragment;
+  };
+  std::vector<Case> cases;
+  for (const uint32_t kind : {99u, 9u, 13u}) {
+    Sections sections = SplitSections(image);
+    sections.emplace_back(kind, std::vector<uint8_t>(16, 0));
+    cases.push_back(
+        {Assemble(sections), "lists kind " + std::to_string(kind) + ", which"});
+  }
+  {
+    std::vector<uint8_t> reserved = image;
+    ArtifactSectionEntry first;
+    std::memcpy(&first, reserved.data() + sizeof(ArtifactHeader),
+                sizeof(first));
+    first.reserved = 7;
+    std::memcpy(reserved.data() + sizeof(ArtifactHeader), &first,
+                sizeof(first));
+    Reseal(&reserved);
+    cases.push_back(
+        {reserved, "section Meta: reserved table word is 7, not zero"});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.fragment);
+    const std::string message = LoadError(c.image);
+    EXPECT_NE(message.find(c.fragment), std::string::npos) << message;
+    WriteBytes(dir + "/a.itspq", c.image);
+    ExpectRegistrationRejected(dir + "/a.itspq", StatusCode::kInvalidArgument,
+                               c.fragment);
   }
 }
 
@@ -642,7 +609,7 @@ std::vector<uint64_t> Bits(Span<double> bounds) {
   return bits;
 }
 
-// The boundary ledger an artifact carries equals the probe reference
+// The boundary ledger of a loaded world equals the probe reference
 // (CheckpointSet::FromGraph + BoundaryFlipIndex::Build) on a seeded
 // fleet, midnight-wrap schedules included, and the ATI rows a loaded
 // world compiles are bitwise those of ItGraph::Build on the source.
@@ -666,26 +633,29 @@ TEST(ArtifactTest, DecodedLedgerMatchesProbeBuild) {
   for (size_t v = 0; v < fleet.size(); ++v) {
     const std::vector<uint8_t> image =
         ValueOrDie(EncodeVenueArtifact(fleet[v]), "EncodeVenueArtifact");
-    LoadedVenueWorld decoded = ValueOrDie(
-        DecodeVenueArtifact(image.data(), image.size()), "DecodeVenueArtifact");
+    const auto world = ValueOrDie(
+        BuildWorldFromArtifact(
+            ValueOrDie(DecodeVenueArtifact(image.data(), image.size()),
+                       "DecodeVenueArtifact"),
+            "itg-s"),
+        "BuildWorld");
     const ItGraph graph =
         ValueOrDie(ItGraph::Build(fleet[v]), "ItGraph::Build");
     const CheckpointSet probe_cps = CheckpointSet::FromGraph(graph);
-    EXPECT_EQ(decoded.checkpoint_times, probe_cps.times()) << "venue " << v;
+    EXPECT_EQ(world->checkpoints().times(), probe_cps.times())
+        << "venue " << v;
 
     const BoundaryFlipIndex probe = BoundaryFlipIndex::Build(graph, probe_cps);
     ASSERT_GT(probe.NumBoundaries(), 0u) << "venue " << v;
-    ASSERT_EQ(decoded.flip_lists.size(), probe.NumBoundaries())
+    ASSERT_EQ(world->flip_index().size(), probe.NumBoundaries())
         << "venue " << v;
     for (size_t b = 0; b < probe.NumBoundaries(); ++b) {
       const std::vector<DoorId> from_probe(probe.FlipsBegin(b),
                                            probe.FlipsEnd(b));
-      EXPECT_EQ(decoded.flip_lists[b], from_probe)
+      EXPECT_EQ(world->flip_index()[b], from_probe)
           << "venue " << v << " boundary " << b;
     }
 
-    const auto world = ValueOrDie(
-        BuildWorldFromArtifact(std::move(decoded), "itg-s"), "BuildWorld");
     ASSERT_EQ(world->graph().NumDoors(), graph.NumDoors()) << "venue " << v;
     for (size_t d = 0; d < graph.NumDoors(); ++d) {
       const AtiRow want = graph.Ati(static_cast<DoorId>(d));

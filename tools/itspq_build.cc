@@ -1,9 +1,8 @@
 // itspq_build — the offline artifact builder.
 //
 // One pass from fleet-generator parameters to a directory of packed
-// `.itspq` artifacts plus a fleet manifest: generation and
-// checkpoint-ledger derivation happen here, once, so a serving boot only
-// decodes each venue and compiles its ATI rows.
+// `.itspq` artifacts plus a fleet manifest: generation happens here,
+// once, so a serving boot only decodes each venue and compiles it.
 //
 //   itspq_build --out=fleet_dir [--venues=12] [--seed=7]
 //               [--min-floors=1] [--max-floors=3]
