@@ -1,8 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives underneath
 // the ITSPQ search: ATI membership, checkpoint lookup, reduced-graph
-// derivation, point location, frontier disciplines, masked neighbour
-// scans, a venue's boundary ledger and whole compile, and end-to-end
-// queries.
+// derivation, point location, frontier disciplines, a venue's boundary
+// ledger and whole compile, and end-to-end queries.
 //
 // A primitive that takes a few nanoseconds is timed over a batch of
 // kBatch calls per iteration: a row of a few ns moved by more than the
@@ -13,7 +12,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
-#include "itgraph/csr_adjacency.h"
 #include "itgraph/frontier_queue.h"
 #include "itgraph/graph_update.h"
 #include "update/versioned_graph.h"
@@ -153,44 +151,6 @@ BENCHMARK_CAPTURE(BM_FrontierQueue, four_ary_heap,
 BENCHMARK_CAPTURE(BM_FrontierQueue, dial, FrontierQueue::Kind::kBucketQueue);
 BENCHMARK_CAPTURE(BM_FrontierQueue, sorted_dial,
                   FrontierQueue::Kind::kSortedBucketQueue);
-
-void BM_MaskedDoorListScan(benchmark::State& state) {
-  // The relaxation's masked scan over every door's two partition door
-  // lists, summing the computed weights to the open neighbours. Arg 0:
-  // per-door DoorMask::Test. Arg 1: the word-wise ForEachSetAmong
-  // helper the search core uses.
-  const World& world = SharedWorld();
-  const CsrAdjacency& adj = world.graph->adjacency();
-  const CheckpointSet cps = CheckpointSet::FromGraph(*world.graph);
-  const GraphSnapshot snap =
-      BuildSnapshot(*world.graph, cps, cps.NumIntervals() / 2);
-  const DoorMask& open = snap.open;
-  const bool word_wise = state.range(0) == 1;
-  for (auto _ : state) {
-    double acc = 0;
-    for (size_t d = 0; d < world.graph->NumDoors(); ++d) {
-      const Point2d at = world.graph->DoorPos(static_cast<DoorId>(d));
-      for (PartitionId side :
-           world.graph->DoorPartitions(static_cast<DoorId>(d))) {
-        const CsrAdjacency::DoorList doors = adj.DoorsOf(*world.venue, side);
-        auto add = [&](size_t k) {
-          if (static_cast<size_t>(doors.ids[k]) != d) {
-            acc += EuclideanDistance(at, doors.positions[k]);
-          }
-        };
-        if (word_wise) {
-          open.ForEachSetAmong(doors.ids, doors.size, add);
-        } else {
-          for (size_t k = 0; k < doors.size; ++k) {
-            if (open.Test(doors.ids[k])) add(k);
-          }
-        }
-      }
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_MaskedDoorListScan)->Arg(0)->Arg(1);
 
 // The boundary ledger alone (BoundaryLedger::Build): the checkpoint set
 // and flip index of an interactive-size venue (two floors of three shop

@@ -1,11 +1,10 @@
 #ifndef ITSPQ_ITGRAPH_DOOR_MASK_H_
 #define ITSPQ_ITGRAPH_DOOR_MASK_H_
 
-// A bit-packed open-door set, indexed by DoorId. One bit per door
-// instead of the byte-per-door mask GraphSnapshot used to carry — 8x
-// smaller, which is what makes hundreds of shards x hundreds of
-// resident intervals fit a serving process's memory budget, and
-// popcount-friendly for open_door_count.
+// A bit-packed open-door set, indexed by DoorId. One bit per door is
+// what makes hundreds of shards x hundreds of resident intervals fit a
+// serving process's memory budget, and it makes open_door_count one
+// popcount per word. The searches probe it one door at a time (Test).
 
 #include <cstddef>
 #include <cstdint>
@@ -79,54 +78,6 @@ class DoorMask {
 #endif
         fn(static_cast<DoorId>(w * 64 + static_cast<size_t>(bit)));
         diff &= diff - 1;
-      }
-    }
-  }
-
-  /// Calls `fn(k)` for every k in [0, count) whose door ids[k] has its
-  /// bit set — the masked-neighbour scan of the relaxation loop.
-  /// Partition door lists are ascending and partition door ids are
-  /// clustered, so the current 64-bit word is cached across iterations:
-  /// one word load per ~64 doors of a partition instead of one per
-  /// neighbour.
-  template <typename Fn>
-  void ForEachSetAmong(const DoorId* ids, size_t count, Fn&& fn) const {
-    size_t cached = static_cast<size_t>(-1);
-    uint64_t word = 0;
-    for (size_t k = 0; k < count; ++k) {
-      const auto i = static_cast<size_t>(ids[k]);
-      const size_t w = i >> 6;
-      if (w != cached) {
-        cached = w;
-        word = words_[w];
-      }
-      if ((word >> (i & 63)) & 1u) fn(k);
-    }
-  }
-
-  /// Calls `fn(DoorId)` for every set bit in [lo, hi), ascending — a
-  /// word-wise popcount/ctz sweep that skips empty words entirely
-  /// (dense-range companion of ForEachSetAmong; benchmarked against the
-  /// per-bit Test loop in BM_MaskedDoorListScan).
-  template <typename Fn>
-  void ForEachSetInRange(size_t lo, size_t hi, Fn&& fn) const {
-    if (hi > num_bits_) hi = num_bits_;
-    if (lo >= hi) return;
-    for (size_t w = lo >> 6; w <= (hi - 1) >> 6; ++w) {
-      uint64_t word = words_[w];
-      if (w == lo >> 6) word &= ~uint64_t{0} << (lo & 63);
-      if (w == (hi - 1) >> 6 && (hi & 63) != 0) {
-        word &= (uint64_t{1} << (hi & 63)) - 1;
-      }
-      while (word != 0) {
-#if defined(__GNUC__) || defined(__clang__)
-        const int bit = __builtin_ctzll(word);
-#else
-        int bit = 0;
-        while (((word >> bit) & 1u) == 0) ++bit;
-#endif
-        fn(static_cast<DoorId>(w * 64 + static_cast<size_t>(bit)));
-        word &= word - 1;
       }
     }
   }

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "itgraph/door_search.h"
+#include "query/strategies.h"
 
 namespace itspq {
 
@@ -29,14 +32,26 @@ IndoorPoint InteriorPoint(const Partition& partition, Rng& rng) {
 
 StatusOr<std::vector<QueryInstance>> GenerateQueries(
     const ItGraph& graph, const QueryGenConfig& config) {
-  if (config.num_pairs < 1 || config.s2t_distance <= 0 ||
-      config.tolerance < 0) {
+  if (config.num_pairs < 1 || !(config.s2t_distance > 0) ||
+      !(config.tolerance >= 0) ||
+      !std::isfinite(config.s2t_distance + config.tolerance)) {
     return InvalidArgumentError("query gen config: bad band or pair count");
   }
   const Venue& venue = graph.venue();
   if (venue.NumPartitions() == 0) {
     return FailedPreconditionError("query gen: empty venue");
   }
+
+  // Static distances from each source: NTV's kernel (every door open)
+  // sweeping with a budget no walk reaches settles every reachable door.
+  // The budget is the largest finite one, as Route rejects infinity.
+  auto ntv = MakeRouter("ntv", graph);
+  if (!ntv.ok()) return ntv.status();
+  QueryRequest sweep;
+  sweep.kind = QueryKind::kReachability;
+  sweep.budget_seconds = std::numeric_limits<double>::max();
+  QueryContext context;
+  std::vector<double> from_source(graph.NumDoors(), internal::kInfDistance);
 
   Rng rng(config.seed);
   std::vector<QueryInstance> queries;
@@ -52,8 +67,12 @@ StatusOr<std::vector<QueryInstance>> GenerateQueries(
     const IndoorPoint ps = InteriorPoint(venue.partition(sp), rng);
     auto src = internal::AttachPoint(venue, ps);
     if (!src.ok()) continue;
-    const internal::DoorSearchResult from_source =
-        internal::DoorDijkstra(graph, src->door_offsets, nullptr);
+    sweep.source = ps;
+    auto reached = (*ntv)->Route(sweep, &context);
+    if (!reached.ok()) return reached.status();
+    for (const ReachableDoor& door : reached->reachable) {
+      from_source[static_cast<size_t>(door.door)] = door.distance_m;
+    }
 
     for (int probe = 0; probe < config.targets_per_source &&
                         static_cast<int>(queries.size()) < config.num_pairs;
@@ -66,13 +85,15 @@ StatusOr<std::vector<QueryInstance>> GenerateQueries(
       if (!dst.ok()) continue;
 
       const auto [best, entry_door] = internal::BestCompletion(
-          *src, *dst, ps.p, pt.p, [&](DoorId d) {
-            return from_source.Dist(static_cast<size_t>(d));
-          });
+          *src, *dst, ps.p, pt.p,
+          [&](DoorId d) { return from_source[static_cast<size_t>(d)]; });
       (void)entry_door;
       if (best >= lo && best <= hi) {
         queries.push_back(QueryInstance{ps, pt, best});
       }
+    }
+    for (const ReachableDoor& door : reached->reachable) {
+      from_source[static_cast<size_t>(door.door)] = internal::kInfDistance;
     }
   }
 

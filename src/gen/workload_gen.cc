@@ -53,7 +53,7 @@ StatusOr<std::vector<QueryRequest>> GenerateMultiVenueWorkload(
     return InvalidArgumentError("workload config: catalog has no venues");
   }
   if (config.num_requests < 0 || config.pairs_per_venue < 1 ||
-      config.zipf_exponent < 0 || config.hours.empty()) {
+      !(config.zipf_exponent >= 0) || config.hours.empty()) {
     return InvalidArgumentError("workload config: malformed parameters");
   }
 
@@ -146,16 +146,16 @@ StatusOr<std::vector<TimedAtiUpdate>> GenerateUpdateStream(
     return InvalidArgumentError(
         "update stream: offered_ups must be positive and finite");
   }
-  if (config.zipf_exponent < 0 || config.wrap_fraction < 0 ||
-      config.always_open_fraction < 0 ||
-      config.wrap_fraction + config.always_open_fraction > 1) {
+  if (!(config.zipf_exponent >= 0) || !(config.wrap_fraction >= 0) ||
+      !(config.always_open_fraction >= 0) ||
+      !(config.wrap_fraction + config.always_open_fraction <= 1)) {
     return InvalidArgumentError(
         "update stream: malformed skew or shape fractions");
   }
   if (!(config.min_open_hour >= 0) ||
-      config.max_open_hour < config.min_open_hour ||
-      config.min_close_hour <= config.max_open_hour ||
-      config.max_close_hour < config.min_close_hour ||
+      !(config.min_open_hour <= config.max_open_hour) ||
+      !(config.max_open_hour < config.min_close_hour) ||
+      !(config.min_close_hour <= config.max_close_hour) ||
       !(config.max_close_hour < 24)) {
     return InvalidArgumentError(
         "update stream: hour windows must satisfy 0 <= open < close < 24");

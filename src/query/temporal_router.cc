@@ -182,9 +182,11 @@ struct ArrivalSnapshot {
   IntervalCursor cursor;
 };
 
-// SNAP and NTV are conventional door-graph Dijkstras: they ignore
-// pruning and keep DoorDijkstra's plain settle order, so their answers
-// are bit-identical to DoorDijkstra + BestCompletion by construction.
+// SNAP and NTV are conventional door-graph Dijkstras over a static
+// mask: they ignore pruning and keep plain Dijkstra settle order, so the
+// tests pin their answers bit for bit to a static reference Dijkstra +
+// BestCompletion. NTV with BudgetGoal is also the library's static
+// distance sweep (GenerateQueries).
 
 // SNAP: the mask of the departure's interval, whatever the arrival.
 struct DepartureMask {

@@ -3,12 +3,12 @@
 // strategies.
 //
 // Each sweep family is pinned BIT-IDENTICALLY to an independent
-// brute-force oracle: a plain binary-heap temporal Dijkstra that
-// replicates the strategy's door-usability semantics (per-arrival ATI
-// probe for ITG/S and ITG/A+, the frontier-interval refresh for ITG/A,
-// the departure-interval freeze for SNAP, nothing for NTV) but none of
-// its machinery — no scratch reuse, no snapshot stores, no Dial
-// buckets, no early exit. Distances accumulate as `dist + weight` and
+// brute-force oracle (OracleSweep, shared from reference_search.h): a
+// plain binary-heap temporal Dijkstra that replicates the strategy's
+// door-usability semantics (per-arrival ATI probe for ITG/S and ITG/A+,
+// the frontier-interval refresh for ITG/A, the departure-interval
+// freeze for SNAP, nothing for NTV) but none of its machinery — no
+// scratch reuse, no snapshot stores, no Dial buckets, no early exit. Distances accumulate as `dist + weight` and
 // arrivals project as `dep + dist * kInvWalkSpeedMps`, the exact
 // arithmetic the engine documents, so every double must match to the
 // bit. kMultiStop is pinned to chained point-to-point Route() calls,
@@ -26,10 +26,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <memory>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,15 +35,13 @@
 #include "artifact/artifact.h"
 #include "artifact/format.h"
 #include "common/time.h"
-#include "gen/ati_gen.h"
 #include "gen/query_gen.h"
-#include "gen/venue_gen.h"
 #include "hall_venue.h"
 #include "itgraph/checkpoints.h"
-#include "itgraph/door_search.h"
 #include "itgraph/itgraph.h"
 #include "query/router.h"
 #include "query/strategies.h"
+#include "reference_search.h"
 #include "update/versioned_graph.h"
 #include "venue/venue.h"
 
@@ -64,39 +60,6 @@ T ValueOrDie(StatusOr<T> value, const char* what) {
   return *std::move(value);
 }
 
-struct FamilyWorld {
-  std::unique_ptr<Venue> venue;
-  std::unique_ptr<ItGraph> graph;
-  std::unique_ptr<CheckpointSet> checkpoints;
-};
-
-// The compact single-floor mall the cross-strategy suite uses: big
-// enough for multi-door sweeps, small enough for TSan.
-Venue MakeMall(uint64_t seed) {
-  MallConfig mall_config = MallConfig::Paper();
-  mall_config.floors = 1;
-  mall_config.shop_rows = 3;
-  mall_config.shops_per_row = 20;
-  mall_config.seed = seed;
-  Venue mall = ValueOrDie(GenerateMall(mall_config), "GenerateMall");
-
-  AtiGenConfig ati_config;
-  ati_config.checkpoint_count = 6;
-  ati_config.seed = seed + 1;
-  return ValueOrDie(AssignTemporalVariations(mall, ati_config),
-                    "AssignTemporalVariations");
-}
-
-FamilyWorld MakeWorldFrom(Venue venue) {
-  FamilyWorld world;
-  world.venue = std::make_unique<Venue>(std::move(venue));
-  world.graph = std::make_unique<ItGraph>(
-      ValueOrDie(ItGraph::Build(*world.venue), "ItGraph::Build"));
-  world.checkpoints =
-      std::make_unique<CheckpointSet>(CheckpointSet::FromGraph(*world.graph));
-  return world;
-}
-
 FamilyWorld MakeWorld(uint64_t seed) {
   FamilyWorld world = MakeWorldFrom(MakeMall(seed));
   // Every edge weight covers a bucket width, so the sweeps below run on
@@ -106,154 +69,8 @@ FamilyWorld MakeWorld(uint64_t seed) {
   return world;
 }
 
-// MakeWorld's mall plus a twin of door 0: same position, partitions
-// and ATI. The twins are joined by a zero-weight edge, which rules out
-// Dial's buckets, so every search falls back to the 4-ary heap.
-FamilyWorld MakeIneligibleWorld(uint64_t seed) {
-  const Venue mall = MakeMall(seed);
-  const Door& door = mall.door(DoorId{0});
-  Venue::Builder builder = Venue::Builder::FromVenue(mall);
-  const DoorId twin = builder.AddDoor(door.pos, door.floor,
-                                      door.partitions[0], door.partitions[1]);
-  const Span<TimeInterval> ati = mall.DoorAti(DoorId{0});
-  EXPECT_TRUE(builder.SetDoorAti(twin, {ati.begin(), ati.end()}).ok());
-  FamilyWorld world = MakeWorldFrom(
-      ValueOrDie(std::move(builder).Build(), "Venue::Builder::Build"));
-  EXPECT_EQ(world.graph->adjacency().min_edge_weight, 0.0) << "seed " << seed;
-  EXPECT_FALSE(world.graph->adjacency().BucketEligible()) << "seed " << seed;
-  return world;
-}
-
 const char* const kAllStrategies[] = {"itg-s", "itg-a", "itg-a+", "snap",
                                       "ntv"};
-
-// How the oracle decides whether a relaxation may pass a door — one
-// case per strategy's documented temporal-validity semantics.
-enum class OracleTv { kSync, kAsync, kStrict, kSnap, kNtv };
-
-OracleTv OracleModeFor(const std::string& name) {
-  if (name == "itg-s") return OracleTv::kSync;
-  if (name == "itg-a") return OracleTv::kAsync;
-  if (name == "itg-a+") return OracleTv::kStrict;
-  if (name == "snap") return OracleTv::kSnap;
-  return OracleTv::kNtv;
-}
-
-// Brute-force sweep: lazy-deletion binary-heap Dijkstra over the whole
-// door graph, gated per mode. Returns the family's deterministic
-// output — (distance, door)-sorted reachable set, truncated to k for
-// kNearestFacility.
-std::vector<ReachableDoor> OracleSweep(const ItGraph& graph,
-                                       const CheckpointSet& cps,
-                                       const QueryRequest& request,
-                                       OracleTv mode) {
-  auto attached = internal::AttachPoint(graph.venue(), request.source);
-  if (!attached.ok()) {
-    ADD_FAILURE() << "oracle source attach: "
-                  << attached.status().ToString();
-    return {};
-  }
-  const double dep = request.departure.seconds();
-  const bool reachability = request.kind == QueryKind::kReachability;
-  const size_t n = graph.NumDoors();
-
-  std::vector<double> dist(n, internal::kInfDistance);
-  std::vector<char> settled(n, 0);
-
-  // ITG/A's frontier snapshot: door states frozen to the interval of
-  // the last popped arrival. Any probe time inside the interval works —
-  // checkpoints cover every ATI boundary, so state is constant there.
-  double frontier_lo = 0, frontier_hi = -1, frontier_probe = 0;
-  auto refresh_frontier = [&](double arrival_abs) {
-    const double tod = WrapTimeOfDay(arrival_abs);
-    if (tod < frontier_lo || tod >= frontier_hi) {
-      const size_t interval = cps.IntervalIndexOf(tod);
-      frontier_lo = cps.IntervalStart(interval);
-      frontier_hi = cps.IntervalEnd(interval);
-      frontier_probe = tod;
-    }
-  };
-  if (mode == OracleTv::kAsync) refresh_frontier(dep);
-
-  auto usable = [&](DoorId door, double arrival_abs) {
-    switch (mode) {
-      case OracleTv::kSync:
-      case OracleTv::kStrict:
-        // ITG/A+'s arrival-interval snapshot answers exactly what the
-        // ATI answers at the arrival (state is interval-constant).
-        return graph.Ati(door).ContainsTimeOfDay(arrival_abs);
-      case OracleTv::kAsync:
-        return graph.Ati(door).ContainsTimeOfDay(frontier_probe);
-      case OracleTv::kSnap:
-        return graph.Ati(door).ContainsTimeOfDay(dep);
-      case OracleTv::kNtv:
-        return true;
-    }
-    return false;
-  };
-
-  using Entry = std::pair<double, size_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
-  auto relax = [&](DoorId door, double nd) {
-    const size_t i = static_cast<size_t>(door);
-    if (nd >= dist[i]) return;
-    if (reachability && nd * kInvWalkSpeedMps > request.budget_seconds) {
-      return;
-    }
-    if (!usable(door, dep + nd * kInvWalkSpeedMps)) return;
-    dist[i] = nd;
-    queue.push({nd, i});
-  };
-  for (const auto& [door, offset] : attached->door_offsets) {
-    relax(door, offset);
-  }
-
-  while (!queue.empty()) {
-    const auto [d, u] = queue.top();
-    queue.pop();
-    if (settled[u]) continue;
-    settled[u] = 1;
-    if (mode == OracleTv::kAsync) {
-      refresh_frontier(dep + d * kInvWalkSpeedMps);
-    }
-    const DoorId from = static_cast<DoorId>(u);
-    for (PartitionId p : graph.DoorPartitions(from)) {
-      for (DoorId next : graph.venue().DoorsOf(p)) {
-        if (settled[static_cast<size_t>(next)]) continue;
-        relax(next, d + EuclideanDistance(graph.DoorPos(from),
-                                          graph.DoorPos(next)));
-      }
-    }
-  }
-
-  std::vector<char> is_facility(n, 0);
-  if (!reachability) {
-    for (DoorId door : request.facilities) {
-      is_facility[static_cast<size_t>(door)] = 1;
-    }
-  }
-  std::vector<ReachableDoor> reachable;
-  for (size_t i = 0; i < n; ++i) {
-    if (!settled[i]) continue;
-    if (!reachability && !is_facility[i]) continue;
-    ReachableDoor entry;
-    entry.door = static_cast<DoorId>(i);
-    entry.distance_m = dist[i];
-    entry.arrival_seconds = dep + dist[i] * kInvWalkSpeedMps;
-    reachable.push_back(entry);
-  }
-  std::sort(reachable.begin(), reachable.end(),
-            [](const ReachableDoor& a, const ReachableDoor& b) {
-              if (a.distance_m != b.distance_m) {
-                return a.distance_m < b.distance_m;
-              }
-              return a.door < b.door;
-            });
-  if (!reachability && reachable.size() > request.k) {
-    reachable.resize(request.k);
-  }
-  return reachable;
-}
 
 // Element-for-element, bit-for-bit agreement with the oracle.
 void ExpectBitIdentical(const QueryResult& actual,

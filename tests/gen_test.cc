@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/time.h"
@@ -11,6 +14,8 @@
 #include "itgraph/checkpoints.h"
 #include "itgraph/itgraph.h"
 #include "query/strategies.h"
+#include "query/venue_catalog.h"
+#include "reference_search.h"
 
 namespace itspq {
 namespace {
@@ -167,6 +172,137 @@ TEST(QueryGenTest, ImpossibleBandErrs) {
   const auto queries = GenerateQueries(*graph, query_config);
   EXPECT_FALSE(queries.ok());
   EXPECT_EQ(queries.status().code(), StatusCode::kResourceExhausted);
+}
+
+// Two three-room buildings with no way between them: a sweep from one
+// reaches none of the other's doors.
+FamilyWorld MakeTwoBuildingWorld() {
+  Venue::Builder builder;
+  for (const double x0 : {0.0, 100.0}) {
+    PartitionId rooms[3];
+    for (int r = 0; r < 3; ++r) {
+      rooms[r] = builder.AddPartition(
+          Rect{x0 + 10.0 * r, 0, x0 + 10.0 * (r + 1), 10}, 0);
+    }
+    builder.AddDoor(Point2d{x0 + 10, 5}, 0, rooms[0], rooms[1]);
+    builder.AddDoor(Point2d{x0 + 20, 5}, 0, rooms[1], rooms[2]);
+  }
+  auto venue = std::move(builder).Build();
+  EXPECT_TRUE(venue.ok()) << venue.status().ToString();
+  return MakeWorldFrom(*std::move(venue));
+}
+
+// GenerateQueries measures each pair on the router's NTV sweep; every
+// pair's distance must equal the static reference Dijkstra + the shared
+// completion bit for bit: on Dial's buckets, on the heap frontier, and
+// where a source cannot reach every door.
+TEST(QueryGenTest, PairDistancesMatchTheStaticReferenceExactly) {
+  struct Case {
+    const char* name;
+    FamilyWorld world;
+    double s2t_distance, tolerance;
+  };
+  Case cases[] = {{"buckets", MakeWorldFrom(MakeMall(11)), 800, 600},
+                  {"heap", MakeIneligibleWorld(11), 800, 600},
+                  {"two buildings", MakeTwoBuildingWorld(), 15, 15}};
+  EXPECT_TRUE(cases[0].world.graph->adjacency().BucketEligible());
+  for (const Case& c : cases) {
+    const ItGraph& graph = *c.world.graph;
+    QueryGenConfig config;
+    config.s2t_distance = c.s2t_distance;
+    config.tolerance = c.tolerance;
+    config.num_pairs = 60;
+    config.targets_per_source = 6;
+    const auto queries = GenerateQueries(graph, config);
+    ASSERT_TRUE(queries.ok()) << c.name << ": " << queries.status().ToString();
+    ASSERT_EQ(queries->size(), 60u) << c.name;
+    for (size_t i = 0; i < queries->size(); ++i) {
+      const QueryInstance& q = (*queries)[i];
+      const auto src = internal::AttachPoint(graph.venue(), q.ps);
+      const auto dst = internal::AttachPoint(graph.venue(), q.pt);
+      ASSERT_TRUE(src.ok() && dst.ok()) << c.name << " pair " << i;
+      const internal::DoorSearchResult reference =
+          internal::DoorDijkstra(graph, src->door_offsets, nullptr);
+      const double expected =
+          internal::BestCompletion(*src, *dst, q.ps.p, q.pt.p,
+                                   [&](DoorId door) {
+                                     return reference.Dist(
+                                         static_cast<size_t>(door));
+                                   })
+              .first;
+      EXPECT_EQ(q.s2t_m, expected) << c.name << " pair " << i;
+    }
+  }
+}
+
+// A NaN in either band field used to pass the range check, spend the
+// whole source budget and report kResourceExhausted; an infinite band
+// accepted unreachable pairs.
+TEST(QueryGenTest, NonFiniteBandRejected) {
+  MallConfig mall_config = MallConfig::Paper();
+  mall_config.floors = 1;
+  const auto mall = GenerateMall(mall_config);
+  ASSERT_TRUE(mall.ok());
+  const auto graph = ItGraph::Build(*mall);
+  ASSERT_TRUE(graph.ok());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<const char*, double QueryGenConfig::*> fields[] = {
+      {"s2t_distance", &QueryGenConfig::s2t_distance},
+      {"tolerance", &QueryGenConfig::tolerance}};
+  for (const auto& [name, field] : fields) {
+    for (const double bad : {nan, inf}) {
+      QueryGenConfig config;
+      config.*field = bad;
+      EXPECT_EQ(GenerateQueries(*graph, config).status().code(),
+                StatusCode::kInvalidArgument)
+          << name << " = " << bad;
+    }
+  }
+}
+
+VenueCatalog MakeTwoVenueCatalog() {
+  VenueCatalog catalog;
+  for (uint64_t seed : {3u, 4u}) {
+    EXPECT_TRUE(catalog.AddVenue(MakeMall(seed), "itg-s").ok());
+  }
+  return catalog;
+}
+
+// A NaN Zipf exponent used to pass and send every request to venue 0.
+TEST(WorkloadGenTest, NanZipfExponentRejected) {
+  const VenueCatalog catalog = MakeTwoVenueCatalog();
+  MultiVenueWorkloadConfig config;
+  config.num_requests = 16;
+  config.pairs_per_venue = 2;
+  ASSERT_TRUE(GenerateMultiVenueWorkload(catalog, config).ok());
+  config.zipf_exponent = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(GenerateMultiVenueWorkload(catalog, config).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// Each skew, fraction and hour field of the update stream, set to NaN,
+// is rejected; the Zipf exponent, both fractions, max_open_hour and
+// min_close_hour used to pass.
+TEST(UpdateStreamGenTest, NanFieldsRejected) {
+  const VenueCatalog catalog = MakeTwoVenueCatalog();
+  ASSERT_TRUE(GenerateUpdateStream(catalog, UpdateStreamConfig()).ok());
+  const std::pair<const char*, double UpdateStreamConfig::*> fields[] = {
+      {"zipf_exponent", &UpdateStreamConfig::zipf_exponent},
+      {"wrap_fraction", &UpdateStreamConfig::wrap_fraction},
+      {"always_open_fraction", &UpdateStreamConfig::always_open_fraction},
+      {"min_open_hour", &UpdateStreamConfig::min_open_hour},
+      {"max_open_hour", &UpdateStreamConfig::max_open_hour},
+      {"min_close_hour", &UpdateStreamConfig::min_close_hour},
+      {"max_close_hour", &UpdateStreamConfig::max_close_hour}};
+  for (const auto& [name, field] : fields) {
+    UpdateStreamConfig config;
+    config.*field = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(GenerateUpdateStream(catalog, config).status().code(),
+              StatusCode::kInvalidArgument)
+        << name;
+  }
 }
 
 TEST(ArrivalGenTest, OpenLoopArrivalsAreSortedSeededAndRateShaped) {

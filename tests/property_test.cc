@@ -34,12 +34,12 @@
 #include "gen/query_gen.h"
 #include "gen/venue_gen.h"
 #include "itgraph/checkpoints.h"
-#include "itgraph/door_search.h"
 #include "itgraph/graph_update.h"
 #include "itgraph/itgraph.h"
 #include "query/router.h"
 #include "query/strategies.h"
 #include "query/verifier.h"
+#include "reference_search.h"
 #include "venue/venue.h"
 
 namespace itspq {

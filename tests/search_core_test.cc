@@ -1,9 +1,8 @@
 // The cache-conscious search core's compiled views, pinned to the
 // object-graph sources they replaced: CsrAdjacency vs the venue's
 // doors and DoorsOf lists (and its weights vs door geometry), flat ATI
-// rows vs AtiSet membership,
-// DoorMask's word-wise scan helpers vs the per-bit loop, generation-
-// stamped scratch reuse vs fresh contexts, and epoch adjacency sharing.
+// rows vs AtiSet membership, generation-stamped scratch reuse vs fresh
+// contexts, and epoch adjacency sharing.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +25,6 @@
 #include "hall_venue.h"
 #include "itgraph/checkpoints.h"
 #include "itgraph/csr_adjacency.h"
-#include "itgraph/door_mask.h"
 #include "itgraph/itgraph.h"
 #include "query/router.h"
 #include "query/strategies.h"
@@ -602,47 +600,6 @@ TEST(SearchCoreTest, FlatAtiRowsMatchAtiSets) {
     EXPECT_EQ(graph.Ati(door).ContainsTimeOfDay(kSecondsPerDay + 3600),
               ContainsByBinarySearch(ati,
                                      WrapTimeOfDay(kSecondsPerDay + 3600)));
-  }
-}
-
-TEST(SearchCoreTest, DoorMaskScanHelpersMatchPerBitLoop) {
-  Rng rng(77);
-  for (size_t n : {1u, 63u, 64u, 65u, 200u, 515u}) {
-    DoorMask mask(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (rng.UniformIndex(3) == 0) mask.Set(static_cast<DoorId>(i));
-    }
-
-    // ForEachSetAmong over a random (sorted, CSR-like) id list.
-    std::vector<DoorId> ids;
-    for (size_t i = 0; i < n; ++i) {
-      if (rng.UniformIndex(2) == 0) ids.push_back(static_cast<DoorId>(i));
-    }
-    std::vector<size_t> got;
-    mask.ForEachSetAmong(ids.data(), ids.size(),
-                         [&](size_t k) { got.push_back(k); });
-    std::vector<size_t> want;
-    for (size_t k = 0; k < ids.size(); ++k) {
-      if (mask.Test(ids[k])) want.push_back(k);
-    }
-    EXPECT_EQ(got, want) << "n=" << n;
-
-    // ForEachSetInRange across word-boundary-straddling windows.
-    for (int probe = 0; probe < 16; ++probe) {
-      const size_t lo = rng.UniformIndex(n + 1);
-      const size_t hi = lo + rng.UniformIndex(n + 1 - lo);
-      std::vector<DoorId> got_range;
-      mask.ForEachSetInRange(lo, hi,
-                             [&](DoorId d) { got_range.push_back(d); });
-      std::vector<DoorId> want_range;
-      for (size_t i = lo; i < hi; ++i) {
-        if (mask.Test(static_cast<DoorId>(i))) {
-          want_range.push_back(static_cast<DoorId>(i));
-        }
-      }
-      EXPECT_EQ(got_range, want_range) << "n=" << n << " [" << lo << ", "
-                                       << hi << ")";
-    }
   }
 }
 
