@@ -84,7 +84,8 @@ StatusOr<std::vector<std::string>> ReadFleetManifest(const std::string& path);
 
 /// Publishes a decoded artifact's venue as a `VersionedGraph` epoch 0
 /// under strategy `check`: VersionedGraph::Build(venue, check, options).
-/// kInvalidArgument when `world` holds no venue.
+/// kInvalidArgument when `world` holds no venue, or naming the DoorAtis
+/// section when a stored interval fails normalisation (checked here).
 StatusOr<std::shared_ptr<const VersionedGraph>> BuildWorldFromArtifact(
     LoadedVenueWorld world, TvCheck check,
     const RouterBuildOptions& options = RouterBuildOptions());

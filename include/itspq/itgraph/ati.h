@@ -66,16 +66,12 @@ class AtiSet {
   /// zero-length intervals. An empty list yields an always-open set.
   static StatusOr<AtiSet> Create(std::vector<TimeInterval> intervals);
 
-  /// Create's check of one source interval: both bounds within
-  /// [0, kSecondsPerDay] (a NaN is out of range) and not zero-length,
-  /// [24:00, 00:00) included. The artifact decoder applies it to every
-  /// stored interval.
-  static Status CheckInterval(const TimeInterval& iv);
-
   /// Create's normaliser over a caller's flat store: appends the bounds
   /// of `intervals` to `starts`/`ends` (none when always open), untouched
   /// on error. `scratch` is working space, never reallocated when large
-  /// enough, so a caller normalising many rows can reserve it once.
+  /// enough, so a caller normalising many rows can reserve it once. A
+  /// lone in-day, non-wrapping interval takes a fast path that skips
+  /// the scratch, sort and merge.
   static Status AppendNormalised(Span<TimeInterval> intervals,
                                  std::vector<TimeInterval>* scratch,
                                  std::vector<double>* starts,

@@ -149,25 +149,25 @@ struct BoundaryLedger {
 
   /// Two walks over the rows, O(P) for P interior boundaries: the first
   /// files and counts each under its time in a small open-addressed
-  /// table, the few distinct times are sorted, and the second writes
-  /// each door straight into its CSR slot. Past kLedgerMaxDistinct
-  /// times or kLedgerMaxProbe probes it sorts the P (time, door) pairs
-  /// instead, so the worst case is O(P log P) on any rows.
+  /// table (retried on a heap table of 2P+ slots past kLedgerMaxDistinct
+  /// times or kLedgerMaxProbe probes), the distinct times are sorted, and
+  /// the second writes each door straight into its CSR slot. A probe
+  /// overflow there sorts the P (time, door) pairs: O(P log P) at worst.
   static BoundaryLedger Build(const ItGraph& graph);
 };
 
-/// The ledger table: 2^kLedgerSlotBits slots, at most half filled.
+/// The ledger's stack table: 2^kLedgerSlotBits slots, half filled at most.
 inline constexpr int kLedgerSlotBits = 7;
 inline constexpr size_t kLedgerSlots = size_t{1} << kLedgerSlotBits;
 inline constexpr size_t kLedgerMaxDistinct = kLedgerSlots / 2;
 inline constexpr size_t kLedgerMaxProbe = 8;
 
-/// A time's home slot: the top bits of a multiplicative hash of its bit
-/// pattern, which depend on every bit. Public so tests can collide it.
-inline size_t LedgerHomeSlot(double t) {
+/// A time's home slot of 2^slot_bits: the top bits of a multiplicative
+/// hash of its bit pattern, which read every bit. Public for tests.
+inline size_t LedgerHomeSlot(double t, int slot_bits = kLedgerSlotBits) {
   uint64_t bits;
   std::memcpy(&bits, &t, sizeof(bits));
-  return (bits * 0x9E3779B97F4A7C15ull) >> (64 - kLedgerSlotBits);
+  return (bits * 0x9E3779B97F4A7C15ull) >> (64 - slot_bits);
 }
 
 }  // namespace itspq

@@ -79,11 +79,11 @@ inline constexpr ptrdiff_t kNoCarrySource = -1;
 /// Warm-start state for building a store (and its router) from a
 /// VersionedGraph's ledger, and after an online ATI update for carrying
 /// the previous version's snapshots (UpdateApplier,
-/// update/update_applier.h). All pointers are borrowed: flip_index must
-/// outlive the store, the rest only its construction.
+/// update/update_applier.h). All pointers are borrowed: checkpoints and
+/// flip_index must outlive the store, the rest only its construction.
 struct SnapshotWarmStart {
   /// The graph's checkpoint set, from the version's BoundaryLedger.
-  /// Router adopts it verbatim instead of re-deriving FromGraph.
+  /// Router reads it in place instead of re-deriving FromGraph.
   const CheckpointSet* checkpoints = nullptr;
   /// Flip index of (graph, checkpoints), from the same ledger. The
   /// store reads it in place, so the first delta build never pays the

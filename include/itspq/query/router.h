@@ -89,8 +89,8 @@ struct RouterBuildOptions {
   /// checkpoint set and flip index instead of re-deriving them from the
   /// graph, and on an update its snapshot store carries resident
   /// snapshots from the previous version. Borrowed for construction
-  /// only — never stored — except its flip index, which the store reads
-  /// in place and which must outlive the router.
+  /// only — never stored — except its checkpoint set and flip index,
+  /// which are read in place and must outlive the router.
   const SnapshotWarmStart* warm_start = nullptr;
   /// The VenueId this router answers for. Route() accepts requests
   /// whose venue_id is 0 (unaddressed) or equals the bound id, and
@@ -186,8 +186,8 @@ class Router {
   bool has_graph() const { return graph_ != nullptr; }
   const ItGraph& graph() const { return *graph_; }
   /// Checkpoints derived from the graph's ATI boundaries at
-  /// construction.
-  const CheckpointSet& checkpoints() const { return checkpoints_; }
+  /// construction, or the set a VersionedGraph lent it.
+  const CheckpointSet& checkpoints() const { return *checkpoints_; }
 
   /// Point-in-time counters of the router's shared snapshot store —
   /// hits, misses, evictions, full-vs-delta builds, resident bytes.
@@ -209,8 +209,8 @@ class Router {
   }
 
   /// Bytes of shared cross-query state owned by the router itself
-  /// (checkpoints, snapshot store). The graph and venue are accounted
-  /// separately by whoever owns them.
+  /// (derived checkpoints, snapshot store). The graph, the venue and a
+  /// lent checkpoint set are accounted by whoever owns them.
   virtual size_t MemoryUsage() const;
 
   /// The router's shared snapshot store, or null for strategies without
@@ -219,9 +219,9 @@ class Router {
   virtual const SnapshotStore* snapshot_store() const { return nullptr; }
 
  protected:
-  /// A non-null `precomputed` checkpoint set is copied instead of
-  /// derived via CheckpointSet::FromGraph — a VersionedGraph passes the
-  /// set of its ledger through RouterBuildOptions::warm_start.
+  /// A non-null `precomputed` checkpoint set, which must outlive the
+  /// router, is read in place instead of derived via FromGraph — a
+  /// VersionedGraph lends its ledger's set through warm_start.
   Router(std::string name, const ItGraph& graph,
          const CheckpointSet* precomputed = nullptr);
   /// Composite routers: no single backing graph, empty checkpoints.
@@ -234,7 +234,8 @@ class Router {
  private:
   std::string name_;
   const ItGraph* graph_;
-  CheckpointSet checkpoints_;
+  CheckpointSet owned_checkpoints_;  // empty when borrowed
+  const CheckpointSet* checkpoints_ = &owned_checkpoints_;
   VenueId bound_venue_id_ = 0;
 };
 

@@ -6,9 +6,9 @@
 // Given a shard's current VersionedGraph and one AtiUpdate,
 // UpdateApplier::Apply derives the NEXT version next to it:
 //
-//   venue        — Venue::Builder::FromVenue copy of a fixed number of
-//                  flat arrays; geometry (door lists, point-location
-//                  grid) carried, only the door's interval row replaced.
+//   venue        — Venue::WithDoorAti: the geometry block (partitions,
+//                  doors, door lists, point-location grid) shared, the
+//                  interval rows copied with the door's row replaced.
 //   graph        — ItGraph::BuildFrom: a copy of the flat ATI rows with
 //                  the changed door's row spliced in, re-normalised; the
 //                  search adjacency is shared, not copied.
@@ -23,9 +23,9 @@
 //
 // Apply never touches `current` beyond const reads of its store (one
 // mutex hold to lift resident slots): published versions are immutable.
-// Cost is O(doors + P) for P interior ATI boundaries — the venue and
-// graph copies are flat arrays, and the ledger walks every row — plus
-// O(|T| log |T|) for the carry plan and the carry work itself.
+// Cost is O(doors + P) for P interior ATI boundaries — the interval
+// and ATI row copies are flat arrays, and the ledger walks every row —
+// plus O(|T| log |T|) for the carry plan and the carry work itself.
 
 #include <memory>
 

@@ -56,8 +56,8 @@ class VersionedGraph {
   const CheckpointSet& checkpoints() const { return ledger_.checkpoints; }
   const BoundaryFlipIndex& flip_index() const { return ledger_.flips; }
 
-  /// Venue + graph + router shared state + ledger, bytes. The flip
-  /// index is counted once: the router's store borrows it.
+  /// Venue + graph + router shared state + ledger, bytes. The ledger
+  /// is counted once: the router and its store borrow it.
   size_t MemoryUsage() const;
 
  private:
@@ -79,8 +79,8 @@ class VersionedGraph {
   RouterBuildOptions options_;
 
   // Destruction order (reverse of declaration) matters: graph_ points
-  // into venue_, router_ into graph_ (it copies the checkpoint set) and
-  // its snapshot store reads ledger_.flips in place.
+  // into venue_ (whose geometry block other epochs share), router_ into
+  // graph_, and the router and its snapshot store read ledger_ in place.
   std::unique_ptr<Venue> venue_;
   std::unique_ptr<ItGraph> graph_;
   BoundaryLedger ledger_;

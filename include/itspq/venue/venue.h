@@ -10,7 +10,8 @@
 //
 // Every per-door, per-partition and per-grid-cell list is one offsets +
 // pool pair, so a venue is a fixed number of flat arrays (two more per
-// floor) whatever its size, and copying one costs that many allocations.
+// floor) whatever its size. All but the door intervals form one geometry
+// block behind a shared_ptr, which copies clone and ATI edits share.
 //
 // Venues are immutable once built. Construct through Venue::Builder:
 //
@@ -24,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "common/span.h"
@@ -55,25 +57,29 @@ class Venue {
 
   Venue(Venue&&) = default;
   Venue& operator=(Venue&&) = default;
-  Venue(const Venue&) = default;
-  Venue& operator=(const Venue&) = default;
+  /// Deep: a copy never keeps its source's geometry block alive.
+  Venue(const Venue& other);
+  Venue& operator=(const Venue& other);
 
-  size_t NumPartitions() const { return partitions_.size(); }
-  size_t NumDoors() const { return doors_.size(); }
+  size_t NumPartitions() const { return geometry_->partitions.size(); }
+  size_t NumDoors() const { return geometry_->doors.size(); }
 
   const Partition& partition(PartitionId p) const {
-    return partitions_[static_cast<size_t>(p)];
+    return geometry_->partitions[static_cast<size_t>(p)];
   }
-  const Door& door(DoorId d) const { return doors_[static_cast<size_t>(d)]; }
+  const Door& door(DoorId d) const {
+    return geometry_->doors[static_cast<size_t>(d)];
+  }
 
   /// Doors on the boundary of partition `p`, ascending.
   Span<DoorId> DoorsOf(PartitionId p) const {
-    return CsrList(door_offsets_, door_ids_, static_cast<size_t>(p));
+    return CsrList(geometry_->door_offsets, geometry_->door_ids,
+                   static_cast<size_t>(p));
   }
 
   /// Where DoorsOf(p) starts in the flat door-side order of all lists.
   size_t DoorListOffset(PartitionId p) const {
-    return door_offsets_[static_cast<size_t>(p)];
+    return geometry_->door_offsets[static_cast<size_t>(p)];
   }
 
   /// Door `d`'s applicable time intervals as set (not normalised);
@@ -82,10 +88,16 @@ class Venue {
     return CsrList(ati_offsets_, ati_intervals_, static_cast<size_t>(d));
   }
 
+  /// FromVenue -> SetDoorAti(d, intervals) -> Build without the
+  /// builder's copy: the geometry shared, the interval rows copied once
+  /// with `d`'s spliced in. Errors on an unknown door.
+  StatusOr<Venue> WithDoorAti(DoorId d, Span<TimeInterval> intervals) const;
+
   /// All partitions containing `point` (several when the point lies on a
   /// shared boundary; empty when it is outside every partition).
   std::vector<PartitionId> LocateAll(const IndoorPoint& point) const;
 
+  /// Heap bytes, the geometry block counted whole even when shared.
   size_t MemoryUsage() const;
 
  private:
@@ -105,25 +117,30 @@ class Venue {
     std::vector<PartitionId> cell_partitions;
   };
 
-  /// Derives the door lists from doors_ (one entry per door side).
-  void BuildDoorLists();
-  void BuildLocationIndex();
+  // Everything an ATI edit leaves alone, immutable once a Venue holds it.
+  struct Geometry {
+    std::vector<Partition> partitions;
+    std::vector<Door> doors;
+    std::vector<uint32_t> door_offsets;  // NumPartitions() + 1
+    std::vector<DoorId> door_ids;
+    int min_floor = 0;
+    std::vector<FloorIndex> floor_index;  // indexed by floor - min_floor
 
-  std::vector<Partition> partitions_;
-  std::vector<Door> doors_;
-  std::vector<uint32_t> door_offsets_;  // NumPartitions() + 1
-  std::vector<DoorId> door_ids_;
+    /// Derives the door lists from doors (one entry per door side).
+    void BuildDoorLists();
+    void BuildLocationIndex();
+  };
+
+  std::shared_ptr<const Geometry> geometry_;
   std::vector<uint32_t> ati_offsets_;  // NumDoors() + 1
   std::vector<TimeInterval> ati_intervals_;
-  int min_floor_ = 0;
-  std::vector<FloorIndex> floor_index_;  // indexed by floor - min_floor_
 };
 
 /// Accumulates partitions and doors, then validates and freezes them
 /// into a Venue (computing door lists and the point-location index).
 class Venue::Builder {
  public:
-  Builder() { venue_.ati_offsets_.push_back(0); }
+  Builder();
 
   PartitionId AddPartition(const Rect& rect, int floor);
 
@@ -137,13 +154,12 @@ class Venue::Builder {
   /// venue. Errors on an unknown door.
   Status SetDoorAti(DoorId d, std::vector<TimeInterval> intervals);
 
-  /// Seeds the builder with a copy of an existing venue's partitions,
-  /// doors, and ATIs — how the temporal-variation generator re-derives
-  /// a varied venue from a frozen one. As long as no partition or door
-  /// is added afterwards, Build() carries over the source venue's door
-  /// lists and point-location index instead of recomputing them (ATI
-  /// edits via SetDoorAti don't change geometry). Copies a fixed number
-  /// of flat arrays, never one per door or cell.
+  /// Seeds the builder with an existing venue's partitions, doors, and
+  /// ATIs — how the temporal-variation generator re-derives a varied
+  /// venue from a frozen one. As long as no partition or door is added
+  /// afterwards, the built venue shares the source's geometry block
+  /// (ATI edits via SetDoorAti don't change geometry); the first
+  /// AddPartition or AddDoor clones it. Copies the two interval arrays.
   static Builder FromVenue(const Venue& venue);
 
   /// Validates the accumulated venue. Errors: a door referencing an
@@ -152,15 +168,15 @@ class Venue::Builder {
   StatusOr<Venue> Build() &&;
 
  private:
-  explicit Builder(const Venue& source)
-      : venue_(source), geometry_carried_(true) {}
+  explicit Builder(const Venue& source);
+  /// The geometry block, cloned first when it is still the source's.
+  Geometry& MutableGeometry();
 
   /// The venue under construction, its interval rows always one per
-  /// door. After FromVenue it also holds the source's door lists and
-  /// location grid, which Build() keeps while no partition or door has
-  /// been added since.
+  /// door. After FromVenue its geometry is the source's block, which
+  /// Build() keeps while no partition or door has been added since.
   Venue venue_;
-  bool geometry_carried_ = false;
+  std::shared_ptr<Geometry> owned_;  // venue_'s block, once not shared
   /// SetDoorAti replacements, applied by Build(); any other door keeps
   /// its row of venue_, or none.
   std::map<DoorId, std::vector<TimeInterval>> ati_edits_;

@@ -77,7 +77,8 @@ class ArtifactCodec {
   /// rely on every section before it.
   struct Sink {
     MetaRecord meta = {};
-    Venue venue;
+    Venue::Geometry geometry;
+    Venue venue;  // its intervals; takes the geometry last
     std::string label;
   };
   /// One row of the section table: the section's layout, written and
@@ -102,7 +103,7 @@ const ArtifactCodec::Section ArtifactCodec::kSections[kNumSections] = {
     {ArtifactSection::kMeta, "Meta",
      [](const Source& s, ByteWriter& w) {
        const std::string& label = s.options.label;
-       w.Put(MetaRecord{s.venue.partitions_.size(), s.venue.doors_.size(),
+       w.Put(MetaRecord{s.venue.NumPartitions(), s.venue.NumDoors(),
                         label.size()});
        w.Raw(label.data(), label.size());
      },
@@ -122,7 +123,7 @@ const ArtifactCodec::Section ArtifactCodec::kSections[kNumSections] = {
      }},
     {ArtifactSection::kPartitions, "Partitions",
      [](const Source& s, ByteWriter& w) {
-       for (const Partition& p : s.venue.partitions_) {
+       for (const Partition& p : s.venue.geometry_->partitions) {
          w.Put(PartitionRecord{p.rect.min_x, p.rect.min_y, p.rect.max_x,
                                p.rect.max_y, p.floor, 0});
        }
@@ -132,10 +133,10 @@ const ArtifactCodec::Section ArtifactCodec::kSections[kNumSections] = {
        if (!r.Pod(&records, k.meta.num_partitions)) {
          return InvalidArgumentError("malformed");
        }
-       k.venue.partitions_.resize(records.size());
+       k.geometry.partitions.resize(records.size());
        for (size_t i = 0; i < records.size(); ++i) {
          const PartitionRecord& rec = records[i];
-         Partition& p = k.venue.partitions_[i];
+         Partition& p = k.geometry.partitions[i];
          p.rect = Rect{rec.min_x, rec.min_y, rec.max_x, rec.max_y};
          p.floor = rec.floor;
        }
@@ -143,7 +144,7 @@ const ArtifactCodec::Section ArtifactCodec::kSections[kNumSections] = {
      }},
     {ArtifactSection::kDoors, "Doors",
      [](const Source& s, ByteWriter& w) {
-       for (const Door& d : s.venue.doors_) {
+       for (const Door& d : s.venue.geometry_->doors) {
          w.Put(DoorRecord{d.pos.x, d.pos.y, d.floor,
                           {d.partitions[0], d.partitions[1]}, 0});
        }
@@ -153,7 +154,7 @@ const ArtifactCodec::Section ArtifactCodec::kSections[kNumSections] = {
        if (!r.Pod(&records, k.meta.num_doors)) {
          return InvalidArgumentError("malformed");
        }
-       k.venue.doors_.resize(records.size());
+       k.geometry.doors.resize(records.size());
        for (size_t i = 0; i < records.size(); ++i) {
          const DoorRecord& rec = records[i];
          if (!std::all_of(rec.partitions, rec.partitions + 2,
@@ -166,18 +167,19 @@ const ArtifactCodec::Section ArtifactCodec::kSections[kNumSections] = {
            return InvalidArgumentError("door " + std::to_string(i) +
                                        " position is not finite");
          }
-         Door& d = k.venue.doors_[i];
+         Door& d = k.geometry.doors[i];
          d.pos = Point2d{rec.x, rec.y};
          d.floor = rec.floor;
          d.partitions = {rec.partitions[0], rec.partitions[1]};
        }
        // The door lists are derived, as Venue::Builder derives them.
-       k.venue.BuildDoorLists();
+       k.geometry.BuildDoorLists();
        return Status::Ok();
      }},
     {ArtifactSection::kDoorAtis, "DoorAtis",
      // The source intervals: the loader normalises them into the ATI
      // rows, and the update path re-derives a door's row from them.
+     // BuildWorldFromArtifact checks each one as it normalises it.
      [](const Source& s, ByteWriter& w) {
        w.Csr(s.venue.ati_offsets_, s.venue.ati_intervals_);
      },
@@ -186,36 +188,26 @@ const ArtifactCodec::Section ArtifactCodec::kSections[kNumSections] = {
                   &k.venue.ati_intervals_, kAny)) {
          return InvalidArgumentError("malformed interval offsets");
        }
-       // The loader sorts these bounds while normalising them, so they
-       // pass AtiSet's own check first (a NaN has no order).
-       for (size_t d = 0; d < k.meta.num_doors; ++d) {
-         const auto door = static_cast<DoorId>(d);
-         for (const TimeInterval& iv : k.venue.DoorAti(door)) {
-           Status status = AtiSet::CheckInterval(iv);
-           if (!status.ok()) {
-             return InvalidArgumentError("door " + std::to_string(d) +
-                                         ": " + status.message());
-           }
-         }
-       }
        return Status::Ok();
      }},
     {ArtifactSection::kFloorIndex, "FloorIndex",
      [](const Source& s, ByteWriter& w) {
-       w.Put(int32_t{s.venue.min_floor_});
-       w.Put(static_cast<uint32_t>(s.venue.floor_index_.size()));
-       for (const Venue::FloorIndex& fi : s.venue.floor_index_) {
+       const Venue::Geometry& g = *s.venue.geometry_;
+       w.Put(int32_t{g.min_floor});
+       w.Put(static_cast<uint32_t>(g.floor_index.size()));
+       for (const Venue::FloorIndex& fi : g.floor_index) {
          w.Put(GridRecord{fi.origin_x, fi.origin_y, fi.cell, fi.cols, fi.rows});
          w.Csr(fi.cell_offsets, fi.cell_partitions);
        }
      },
      [](ByteReader& r, Sink& k) {
        uint32_t floors = 0;
-       if (!r.Get(&k.venue.min_floor_) || !r.Get(&floors) || floors > 4096) {
+       if (!r.Get(&k.geometry.min_floor) || !r.Get(&floors) ||
+           floors > 4096) {
          return InvalidArgumentError("malformed floor header");
        }
-       k.venue.floor_index_.resize(floors);
-       for (Venue::FloorIndex& fi : k.venue.floor_index_) {
+       k.geometry.floor_index.resize(floors);
+       for (Venue::FloorIndex& fi : k.geometry.floor_index) {
          // Point location divides by the cell size and casts to int: a
          // non-finite grid would make every lookup undefined behaviour.
          GridRecord g;
@@ -433,6 +425,8 @@ StatusOr<LoadedVenueWorld> ArtifactCodec::Decode(const uint8_t* data,
     }
   }
   LoadedVenueWorld world;
+  sink.venue.geometry_ =
+      std::make_shared<const Venue::Geometry>(std::move(sink.geometry));
   world.venue = std::make_unique<Venue>(std::move(sink.venue));
   world.label = std::move(sink.label);
   return world;
@@ -581,7 +575,12 @@ StatusOr<std::shared_ptr<const VersionedGraph>> BuildWorldFromArtifact(
   if (world.venue == nullptr) {
     return InvalidArgumentError("BuildWorldFromArtifact: world has no venue");
   }
-  return VersionedGraph::Build(std::move(*world.venue), check, options);
+  // The decoder checked the geometry: only a stored interval can fail.
+  auto version = VersionedGraph::Build(std::move(*world.venue), check, options);
+  if (!version.ok()) {
+    return CorruptSection("DoorAtis", version.status().message());
+  }
+  return version;
 }
 
 }  // namespace itspq

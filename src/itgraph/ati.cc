@@ -10,15 +10,38 @@ Status AtiSet::AppendNormalised(Span<TimeInterval> intervals,
                                 std::vector<TimeInterval>* scratch,
                                 std::vector<double>* starts,
                                 std::vector<double>* ends) {
+  // Most doors hold one in-day, non-wrapping interval: its own row, or
+  // none when it spans the whole day. A NaN, a wrap, a start at 24:00
+  // or a zero length fails this test and takes the general path.
+  const TimeInterval* one = intervals.size() == 1 ? &intervals[0] : nullptr;
+  if (one != nullptr && one->start >= 0 && one->start < one->end &&
+      one->end <= kSecondsPerDay) {
+    if (one->start > 0 || one->end < kSecondsPerDay) {
+      starts->push_back(one->start);
+      ends->push_back(one->end);
+    }
+    return Status::Ok();
+  }
+
   std::vector<TimeInterval>& flat = *scratch;
   flat.clear();
   for (const TimeInterval& iv : intervals) {
-    Status status = CheckInterval(iv);
-    if (!status.ok()) return status;
-    // A start at 24:00 is the same instant as 00:00; normalising it here
-    // keeps the wrap branch from emitting a degenerate [86400, 86400)
-    // piece whose boundary would leak into the checkpoint set.
+    // Written so that NaN fails: every comparison with NaN is false.
+    const auto in_day = [](double x) { return x >= 0 && x <= kSecondsPerDay; };
+    if (!in_day(iv.start) || !in_day(iv.end)) {
+      return InvalidArgumentError(
+          "ATI interval outside [0, 86400]: [" + std::to_string(iv.start) +
+          ", " + std::to_string(iv.end) + ")");
+    }
+    // A start at 24:00 is the same instant as 00:00 ({86400, 0} is as
+    // empty as {0, 0}); normalising it here also keeps the wrap branch
+    // from emitting a degenerate [86400, 86400) piece whose boundary
+    // would leak into the checkpoint set.
     const double start = iv.start == kSecondsPerDay ? 0.0 : iv.start;
+    if (iv.start == iv.end || start == iv.end) {
+      return InvalidArgumentError("zero-length ATI interval at " +
+                                  std::to_string(iv.end));
+    }
     if (iv.end > start) {
       flat.push_back(TimeInterval{start, iv.end});
     } else {
@@ -48,23 +71,6 @@ Status AtiSet::AppendNormalised(Span<TimeInterval> intervals,
       ends->back() == kSecondsPerDay) {
     starts->pop_back();
     ends->pop_back();
-  }
-  return Status::Ok();
-}
-
-Status AtiSet::CheckInterval(const TimeInterval& iv) {
-  // Written so that NaN fails: every comparison with NaN is false.
-  const auto in_day = [](double x) { return x >= 0 && x <= kSecondsPerDay; };
-  if (!in_day(iv.start) || !in_day(iv.end)) {
-    return InvalidArgumentError(
-        "ATI interval outside [0, 86400]: [" + std::to_string(iv.start) +
-        ", " + std::to_string(iv.end) + ")");
-  }
-  // {86400, 0} is the same empty instant as {0, 0}.
-  const double start = iv.start == kSecondsPerDay ? 0.0 : iv.start;
-  if (iv.start == iv.end || start == iv.end) {
-    return InvalidArgumentError("zero-length ATI interval at " +
-                                std::to_string(iv.end));
   }
   return Status::Ok();
 }

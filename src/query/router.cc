@@ -16,13 +16,16 @@ Router::Router(std::string name, const ItGraph& graph,
                const CheckpointSet* precomputed)
     : name_(std::move(name)),
       graph_(&graph),
-      checkpoints_(precomputed != nullptr ? *precomputed
-                                          : CheckpointSet::FromGraph(graph)) {}
+      checkpoints_(precomputed != nullptr ? precomputed : &owned_checkpoints_) {
+  if (precomputed == nullptr) {
+    owned_checkpoints_ = CheckpointSet::FromGraph(graph);
+  }
+}
 
 Router::Router(std::string name) : name_(std::move(name)), graph_(nullptr) {}
 
 size_t Router::MemoryUsage() const {
-  return checkpoints_.times().capacity() * sizeof(double);
+  return owned_checkpoints_.times().capacity() * sizeof(double);
 }
 
 }  // namespace itspq

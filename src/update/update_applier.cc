@@ -32,11 +32,8 @@ StatusOr<std::shared_ptr<const VersionedGraph>> UpdateApplier::Apply(
         old_store->Stats().budget_bytes;
   }
 
-  // Copy-on-write venue: geometry carried, one ATI row replaced.
-  Venue::Builder builder = Venue::Builder::FromVenue(old_venue);
-  Status set = builder.SetDoorAti(door, update.intervals);
-  if (!set.ok()) return set;
-  auto venue = std::move(builder).Build();
+  // Geometry shared; interval rows copied with the door's row spliced in.
+  auto venue = old_venue.WithDoorAti(door, update.intervals);
   if (!venue.ok()) return venue.status();
   next->venue_ = std::make_unique<Venue>(*std::move(venue));
 

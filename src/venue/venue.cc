@@ -40,25 +40,83 @@ void FillCsr(size_t lists, ForEach for_each, std::vector<uint32_t>* offsets,
   at[0] = 0;
 }
 
+/// Fills the interval CSR with edit(door, row) of each `source` row.
+template <typename Edit>
+void MergeAtiRows(const Venue& source, std::vector<uint32_t>* offsets,
+                  std::vector<TimeInterval>* intervals, Edit edit) {
+  FillCsr<TimeInterval>(
+      source.NumDoors(),
+      [&source, &edit](auto emit) {
+        for (size_t d = 0; d < source.NumDoors(); ++d) {
+          const auto door = static_cast<DoorId>(d);
+          for (const TimeInterval& iv : edit(door, source.DoorAti(door))) {
+            emit(d, iv);
+          }
+        }
+      },
+      offsets, intervals);
+}
+
 }  // namespace
 
+Venue::Venue(const Venue& other)
+    : geometry_(std::make_shared<const Geometry>(*other.geometry_)),
+      ati_offsets_(other.ati_offsets_),
+      ati_intervals_(other.ati_intervals_) {}
+
+Venue& Venue::operator=(const Venue& other) { return *this = Venue(other); }
+
+StatusOr<Venue> Venue::WithDoorAti(DoorId d,
+                                   Span<TimeInterval> intervals) const {
+  if (d < 0 || static_cast<size_t>(d) >= NumDoors()) {
+    return InvalidArgumentError("WithDoorAti: unknown door " +
+                                std::to_string(d));
+  }
+  Venue next;
+  next.geometry_ = geometry_;
+  MergeAtiRows(*this, &next.ati_offsets_, &next.ati_intervals_,
+               [d, intervals](DoorId door, Span<TimeInterval> row) {
+                 return door == d ? intervals : row;
+               });
+  return next;
+}
+
+Venue::Builder::Builder() : owned_(std::make_shared<Geometry>()) {
+  venue_.geometry_ = owned_;
+  venue_.ati_offsets_.push_back(0);
+}
+
+Venue::Builder::Builder(const Venue& source) {
+  venue_.geometry_ = source.geometry_;
+  venue_.ati_offsets_ = source.ati_offsets_;
+  venue_.ati_intervals_ = source.ati_intervals_;
+}
+
+Venue::Geometry& Venue::Builder::MutableGeometry() {
+  if (owned_ == nullptr) {
+    owned_ = std::make_shared<Geometry>(*venue_.geometry_);
+    venue_.geometry_ = owned_;
+  }
+  return *owned_;
+}
+
 PartitionId Venue::Builder::AddPartition(const Rect& rect, int floor) {
-  geometry_carried_ = false;
-  venue_.partitions_.push_back(Partition{rect, floor});
-  return static_cast<PartitionId>(venue_.partitions_.size() - 1);
+  std::vector<Partition>& partitions = MutableGeometry().partitions;
+  partitions.push_back(Partition{rect, floor});
+  return static_cast<PartitionId>(partitions.size() - 1);
 }
 
 DoorId Venue::Builder::AddDoor(const Point2d& pos, int floor, PartitionId a,
                                PartitionId b) {
-  geometry_carried_ = false;
-  venue_.doors_.push_back(Door{pos, floor, {a, b}});
+  std::vector<Door>& doors = MutableGeometry().doors;
+  doors.push_back(Door{pos, floor, {a, b}});
   venue_.ati_offsets_.push_back(venue_.ati_offsets_.back());  // always open
-  return static_cast<DoorId>(venue_.doors_.size() - 1);
+  return static_cast<DoorId>(doors.size() - 1);
 }
 
 Status Venue::Builder::SetDoorAti(DoorId d,
                                   std::vector<TimeInterval> intervals) {
-  if (d < 0 || static_cast<size_t>(d) >= venue_.doors_.size()) {
+  if (d < 0 || static_cast<size_t>(d) >= venue_.NumDoors()) {
     return InvalidArgumentError("SetDoorAti: unknown door " +
                                 std::to_string(d));
   }
@@ -73,15 +131,15 @@ Venue::Builder Venue::Builder::FromVenue(const Venue& venue) {
 StatusOr<Venue> Venue::Builder::Build() && {
   Venue& venue = venue_;
   const auto num_partitions = static_cast<PartitionId>(venue.NumPartitions());
-  for (size_t i = 0; i < venue.partitions_.size(); ++i) {
-    const Rect& r = venue.partitions_[i].rect;
+  for (size_t i = 0; i < venue.NumPartitions(); ++i) {
+    const Rect& r = venue.partition(static_cast<PartitionId>(i)).rect;
     if (r.width() <= 0 || r.height() <= 0) {
       return InvalidArgumentError("partition " + std::to_string(i) +
                                   " has a degenerate rectangle");
     }
   }
-  for (size_t i = 0; i < venue.doors_.size(); ++i) {
-    const Door& d = venue.doors_[i];
+  for (size_t i = 0; i < venue.NumDoors(); ++i) {
+    const Door& d = venue.door(static_cast<DoorId>(i));
     for (PartitionId p : d.partitions) {
       if (p < 0 || p >= num_partitions) {
         return InvalidArgumentError("door " + std::to_string(i) +
@@ -103,66 +161,56 @@ StatusOr<Venue> Venue::Builder::Build() && {
 
   // Door d's intervals: its SetDoorAti replacement, else its row so far.
   if (!ati_edits_.empty()) {
-    std::vector<uint32_t> offsets;
-    std::vector<TimeInterval> intervals;
-    FillCsr<TimeInterval>(
-        venue.NumDoors(),
-        [this, &venue](auto emit) {
-          for (size_t d = 0; d < venue.NumDoors(); ++d) {
-            const auto door = static_cast<DoorId>(d);
-            const auto edit = ati_edits_.find(door);
-            for (const TimeInterval& iv : edit != ati_edits_.end()
-                                              ? Span<TimeInterval>(edit->second)
-                                              : venue.DoorAti(door)) {
-              emit(d, iv);
-            }
-          }
-        },
-        &offsets, &intervals);
-    venue.ati_offsets_ = std::move(offsets);
-    venue.ati_intervals_ = std::move(intervals);
+    const Venue rows = std::move(venue);
+    venue.geometry_ = rows.geometry_;
+    MergeAtiRows(rows, &venue.ati_offsets_, &venue.ati_intervals_,
+                 [this](DoorId door, Span<TimeInterval> row) {
+                   const auto edit = ati_edits_.find(door);
+                   return edit == ati_edits_.end()
+                              ? row
+                              : Span<TimeInterval>(edit->second);
+                 });
   }
 
   // Geometry untouched since FromVenue: the door lists and the
   // point-location grid are pure functions of partitions + door
-  // positions, so the carried-over copies stand.
-  if (!geometry_carried_) {
-    venue.BuildDoorLists();
-    venue.BuildLocationIndex();
+  // positions, so the source's block stands, shared.
+  if (owned_ != nullptr) {
+    owned_->BuildDoorLists();
+    owned_->BuildLocationIndex();
   }
   return std::move(venue);
 }
 
-void Venue::BuildDoorLists() {
+void Venue::Geometry::BuildDoorLists() {
   FillCsr<DoorId>(
-      partitions_.size(),
+      partitions.size(),
       [this](auto emit) {
-        for (size_t d = 0; d < doors_.size(); ++d) {
-          for (PartitionId p : doors_[d].partitions) {
+        for (size_t d = 0; d < doors.size(); ++d) {
+          for (PartitionId p : doors[d].partitions) {
             emit(static_cast<size_t>(p), static_cast<DoorId>(d));
           }
         }
       },
-      &door_offsets_, &door_ids_);
+      &door_offsets, &door_ids);
 }
 
-void Venue::BuildLocationIndex() {
-  if (partitions_.empty()) return;
-  int min_floor = partitions_[0].floor;
-  int max_floor = partitions_[0].floor;
-  for (const Partition& p : partitions_) {
+void Venue::Geometry::BuildLocationIndex() {
+  if (partitions.empty()) return;
+  min_floor = partitions[0].floor;
+  int max_floor = partitions[0].floor;
+  for (const Partition& p : partitions) {
     min_floor = std::min(min_floor, p.floor);
     max_floor = std::max(max_floor, p.floor);
   }
-  min_floor_ = min_floor;
-  floor_index_.assign(static_cast<size_t>(max_floor - min_floor) + 1, {});
+  floor_index.assign(static_cast<size_t>(max_floor - min_floor) + 1, {});
 
-  for (size_t f = 0; f < floor_index_.size(); ++f) {
-    const int floor = min_floor_ + static_cast<int>(f);
+  for (size_t f = 0; f < floor_index.size(); ++f) {
+    const int floor = min_floor + static_cast<int>(f);
     // Per-floor bounding box; inverted when the floor is empty.
     constexpr double kInf = std::numeric_limits<double>::infinity();
     Rect box{kInf, kInf, -kInf, -kInf};
-    for (const Partition& p : partitions_) {
+    for (const Partition& p : partitions) {
       if (p.floor != floor) continue;
       box = Rect{std::min(box.min_x, p.rect.min_x),
                  std::min(box.min_y, p.rect.min_y),
@@ -175,7 +223,7 @@ void Venue::BuildLocationIndex() {
                                    std::ceil(extent / kLocateCellMetres)))
                  : 0;
     };
-    FloorIndex& index = floor_index_[f];
+    FloorIndex& index = floor_index[f];
     index.origin_x = any ? box.min_x : 0;
     index.origin_y = any ? box.min_y : 0;
     index.cell = kLocateCellMetres;
@@ -184,8 +232,8 @@ void Venue::BuildLocationIndex() {
     FillCsr<PartitionId>(
         static_cast<size_t>(index.cols) * index.rows,
         [this, &index, floor](auto emit) {
-          for (size_t pid = 0; pid < partitions_.size(); ++pid) {
-            const Partition& p = partitions_[pid];
+          for (size_t pid = 0; pid < partitions.size(); ++pid) {
+            const Partition& p = partitions[pid];
             if (p.floor != floor) continue;
             const int c0 =
                 GridCell(p.rect.min_x, index.origin_x, index.cell, index.cols);
@@ -209,15 +257,16 @@ void Venue::BuildLocationIndex() {
 
 std::vector<PartitionId> Venue::LocateAll(const IndoorPoint& point) const {
   std::vector<PartitionId> out;
-  const size_t f = static_cast<size_t>(point.floor - min_floor_);
-  if (point.floor < min_floor_ || f >= floor_index_.size()) return out;
-  const FloorIndex& index = floor_index_[f];
+  const Geometry& g = *geometry_;
+  const size_t f = static_cast<size_t>(point.floor - g.min_floor);
+  if (point.floor < g.min_floor || f >= g.floor_index.size()) return out;
+  const FloorIndex& index = g.floor_index[f];
   if (index.cols == 0 || index.rows == 0) return out;
   const int c = GridCell(point.p.x, index.origin_x, index.cell, index.cols);
   const int r = GridCell(point.p.y, index.origin_y, index.cell, index.rows);
   for (PartitionId pid : CsrList(index.cell_offsets, index.cell_partitions,
                                  static_cast<size_t>(r) * index.cols + c)) {
-    if (partitions_[static_cast<size_t>(pid)].rect.Contains(point.p)) {
+    if (g.partitions[static_cast<size_t>(pid)].rect.Contains(point.p)) {
       out.push_back(pid);
     }
   }
@@ -225,14 +274,18 @@ std::vector<PartitionId> Venue::LocateAll(const IndoorPoint& point) const {
 }
 
 size_t Venue::MemoryUsage() const {
-  size_t total = partitions_.capacity() * sizeof(Partition) +
-                 doors_.capacity() * sizeof(Door) +
-                 (door_offsets_.capacity() + ati_offsets_.capacity()) *
+  const Geometry& g = *geometry_;
+  // The block is one make_shared allocation: the object and a control
+  // block of two counters behind a vtable pointer.
+  size_t total = sizeof(Geometry) + 2 * sizeof(void*) +
+                 g.partitions.capacity() * sizeof(Partition) +
+                 g.doors.capacity() * sizeof(Door) +
+                 (g.door_offsets.capacity() + ati_offsets_.capacity()) *
                      sizeof(uint32_t) +
-                 door_ids_.capacity() * sizeof(DoorId) +
+                 g.door_ids.capacity() * sizeof(DoorId) +
                  ati_intervals_.capacity() * sizeof(TimeInterval) +
-                 floor_index_.capacity() * sizeof(FloorIndex);
-  for (const FloorIndex& index : floor_index_) {
+                 g.floor_index.capacity() * sizeof(FloorIndex);
+  for (const FloorIndex& index : g.floor_index) {
     total += index.cell_offsets.capacity() * sizeof(uint32_t) +
              index.cell_partitions.capacity() * sizeof(PartitionId);
   }

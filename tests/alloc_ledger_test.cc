@@ -2,13 +2,15 @@
 // operator new/delete with counting ones (every other test binary keeps
 // the default allocator) and pins two properties of the flat layout:
 //
-//   - copying a Venue, ItGraph::Build, one ATI update (FromVenue ->
-//     SetDoorAti -> Build, then ItGraph::BuildFrom), compiling a whole
+//   - copying a Venue, ItGraph::Build, one ATI update (Venue::WithDoorAti,
+//     then ItGraph::BuildFrom, as UpdateApplier::Apply does), compiling a whole
 //     epoch (VersionedGraph::Build, under every strategy) and a cold
 //     load (DecodeVenueArtifact + BuildWorldFromArtifact of an in-memory
 //     image) each make a fixed number of allocations, the same for a
 //     small mall as for one with twice the doors: nothing is allocated
 //     per door, partition or cell;
+//   - that update allocates fewer bytes than a plain Venue copy: it
+//     shares the venue's geometry and copies only interval rows;
 //   - Venue::MemoryUsage() + ItGraph::MemoryUsage() covers every byte
 //     the two hold on the heap, so residency budgets never undercount.
 
@@ -33,6 +35,7 @@
 namespace {
 
 std::atomic<uint64_t> g_allocations{0};
+std::atomic<uint64_t> g_allocated_bytes{0};
 std::atomic<int64_t> g_live_bytes{0};
 
 // Each block carries its size in a header, so delete can retire it
@@ -46,6 +49,7 @@ void* operator new(size_t size) {
   if (block == nullptr) throw std::bad_alloc();
   *static_cast<size_t*>(block) = size;
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   g_live_bytes.fetch_add(static_cast<int64_t>(size),
                          std::memory_order_relaxed);
   return static_cast<char*>(block) + kHeader;
@@ -84,19 +88,24 @@ Venue MakeMall(int shop_rows) {
                     "AssignTemporalVariations");
 }
 
-/// Allocations `fn` makes, including what it frees before returning.
+/// Allocations `fn` makes, including what it frees before returning;
+/// `bytes`, when given, receives the bytes they asked for.
 template <typename Fn>
-uint64_t CountAllocations(Fn fn) {
+uint64_t CountAllocations(Fn fn, uint64_t* bytes = nullptr) {
   const uint64_t before = g_allocations.load();
+  const uint64_t bytes_before = g_allocated_bytes.load();
   fn();
+  if (bytes != nullptr) *bytes = g_allocated_bytes.load() - bytes_before;
   return g_allocations.load() - before;
 }
 
 struct Ledger {
   size_t doors = 0;
   uint64_t copy_venue = 0;
+  uint64_t copy_venue_bytes = 0;
   uint64_t build_graph = 0;
   uint64_t update = 0;
+  uint64_t update_bytes = 0;
   std::vector<uint64_t> build_version;  // one per strategy, kTvChecks order
   uint64_t cold_load = 0;
 };
@@ -104,18 +113,21 @@ struct Ledger {
 Ledger Measure(const Venue& venue) {
   Ledger ledger;
   ledger.doors = venue.NumDoors();
-  ledger.copy_venue = CountAllocations([&venue] { Venue copy(venue); });
+  ledger.copy_venue = CountAllocations([&venue] { Venue copy(venue); },
+                                       &ledger.copy_venue_bytes);
   ledger.build_graph = CountAllocations([&venue] {
     ValueOrDie(ItGraph::Build(venue), "ItGraph::Build");
   });
   const ItGraph graph = ValueOrDie(ItGraph::Build(venue), "ItGraph::Build");
   const auto door = static_cast<DoorId>(venue.NumDoors() / 2);
-  ledger.update = CountAllocations([&venue, &graph, door] {
-    Venue::Builder builder = Venue::Builder::FromVenue(venue);
-    ASSERT_TRUE(builder.SetDoorAti(door, {MakeInterval(9, 0, 17, 30)}).ok());
-    const Venue next = ValueOrDie(std::move(builder).Build(), "Build");
-    ValueOrDie(ItGraph::BuildFrom(graph, next, door), "BuildFrom");
-  });
+  const std::vector<TimeInterval> row = {MakeInterval(9, 0, 17, 30)};
+  ledger.update = CountAllocations(
+      [&venue, &graph, &row, door] {
+        const Venue next =
+            ValueOrDie(venue.WithDoorAti(door, row), "WithDoorAti");
+        ValueOrDie(ItGraph::BuildFrom(graph, next, door), "BuildFrom");
+      },
+      &ledger.update_bytes);
   for (TvCheck check : kTvChecks) {
     Venue copy(venue);
     ledger.build_version.push_back(CountAllocations([&copy, check] {
@@ -142,12 +154,18 @@ TEST(AllocationLedgerTest, VenueWorldAllocationsDoNotGrowWithTheVenue) {
   RecordProperty("copy_venue", static_cast<int>(large.copy_venue));
   RecordProperty("build_graph", static_cast<int>(large.build_graph));
   RecordProperty("update", static_cast<int>(large.update));
+  RecordProperty("update_bytes", static_cast<int>(large.update_bytes));
+  RecordProperty("copy_venue_bytes", static_cast<int>(large.copy_venue_bytes));
   RecordProperty("cold_load", static_cast<int>(large.cold_load));
   EXPECT_EQ(small.copy_venue, large.copy_venue);
   EXPECT_EQ(small.build_graph, large.build_graph);
   EXPECT_EQ(small.update, large.update);
   EXPECT_EQ(small.build_version, large.build_version);
   EXPECT_EQ(small.cold_load, large.cold_load);
+  for (const Ledger* ledger : {&small, &large}) {
+    EXPECT_LT(ledger->update_bytes, ledger->copy_venue_bytes)
+        << ledger->doors << " doors";
+  }
 }
 
 TEST(AllocationLedgerTest, MemoryUsageCoversTheLiveBytes) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "common/span.h"
 #include "common/time.h"
 #include "itgraph/ati.h"
 
@@ -111,6 +114,61 @@ TEST(AtiSetTest, InteriorBoundariesExcludeDayEdges) {
   ASSERT_EQ(boundaries.size(), 2u);
   EXPECT_DOUBLE_EQ(boundaries[0], Instant::FromHMS(2).seconds());
   EXPECT_DOUBLE_EQ(boundaries[1], Instant::FromHMS(22).seconds());
+}
+
+// A lone in-day, non-wrapping interval takes AppendNormalised's fast
+// path; the same interval listed twice takes the general path (check,
+// sort, merge). Both append the same row after what the store already
+// holds, or both refuse the input with the store untouched.
+TEST(AtiSetTest, OneIntervalFastPathMatchesTheGeneralPath) {
+  const double nan = std::nan("");
+  const double day = kSecondsPerDay;
+  struct Case {
+    TimeInterval interval;
+    std::vector<double> starts, ends;  // the row, empty when refused
+    bool ok;
+  };
+  const Case cases[] = {
+      {{3600, day}, {3600}, {day}, true},        // [x, 86400]
+      {{day, 7200}, {0}, {7200}, true},          // {86400, y}
+      {{8 * 3600.0, 17 * 3600.0}, {8 * 3600.0}, {17 * 3600.0}, true},
+      {{0, 3600}, {0}, {3600}, true},
+      {{0, day}, {}, {}, true},                  // full day: always open
+      {{22 * 3600.0, 2 * 3600.0}, {0, 22 * 3600.0}, {2 * 3600.0, day}, true},
+      {{nan, 3600}, {}, {}, false},
+      {{3600, nan}, {}, {}, false},
+      {{nan, nan}, {}, {}, false},
+      {{3600, 3600}, {}, {}, false},             // zero length
+      {{day, 0}, {}, {}, false},                 // [24:00, 00:00)
+      {{day, day}, {}, {}, false},
+      {{-1, 100}, {}, {}, false},
+      {{0, day + 1}, {}, {}, false},
+  };
+  for (const Case& c : cases) {
+    const TimeInterval& iv = c.interval;
+    SCOPED_TRACE("[" + std::to_string(iv.start) + ", " +
+                 std::to_string(iv.end) + ")");
+    const TimeInterval once[] = {iv};
+    const TimeInterval twice[] = {iv, iv};
+    std::vector<TimeInterval> scratch;
+    // One row already stored ahead of the appended one.
+    std::vector<double> fast_starts = {1}, fast_ends = {2};
+    std::vector<double> general_starts = {1}, general_ends = {2};
+    const Status fast = AtiSet::AppendNormalised(
+        Span<TimeInterval>(once, 1), &scratch, &fast_starts, &fast_ends);
+    const Status general =
+        AtiSet::AppendNormalised(Span<TimeInterval>(twice, 2), &scratch,
+                                 &general_starts, &general_ends);
+    EXPECT_EQ(fast.ok(), c.ok);
+    EXPECT_EQ(fast.code(), general.code());
+    EXPECT_EQ(fast_starts, general_starts);
+    EXPECT_EQ(fast_ends, general_ends);
+    std::vector<double> starts = {1}, ends = {2};
+    starts.insert(starts.end(), c.starts.begin(), c.starts.end());
+    ends.insert(ends.end(), c.ends.begin(), c.ends.end());
+    EXPECT_EQ(fast_starts, starts);
+    EXPECT_EQ(fast_ends, ends);
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/span.h"
 #include "common/time.h"
 #include "gen/ati_gen.h"
 #include "gen/query_gen.h"
@@ -25,6 +26,7 @@
 #include "itgraph/graph_update.h"
 #include "itgraph/snapshot_store.h"
 #include "query/sharded_router.h"
+#include "query/strategies.h"
 #include "query/venue_catalog.h"
 #include "update/ati_update.h"
 #include "update/update_applier.h"
@@ -275,6 +277,68 @@ TEST(UpdateApplierTest, ErrorsLeaveCatalogOnCurrentEpoch) {
   EXPECT_EQ(outcome.epoch, 1u);
   EXPECT_EQ(catalog.epoch(0), 1u);
   EXPECT_EQ(catalog.Stats().total_updates_applied, 1u);
+}
+
+// An ATI update allocates none of the venue's geometry: across a stream
+// of updates every epoch reads epoch 0's door array, partitions and door
+// lists — so its geometry block, which also holds the point-location
+// grid, is epoch 0's — and answers LocateAll and DoorsOf as epoch 0 did.
+// The epoch's router reads the version's own checkpoint set; a
+// standalone router over the same graph owns a copy.
+TEST(UpdateApplierTest, UpdateSharesVenueGeometry) {
+  VenueCatalog catalog = MakeCatalog("itg-a+");
+  const std::shared_ptr<const VersionedGraph> first = catalog.world(0);
+  const Venue& base = first->venue();
+  std::vector<IndoorPoint> probes;
+  for (size_t d = 0; d < base.NumDoors(); ++d) {
+    const Door& door = base.door(static_cast<DoorId>(d));
+    probes.push_back({door.pos, door.floor});
+  }
+  for (size_t p = 0; p < base.NumPartitions(); ++p) {
+    const Partition& part = base.partition(static_cast<PartitionId>(p));
+    probes.push_back({{(part.rect.min_x + part.rect.max_x) / 2,
+                       (part.rect.min_y + part.rect.max_y) / 2},
+                      part.floor});
+  }
+  std::vector<std::vector<PartitionId>> located;
+  for (const IndoorPoint& probe : probes) {
+    located.push_back(base.LocateAll(probe));
+  }
+
+  Rng rng(23);
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    AtiUpdate update;
+    update.door_id = static_cast<DoorId>(rng.UniformIndex(base.NumDoors()));
+    const double open = rng.UniformDouble(5 * 3600.0, 11 * 3600.0);
+    const double close = rng.UniformDouble(13 * 3600.0, 23 * 3600.0);
+    update.intervals = {TimeInterval{open, close}};
+    ValueOrDie(catalog.ApplyAtiUpdate(update), "ApplyAtiUpdate");
+    const std::shared_ptr<const VersionedGraph> world = catalog.world(0);
+    const Venue& venue = world->venue();
+    ASSERT_NE(&venue, &base);
+    EXPECT_EQ(&venue.door(0), &base.door(0));
+    EXPECT_EQ(&venue.partition(0), &base.partition(0));
+    for (size_t p = 0; p < base.NumPartitions(); ++p) {
+      const auto part = static_cast<PartitionId>(p);
+      EXPECT_EQ(venue.DoorsOf(part).begin(), base.DoorsOf(part).begin());
+      EXPECT_EQ(venue.DoorsOf(part), base.DoorsOf(part));
+    }
+    for (size_t i = 0; i < probes.size(); ++i) {
+      EXPECT_EQ(venue.LocateAll(probes[i]), located[i]) << "probe " << i;
+    }
+    const Span<TimeInterval> row = venue.DoorAti(update.door_id);
+    ASSERT_EQ(row.size(), 1u);
+    EXPECT_EQ(row[0].start, update.intervals[0].start);
+    EXPECT_EQ(row[0].end, update.intervals[0].end);
+    EXPECT_EQ(&world->router().checkpoints(), &world->checkpoints());
+  }
+
+  const std::shared_ptr<const VersionedGraph> last = catalog.world(0);
+  const std::unique_ptr<Router> standalone =
+      ValueOrDie(MakeRouter("itg-s", last->graph()), "MakeRouter");
+  EXPECT_NE(&standalone->checkpoints(), &last->checkpoints());
+  EXPECT_EQ(standalone->checkpoints().times(), last->checkpoints().times());
 }
 
 TEST(UpdateApplierTest, OldEpochStaysPinnedAndServable) {

@@ -125,5 +125,43 @@ TEST(VenueBuilderTest, FromVenueRoundTrips) {
   EXPECT_EQ(copy->door(1).pos.y, original.door(1).pos.y);
 }
 
+// A plain copy owns its geometry: it shares no array with its source,
+// so a copy never keeps the source's block alive (a served catalog built
+// from copies of a generated fleet holds only its own blocks). A
+// FromVenue rebuild with ATI edits only shares it.
+TEST(VenueTest, CopySharesNothingButAnAtiEditSharesTheGeometry) {
+  const Venue original = MakeTinyVenue();
+  const Venue copied(original);
+  Venue assigned = MakeTinyVenue();
+  assigned = original;
+  const Venue* const copies[] = {&copied, &assigned};
+  for (const Venue* copy : copies) {
+    EXPECT_NE(&copy->door(0), &original.door(0));
+    EXPECT_NE(&copy->partition(0), &original.partition(0));
+    EXPECT_NE(copy->DoorsOf(2).begin(), original.DoorsOf(2).begin());
+    EXPECT_EQ(copy->DoorsOf(2), original.DoorsOf(2));
+    EXPECT_EQ(copy->LocateAll({{5, 15}, 0}), original.LocateAll({{5, 15}, 0}));
+  }
+
+  Venue::Builder builder = Venue::Builder::FromVenue(original);
+  ASSERT_TRUE(builder.SetDoorAti(1, {MakeInterval(8, 0, 20, 0)}).ok());
+  const Venue edited = *std::move(builder).Build();
+  EXPECT_EQ(&edited.door(0), &original.door(0));
+  EXPECT_EQ(edited.DoorsOf(2).begin(), original.DoorsOf(2).begin());
+  EXPECT_EQ(edited.DoorAti(1).size(), 1u);
+  EXPECT_TRUE(original.DoorAti(1).empty());
+
+  // Adding a door after FromVenue clones the block first: the source
+  // keeps its doors and lists.
+  Venue::Builder grown = Venue::Builder::FromVenue(original);
+  grown.AddDoor(Point2d{10, 5}, 0, 0, 1);
+  const Venue larger = *std::move(grown).Build();
+  EXPECT_NE(&larger.door(0), &original.door(0));
+  EXPECT_EQ(larger.NumDoors(), 3u);
+  EXPECT_EQ(original.NumDoors(), 2u);
+  EXPECT_EQ(larger.DoorsOf(0).size(), 2u);
+  EXPECT_EQ(original.DoorsOf(0).size(), 1u);
+}
+
 }  // namespace
 }  // namespace itspq
