@@ -49,6 +49,10 @@ struct Rect {
     return pt.x >= min_x && pt.x <= max_x && pt.y >= min_y && pt.y <= max_y;
   }
 
+  bool IsFinite() const {
+    return std::isfinite(min_x) && std::isfinite(min_y) &&
+           std::isfinite(max_x) && std::isfinite(max_y);
+  }
   double width() const { return max_x - min_x; }
   double height() const { return max_y - min_y; }
 };

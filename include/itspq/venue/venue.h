@@ -97,6 +97,40 @@ class Venue {
   /// shared boundary; empty when it is outside every partition).
   std::vector<PartitionId> LocateAll(const IndoorPoint& point) const;
 
+  /// One floor's uniform grid for LocateAll: about one square cell per
+  /// partition of the floor, cols and rows each in [1, n] for its n
+  /// partitions. Cell c (row-major) lists the partitions it overlaps,
+  /// ascending, as a CSR list.
+  struct FloorIndex {
+    double origin_x = 0, origin_y = 0;
+    double cell = 1;
+    int cols = 0, rows = 0;
+    std::vector<uint32_t> cell_offsets;  // cols * rows + 1
+    std::vector<PartitionId> cell_partitions;
+
+    /// The cell holding `p`, row-major. A point off the grid, or a NaN,
+    /// lands on the nearest edge cell, so lookups stay exact when cols
+    /// or rows is clamped.
+    size_t CellOf(const Point2d& p) const;
+    /// Calls visit(c) for each cell c that `r` overlaps.
+    template <typename Visit>
+    void ForEachCell(const Rect& r, Visit visit) const {
+      // Bounds in locals: `visit` may store through an alias of `cols`.
+      const size_t width = static_cast<size_t>(cols);
+      const size_t lo = CellOf({r.min_x, r.min_y});
+      const size_t hi = CellOf({r.max_x, r.max_y});
+      const size_t c0 = lo % width, c1 = hi % width;
+      for (size_t row = lo - c0; row <= hi - c1; row += width) {
+        for (size_t c = row + c0; c <= row + c1; ++c) visit(c);
+      }
+    }
+  };
+
+  /// `floor`'s grid; null when no partition lies on that floor.
+  const FloorIndex* LocationGrid(int floor) const {
+    return geometry_->Grid(floor);
+  }
+
   /// Heap bytes, the geometry block counted whole even when shared.
   size_t MemoryUsage() const;
 
@@ -107,16 +141,6 @@ class Venue {
   friend class ArtifactCodec;
   Venue() = default;
 
-  // Uniform per-floor grid accelerating LocateAll: cell c (row-major)
-  // lists the partitions it overlaps, ascending, as a CSR list.
-  struct FloorIndex {
-    double origin_x = 0, origin_y = 0;
-    double cell = 1;
-    int cols = 0, rows = 0;
-    std::vector<uint32_t> cell_offsets;  // cols * rows + 1
-    std::vector<PartitionId> cell_partitions;
-  };
-
   // Everything an ATI edit leaves alone, immutable once a Venue holds it.
   struct Geometry {
     std::vector<Partition> partitions;
@@ -126,6 +150,7 @@ class Venue {
     int min_floor = 0;
     std::vector<FloorIndex> floor_index;  // indexed by floor - min_floor
 
+    const FloorIndex* Grid(int floor) const;
     /// Derives the door lists from doors (one entry per door side).
     void BuildDoorLists();
     void BuildLocationIndex();
@@ -163,8 +188,9 @@ class Venue::Builder {
   static Builder FromVenue(const Venue& venue);
 
   /// Validates the accumulated venue. Errors: a door referencing an
-  /// unknown partition or connecting a partition to itself, or a
-  /// degenerate partition rectangle.
+  /// unknown partition or connecting a partition to itself, a door
+  /// position that is not finite, or a partition rectangle that is
+  /// degenerate or not finite.
   StatusOr<Venue> Build() &&;
 
  private:

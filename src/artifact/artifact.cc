@@ -139,6 +139,11 @@ const ArtifactCodec::Section ArtifactCodec::kSections[kNumSections] = {
          Partition& p = k.geometry.partitions[i];
          p.rect = Rect{rec.min_x, rec.min_y, rec.max_x, rec.max_y};
          p.floor = rec.floor;
+         // A NaN bound would hide the partition from every lookup.
+         if (!p.rect.IsFinite()) {
+           return InvalidArgumentError("partition " + std::to_string(i) +
+                                       " rectangle is not finite");
+         }
        }
        return Status::Ok();
      }},
@@ -224,6 +229,31 @@ const ArtifactCodec::Section ArtifactCodec::kSections[kNumSections] = {
          if (!r.Csr(uint64_t(g.cols) * uint64_t(g.rows), &fi.cell_offsets,
                     &fi.cell_partitions, Below(k.meta.num_partitions))) {
            return InvalidArgumentError("cell references unknown partition");
+         }
+       }
+       // A lookup reads only its point's cell, so each partition must be
+       // listed in every cell its rectangle overlaps. Lists run ascending,
+       // as written: a cursor per cell checks them in O(entries).
+       std::vector<std::vector<uint32_t>> cursors;
+       for (const Venue::FloorIndex& fi : k.geometry.floor_index) {
+         cursors.push_back(fi.cell_offsets);
+       }
+       for (size_t i = 0; i < k.geometry.partitions.size(); ++i) {
+         const Partition& p = k.geometry.partitions[i];
+         const Venue::FloorIndex* fi = k.geometry.Grid(p.floor);
+         bool listed = fi != nullptr;
+         if (listed) {
+           uint32_t* at = cursors[fi - k.geometry.floor_index.data()].data();
+           fi->ForEachCell(p.rect, [&](size_t c) {
+             const auto pid = static_cast<PartitionId>(i);
+             const uint32_t end = fi->cell_offsets[c + 1];
+             while (at[c] < end && fi->cell_partitions[at[c]] < pid) ++at[c];
+             listed = listed && at[c] < end && fi->cell_partitions[at[c]] == pid;
+           });
+         }
+         if (!listed) {
+           return InvalidArgumentError("partition " + std::to_string(i) +
+                                       " is missing from its floor's grid");
          }
        }
        return Status::Ok();

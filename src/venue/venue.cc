@@ -10,19 +10,6 @@ namespace itspq {
 
 namespace {
 
-// Location-grid cell edge in metres. Partitions in the synthetic malls
-// are tens to hundreds of metres; 64 m keeps cell lists short without
-// bloating small venues.
-constexpr double kLocateCellMetres = 64.0;
-
-/// The grid column (or row) of coordinate `v`, clamped to [0, count) in
-/// the double domain: a point far outside the grid, or a NaN, lands on
-/// an edge cell instead of overflowing the int cast.
-int GridCell(double v, double origin, double cell, int count) {
-  const double at = (v - origin) / cell;
-  return at > 0 ? static_cast<int>(std::min(at, count - 1.0)) : 0;
-}
-
 /// Fills the CSR of `lists` lists from `for_each`, which emits (list,
 /// value) for every entry, alike on both calls: one to count, so each
 /// array is allocated once, one to fill, in emission order.
@@ -133,6 +120,10 @@ StatusOr<Venue> Venue::Builder::Build() && {
   const auto num_partitions = static_cast<PartitionId>(venue.NumPartitions());
   for (size_t i = 0; i < venue.NumPartitions(); ++i) {
     const Rect& r = venue.partition(static_cast<PartitionId>(i)).rect;
+    if (!r.IsFinite()) {
+      return InvalidArgumentError("partition " + std::to_string(i) +
+                                  " rectangle is not finite");
+    }
     if (r.width() <= 0 || r.height() <= 0) {
       return InvalidArgumentError("partition " + std::to_string(i) +
                                   " has a degenerate rectangle");
@@ -207,68 +198,76 @@ void Venue::Geometry::BuildLocationIndex() {
 
   for (size_t f = 0; f < floor_index.size(); ++f) {
     const int floor = min_floor + static_cast<int>(f);
-    // Per-floor bounding box; inverted when the floor is empty.
+    // Per-floor bounding box and partition count.
     constexpr double kInf = std::numeric_limits<double>::infinity();
     Rect box{kInf, kInf, -kInf, -kInf};
+    double n = 0;
     for (const Partition& p : partitions) {
       if (p.floor != floor) continue;
       box = Rect{std::min(box.min_x, p.rect.min_x),
                  std::min(box.min_y, p.rect.min_y),
                  std::max(box.max_x, p.rect.max_x),
                  std::max(box.max_y, p.rect.max_y)};
+      ++n;
     }
-    const bool any = box.min_x <= box.max_x;
-    auto cells = [any](double extent) {
-      return any ? std::max(1, static_cast<int>(
-                                   std::ceil(extent / kLocateCellMetres)))
-                 : 0;
-    };
     FloorIndex& index = floor_index[f];
-    index.origin_x = any ? box.min_x : 0;
-    index.origin_y = any ? box.min_y : 0;
-    index.cell = kLocateCellMetres;
-    index.cols = cells(box.max_x - box.min_x);
-    index.rows = cells(box.max_y - box.min_y);
+    if (n > 0) {
+      // About one square cell per partition: cell² = W·H / n, rooted
+      // apart so W·H cannot overflow or underflow. A cell still not finite
+      // and positive (a span past the double range) gives one cell.
+      const double cell =
+          std::sqrt(box.width()) * std::sqrt(box.height()) / std::sqrt(n);
+      const bool sized = cell > 0 && cell < kInf;
+      auto cells = [cell, n, sized](double extent) {  // clamped to [1, n]
+        return sized ? static_cast<int>(std::min(
+                           std::max(std::ceil(extent / cell), 1.0), n))
+                     : 1;
+      };
+      index.origin_x = box.min_x;
+      index.origin_y = box.min_y;
+      index.cell = sized ? cell : 1;
+      index.cols = cells(box.width());
+      index.rows = cells(box.height());
+    }
     FillCsr<PartitionId>(
         static_cast<size_t>(index.cols) * index.rows,
         [this, &index, floor](auto emit) {
           for (size_t pid = 0; pid < partitions.size(); ++pid) {
             const Partition& p = partitions[pid];
             if (p.floor != floor) continue;
-            const int c0 =
-                GridCell(p.rect.min_x, index.origin_x, index.cell, index.cols);
-            const int c1 =
-                GridCell(p.rect.max_x, index.origin_x, index.cell, index.cols);
-            const int r0 =
-                GridCell(p.rect.min_y, index.origin_y, index.cell, index.rows);
-            const int r1 =
-                GridCell(p.rect.max_y, index.origin_y, index.cell, index.rows);
-            for (int r = r0; r <= r1; ++r) {
-              for (int c = c0; c <= c1; ++c) {
-                emit(static_cast<size_t>(r) * index.cols + c,
-                     static_cast<PartitionId>(pid));
-              }
-            }
+            index.ForEachCell(p.rect, [&emit, pid](size_t c) {
+              emit(c, static_cast<PartitionId>(pid));
+            });
           }
         },
         &index.cell_offsets, &index.cell_partitions);
   }
 }
 
+size_t Venue::FloorIndex::CellOf(const Point2d& p) const {
+  // Clamped to [0, count) in the double domain, before the cast.
+  auto index = [this](double v, double origin, int count) {
+    const double at = (v - origin) / cell;
+    return at > 0 ? static_cast<int>(std::min(at, count - 1.0)) : 0;
+  };
+  return static_cast<size_t>(index(p.y, origin_y, rows)) * cols +
+         static_cast<size_t>(index(p.x, origin_x, cols));
+}
+
+const Venue::FloorIndex* Venue::Geometry::Grid(int floor) const {
+  const int64_t f = int64_t{floor} - min_floor;
+  if (f < 0 || static_cast<uint64_t>(f) >= floor_index.size()) return nullptr;
+  const FloorIndex& index = floor_index[static_cast<size_t>(f)];
+  return index.cols > 0 && index.rows > 0 ? &index : nullptr;
+}
+
 std::vector<PartitionId> Venue::LocateAll(const IndoorPoint& point) const {
   std::vector<PartitionId> out;
-  const Geometry& g = *geometry_;
-  const size_t f = static_cast<size_t>(point.floor - g.min_floor);
-  if (point.floor < g.min_floor || f >= g.floor_index.size()) return out;
-  const FloorIndex& index = g.floor_index[f];
-  if (index.cols == 0 || index.rows == 0) return out;
-  const int c = GridCell(point.p.x, index.origin_x, index.cell, index.cols);
-  const int r = GridCell(point.p.y, index.origin_y, index.cell, index.rows);
-  for (PartitionId pid : CsrList(index.cell_offsets, index.cell_partitions,
-                                 static_cast<size_t>(r) * index.cols + c)) {
-    if (g.partitions[static_cast<size_t>(pid)].rect.Contains(point.p)) {
-      out.push_back(pid);
-    }
+  const FloorIndex* index = LocationGrid(point.floor);
+  if (index == nullptr) return out;
+  for (PartitionId pid : CsrList(index->cell_offsets, index->cell_partitions,
+                                 index->CellOf(point.p))) {
+    if (partition(pid).rect.Contains(point.p)) out.push_back(pid);
   }
   return out;
 }

@@ -302,6 +302,16 @@ struct SectionCase {
 };
 
 const SectionCase kSectionCases[] = {
+    {"NaN partition bound", "Partitions", "partition 0 rectangle is not finite",
+     [](Sections* s, uint64_t, uint64_t) {
+       // Partition record: f64 min x/y, f64 max x/y, i32 floor, pad.
+       Set<double>(Payload(s, ArtifactSection::kPartitions), 8, std::nan(""));
+     }},
+    {"infinite partition bound", "Partitions", "rectangle is not finite",
+     [](Sections* s, uint64_t P, uint64_t) {
+       Set<double>(Payload(s, ArtifactSection::kPartitions), (P - 1) * 40 + 16,
+                   HUGE_VAL);
+     }},
     {"door to unknown partition", "Doors", "unknown partition",
      [](Sections* s, uint64_t P, uint64_t) {
        // Door record: f64 x, f64 y, i32 floor, i32 partitions[2], pad.
@@ -327,6 +337,27 @@ const SectionCase kSectionCases[] = {
                               static_cast<uint64_t>(Get<int32_t>(*p, 36));
        ASSERT_GT(Get<uint64_t>(*p, 40 + cells * 8), 0u);
        Set<int32_t>(p, 40 + (cells + 1) * 8, static_cast<int32_t>(P));
+     }},
+    {"floor cell leaves out a partition", "FloorIndex",
+     "is missing from its floor's grid",
+     [](Sections* s, uint64_t P, uint64_t) {
+       // The first listed partition of floor 0 swapped for another: its
+       // first cell no longer lists it.
+       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kFloorIndex);
+       const uint64_t cells = static_cast<uint64_t>(Get<int32_t>(*p, 32)) *
+                              static_cast<uint64_t>(Get<int32_t>(*p, 36));
+       ASSERT_GT(Get<uint64_t>(*p, 40 + cells * 8), 0u);
+       const uint64_t at = 40 + (cells + 1) * 8;
+       Set<int32_t>(p, at, static_cast<int32_t>(
+                               (static_cast<uint64_t>(Get<int32_t>(*p, at)) + 1) %
+                               P));
+     }},
+    {"partition on a floor without a grid", "FloorIndex",
+     "partition 0 is missing from its floor's grid",
+     [](Sections* s, uint64_t, uint64_t) {
+       // i32 min floor: every stored grid moves 100 floors up.
+       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kFloorIndex);
+       Set<int32_t>(p, 0, Get<int32_t>(*p, 0) + 100);
      }},
     {"NaN source interval", "DoorAtis",
      "door 0: ATI interval outside [0, 86400]",

@@ -1,6 +1,8 @@
 // The flat venue world against brute force, over a seeded fleet: point
 // location through the per-floor cell grid answers exactly as a scan of
-// every partition, and every door's compiled ATI row is exactly what
+// every partition, at any scale of the venue's coordinates, while the
+// grid's size follows its partition count, not its area in metres; and
+// every door's compiled ATI row is exactly what
 // AtiSet::Create makes of that door's intervals — at epoch 0 and after
 // each update of a seeded stream, whose splices include the first and
 // the last door.
@@ -10,9 +12,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "artifact/artifact.h"
 #include "gen/workload_gen.h"
 #include "itgraph/ati.h"
 #include "itgraph/itgraph.h"
@@ -56,8 +61,7 @@ std::vector<PartitionId> BruteForceLocate(const Venue& venue,
 }
 
 // Every door position, every partition corner, and a 32 m lattice over
-// each floor's bounding box from its corner, which holds the centre and
-// the corners of every 64 m location cell.
+// each floor's bounding box from its corner.
 std::vector<IndoorPoint> ProbePoints(const Venue& venue) {
   std::vector<IndoorPoint> points;
   for (size_t d = 0; d < venue.NumDoors(); ++d) {
@@ -102,14 +106,77 @@ std::vector<IndoorPoint> ProbePoints(const Venue& venue) {
   return points;
 }
 
-void ExpectLocateMatchesBruteForce(const Venue& venue) {
-  const std::vector<IndoorPoint> points = ProbePoints(venue);
-  ASSERT_FALSE(points.empty());
+
+// `venue` with every coordinate multiplied by `scale`.
+Venue Scaled(const Venue& venue, double scale) {
+  Venue::Builder builder;
+  for (size_t p = 0; p < venue.NumPartitions(); ++p) {
+    const Partition& partition = venue.partition(static_cast<PartitionId>(p));
+    const Rect& r = partition.rect;
+    builder.AddPartition(Rect{r.min_x * scale, r.min_y * scale,
+                              r.max_x * scale, r.max_y * scale},
+                         partition.floor);
+  }
+  for (size_t d = 0; d < venue.NumDoors(); ++d) {
+    const Door& door = venue.door(static_cast<DoorId>(d));
+    builder.AddDoor(Point2d{door.pos.x * scale, door.pos.y * scale},
+                    door.floor, door.partitions[0], door.partitions[1]);
+  }
+  return ValueOrDie(std::move(builder).Build(), "Build");
+}
+
+// The partitions on each floor, by floor.
+std::map<int, size_t> PartitionsPerFloor(const Venue& venue) {
+  std::map<int, size_t> count;
+  for (size_t p = 0; p < venue.NumPartitions(); ++p) {
+    ++count[venue.partition(static_cast<PartitionId>(p)).floor];
+  }
+  return count;
+}
+
+// Every partition corner and centre, and a half-cell lattice over each
+// floor's grid, one cell past each edge: points that scale with the
+// venue, holding the centre and the corners of every location cell.
+std::vector<IndoorPoint> CellLattice(const Venue& venue) {
+  std::vector<IndoorPoint> points;
+  for (size_t p = 0; p < venue.NumPartitions(); ++p) {
+    const Partition& partition = venue.partition(static_cast<PartitionId>(p));
+    const Rect& r = partition.rect;
+    for (const Point2d& at :
+         {Point2d{r.min_x, r.min_y}, Point2d{r.max_x, r.max_y},
+          Point2d{r.min_x, r.max_y}, Point2d{r.max_x, r.min_y},
+          Point2d{r.min_x + r.width() / 2, r.min_y + r.height() / 2}}) {
+      points.push_back({at, partition.floor});
+    }
+  }
+  for (const auto& [floor, n] : PartitionsPerFloor(venue)) {
+    const Venue::FloorIndex* grid = venue.LocationGrid(floor);
+    if (grid == nullptr) continue;
+    const double half = grid->cell / 2;
+    for (int i = -2; i <= 2 * grid->cols + 2; ++i) {
+      for (int j = -2; j <= 2 * grid->rows + 2; ++j) {
+        points.push_back(
+            {Point2d{grid->origin_x + i * half, grid->origin_y + j * half},
+             floor});
+      }
+    }
+  }
+  return points;
+}
+
+void ExpectLocateMatchesBruteForceAt(const Venue& venue,
+                                     const std::vector<IndoorPoint>& points) {
   for (const IndoorPoint& point : points) {
     ASSERT_EQ(venue.LocateAll(point), BruteForceLocate(venue, point))
         << "floor " << point.floor << " (" << point.p.x << ", " << point.p.y
         << ")";
   }
+}
+
+void ExpectLocateMatchesBruteForce(const Venue& venue) {
+  const std::vector<IndoorPoint> points = ProbePoints(venue);
+  ASSERT_FALSE(points.empty());
+  ExpectLocateMatchesBruteForceAt(venue, points);
 }
 
 // Each door's row of `graph` holds exactly the bounds AtiSet::Create
@@ -145,6 +212,99 @@ TEST(LayoutTest, LocateAllMatchesAPartitionScan) {
     ExpectLocateMatchesBruteForce(Venue(venue));
     ExpectLocateMatchesBruteForce(ValueOrDie(
         std::move(Venue::Builder::FromVenue(venue)).Build(), "Build"));
+  }
+}
+
+// About one cell per partition: a floor of n partitions has at most
+// 2n + 1 cells, whatever its area, and every floor with a partition has
+// a grid.
+TEST(LayoutTest, GridCellsFollowThePartitionCount) {
+  for (const Venue& venue : MakeFleet()) {
+    for (const auto& [floor, n] : PartitionsPerFloor(venue)) {
+      const Venue::FloorIndex* grid = venue.LocationGrid(floor);
+      ASSERT_NE(grid, nullptr) << "floor " << floor;
+      EXPECT_GE(grid->cols, 1);
+      EXPECT_GE(grid->rows, 1);
+      EXPECT_LE(static_cast<size_t>(grid->cols) * grid->rows, 2 * n + 1)
+          << "floor " << floor << ", " << n << " partitions";
+    }
+  }
+}
+
+// The grid of a venue drawn in millimetres or kilometres is the grid of
+// the same venue in metres, scaled: same cells, each listing as many
+// partitions, and lookups exact at points that scale with it.
+TEST(LayoutTest, GridIsIndependentOfTheVenueUnits) {
+  for (const Venue& venue : MakeFleet()) {
+    for (double scale : {1e-3, 1e3}) {
+      SCOPED_TRACE("scale " + std::to_string(scale));
+      const Venue scaled = Scaled(venue, scale);
+      for (const auto& [floor, n] : PartitionsPerFloor(venue)) {
+        const Venue::FloorIndex* want = venue.LocationGrid(floor);
+        const Venue::FloorIndex* got = scaled.LocationGrid(floor);
+        ASSERT_NE(want, nullptr);
+        ASSERT_NE(got, nullptr);
+        EXPECT_EQ(got->cols, want->cols) << "floor " << floor;
+        EXPECT_EQ(got->rows, want->rows) << "floor " << floor;
+        EXPECT_EQ(got->cell_offsets, want->cell_offsets) << "floor " << floor;
+      }
+      ExpectLocateMatchesBruteForceAt(scaled, CellLattice(scaled));
+    }
+    ExpectLocateMatchesBruteForceAt(venue, CellLattice(venue));
+  }
+}
+
+// Two rooms beside a 64 km square hall: a 64 m cell would give the
+// floor a million cells, each listing the hall (8.0 MB).
+TEST(LayoutTest, AHugeHallDoesNotGrowTheGrid) {
+  Venue::Builder builder;
+  const PartitionId hall = builder.AddPartition(Rect{0, 0, 64000, 64000}, 0);
+  const PartitionId a = builder.AddPartition(Rect{64000, 0, 64010, 10}, 0);
+  const PartitionId b = builder.AddPartition(Rect{64000, 10, 64010, 20}, 0);
+  builder.AddDoor(Point2d{64000, 5}, 0, hall, a);
+  builder.AddDoor(Point2d{64005, 10}, 0, a, b);
+  const Venue venue = ValueOrDie(std::move(builder).Build(), "Build");
+  EXPECT_LT(venue.MemoryUsage(), 1024u);
+  ExpectLocateMatchesBruteForceAt(venue, CellLattice(venue));
+}
+
+// Coordinates near the ends of the double range: scaled by 1e-200 and
+// 1e200, and two rooms at -1e308 and 1e308, whose floor's span
+// overflows and gets one cell. Each builds, locates exactly, and comes
+// back from its artifact with the grid it was written with.
+TEST(LayoutTest, ExtremeCoordinatesBuildAndRoundTrip) {
+  std::vector<Venue> venues;
+  for (double scale : {1e-200, 1e200}) {
+    venues.push_back(Scaled(MakeFleet()[0], scale));
+  }
+  Venue::Builder builder;
+  const PartitionId low =
+      builder.AddPartition(Rect{-1e308, -1e308, -9e307, -9e307}, 0);
+  const PartitionId high =
+      builder.AddPartition(Rect{9e307, 9e307, 1e308, 1e308}, 0);
+  builder.AddDoor(Point2d{0, 0}, 0, low, high);
+  venues.push_back(ValueOrDie(std::move(builder).Build(), "Build"));
+  const Venue::FloorIndex* far = venues.back().LocationGrid(0);
+  ASSERT_NE(far, nullptr);
+  EXPECT_EQ(far->cols, 1);
+  EXPECT_EQ(far->rows, 1);
+
+  (void)std::system("mkdir -p layout_test_artifacts");
+  const std::string path = "layout_test_artifacts/extreme.itspq";
+  for (const Venue& venue : venues) {
+    const std::vector<IndoorPoint> points = CellLattice(venue);
+    ExpectLocateMatchesBruteForceAt(venue, points);
+    ASSERT_TRUE(WriteVenueArtifact(path, venue).ok());
+    const LoadedVenueWorld loaded =
+        ValueOrDie(LoadVenueArtifact(path), "LoadVenueArtifact");
+    for (const auto& [floor, n] : PartitionsPerFloor(venue)) {
+      const Venue::FloorIndex* want = venue.LocationGrid(floor);
+      const Venue::FloorIndex* got = loaded.venue->LocationGrid(floor);
+      ASSERT_NE(got, nullptr);
+      EXPECT_EQ(got->cell, want->cell);
+      EXPECT_EQ(got->cell_partitions, want->cell_partitions);
+    }
+    ExpectLocateMatchesBruteForceAt(*loaded.venue, points);
   }
 }
 

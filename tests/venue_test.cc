@@ -70,6 +70,23 @@ TEST(VenueBuilderTest, RejectsBadInput) {
   }
 }
 
+// A NaN bound would hide its partition from every lookup, and an
+// infinite one would size the location grid from an infinite box.
+TEST(VenueBuilderTest, RejectsNonFinitePartitionRectangles) {
+  for (const Rect& bad : {Rect{0, std::nan(""), 10, 10},
+                          Rect{0, 0, HUGE_VAL, 10},
+                          Rect{-HUGE_VAL, 0, 10, 10}}) {
+    Venue::Builder builder;
+    const PartitionId a = builder.AddPartition(Rect{0, 0, 10, 10}, 0);
+    const PartitionId b = builder.AddPartition(bad, 0);
+    builder.AddDoor(Point2d{10, 5}, 0, a, b);
+    const auto built = std::move(builder).Build();
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(built.status().message(), "partition 1 rectangle is not finite");
+  }
+}
+
 TEST(VenueTest, LocateAllInterior) {
   const Venue venue = MakeTinyVenue();
   const auto in_a = venue.LocateAll(IndoorPoint{{3, 3}, 0});
