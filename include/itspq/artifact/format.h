@@ -3,11 +3,12 @@
 
 // On-disk layout of a packed venue artifact (`.itspq`).
 //
-// An artifact is one flat, offset-based binary file holding what a shard
-// reads to serve: the Venue (geometry, doors, source ATIs, point-location
-// grid). The loader derives the partition door lists, and
+// An artifact is one flat, offset-based binary file holding a venue's
+// source data: partitions, doors and the doors' source ATIs. The loader
+// checks them with the builder's checks and derives the partition door
+// lists and the point-location grids with the builder's code, and
 // VersionedGraph::Build the rest: the ATI rows, the search adjacency and
-// the boundary ledger. Edge weights are never stored.
+// the boundary ledger. Nothing derived is stored.
 //
 //   [ArtifactHeader | section table | section 0 | section 1 | ... ]
 //
@@ -48,7 +49,10 @@ inline constexpr char kArtifactMagic[8] = {'I', 'T', 'S', 'P',
 ///   6 — drops the Ledger section: the loader derives the checkpoint
 ///       times and flip lists from the ATI rows. Every other section
 ///       keeps its v5 bytes; v5 files must still be rebuilt.
-inline constexpr uint32_t kArtifactFormatVersion = 6;
+///   7 — drops the FloorIndex section: the loader derives each floor's
+///       point-location grid as Venue::Builder does. Every other section
+///       keeps its v6 bytes; v6 files must still be rebuilt.
+inline constexpr uint32_t kArtifactFormatVersion = 7;
 
 /// Written as 0x01020304 by a little-endian writer; a reader seeing the
 /// byte-swapped value knows the file came from the other endianness.
@@ -58,14 +62,14 @@ inline constexpr uint32_t kArtifactEndianTag = 0x01020304u;
 /// required, once. Readers locate sections by kind through the table,
 /// not by position, and refuse a table listing any other kind. Retired
 /// kinds stay reserved: 5 (DoorsOf, v1-v3), 6 (DistanceMatrices, v1-v2),
-/// 8 (CompiledAtis, v1-v4), 9 (Checkpoints, v1-v4), 10 (FlipIndex,
-/// v1-v4), 11 (D2d, v1-v4), 12 (AdjacencyCsr, v2) and 13 (Ledger, v5).
+/// 7 (FloorIndex, v1-v6), 8 (CompiledAtis, v1-v4), 9 (Checkpoints,
+/// v1-v4), 10 (FlipIndex, v1-v4), 11 (D2d, v1-v4), 12 (AdjacencyCsr, v2)
+/// and 13 (Ledger, v5).
 enum class ArtifactSection : uint32_t {
   kMeta = 1,        // partition and door counts, label
   kPartitions = 2,  // Rect + floor per partition
   kDoors = 3,       // position, floor, partition pair per door
   kDoorAtis = 4,    // per-door source TimeInterval CSR (pre-normalisation)
-  kFloorIndex = 7,  // per-floor point-location grids
 };
 
 /// Fixed 40-byte file header. `table_checksum` covers the raw bytes of

@@ -11,7 +11,6 @@
 // read fails. Nothing reads past the range, and no count taken from the
 // bytes allocates more than the bytes that remain could fill.
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -113,14 +112,10 @@ class ByteReader {
     }
     return offsets->front() == 0 || Fail();
   }
-  /// One CSR block of `count` lists written by ByteWriter::Csr. False
-  /// when the pool is short, or when an element fails the `valid` hook:
-  /// a semantic rejection, which leaves the fail flag clear.
-  template <typename Offset, typename T, typename Valid>
-  bool Csr(uint64_t count, std::vector<Offset>* offsets, std::vector<T>* pool,
-           Valid valid) {
-    return Offsets(count, offsets) && Pod(pool, offsets->back()) &&
-           std::all_of(pool->begin(), pool->end(), valid);
+  /// One CSR block of `count` lists written by ByteWriter::Csr.
+  template <typename Offset, typename T>
+  bool Csr(uint64_t count, std::vector<Offset>* offsets, std::vector<T>* pool) {
+    return Offsets(count, offsets) && Pod(pool, offsets->back());
   }
 
   /// Reads a string written by ByteWriter::String. False on a count

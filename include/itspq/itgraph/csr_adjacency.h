@@ -15,9 +15,10 @@
 // door_positions, aligned with those lists so that a scan reads each
 // neighbour's position from the next bytes, not from the door array.
 //
-// A partition's neighbours are its doors other than d itself (listed
-// once per side of d naming the partition); a search skips d through
-// its settled check, as d is settled while its partitions are scanned.
+// A partition's neighbours are its doors other than d itself (a door
+// joins two distinct partitions, so it is listed once in each); a
+// search skips d through its settled check, as d is settled while its
+// partitions are scanned.
 // The weight EuclideanDistance(pos(u), pos(v)) is bitwise symmetric:
 // a - b == -(b - a) exactly, and both square to the same value, so
 // either end computes the same bits.

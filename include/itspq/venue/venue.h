@@ -10,8 +10,11 @@
 //
 // Every per-door, per-partition and per-grid-cell list is one offsets +
 // pool pair, so a venue is a fixed number of flat arrays (two more per
-// floor) whatever its size. All but the door intervals form one geometry
-// block behind a shared_ptr, which copies clone and ATI edits share.
+// floor that holds a partition) whatever its size. All but the door
+// intervals form one geometry block behind a shared_ptr, which copies
+// clone and ATI edits share. Only partitions, doors and intervals are
+// source data: the door lists and the grids are derived from them, by
+// the builder and the artifact loader alike.
 //
 // Venues are immutable once built. Construct through Venue::Builder:
 //
@@ -99,9 +102,12 @@ class Venue {
 
   /// One floor's uniform grid for LocateAll: about one square cell per
   /// partition of the floor, cols and rows each in [1, n] for its n
-  /// partitions. Cell c (row-major) lists the partitions it overlaps,
+  /// partitions, then halved (the cell doubled) while the cells would
+  /// list more than kMaxGridEntriesPerPartition · n entries; 1×1 lists
+  /// exactly n. Cell c (row-major) lists the partitions it overlaps,
   /// ascending, as a CSR list.
   struct FloorIndex {
+    int floor = 0;
     double origin_x = 0, origin_y = 0;
     double cell = 1;
     int cols = 0, rows = 0;
@@ -110,26 +116,18 @@ class Venue {
 
     /// The cell holding `p`, row-major. A point off the grid, or a NaN,
     /// lands on the nearest edge cell, so lookups stay exact when cols
-    /// or rows is clamped.
+    /// or rows is clamped. A rectangle overlaps the cells between those
+    /// of its two corners.
     size_t CellOf(const Point2d& p) const;
-    /// Calls visit(c) for each cell c that `r` overlaps.
-    template <typename Visit>
-    void ForEachCell(const Rect& r, Visit visit) const {
-      // Bounds in locals: `visit` may store through an alias of `cols`.
-      const size_t width = static_cast<size_t>(cols);
-      const size_t lo = CellOf({r.min_x, r.min_y});
-      const size_t hi = CellOf({r.max_x, r.max_y});
-      const size_t c0 = lo % width, c1 = hi % width;
-      for (size_t row = lo - c0; row <= hi - c1; row += width) {
-        for (size_t c = row + c0; c <= row + c1; ++c) visit(c);
-      }
-    }
   };
 
-  /// `floor`'s grid; null when no partition lies on that floor.
-  const FloorIndex* LocationGrid(int floor) const {
-    return geometry_->Grid(floor);
-  }
+  /// Bounds a floor's grid entries, so a grid takes O(n) memory for
+  /// any n rectangles: without it n overlapping ones list n·(2n + 1).
+  static constexpr size_t kMaxGridEntriesPerPartition = 16;
+
+  /// `floor`'s grid, by binary search; null when no partition lies on
+  /// that floor.
+  const FloorIndex* LocationGrid(int floor) const;
 
   /// Heap bytes, the geometry block counted whole even when shared.
   size_t MemoryUsage() const;
@@ -147,12 +145,17 @@ class Venue {
     std::vector<Door> doors;
     std::vector<uint32_t> door_offsets;  // NumPartitions() + 1
     std::vector<DoorId> door_ids;
-    int min_floor = 0;
-    std::vector<FloorIndex> floor_index;  // indexed by floor - min_floor
+    /// One grid per floor that holds a partition, by ascending floor.
+    std::vector<FloorIndex> floor_index;
 
-    const FloorIndex* Grid(int floor) const;
+    /// The builder's checks, which the artifact loader runs too: finite,
+    /// non-degenerate rectangles; doors at finite positions joining two
+    /// distinct known partitions.
+    Status CheckPartitions() const;
+    Status CheckDoors() const;
     /// Derives the door lists from doors (one entry per door side).
     void BuildDoorLists();
+    /// Derives floor_index from partitions, in O(P log P).
     void BuildLocationIndex();
   };
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -21,19 +21,12 @@ Status CorruptSection(const char* section, const std::string& what) {
                               ": " + what);
 }
 
-/// Per-element hooks for the CSR codecs below.
-constexpr auto kAny = [](const auto&) { return true; };
-/// Accepts ids in [0, bound): partition and door references.
-auto Below(uint64_t bound) {
-  return [bound](int32_t id) {
-    return id >= 0 && static_cast<uint64_t>(id) < bound;
-  };
-}
+/// Meta, Partitions, Doors and DoorAtis.
+constexpr size_t kNumSections = 4;
 
-/// Meta, Partitions, Doors, DoorAtis and FloorIndex.
-constexpr size_t kNumSections = 5;
-
-// Fixed-size records, laid out exactly as on disk.
+// Fixed-size records, laid out exactly as on disk. A reader decodes the
+// partition and door records straight into Partition and Door, which
+// share their layout; the writer zeroes the padding.
 struct MetaRecord {  // followed by the label bytes
   uint64_t num_partitions;
   uint64_t num_doors;
@@ -50,13 +43,16 @@ struct DoorRecord {
   int32_t partitions[2];
   uint32_t pad;
 };
-struct GridRecord {  // FloorIndex grid header, one per floor
-  double origin_x, origin_y, cell;
-  int32_t cols, rows;
-};
 static_assert(sizeof(MetaRecord) == 24 && sizeof(PartitionRecord) == 40 &&
-                  sizeof(DoorRecord) == 32 && sizeof(GridRecord) == 32,
+                  sizeof(DoorRecord) == 32,
               "artifact record layout is fixed");
+static_assert(
+    sizeof(Partition) == sizeof(PartitionRecord) &&
+        offsetof(Partition, floor) == offsetof(PartitionRecord, floor) &&
+        sizeof(Door) == sizeof(DoorRecord) &&
+        offsetof(Door, floor) == offsetof(DoorRecord, floor) &&
+        offsetof(Door, partitions) == offsetof(DoorRecord, partitions),
+    "partitions and doors decode in place");
 
 }  // namespace
 
@@ -129,23 +125,13 @@ const ArtifactCodec::Section ArtifactCodec::kSections[kNumSections] = {
        }
      },
      [](ByteReader& r, Sink& k) {
-       std::vector<PartitionRecord> records;
-       if (!r.Pod(&records, k.meta.num_partitions)) {
+       if (!r.Pod(&k.geometry.partitions, k.meta.num_partitions)) {
          return InvalidArgumentError("malformed");
        }
-       k.geometry.partitions.resize(records.size());
-       for (size_t i = 0; i < records.size(); ++i) {
-         const PartitionRecord& rec = records[i];
-         Partition& p = k.geometry.partitions[i];
-         p.rect = Rect{rec.min_x, rec.min_y, rec.max_x, rec.max_y};
-         p.floor = rec.floor;
-         // A NaN bound would hide the partition from every lookup.
-         if (!p.rect.IsFinite()) {
-           return InvalidArgumentError("partition " + std::to_string(i) +
-                                       " rectangle is not finite");
-         }
-       }
-       return Status::Ok();
+       // Checked and indexed as Venue::Builder checks and indexes them.
+       Status valid = k.geometry.CheckPartitions();
+       if (valid.ok()) k.geometry.BuildLocationIndex();
+       return valid;
      }},
     {ArtifactSection::kDoors, "Doors",
      [](const Source& s, ByteWriter& w) {
@@ -155,31 +141,13 @@ const ArtifactCodec::Section ArtifactCodec::kSections[kNumSections] = {
        }
      },
      [](ByteReader& r, Sink& k) {
-       std::vector<DoorRecord> records;
-       if (!r.Pod(&records, k.meta.num_doors)) {
+       if (!r.Pod(&k.geometry.doors, k.meta.num_doors)) {
          return InvalidArgumentError("malformed");
        }
-       k.geometry.doors.resize(records.size());
-       for (size_t i = 0; i < records.size(); ++i) {
-         const DoorRecord& rec = records[i];
-         if (!std::all_of(rec.partitions, rec.partitions + 2,
-                          Below(k.meta.num_partitions))) {
-           return InvalidArgumentError("door references unknown partition");
-         }
-         // Edge weights are computed from door positions: a NaN or an
-         // infinity would poison the frontier.
-         if (!std::isfinite(rec.x) || !std::isfinite(rec.y)) {
-           return InvalidArgumentError("door " + std::to_string(i) +
-                                       " position is not finite");
-         }
-         Door& d = k.geometry.doors[i];
-         d.pos = Point2d{rec.x, rec.y};
-         d.floor = rec.floor;
-         d.partitions = {rec.partitions[0], rec.partitions[1]};
-       }
-       // The door lists are derived, as Venue::Builder derives them.
-       k.geometry.BuildDoorLists();
-       return Status::Ok();
+       // Checked and listed as Venue::Builder checks and lists them.
+       Status valid = k.geometry.CheckDoors();
+       if (valid.ok()) k.geometry.BuildDoorLists();
+       return valid;
      }},
     {ArtifactSection::kDoorAtis, "DoorAtis",
      // The source intervals: the loader normalises them into the ATI
@@ -190,71 +158,8 @@ const ArtifactCodec::Section ArtifactCodec::kSections[kNumSections] = {
      },
      [](ByteReader& r, Sink& k) {
        if (!r.Csr(k.meta.num_doors, &k.venue.ati_offsets_,
-                  &k.venue.ati_intervals_, kAny)) {
+                  &k.venue.ati_intervals_)) {
          return InvalidArgumentError("malformed interval offsets");
-       }
-       return Status::Ok();
-     }},
-    {ArtifactSection::kFloorIndex, "FloorIndex",
-     [](const Source& s, ByteWriter& w) {
-       const Venue::Geometry& g = *s.venue.geometry_;
-       w.Put(int32_t{g.min_floor});
-       w.Put(static_cast<uint32_t>(g.floor_index.size()));
-       for (const Venue::FloorIndex& fi : g.floor_index) {
-         w.Put(GridRecord{fi.origin_x, fi.origin_y, fi.cell, fi.cols, fi.rows});
-         w.Csr(fi.cell_offsets, fi.cell_partitions);
-       }
-     },
-     [](ByteReader& r, Sink& k) {
-       uint32_t floors = 0;
-       if (!r.Get(&k.geometry.min_floor) || !r.Get(&floors) ||
-           floors > 4096) {
-         return InvalidArgumentError("malformed floor header");
-       }
-       k.geometry.floor_index.resize(floors);
-       for (Venue::FloorIndex& fi : k.geometry.floor_index) {
-         // Point location divides by the cell size and casts to int: a
-         // non-finite grid would make every lookup undefined behaviour.
-         GridRecord g;
-         if (!r.Get(&g) || g.cols < 0 || g.rows < 0 ||
-             !std::isfinite(g.origin_x) || !std::isfinite(g.origin_y) ||
-             !std::isfinite(g.cell) || !(g.cell > 0)) {
-           return InvalidArgumentError("malformed grid header");
-         }
-         fi.origin_x = g.origin_x;
-         fi.origin_y = g.origin_y;
-         fi.cell = g.cell;
-         fi.cols = g.cols;
-         fi.rows = g.rows;
-         if (!r.Csr(uint64_t(g.cols) * uint64_t(g.rows), &fi.cell_offsets,
-                    &fi.cell_partitions, Below(k.meta.num_partitions))) {
-           return InvalidArgumentError("cell references unknown partition");
-         }
-       }
-       // A lookup reads only its point's cell, so each partition must be
-       // listed in every cell its rectangle overlaps. Lists run ascending,
-       // as written: a cursor per cell checks them in O(entries).
-       std::vector<std::vector<uint32_t>> cursors;
-       for (const Venue::FloorIndex& fi : k.geometry.floor_index) {
-         cursors.push_back(fi.cell_offsets);
-       }
-       for (size_t i = 0; i < k.geometry.partitions.size(); ++i) {
-         const Partition& p = k.geometry.partitions[i];
-         const Venue::FloorIndex* fi = k.geometry.Grid(p.floor);
-         bool listed = fi != nullptr;
-         if (listed) {
-           uint32_t* at = cursors[fi - k.geometry.floor_index.data()].data();
-           fi->ForEachCell(p.rect, [&](size_t c) {
-             const auto pid = static_cast<PartitionId>(i);
-             const uint32_t end = fi->cell_offsets[c + 1];
-             while (at[c] < end && fi->cell_partitions[at[c]] < pid) ++at[c];
-             listed = listed && at[c] < end && fi->cell_partitions[at[c]] == pid;
-           });
-         }
-         if (!listed) {
-           return InvalidArgumentError("partition " + std::to_string(i) +
-                                       " is missing from its floor's grid");
-         }
        }
        return Status::Ok();
      }},

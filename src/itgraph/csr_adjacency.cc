@@ -13,31 +13,25 @@ CsrAdjacency CsrAdjacency::Compile(const Venue& venue) {
     widest = std::max(widest,
                       venue.DoorsOf(static_cast<PartitionId>(p)).size());
   }
-  struct SweepDoor {
-    double x, y;
-    DoorId id;
-  };
-  std::vector<SweepDoor> row;
+  std::vector<Point2d> row;
   row.reserve(widest);
 
   // The weight extremes over every door pair of every partition, taken
   // over squared distances with one sqrt at the end (sqrt is monotone).
   // Doors are swept in x order, and every cut is exact: rounding is
   // monotone, so fl(dx*dx + dy*dy) is at least fl(dx*dx) and at most the
-  // same sum over the doors' bounding box. A door naming the partition
-  // twice never pairs with itself; one at a NaN x has no weight.
+  // same sum over the doors' bounding box.
   double min_sq = std::numeric_limits<double>::infinity();
   double max_sq = 0;
   for (size_t p = 0; p < venue.NumPartitions(); ++p) {
     row.clear();
     for (DoorId d : venue.DoorsOf(static_cast<PartitionId>(p))) {
-      const Point2d& pos = venue.door(d).pos;
-      adj.door_positions.push_back(pos);
-      if (!std::isnan(pos.x)) row.push_back({pos.x, pos.y, d});
+      adj.door_positions.push_back(venue.door(d).pos);
+      row.push_back(venue.door(d).pos);
     }
     if (row.size() < 2) continue;
     std::sort(row.begin(), row.end(),
-              [](const SweepDoor& a, const SweepDoor& b) { return a.x < b.x; });
+              [](const Point2d& a, const Point2d& b) { return a.x < b.x; });
     auto pair_sq = [&row](size_t i, size_t j) {
       const double dx = row[j].x - row[i].x;
       const double dy = row[j].y - row[i].y;
@@ -48,17 +42,17 @@ CsrAdjacency CsrAdjacency::Compile(const Venue& venue) {
       for (size_t j = i + 1; j < row.size(); ++j) {
         const double dx = row[j].x - row[i].x;
         if (dx * dx >= min_sq) break;
-        if (row[j].id != row[i].id) min_sq = std::min(min_sq, pair_sq(i, j));
+        min_sq = std::min(min_sq, pair_sq(i, j));
       }
     }
     // Max: seeded with the two x-extreme doors; a row walks inward from
     // the far x end while dx and the row's widest |dy| could still beat
     // max_sq, and the whole partition is skipped when its box cannot.
     const size_t last = row.size() - 1;
-    if (row[0].id != row[last].id) max_sq = std::max(max_sq, pair_sq(0, last));
+    max_sq = std::max(max_sq, pair_sq(0, last));
     const auto [lo, hi] = std::minmax_element(
         row.begin(), row.end(),
-        [](const SweepDoor& a, const SweepDoor& b) { return a.y < b.y; });
+        [](const Point2d& a, const Point2d& b) { return a.y < b.y; });
     const double width = row[last].x - row[0].x, height = hi->y - lo->y;
     if (width * width + height * height <= max_sq) continue;
     for (size_t i = 0; i < last; ++i) {
@@ -67,7 +61,7 @@ CsrAdjacency CsrAdjacency::Compile(const Venue& venue) {
       for (size_t j = last; j > i; --j) {
         const double dx = row[j].x - row[i].x;
         if (dx * dx + dy_sq <= max_sq) break;
-        if (row[j].id != row[i].id) max_sq = std::max(max_sq, pair_sq(i, j));
+        max_sq = std::max(max_sq, pair_sq(i, j));
       }
     }
   }

@@ -440,13 +440,12 @@ void Search(const ItGraph& graph, const QueryRequest& request,
     goal.Settle(u, top_dist, s);
 
     // Each of u's two partition sides scans that partition's doors, u
-    // itself (listed once per side that names the partition) skipped as
-    // settled. Position and sides are copied out of the door record so
-    // they stay in registers across the relaxations' stores.
+    // itself (listed once in each) skipped as settled. Position and
+    // sides are copied out of the door record so they stay in registers
+    // across the relaxations' stores.
     const Door& door = venue.door(static_cast<DoorId>(u));
     const Point2d at = door.pos;
     const std::array<PartitionId, 2> sides = door.partitions;
-    const size_t self = sides[0] == sides[1] ? 2 : 1;
     for (PartitionId side : sides) {
       const size_t p = static_cast<size_t>(side);
       if (prune) {
@@ -454,7 +453,7 @@ void Search(const ItGraph& graph, const QueryRequest& request,
         s.partition_stamp[p] = s.generation;
       }
       const CsrAdjacency::DoorList doors = adj.DoorsOf(venue, side);
-      stats.edges_scanned += doors.size - self;
+      stats.edges_scanned += doors.size - 1;
       for (size_t k = 0; k < doors.size; ++k) {
         const auto next = static_cast<size_t>(doors.ids[k]);
         if (s.Settled(next)) continue;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -117,38 +118,9 @@ Venue::Builder Venue::Builder::FromVenue(const Venue& venue) {
 
 StatusOr<Venue> Venue::Builder::Build() && {
   Venue& venue = venue_;
-  const auto num_partitions = static_cast<PartitionId>(venue.NumPartitions());
-  for (size_t i = 0; i < venue.NumPartitions(); ++i) {
-    const Rect& r = venue.partition(static_cast<PartitionId>(i)).rect;
-    if (!r.IsFinite()) {
-      return InvalidArgumentError("partition " + std::to_string(i) +
-                                  " rectangle is not finite");
-    }
-    if (r.width() <= 0 || r.height() <= 0) {
-      return InvalidArgumentError("partition " + std::to_string(i) +
-                                  " has a degenerate rectangle");
-    }
-  }
-  for (size_t i = 0; i < venue.NumDoors(); ++i) {
-    const Door& d = venue.door(static_cast<DoorId>(i));
-    for (PartitionId p : d.partitions) {
-      if (p < 0 || p >= num_partitions) {
-        return InvalidArgumentError("door " + std::to_string(i) +
-                                    " references unknown partition " +
-                                    std::to_string(p));
-      }
-    }
-    if (d.partitions[0] == d.partitions[1]) {
-      return InvalidArgumentError("door " + std::to_string(i) +
-                                  " connects a partition to itself");
-    }
-    // Edge weights are computed from door positions: a NaN or an
-    // infinity would poison the frontier.
-    if (!std::isfinite(d.pos.x) || !std::isfinite(d.pos.y)) {
-      return InvalidArgumentError("door " + std::to_string(i) +
-                                  " position is not finite");
-    }
-  }
+  Status valid = venue.geometry_->CheckPartitions();
+  if (valid.ok()) valid = venue.geometry_->CheckDoors();
+  if (!valid.ok()) return valid;
 
   // Door d's intervals: its SetDoorAti replacement, else its row so far.
   if (!ati_edits_.empty()) {
@@ -173,6 +145,46 @@ StatusOr<Venue> Venue::Builder::Build() && {
   return std::move(venue);
 }
 
+Status Venue::Geometry::CheckPartitions() const {
+  for (size_t i = 0; i < partitions.size(); ++i) {
+    const Rect& r = partitions[i].rect;
+    if (!r.IsFinite()) {
+      return InvalidArgumentError("partition " + std::to_string(i) +
+                                  " rectangle is not finite");
+    }
+    if (r.width() <= 0 || r.height() <= 0) {
+      return InvalidArgumentError("partition " + std::to_string(i) +
+                                  " has a degenerate rectangle");
+    }
+  }
+  return Status::Ok();
+}
+
+Status Venue::Geometry::CheckDoors() const {
+  const auto num_partitions = static_cast<PartitionId>(partitions.size());
+  for (size_t i = 0; i < doors.size(); ++i) {
+    const Door& d = doors[i];
+    for (PartitionId p : d.partitions) {
+      if (p < 0 || p >= num_partitions) {
+        return InvalidArgumentError("door " + std::to_string(i) +
+                                    " references unknown partition " +
+                                    std::to_string(p));
+      }
+    }
+    if (d.partitions[0] == d.partitions[1]) {
+      return InvalidArgumentError("door " + std::to_string(i) +
+                                  " connects a partition to itself");
+    }
+    // Edge weights are computed from door positions: a NaN or an
+    // infinity would poison the frontier.
+    if (!std::isfinite(d.pos.x) || !std::isfinite(d.pos.y)) {
+      return InvalidArgumentError("door " + std::to_string(i) +
+                                  " position is not finite");
+    }
+  }
+  return Status::Ok();
+}
+
 void Venue::Geometry::BuildDoorLists() {
   FillCsr<DoorId>(
       partitions.size(),
@@ -187,58 +199,102 @@ void Venue::Geometry::BuildDoorLists() {
 }
 
 void Venue::Geometry::BuildLocationIndex() {
-  if (partitions.empty()) return;
-  min_floor = partitions[0].floor;
-  int max_floor = partitions[0].floor;
-  for (const Partition& p : partitions) {
-    min_floor = std::min(min_floor, p.floor);
-    max_floor = std::max(max_floor, p.floor);
+  // Partition ids by floor, ascending within each floor's run: the ids
+  // themselves when the partitions already run by floor, as a mall is
+  // built, so that case allocates no scratch.
+  std::vector<PartitionId> sorted;
+  if (!std::is_sorted(partitions.begin(), partitions.end(),
+                      [](const Partition& a, const Partition& b) {
+                        return a.floor < b.floor;
+                      })) {
+    sorted.resize(partitions.size());
+    std::iota(sorted.begin(), sorted.end(), 0);
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [this](PartitionId a, PartitionId b) {
+                       return partitions[a].floor < partitions[b].floor;
+                     });
   }
-  floor_index.assign(static_cast<size_t>(max_floor - min_floor) + 1, {});
+  auto pid = [&sorted](size_t i) {
+    return sorted.empty() ? static_cast<PartitionId>(i) : sorted[i];
+  };
+  auto floor_of = [this, &pid](size_t i) { return partitions[pid(i)].floor; };
+  size_t floors = 0;
+  for (size_t i = 0; i < partitions.size(); ++i) {
+    floors += i == 0 || floor_of(i) != floor_of(i - 1);
+  }
+  floor_index.clear();
+  floor_index.reserve(floors);
 
-  for (size_t f = 0; f < floor_index.size(); ++f) {
-    const int floor = min_floor + static_cast<int>(f);
-    // Per-floor bounding box and partition count.
+  for (size_t begin = 0, end = 0; begin < partitions.size(); begin = end) {
+    // The floor's bounding box and partition count.
     constexpr double kInf = std::numeric_limits<double>::infinity();
     Rect box{kInf, kInf, -kInf, -kInf};
-    double n = 0;
-    for (const Partition& p : partitions) {
-      if (p.floor != floor) continue;
-      box = Rect{std::min(box.min_x, p.rect.min_x),
-                 std::min(box.min_y, p.rect.min_y),
-                 std::max(box.max_x, p.rect.max_x),
-                 std::max(box.max_y, p.rect.max_y)};
-      ++n;
+    for (end = begin;
+         end < partitions.size() && floor_of(end) == floor_of(begin); ++end) {
+      const Rect& r = partitions[pid(end)].rect;
+      box = Rect{std::min(box.min_x, r.min_x), std::min(box.min_y, r.min_y),
+                 std::max(box.max_x, r.max_x), std::max(box.max_y, r.max_y)};
     }
-    FloorIndex& index = floor_index[f];
-    if (n > 0) {
-      // About one square cell per partition: cell² = W·H / n, rooted
-      // apart so W·H cannot overflow or underflow. A cell still not finite
-      // and positive (a span past the double range) gives one cell.
-      const double cell =
-          std::sqrt(box.width()) * std::sqrt(box.height()) / std::sqrt(n);
-      const bool sized = cell > 0 && cell < kInf;
-      auto cells = [cell, n, sized](double extent) {  // clamped to [1, n]
-        return sized ? static_cast<int>(std::min(
-                           std::max(std::ceil(extent / cell), 1.0), n))
-                     : 1;
-      };
-      index.origin_x = box.min_x;
-      index.origin_y = box.min_y;
-      index.cell = sized ? cell : 1;
-      index.cols = cells(box.width());
-      index.rows = cells(box.height());
+    const double n = static_cast<double>(end - begin);
+
+    FloorIndex& index = floor_index.emplace_back();
+    index.floor = floor_of(begin);
+    // About one square cell per partition: cell² = W·H / n, rooted
+    // apart so W·H cannot overflow or underflow. A cell still not finite
+    // and positive (a span past the double range) gives one cell.
+    const double cell =
+        std::sqrt(box.width()) * std::sqrt(box.height()) / std::sqrt(n);
+    const bool sized = cell > 0 && cell < kInf;
+    auto cells = [cell, n, sized](double extent) {  // clamped to [1, n]
+      return sized ? static_cast<int>(std::min(
+                         std::max(std::ceil(extent / cell), 1.0), n))
+                   : 1;
+    };
+    index.origin_x = box.min_x;
+    index.origin_y = box.min_y;
+    index.cell = sized ? cell : 1;
+    index.cols = cells(box.width());
+    index.rows = cells(box.height());
+
+    // Calls visit(id, lo, hi) with each partition of the floor and the
+    // cells of its two corners: it overlaps every cell between them.
+    auto for_each_placed = [&](auto visit) {
+      for (size_t i = begin; i < end; ++i) {
+        const Rect& r = partitions[pid(i)].rect;
+        visit(pid(i), index.CellOf({r.min_x, r.min_y}),
+              index.CellOf({r.max_x, r.max_y}));
+      }
+    };
+    // While the cells would list more than the bound, halve cols and
+    // rows and double the cell; 1×1 lists exactly n. Entries are counted
+    // from each rectangle's corner cells, O(n) a pass. Only a grid of
+    // more cells than the bound (16) can exceed it, so a side of 5+
+    // cells, whose cell is under a quarter of its extent: doubling
+    // stays finite.
+    auto entries = [&] {
+      const size_t width = static_cast<size_t>(index.cols);
+      size_t total = 0;
+      for_each_placed([&](PartitionId, size_t lo, size_t hi) {
+        total += (hi % width - lo % width + 1) * (hi / width - lo / width + 1);
+      });
+      return total;
+    };
+    while (entries() > kMaxGridEntriesPerPartition * (end - begin)) {
+      index.cell *= 2;
+      index.cols = (index.cols + 1) / 2;
+      index.rows = (index.rows + 1) / 2;
     }
+
+    const size_t width = static_cast<size_t>(index.cols);
     FillCsr<PartitionId>(
-        static_cast<size_t>(index.cols) * index.rows,
-        [this, &index, floor](auto emit) {
-          for (size_t pid = 0; pid < partitions.size(); ++pid) {
-            const Partition& p = partitions[pid];
-            if (p.floor != floor) continue;
-            index.ForEachCell(p.rect, [&emit, pid](size_t c) {
-              emit(c, static_cast<PartitionId>(pid));
-            });
-          }
+        width * index.rows,
+        [&](auto emit) {
+          for_each_placed([&](PartitionId id, size_t lo, size_t hi) {
+            const size_t c0 = lo % width, c1 = hi % width;
+            for (size_t row = lo - c0; row <= hi - c1; row += width) {
+              for (size_t c = row + c0; c <= row + c1; ++c) emit(c, id);
+            }
+          });
         },
         &index.cell_offsets, &index.cell_partitions);
   }
@@ -254,11 +310,12 @@ size_t Venue::FloorIndex::CellOf(const Point2d& p) const {
          static_cast<size_t>(index(p.x, origin_x, cols));
 }
 
-const Venue::FloorIndex* Venue::Geometry::Grid(int floor) const {
-  const int64_t f = int64_t{floor} - min_floor;
-  if (f < 0 || static_cast<uint64_t>(f) >= floor_index.size()) return nullptr;
-  const FloorIndex& index = floor_index[static_cast<size_t>(f)];
-  return index.cols > 0 && index.rows > 0 ? &index : nullptr;
+const Venue::FloorIndex* Venue::LocationGrid(int floor) const {
+  const std::vector<FloorIndex>& grids = geometry_->floor_index;
+  const auto it = std::lower_bound(
+      grids.begin(), grids.end(), floor,
+      [](const FloorIndex& index, int f) { return index.floor < f; });
+  return it != grids.end() && it->floor == floor ? &*it : nullptr;
 }
 
 std::vector<PartitionId> Venue::LocateAll(const IndoorPoint& point) const {

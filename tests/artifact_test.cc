@@ -327,37 +327,27 @@ const SectionCase kSectionCases[] = {
      [](Sections* s, uint64_t, uint64_t) {
        Set<double>(Payload(s, ArtifactSection::kDoors), 0, -HUGE_VAL);
      }},
-    {"floor cell to unknown partition", "FloorIndex",
-     "unknown partition",
-     [](Sections* s, uint64_t P, uint64_t) {
-       // i32 min floor, u32 floors, then floor 0: f64 origin x/y, f64
-       // cell, i32 cols, i32 rows, u64 offsets[cells + 1], i32 pool.
-       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kFloorIndex);
-       const uint64_t cells = static_cast<uint64_t>(Get<int32_t>(*p, 32)) *
-                              static_cast<uint64_t>(Get<int32_t>(*p, 36));
-       ASSERT_GT(Get<uint64_t>(*p, 40 + cells * 8), 0u);
-       Set<int32_t>(p, 40 + (cells + 1) * 8, static_cast<int32_t>(P));
-     }},
-    {"floor cell leaves out a partition", "FloorIndex",
-     "is missing from its floor's grid",
-     [](Sections* s, uint64_t P, uint64_t) {
-       // The first listed partition of floor 0 swapped for another: its
-       // first cell no longer lists it.
-       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kFloorIndex);
-       const uint64_t cells = static_cast<uint64_t>(Get<int32_t>(*p, 32)) *
-                              static_cast<uint64_t>(Get<int32_t>(*p, 36));
-       ASSERT_GT(Get<uint64_t>(*p, 40 + cells * 8), 0u);
-       const uint64_t at = 40 + (cells + 1) * 8;
-       Set<int32_t>(p, at, static_cast<int32_t>(
-                               (static_cast<uint64_t>(Get<int32_t>(*p, at)) + 1) %
-                               P));
-     }},
-    {"partition on a floor without a grid", "FloorIndex",
-     "partition 0 is missing from its floor's grid",
+    {"door joins a partition to itself", "Doors",
+     "door 0 connects a partition to itself",
      [](Sections* s, uint64_t, uint64_t) {
-       // i32 min floor: every stored grid moves 100 floors up.
-       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kFloorIndex);
-       Set<int32_t>(p, 0, Get<int32_t>(*p, 0) + 100);
+       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kDoors);
+       Set<int32_t>(p, 24, Get<int32_t>(*p, 20));
+     }},
+    {"zero-width partition", "Partitions",
+     "partition 0 has a degenerate rectangle",
+     [](Sections* s, uint64_t, uint64_t) {
+       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kPartitions);
+       Set<double>(p, 16, Get<double>(*p, 0));
+     }},
+    {"inverted partition", "Partitions",
+     "has a degenerate rectangle",
+     [](Sections* s, uint64_t P, uint64_t) {
+       // The last partition's min x and max x swapped.
+       std::vector<uint8_t>* p = Payload(s, ArtifactSection::kPartitions);
+       const uint64_t at = (P - 1) * 40;
+       const double min_x = Get<double>(*p, at);
+       Set<double>(p, at, Get<double>(*p, at + 16));
+       Set<double>(p, at + 16, min_x);
      }},
     {"NaN source interval", "DoorAtis",
      "door 0: ATI interval outside [0, 86400]",
@@ -374,45 +364,20 @@ const SectionCase kSectionCases[] = {
      [](Sections* s, uint64_t, uint64_t n) {
        BreakFirstInterval(s, n, TimeInterval{3600, 3600});
      }},
-    {"duplicate section", "FloorIndex", "duplicate section",
+    {"duplicate section", "DoorAtis", "duplicate section",
      [](Sections* s, uint64_t, uint64_t) {
-       s->emplace_back(static_cast<uint32_t>(ArtifactSection::kFloorIndex),
-                       *Payload(s, ArtifactSection::kFloorIndex));
+       s->emplace_back(static_cast<uint32_t>(ArtifactSection::kDoorAtis),
+                       *Payload(s, ArtifactSection::kDoorAtis));
      }},
-    {"missing required section", "FloorIndex", "missing required section",
+    {"missing required section", "DoorAtis", "missing required section",
      [](Sections* s, uint64_t, uint64_t) {
        s->erase(std::remove_if(s->begin(), s->end(),
                                [](const auto& section) {
                                  return section.first ==
                                         static_cast<uint32_t>(
-                                            ArtifactSection::kFloorIndex);
+                                            ArtifactSection::kDoorAtis);
                                }),
                 s->end());
-     }},
-};
-
-// A floor grid the point locator cannot divide by: its origin and cell
-// size reach a float-to-int cast on every lookup.
-const SectionCase kNonFiniteGridCases[] = {
-    {"NaN grid cell", "FloorIndex", "malformed grid header",
-     [](Sections* s, uint64_t, uint64_t) {
-       Set<double>(Payload(s, ArtifactSection::kFloorIndex), 24, std::nan(""));
-     }},
-    {"infinite grid cell", "FloorIndex", "malformed grid header",
-     [](Sections* s, uint64_t, uint64_t) {
-       Set<double>(Payload(s, ArtifactSection::kFloorIndex), 24, HUGE_VAL);
-     }},
-    {"infinite grid origin", "FloorIndex", "malformed grid header",
-     [](Sections* s, uint64_t, uint64_t) {
-       Set<double>(Payload(s, ArtifactSection::kFloorIndex), 8, -HUGE_VAL);
-     }},
-    {"NaN grid origin", "FloorIndex", "malformed grid header",
-     [](Sections* s, uint64_t, uint64_t) {
-       Set<double>(Payload(s, ArtifactSection::kFloorIndex), 16, std::nan(""));
-     }},
-    {"negative grid cell", "FloorIndex", "malformed grid header",
-     [](Sections* s, uint64_t, uint64_t) {
-       Set<double>(Payload(s, ArtifactSection::kFloorIndex), 24, -1.0);
      }},
 };
 
@@ -459,18 +424,13 @@ TEST(ArtifactSectionRejectionTest, EverySectionRejectsItsBrokenInvariant) {
   ExpectEachRejected(kSectionCases);
 }
 
-TEST(ArtifactSectionRejectionTest, NonFiniteFloorGridRejected) {
-  ExpectEachRejected(kNonFiniteGridCases);
-}
-
 // Bytes past a section's last field are rejected in every section, by
 // that section's name.
 TEST(ArtifactSectionRejectionTest, TrailingBytesRejectedInEverySection) {
   const Sections sections = SplitSections(EncodeSmallVenue());
-  ASSERT_EQ(sections.size(), 5u);
-  // Indexed by section kind; kinds 5 and 6 are retired.
-  const char* const names[] = {"",         "Meta", "Partitions", "Doors",
-                               "DoorAtis", "",     "",           "FloorIndex"};
+  ASSERT_EQ(sections.size(), 4u);
+  // Indexed by section kind.
+  const char* const names[] = {"", "Meta", "Partitions", "Doors", "DoorAtis"};
   for (size_t i = 0; i < sections.size(); ++i) {
     Sections padded = sections;
     padded[i].second.resize(padded[i].second.size() + 8, 0);
@@ -483,8 +443,9 @@ TEST(ArtifactSectionRejectionTest, TrailingBytesRejectedInEverySection) {
 }
 
 // The section table lists each section the format defines exactly once
-// and nothing else: an undefined kind, a retired one (13 is v5's Ledger)
-// or a non-zero reserved word is refused on load and at registration.
+// and nothing else: an undefined kind, a retired one (13 is v5's Ledger,
+// 7 v6's FloorIndex) or a non-zero reserved word is refused on load and
+// at registration.
 TEST(ArtifactSectionRejectionTest, UndefinedTableEntriesRejected) {
   const std::string dir = TestDir("table");
   const std::vector<uint8_t> image = EncodeSmallVenue();
@@ -493,7 +454,7 @@ TEST(ArtifactSectionRejectionTest, UndefinedTableEntriesRejected) {
     std::string fragment;
   };
   std::vector<Case> cases;
-  for (const uint32_t kind : {99u, 9u, 13u}) {
+  for (const uint32_t kind : {99u, 9u, 13u, 7u}) {
     Sections sections = SplitSections(image);
     sections.emplace_back(kind, std::vector<uint8_t>(16, 0));
     cases.push_back(

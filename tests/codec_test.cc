@@ -64,8 +64,7 @@ TEST(ByteCodecTest, HostileCountsFailWithoutAllocating) {
   ByteReader pool_reader(csr_bytes);
   std::vector<uint64_t> csr_offsets;
   std::vector<int32_t> pool;
-  EXPECT_FALSE(pool_reader.Csr(1, &csr_offsets, &pool,
-                               [](int32_t) { return true; }));
+  EXPECT_FALSE(pool_reader.Csr(1, &csr_offsets, &pool));
   EXPECT_EQ(pool.capacity(), 0u);
 
   // A string whose count passes what remains, and one past its cap.
@@ -169,7 +168,7 @@ TEST(ByteCodecTest, TypedRoundTripPreservesEveryBit) {
   }
   std::vector<size_t> offsets;
   std::vector<int32_t> pool;
-  ASSERT_TRUE(r.Csr(2, &offsets, &pool, [](int32_t) { return true; }));
+  ASSERT_TRUE(r.Csr(2, &offsets, &pool));
   EXPECT_EQ(offsets, (std::vector<size_t>{0, 1, 3}));
   EXPECT_EQ(pool, (std::vector<int32_t>{7, -8, 9}));
   std::string label;
@@ -177,21 +176,6 @@ TEST(ByteCodecTest, TypedRoundTripPreservesEveryBit) {
   EXPECT_EQ(label, "label");
   EXPECT_EQ(r.Remaining(), 0u);
   EXPECT_FALSE(r.failed());
-}
-
-// A pool element the hook refuses is a semantic rejection: the read
-// itself went through, so the fail flag stays clear for the caller to
-// tell the two apart.
-TEST(ByteCodecTest, CsrHookRejectionLeavesTheFailFlagClear) {
-  ByteWriter w;
-  w.Csr(std::vector<uint64_t>{0, 2}, std::vector<int32_t>{1, 5});
-  const std::string bytes = std::move(w).Take();
-  ByteReader r(bytes);
-  std::vector<uint64_t> offsets;
-  std::vector<int32_t> pool;
-  EXPECT_FALSE(r.Csr(1, &offsets, &pool, [](int32_t x) { return x < 4; }));
-  EXPECT_FALSE(r.failed());
-  EXPECT_EQ(r.Remaining(), 0u);
 }
 
 }  // namespace

@@ -849,17 +849,6 @@ TEST(FamilyEdgeCountTest, UnboundedNtvReachabilityScansEveryEdge) {
   // {2, 4}; doors 0..4 scan 3 + 4 + 3 + 3 + 3.
   ExpectUnboundedSweepScansEveryEdge(*graph, *router, IndoorPoint{{5, 5}, 0},
                                      16);
-
-  // Door 3 (room a | room b) made to name room a twice: room a lists
-  // {0, 3, 3} and room b {1, 4}, and door 3 scans room a's other door
-  // once per side; doors 0..4 scan 4 + 3 + 3 + 2 + 2.
-  auto world = ValueOrDie(
-      BuildWorldFromArtifact(
-          DecodeWithDoorNamingOnePartitionTwice(venue, DoorId{3}), "ntv"),
-      "BuildWorldFromArtifact");
-  ASSERT_EQ(world->venue().DoorsOf(PartitionId{1}).size(), 3u);
-  ExpectUnboundedSweepScansEveryEdge(world->graph(), world->router(),
-                                     IndoorPoint{{5, 5}, 0}, 14);
 }
 
 // A multi-stop query counts what its legs count, routed one at a time.

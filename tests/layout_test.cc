@@ -12,8 +12,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -306,6 +308,226 @@ TEST(LayoutTest, ExtremeCoordinatesBuildAndRoundTrip) {
     }
     ExpectLocateMatchesBruteForceAt(*loaded.venue, points);
   }
+}
+
+// Encodes `venue`, decodes it, and expects every floor's grid back as
+// built and LocateAll exact on both sides: the loader derives the grids
+// with the builder's code, so every venue that builds also loads. The
+// grid lists at most kMaxGridEntriesPerPartition entries a partition.
+void ExpectRoundTrips(const Venue& venue) {
+  const std::vector<uint8_t> image =
+      ValueOrDie(EncodeVenueArtifact(venue), "EncodeVenueArtifact");
+  const LoadedVenueWorld loaded = ValueOrDie(
+      DecodeVenueArtifact(image.data(), image.size()), "DecodeVenueArtifact");
+  for (const auto& [floor, n] : PartitionsPerFloor(venue)) {
+    SCOPED_TRACE("floor " + std::to_string(floor));
+    const Venue::FloorIndex* want = venue.LocationGrid(floor);
+    const Venue::FloorIndex* got = loaded.venue->LocationGrid(floor);
+    ASSERT_NE(want, nullptr);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(want->floor, floor);
+    EXPECT_EQ(got->origin_x, want->origin_x);
+    EXPECT_EQ(got->origin_y, want->origin_y);
+    EXPECT_EQ(got->cell, want->cell);
+    EXPECT_EQ(got->cols, want->cols);
+    EXPECT_EQ(got->rows, want->rows);
+    EXPECT_EQ(got->cell_offsets, want->cell_offsets);
+    EXPECT_EQ(got->cell_partitions, want->cell_partitions);
+    EXPECT_LE(want->cell_partitions.size(),
+              Venue::kMaxGridEntriesPerPartition * n);
+  }
+  // The partition scan, one floor's partitions at a time.
+  std::map<int, std::vector<PartitionId>> on_floor;
+  for (size_t p = 0; p < venue.NumPartitions(); ++p) {
+    const auto pid = static_cast<PartitionId>(p);
+    on_floor[venue.partition(pid).floor].push_back(pid);
+  }
+  // Partitions share corners: each point once.
+  std::vector<IndoorPoint> points = CellLattice(venue);
+  auto key = [](const IndoorPoint& a) {
+    return std::make_tuple(a.floor, a.p.x, a.p.y);
+  };
+  std::sort(points.begin(), points.end(),
+            [&key](const auto& a, const auto& b) { return key(a) < key(b); });
+  points.erase(std::unique(points.begin(), points.end(),
+                           [&key](const auto& a, const auto& b) {
+                             return key(a) == key(b);
+                           }),
+               points.end());
+  for (const IndoorPoint& point : points) {
+    std::vector<PartitionId> want;
+    for (PartitionId pid : on_floor[point.floor]) {
+      if (venue.partition(pid).rect.Contains(point.p)) want.push_back(pid);
+    }
+    ASSERT_EQ(venue.LocateAll(point), want)
+        << "floor " << point.floor << " (" << point.p.x << ", " << point.p.y
+        << ")";
+    ASSERT_EQ(loaded.venue->LocateAll(point), want)
+        << "loaded, floor " << point.floor << " (" << point.p.x << ", "
+        << point.p.y << ")";
+  }
+}
+
+// The grid sizing before entries were bounded: about one square cell
+// per partition, each side clamped to [1, n], the cell never doubled.
+Venue::FloorIndex UnboundedGrid(const Venue& venue, int floor) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rect box{kInf, kInf, -kInf, -kInf};
+  double n = 0;
+  for (size_t p = 0; p < venue.NumPartitions(); ++p) {
+    const Partition& partition = venue.partition(static_cast<PartitionId>(p));
+    if (partition.floor != floor) continue;
+    const Rect& r = partition.rect;
+    box = Rect{std::min(box.min_x, r.min_x), std::min(box.min_y, r.min_y),
+               std::max(box.max_x, r.max_x), std::max(box.max_y, r.max_y)};
+    ++n;
+  }
+  const double cell =
+      std::sqrt(box.width()) * std::sqrt(box.height()) / std::sqrt(n);
+  const bool sized = cell > 0 && cell < kInf;
+  auto cells = [&](double extent) {
+    return sized ? static_cast<int>(
+                       std::min(std::max(std::ceil(extent / cell), 1.0), n))
+                 : 1;
+  };
+  Venue::FloorIndex grid;
+  grid.floor = floor;
+  grid.origin_x = box.min_x;
+  grid.origin_y = box.min_y;
+  grid.cell = sized ? cell : 1;
+  grid.cols = cells(box.width());
+  grid.rows = cells(box.height());
+  std::vector<std::vector<PartitionId>> lists(
+      static_cast<size_t>(grid.cols) * grid.rows);
+  for (size_t p = 0; p < venue.NumPartitions(); ++p) {
+    const Partition& partition = venue.partition(static_cast<PartitionId>(p));
+    if (partition.floor != floor) continue;
+    const Rect& r = partition.rect;
+    const size_t width = static_cast<size_t>(grid.cols);
+    const size_t lo = grid.CellOf({r.min_x, r.min_y});
+    const size_t hi = grid.CellOf({r.max_x, r.max_y});
+    for (size_t row = lo / width; row <= hi / width; ++row) {
+      for (size_t col = lo % width; col <= hi % width; ++col) {
+        lists[row * width + col].push_back(static_cast<PartitionId>(p));
+      }
+    }
+  }
+  grid.cell_offsets.push_back(0);
+  for (const std::vector<PartitionId>& list : lists) {
+    grid.cell_partitions.insert(grid.cell_partitions.end(), list.begin(),
+                                list.end());
+    grid.cell_offsets.push_back(
+        static_cast<uint32_t>(grid.cell_partitions.size()));
+  }
+  return grid;
+}
+
+// The fleets perfbench serves, interactive (1-3 floors, 2-4 shop rows)
+// and batch_families (5 floors, 4 shop rows), on seeds 1 and 2: each
+// round-trips, and the entry bound leaves every grid as it was sized
+// before the bound existed.
+TEST(LayoutTest, SeededFleetsRoundTripWithUnboundedGrids) {
+  for (uint64_t seed : {1, 2}) {
+    FleetConfig interactive;
+    interactive.seed = seed;
+    interactive.num_venues = 384;
+    interactive.min_floors = 1;
+    interactive.max_floors = 3;
+    FleetConfig batch;
+    batch.seed = seed;
+    batch.num_venues = 16;
+    batch.min_floors = batch.max_floors = 5;
+    batch.min_shop_rows = batch.max_shop_rows = 4;
+    for (const FleetConfig& config : {interactive, batch}) {
+      const std::vector<Venue> fleet =
+          ValueOrDie(GenerateVenueFleet(config), "GenerateVenueFleet");
+      for (size_t v = 0; v < fleet.size(); ++v) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", venue " +
+                     std::to_string(v) + " of " +
+                     std::to_string(fleet.size()));
+        const Venue& venue = fleet[v];
+        for (const auto& [floor, n] : PartitionsPerFloor(venue)) {
+          const Venue::FloorIndex want = UnboundedGrid(venue, floor);
+          const Venue::FloorIndex* got = venue.LocationGrid(floor);
+          ASSERT_NE(got, nullptr);
+          ASSERT_EQ(got->origin_x, want.origin_x);
+          ASSERT_EQ(got->origin_y, want.origin_y);
+          ASSERT_EQ(got->cell, want.cell);
+          ASSERT_EQ(got->cols, want.cols);
+          ASSERT_EQ(got->rows, want.rows);
+          ASSERT_EQ(got->cell_offsets, want.cell_offsets);
+          ASSERT_EQ(got->cell_partitions, want.cell_partitions);
+        }
+        ExpectRoundTrips(venue);
+      }
+    }
+  }
+}
+
+// Two 10 m rooms joined by a door, on floors `low` and `high`.
+Venue TwoRooms(int low, int high) {
+  Venue::Builder builder;
+  const PartitionId a = builder.AddPartition(Rect{0, 0, 10, 10}, low);
+  const PartitionId b = builder.AddPartition(Rect{0, 0, 10, 10}, high);
+  builder.AddDoor(Point2d{5, 5}, low, a, b);
+  return ValueOrDie(std::move(builder).Build(), "Build");
+}
+
+// Floors far apart cost nothing between them: only floors that hold a
+// partition have a grid, found by binary search, and the floor span is
+// never computed, so INT_MIN and INT_MAX are floors like any other.
+TEST(LayoutTest, DistantFloorsRoundTripInUnderAKilobyte) {
+  for (const auto& [low, high] :
+       {std::pair<int, int>{0, 100'000},
+        std::pair<int, int>{std::numeric_limits<int>::min(),
+                            std::numeric_limits<int>::max()}}) {
+    SCOPED_TRACE("floors " + std::to_string(low) + " and " +
+                 std::to_string(high));
+    const Venue venue = TwoRooms(low, high);
+    EXPECT_LT(venue.MemoryUsage(), 1024u);
+    EXPECT_LT(ValueOrDie(EncodeVenueArtifact(venue), "EncodeVenueArtifact")
+                  .size(),
+              1024u);
+    for (int floor : {low + 1, high - 1, (low / 2) + (high / 2)}) {
+      EXPECT_EQ(venue.LocationGrid(floor), nullptr) << "floor " << floor;
+    }
+    ExpectRoundTrips(venue);
+  }
+}
+
+// 4,000 identical rooms overlap every cell of a 64 × 64 grid: unbounded,
+// 16.4 million entries (65.7 MB). The bound halves the grid to 4 × 4.
+TEST(LayoutTest, OverlappingRoomsKeepTheGridLinear) {
+  Venue::Builder builder;
+  for (int i = 0; i < 4000; ++i) builder.AddPartition(Rect{0, 0, 10, 10}, 0);
+  const Venue venue = ValueOrDie(std::move(builder).Build(), "Build");
+  EXPECT_LT(venue.MemoryUsage(), 1u << 20);
+  const Venue::FloorIndex* grid = venue.LocationGrid(0);
+  ASSERT_NE(grid, nullptr);
+  EXPECT_EQ(grid->cols, 4);
+  EXPECT_EQ(grid->rows, 4);
+  ExpectRoundTrips(venue);
+}
+
+// 1,000 shops under 20 zones that each span the floor: the zones push
+// the entries past the bound, and halving stops while the grid still
+// tells the shops apart.
+TEST(LayoutTest, FloorWideZonesKeepAFineGrid) {
+  Venue::Builder builder;
+  for (int i = 0; i < 1000; ++i) {
+    const double x = (i % 40) * 10.0, y = (i / 40) * 10.0;
+    builder.AddPartition(Rect{x, y, x + 10, y + 10}, 0);
+  }
+  for (int i = 0; i < 20; ++i) builder.AddPartition(Rect{0, 0, 400, 250}, 0);
+  const Venue venue = ValueOrDie(std::move(builder).Build(), "Build");
+  const Venue::FloorIndex* grid = venue.LocationGrid(0);
+  ASSERT_NE(grid, nullptr);
+  const Venue::FloorIndex unbounded = UnboundedGrid(venue, 0);
+  EXPECT_GT(unbounded.cell_partitions.size(),
+            Venue::kMaxGridEntriesPerPartition * venue.NumPartitions());
+  EXPECT_LT(grid->cols, unbounded.cols);
+  EXPECT_GT(grid->cols * grid->rows, 1);
+  ExpectRoundTrips(venue);
 }
 
 TEST(LayoutTest, DoorListsMatchADoorScan) {

@@ -307,29 +307,6 @@ TEST(SearchCoreTest, WeightExtremesOfHandBuiltPartitions) {
     ExpectExtremes(venue, inf, 0);
     EXPECT_FALSE(CsrAdjacency::Compile(venue).BucketEligible());
   }
-  {
-    // Door 3 (room a | room b at (10, 5)) made to name room a twice:
-    // room a lists it twice beside door 0 at (5, 10), and neither entry
-    // pairs with the other.
-    SCOPED_TRACE("a door naming one partition twice");
-    const LoadedVenueWorld loaded =
-        DecodeWithDoorNamingOnePartitionTwice(MakeHallVenue(), DoorId{3});
-    ASSERT_EQ(loaded.venue->DoorsOf(PartitionId{1}).size(), 3u);
-    ExpectExtremes(*loaded.venue, EuclideanDistance({5, 10}, {10, 5}), 20);
-  }
-  {
-    SCOPED_TRACE("a partition holding only a door naming it twice");
-    Venue::Builder builder;
-    const PartitionId a = builder.AddPartition(Rect{0, 0, 10, 10}, 0);
-    const PartitionId b = builder.AddPartition(Rect{10, 0, 20, 10}, 0);
-    builder.AddDoor(Point2d{10, 5}, 0, a, b);
-    const Venue venue =
-        ValueOrDie(std::move(builder).Build(), "Venue::Builder::Build");
-    const LoadedVenueWorld loaded =
-        DecodeWithDoorNamingOnePartitionTwice(venue, DoorId{0});
-    ASSERT_EQ(loaded.venue->DoorsOf(a).size(), 2u);
-    ExpectExtremes(*loaded.venue, inf, 0);
-  }
 }
 
 // The pair-sort boundary ledger BuildBoundaryLedger replaced: every

@@ -87,6 +87,21 @@ TEST(VenueBuilderTest, RejectsNonFinitePartitionRectangles) {
   }
 }
 
+// A rectangle whose min exceeds its max on either axis is refused like
+// a zero-width one: the location grid would size a floor from it.
+TEST(VenueBuilderTest, RejectsInvertedPartitionRectangles) {
+  for (const Rect& bad : {Rect{10, 0, 0, 10}, Rect{0, 10, 10, 0}}) {
+    Venue::Builder builder;
+    builder.AddPartition(Rect{0, 0, 10, 10}, 0);
+    builder.AddPartition(bad, 0);
+    const auto built = std::move(builder).Build();
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(built.status().message(),
+              "partition 1 has a degenerate rectangle");
+  }
+}
+
 TEST(VenueTest, LocateAllInterior) {
   const Venue venue = MakeTinyVenue();
   const auto in_a = venue.LocateAll(IndoorPoint{{3, 3}, 0});
